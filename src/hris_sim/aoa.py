@@ -72,9 +72,13 @@ class AoaScenario:
 
     @property
     def noise_var(self) -> float:
-        if np.isinf(self.snr_db):
-            return 0.0
-        return self.tx_power * 10.0 ** (-self.snr_db / 10.0)
+        return _noise_var(self.snr_db, self.tx_power)
+
+
+def _noise_var(snr_db: float, tx_power: float = 1.0) -> float:
+    if np.isinf(snr_db):
+        return 0.0
+    return tx_power * 10.0 ** (-snr_db / 10.0)
 
 
 @dataclass(frozen=True)
@@ -157,82 +161,121 @@ def grid_response(sc: AoaScenario, grid: AoaGrid) -> np.ndarray:
     return np.conj(sc.combiner) @ mat
 
 
-def _criterion_columns(y: np.ndarray, resp: np.ndarray, pilot: np.ndarray) -> np.ndarray:
-    """Concentrated likelihood |sum_t y_t conj(g_t s_t)|^2 / sum_t |g_t s_t|^2 per column."""
-    b = resp * pilot[:, None]
-    num = np.abs(np.conj(b).T @ y) ** 2
-    den = np.sum(np.abs(b) ** 2, axis=0)
-    out = np.full(den.shape, -np.inf)
-    ok = den > 0.0
-    out[ok] = num[ok] / den[ok]
-    return out
+@dataclass(frozen=True)
+class _ScanTable:
+    """What the estimator reads for one (array, combiner, pilots, azimuth, grid).
+
+    None of it depends on the snapshots, so the Monte Carlo sweep builds it
+    once per worker and array size.  ``conj_signal`` is conj(b)^T with
+    b = q_t^H a(theta) * s_t over the grid (sqrt(sensed_fraction) left out),
+    shape (n_points, T); ``energy`` is sum_t |b_t|^2 per grid point.
+    """
+
+    conj_combiner: np.ndarray
+    conj_signal: np.ndarray
+    energy: np.ndarray
 
 
-def _criterion_at(theta: float, y: np.ndarray, sc: AoaScenario) -> float:
-    direction = Direction(theta, sc.true_direction.azimuth_rad)
-    b = _response(sc, direction) * sc.pilot
-    den = float(np.sum(np.abs(b) ** 2))
-    if den <= 0.0:
-        return -np.inf
-    return float(np.abs(np.vdot(b, y)) ** 2 / den)
+def _scan_table(sc: AoaScenario, grid: AoaGrid,
+                response: np.ndarray | None = None) -> _ScanTable:
+    """Build the table of ``sc`` from ``grid_response(sc, grid)``."""
+    if response is None:
+        response = grid_response(sc, grid)
+    b = response * sc.pilot[:, None]
+    return _ScanTable(np.conj(sc.combiner), np.conj(b).T,
+                      np.sum(np.abs(b) ** 2, axis=0))
+
+
+def _concentrated(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """|sum_t y_t conj(b_t)|^2 / sum_t |b_t|^2, or -inf where b vanishes."""
+    return np.divide(num, den, out=np.full(np.broadcast_shapes(num.shape, den.shape), -np.inf),
+                     where=den > 0.0)
+
+
+def _criterion_rows(theta: np.ndarray, ys: np.ndarray, root_f: np.ndarray,
+                    sc: AoaScenario, table: _ScanTable) -> np.ndarray:
+    """Concentrated likelihood of row r of ``ys`` at elevation theta[r].
+
+    Every product below runs per row (one gemv, one dot), exactly as the
+    single-vector expressions would be: the criterion's peak is flat, so a
+    reordered sum (einsum, one gemm over all rows) changes late golden-section
+    comparisons and moves estimates by about 1e-8 rad.
+    """
+    a = steering_grid(sc.array, theta, sc.true_direction.azimuth_rad)
+    g = np.matmul(table.conj_combiner, a.T[:, :, None])[..., 0]
+    b = root_f[:, None] * g * sc.pilot
+    num = np.abs(np.matmul(np.conj(b)[:, None, :], ys[:, :, None])[:, 0, 0]) ** 2
+    return _concentrated(num, np.sum(np.abs(b) ** 2, axis=1))
+
+
+def _ml_rows(ys: np.ndarray, root_f: np.ndarray, sc: AoaScenario, grid: AoaGrid,
+             table: _ScanTable) -> np.ndarray:
+    """Grid argmax plus golden-section refinement for stacked snapshot rows.
+
+    ``ys`` has one snapshot vector per row, shape (R, T); row r was sensed at
+    fraction root_f[r]**2.  All rows share the combiner, pilots and azimuth
+    of ``sc`` and are refined in lockstep, one batched criterion evaluation
+    per golden-section iteration.
+    """
+    crit = _concentrated(np.abs(np.matmul(table.conj_signal, ys[:, :, None])[..., 0]) ** 2,
+                         table.energy)
+    if not np.all(np.any(np.isfinite(crit), axis=1)):
+        raise EstimationInfeasibleError(
+            "combined response is zero everywhere on the search grid")
+    points = grid.points
+    i0 = np.argmax(crit, axis=1)
+    lo = points[np.maximum(i0 - 1, 0)]
+    hi = points[np.minimum(i0 + 1, grid.n_points - 1)]
+
+    def f(theta):
+        return _criterion_rows(theta, ys, root_f, sc, table)
+
+    x1 = hi - _GOLDEN * (hi - lo)
+    x2 = lo + _GOLDEN * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(grid.refine_iters):
+        up = f1 < f2
+        lo = np.where(up, x1, lo)
+        hi = np.where(up, hi, x2)
+        x_new = np.where(up, lo + _GOLDEN * (hi - lo), hi - _GOLDEN * (hi - lo))
+        f_new = f(x_new)
+        x1, x2 = np.where(up, x2, x_new), np.where(up, x_new, x1)
+        f1, f2 = np.where(up, f2, f_new), np.where(up, f_new, f1)
+    return np.where(f1 >= f2, x1, x2)
 
 
 def ml_estimate(y: np.ndarray, sc: AoaScenario, grid: AoaGrid | None = None,
                 response: np.ndarray | None = None) -> float:
     """Elevation estimate: coarse grid argmax plus golden-section refinement.
 
+    This is the one-row case of the stacked-rows estimator the Monte Carlo
+    sweep calls with one row per (sensed fraction, snr) cell of an array;
+    each row's estimate is bit-for-bit what this function returns for it.
+
     Parameters
     ----------
     y : complex snapshot vector.
     sc : scenario the snapshots were produced under (true elevation unused,
-        only the azimuth plane, combiner and pilots matter here).
+        only the azimuth plane, combiner, pilots and sensed fraction matter).
     grid : search grid; defaults to AoaGrid().
-    response : optional precomputed ``grid_response(sc, grid)`` table, which
-        the Monte Carlo driver shares across trials.
+    response : optional precomputed ``grid_response(sc, grid)`` table.
     """
     grid = grid or AoaGrid()
-    if response is None:
-        response = grid_response(sc, grid)
     y = np.asarray(y, dtype=complex)
     if y.shape != (sc.n_snapshots,):
         raise ValueError("snapshot vector length does not match the scenario")
-    crit = _criterion_columns(y, response, sc.pilot)
-    if not np.any(np.isfinite(crit)):
-        raise EstimationInfeasibleError(
-            "combined response is zero everywhere on the search grid")
-    points = grid.points
-    i0 = int(np.argmax(crit))
-    lo = points[max(i0 - 1, 0)]
-    hi = points[min(i0 + 1, grid.n_points - 1)]
-    return _golden_refine(lambda th: _criterion_at(th, y, sc), lo, hi,
-                          grid.refine_iters)
+    root_f = np.array([math.sqrt(sc.sensed_fraction)])
+    return float(_ml_rows(y[None, :], root_f, sc, grid, _scan_table(sc, grid, response))[0])
 
 
-def _golden_refine(f, lo: float, hi: float, iters: int) -> float:
-    """Golden-section maximisation of a unimodal bracket."""
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
-    return x1 if f1 >= f2 else x2
-
-
-def crlb_elevation(sc: AoaScenario) -> float:
-    """Elevation error variance bound with the path amplitude as nuisance.
+def _projected_fisher(sc: AoaScenario) -> float:
+    """Projected Fisher term Pperp of the elevation, with the amplitude as nuisance.
 
     For mean mu_t = alpha * sqrt(P) * g_t(theta) * s_t the Fisher information
     of theta after removing the (Re alpha, Im alpha) block is
     (2 P / sigma^2) * Pperp with
     Pperp = sum|g'_t s_t|^2 - |sum g'_t conj(g_t) |s_t|^2|^2 / sum|g_t s_t|^2,
-    evaluated at the true direction; the bound is its inverse.
+    evaluated at the true direction.  It does not depend on the snr.
     """
     d = sc.true_direction
     a_dot = steering_elevation_gradient(sc.array, d)
@@ -251,7 +294,12 @@ def crlb_elevation(sc: AoaScenario) -> float:
         raise EstimationInfeasibleError(
             "projected Fisher information is zero; elevation unidentifiable "
             "(amplitude nuisance absorbs the whole derivative)")
-    return sc.noise_var / (2.0 * sc.tx_power * pperp)
+    return pperp
+
+
+def crlb_elevation(sc: AoaScenario) -> float:
+    """Elevation error variance bound sigma^2 / (2 P Pperp); see _projected_fisher."""
+    return sc.noise_var / (2.0 * sc.tx_power * _projected_fisher(sc))
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +326,16 @@ def _cell_tables(side: int, n_snapshots: int, spacing_m: float, wavelength_m: fl
     arr = PlanarArray(side, side, spacing_m, wavelength_m)
     template = snapshot_scenario(arr, 1.0, n_snapshots, np.inf,
                                  Direction(0.0, azimuth_rad))
-    return template, grid_response(template, grid)
+    return template, _scan_table(template, grid)
 
 
 def _sweep_trial(spec: _SweepSpec, trial: int):
-    """One trial: shared truth and unit-noise draws, every cell estimated on them."""
+    """One trial: shared truth and unit-noise draws, every cell estimated on them.
+
+    The (fraction, snr) cells of one array are estimated together as the
+    stacked rows of one ``_ml_rows`` call; the bound's Fisher term depends on
+    the fraction only and is computed once per (array, fraction).
+    """
     rng_truth = substream(spec.seed, "aoa_rmse", trial, TAG_TRUTH)
     span = spec.grid.hi_rad - spec.grid.lo_rad
     theta = spec.grid.lo_rad + span * float(
@@ -290,26 +343,27 @@ def _sweep_trial(spec: _SweepSpec, trial: int):
     noise_unit = complex_normal(
         substream(spec.seed, "aoa_rmse", trial, TAG_NOISE_HRIS), spec.n_snapshots)
 
-    sq_err = np.empty((len(spec.sides), len(spec.fractions), len(spec.snrs_db)))
+    shape = (len(spec.fractions), len(spec.snrs_db))
+    sq_err = np.empty((len(spec.sides),) + shape)
     bound = np.empty_like(sq_err)
+    root_f = np.sqrt(spec.fractions)
+    noise_var = np.array([_noise_var(s) for s in spec.snrs_db])
+    direction = Direction(theta, spec.azimuth_rad)
     for i, side in enumerate(spec.sides):
-        template, response = _cell_tables(side, spec.n_snapshots, spec.spacing_m,
-                                          spec.wavelength_m, spec.azimuth_rad, spec.grid)
-        direction = Direction(theta, spec.azimuth_rad)
+        template, table = _cell_tables(side, spec.n_snapshots, spec.spacing_m,
+                                       spec.wavelength_m, spec.azimuth_rad, spec.grid)
         base = np.conj(template.combiner) @ steering_vector(template.array, direction)
+        ys = root_f[:, None, None] * base + np.sqrt(noise_var)[:, None] * noise_unit
+        est = _ml_rows(ys.reshape(-1, spec.n_snapshots), np.repeat(root_f, shape[1]),
+                       template, spec.grid, table)
+        sq_err[i] = np.reshape([(float(e) - theta) ** 2 for e in est], shape)
         for j, fraction in enumerate(spec.fractions):
             sc = AoaScenario(
                 array=template.array, sensed_fraction=fraction,
                 n_snapshots=spec.n_snapshots, snr_db=np.inf,
                 true_direction=direction, combiner=template.combiner,
                 pilot=template.pilot)
-            y0 = math.sqrt(fraction) * base
-            for k, snr_db in enumerate(spec.snrs_db):
-                sc.snr_db = snr_db
-                y = y0 + math.sqrt(sc.noise_var) * noise_unit
-                est = ml_estimate(y, sc, spec.grid, response=response)
-                sq_err[i, j, k] = (est - theta) ** 2
-                bound[i, j, k] = crlb_elevation(sc)
+            bound[i, j] = noise_var / (2.0 * sc.tx_power * _projected_fisher(sc))
     return sq_err, bound
 
 

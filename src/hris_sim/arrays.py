@@ -80,10 +80,22 @@ def element_positions(arr: PlanarArray) -> np.ndarray:
     return pos
 
 
+def _phase_ramp(arr: PlanarArray, u: np.ndarray) -> np.ndarray:
+    """exp(j * k * <p_n, u_m>) for unit vectors u of shape (M, 3), shape (M, N).
+
+    The phases are formed in real arithmetic, one gemv per direction, so a
+    stacked call returns bit-for-bit the rows of single calls at any azimuth
+    (one gemm over all directions sums in another order).  A complex product
+    would also be slower: np.exp of a complex matmul's output runs an order of
+    magnitude slower than np.exp of a freshly built 1j*real array.
+    """
+    kpos = arr.wavenumber * element_positions(arr)
+    return np.exp(1j * np.matmul(kpos, u[:, :, None])[..., 0])
+
+
 def steering_vector(arr: PlanarArray, direction: Direction) -> np.ndarray:
     """Unit-modulus phase ramp a_n = exp(j * k * <p_n, u>) across the lattice."""
-    phases = arr.wavenumber * element_positions(arr) @ unit_vector(direction)
-    return np.exp(1j * phases)
+    return _phase_ramp(arr, unit_vector(direction)[None, :])[0]
 
 
 def steering_elevation_gradient(arr: PlanarArray, direction: Direction) -> np.ndarray:
@@ -99,12 +111,15 @@ def steering_elevation_gradient(arr: PlanarArray, direction: Direction) -> np.nd
 
 
 def steering_grid(arr: PlanarArray, elevations_rad: np.ndarray, azimuth_rad: float = 0.0) -> np.ndarray:
-    """Stack steering vectors for many elevations at one azimuth, shape (N, len(grid))."""
-    elevations_rad = np.asarray(elevations_rad, dtype=float)
-    pos = element_positions(arr)
-    se = np.sin(elevations_rad)
-    u = np.stack([se * np.cos(azimuth_rad), se * np.sin(azimuth_rad), np.cos(elevations_rad)])
-    return np.exp(1j * arr.wavenumber * pos @ u)
+    """Stack steering vectors for many elevations at one azimuth, shape (N, len(grid)).
+
+    Negative elevations are accepted and mirror into the opposite half-plane
+    (the signed-angle convention of ``plane_direction``).
+    """
+    el = np.asarray(elevations_rad, dtype=float)
+    se = np.sin(el)
+    u = np.stack([se * np.cos(azimuth_rad), se * np.sin(azimuth_rad), np.cos(el)], axis=-1)
+    return _phase_ramp(arr, u).T
 
 
 def array_factor(arr: PlanarArray, weights: np.ndarray, direction: Direction) -> complex:

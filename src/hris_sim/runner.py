@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .aoa import rmse_experiment
-from .arrays import element_positions, steered_weights, PlanarArray
+from .arrays import PlanarArray, plane_direction, steered_weights, steering_grid
 from .channels import draw_channels, pathloss, save_matrix
 from .chest import rf_chain_sweep, tradeoff_experiment
 from .config import ExperimentConfig
@@ -72,18 +72,10 @@ def emit_beampattern(array: PlanarArray, steer_deg: float, azimuth_deg: float = 
     (negative angles are the opposite half-plane).  Gains are in dB relative
     to the pattern peak; exact nulls are floored at -400 dB.
     """
-    from .arrays import plane_direction
-
-    weights = steered_weights(array, plane_direction(math.radians(steer_deg),
-                                                     math.radians(azimuth_deg)))
-    angles = np.linspace(-span_deg, span_deg, n_points)
-    rad = np.radians(angles)
     az = math.radians(azimuth_deg)
-    # For signed angles the unit vector follows sin(angle) in-plane; this is
-    # identical to evaluating array_factor at plane_direction(angle).
-    u = np.stack([np.sin(rad) * math.cos(az), np.sin(rad) * math.sin(az), np.cos(rad)])
-    response = np.exp(1j * array.wavenumber * (element_positions(array) @ u))
-    af = np.abs(weights @ response)
+    weights = steered_weights(array, plane_direction(math.radians(steer_deg), az))
+    angles = np.linspace(-span_deg, span_deg, n_points)
+    af = np.abs(weights @ steering_grid(array, np.radians(angles), az))
     peak = af.max()
     if peak <= 0.0:
         raise ValueError("pattern is identically zero")

@@ -7,6 +7,7 @@ maths, not the plumbing.
 """
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -114,6 +115,66 @@ def crlb_fd_fim(sc, step=1e-6):
     fim = (2.0 / sc.noise_var) * np.real(np.conj(jac.T) @ jac)
     cov = np.linalg.inv(fim)
     return float(cov[0, 0])
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+@functools.lru_cache(maxsize=8)
+def _positions(n_h, n_v, spacing_m):
+    return np.array(element_positions_loops(n_h, n_v, spacing_m))
+
+
+def concentrated_criterion_scalar(theta, y, sc):
+    """|b^H y|^2 / ||b||^2 at one elevation, b_t = sqrt(f) * q_t^H a(theta) * s_t.
+
+    One steering vector, one gemv and one vdot per call, in the operation
+    order of the original per-cell estimator, so its values are bit-for-bit
+    those the package's batched criterion must reproduce at azimuth zero.
+    """
+    arr = sc.array
+    k = 2.0 * math.pi / arr.wavelength_m
+    pos = _positions(arr.n_h, arr.n_v, arr.spacing_m)
+    az = sc.true_direction.azimuth_rad
+    se = np.sin(theta)
+    u = np.array([se * np.cos(az), se * np.sin(az), np.cos(theta)])
+    a = np.exp(1j * ((k * pos) @ u))
+    b = math.sqrt(sc.sensed_fraction) * (np.conj(sc.combiner) @ a) * sc.pilot
+    den = float(np.sum(np.abs(b) ** 2))
+    if den <= 0.0:
+        return -np.inf
+    return float(np.abs(np.vdot(b, y)) ** 2 / den)
+
+
+def golden_section_max(f, lo, hi, iters):
+    """Scalar golden-section maximisation of a unimodal bracket."""
+    x1 = hi - _GOLDEN * (hi - lo)
+    x2 = lo + _GOLDEN * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(iters):
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _GOLDEN * (hi - lo)
+            f2 = f(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _GOLDEN * (hi - lo)
+            f1 = f(x1)
+    return x1 if f1 >= f2 else x2
+
+
+def ml_elevation_scalar(y, sc, points, refine_iters):
+    """Elevation ML one scalar criterion call at a time.
+
+    Scans every grid point, brackets the argmax by its neighbours (one-sided
+    at the grid edges) and refines it by golden-section search.
+    """
+    crit = [concentrated_criterion_scalar(float(p), y, sc) for p in points]
+    i0 = int(np.argmax(crit))
+    lo = float(points[max(i0 - 1, 0)])
+    hi = float(points[min(i0 + 1, len(points) - 1)])
+    return golden_section_max(lambda th: concentrated_criterion_scalar(th, y, sc),
+                              lo, hi, refine_iters)
 
 
 # ---------------------------------------------------------------------------

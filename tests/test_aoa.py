@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from hris_sim import aoa
 from hris_sim.aoa import (AoaGrid, AoaScenario, crlb_elevation, ml_estimate,
                           noiseless_snapshots, rmse_experiment,
                           simulate_snapshots, snapshot_scenario)
 from hris_sim.arrays import Direction, PlanarArray
 from hris_sim.errors import EstimationInfeasibleError
-from hris_sim.rng import complex_normal, substream
+from hris_sim.rng import TAG_NOISE_HRIS, TAG_TRUTH, complex_normal, substream
 
 import oracles
 
@@ -122,6 +123,19 @@ def test_degenerate_response_raises():
         ml_estimate(np.ones(2, dtype=complex), sc)
 
 
+def test_degenerate_response_raises_on_sweep_path(monkeypatch):
+    """The stacked-rows estimator the sweep calls raises for the same column."""
+    column = PlanarArray(1, 2, 0.004, 0.0157)
+    template = AoaScenario(array=column, sensed_fraction=1.0, n_snapshots=2,
+                           snr_db=math.inf, true_direction=Direction(0.0, 0.0),
+                           combiner=np.array([[1.0, -1.0], [1.0, -1.0]], dtype=complex),
+                           pilot=np.ones(2, dtype=complex))
+    monkeypatch.setattr(aoa, "_cell_tables", lambda side, n_snapshots, *rest: (
+        template, aoa._scan_table(template, rest[-1])))
+    with pytest.raises(EstimationInfeasibleError):
+        rmse_experiment([4], [0.3, 0.9], 2, [0.0, 10.0, 20.0], 1, seed=0)
+
+
 def test_bound_undefined_without_elevation_dependence():
     """Same 1 x 2 column, all-ones combiner: response never moves with elevation."""
     column = PlanarArray(1, 2, 0.004, 0.0157)
@@ -221,3 +235,91 @@ def test_higher_fraction_never_worse():
     by_cell = {(r["sensed_fraction"], r["snr_db"]): r["rmse_rad"] for r in rows}
     for snr in (0.0, 10.0):
         assert by_cell[(0.8, snr)] <= by_cell[(0.2, snr)]
+
+
+# ---------------------------------------------------------------------------
+# Stacked-rows estimator against the scalar golden-section oracle
+
+
+def _stacked_rows(side, n_rows, azimuth, seed, truths=None, grid=None, snr_db=None):
+    """Rows with mixed fractions, snrs and truths sharing one array and combiner."""
+    grid = grid or AoaGrid()
+    rng = np.random.default_rng(seed)
+    arr = PlanarArray(side, side, 0.004, 0.0157)
+    template = snapshot_scenario(arr, 1.0, 64, math.inf, Direction(0.0, azimuth),
+                                 schedule_seed=seed)
+    if truths is None:
+        truths = rng.uniform(0.05, 1.0, n_rows)
+    ys, scs = [], []
+    for r, theta in enumerate(truths):
+        sc = AoaScenario(array=arr, sensed_fraction=float(rng.choice([0.2, 0.5, 0.8])),
+                         n_snapshots=64,
+                         snr_db=float(rng.uniform(-10.0, 30.0)) if snr_db is None else snr_db,
+                         true_direction=Direction(float(theta), azimuth),
+                         combiner=template.combiner, pilot=template.pilot)
+        ys.append(simulate_snapshots(sc, substream(seed, "unit_test", r, 1)))
+        scs.append(sc)
+    root_f = np.sqrt([sc.sensed_fraction for sc in scs])
+    est = aoa._ml_rows(np.array(ys), root_f, template, grid,
+                       aoa._scan_table(template, grid))
+    expected = np.array([oracles.ml_elevation_scalar(y, sc, grid.points, grid.refine_iters)
+                         for y, sc in zip(ys, scs)])
+    return est, expected
+
+
+@pytest.mark.parametrize("side,n_rows", [(4, 1), (4, 18), (12, 5), (12, 18),
+                                         (20, 1), (20, 18)])
+def test_stacked_rows_bit_exact_at_azimuth_zero(side, n_rows):
+    est, expected = _stacked_rows(side, n_rows, 0.0, seed=side * 100 + n_rows)
+    assert np.array_equal(est, expected)
+
+
+@pytest.mark.parametrize("side", [4, 12, 20])
+def test_stacked_rows_match_oracle_at_random_azimuths(side):
+    rng = np.random.default_rng(side)
+    for azimuth in rng.uniform(0.0, 2.0 * math.pi, 2):
+        est, expected = _stacked_rows(side, 6, float(azimuth), seed=side)
+        np.testing.assert_allclose(est, expected, rtol=0.0, atol=1e-8)
+
+
+@pytest.mark.parametrize("edge", [0, -1])
+def test_truth_at_grid_edge_gives_one_sided_bracket(edge):
+    """An argmax at the first or last grid point brackets with its one neighbour."""
+    grid = AoaGrid(lo_rad=0.1, hi_rad=1.2, n_points=111)
+    points = grid.points
+    truth = float(points[edge])
+    est, expected = _stacked_rows(12, 4, 0.0, seed=7, truths=[truth] * 4, grid=grid,
+                                  snr_db=30.0)
+    assert np.array_equal(est, expected)
+    inner = points[1] if edge == 0 else points[-2]
+    assert np.all((np.minimum(truth, inner) <= est) & (est <= np.maximum(truth, inner)))
+    # Noiseless rows stay at the edge truth up to the flat-peak localisation.
+    noiseless = snapshot_scenario(ARR, 0.5, 32, math.inf, Direction(truth, 0.0))
+    assert ml_estimate(noiseless_snapshots(noiseless), noiseless, grid) == pytest.approx(
+        truth, abs=1e-7)
+
+
+def test_sweep_trial_matches_per_cell_estimates_and_bounds():
+    """One sweep trial equals estimating and bounding every cell on its own."""
+    grid = AoaGrid()
+    fractions, snrs = (0.3, 0.9), (-5.0, 10.0, math.inf)
+    spec = aoa._SweepSpec(seed=9, sides=(4, 6), fractions=fractions, snrs_db=snrs,
+                          n_snapshots=32, spacing_m=0.004, wavelength_m=0.0157,
+                          azimuth_rad=0.4, grid=grid)
+    sq_err, bound = aoa._sweep_trial(spec, 2)
+    u = substream(9, "aoa_rmse", 2, TAG_TRUTH).uniform(aoa._TRUTH_LO_FRAC,
+                                                       aoa._TRUTH_HI_FRAC)
+    theta = grid.lo_rad + (grid.hi_rad - grid.lo_rad) * float(u)
+    noise = complex_normal(substream(9, "aoa_rmse", 2, TAG_NOISE_HRIS), 32)
+    for i, side in enumerate(spec.sides):
+        template = snapshot_scenario(PlanarArray(side, side, 0.004, 0.0157), 1.0, 32,
+                                     math.inf, Direction(0.0, 0.4))
+        for j, fraction in enumerate(fractions):
+            for k, snr_db in enumerate(snrs):
+                sc = AoaScenario(array=template.array, sensed_fraction=fraction,
+                                 n_snapshots=32, snr_db=snr_db,
+                                 true_direction=Direction(theta, 0.4),
+                                 combiner=template.combiner, pilot=template.pilot)
+                y = noiseless_snapshots(sc) + math.sqrt(sc.noise_var) * noise
+                assert sq_err[i, j, k] == (ml_estimate(y, sc, grid) - theta) ** 2
+                assert bound[i, j, k] == crlb_elevation(sc)

@@ -72,6 +72,18 @@ def test_steering_grid_matches_single_calls(arr):
         np.testing.assert_allclose(grid[:, j],
                                    steering_vector(arr, Direction(el, 0.7)),
                                    atol=1e-12)
+    # In the azimuth-zero plane each phase has one nonzero term, so the
+    # stacked columns equal the single calls bit for bit.
+    grid = steering_grid(arr, els)
+    for j, el in enumerate(els):
+        assert np.array_equal(grid[:, j], steering_vector(arr, Direction(el, 0.0)))
+
+
+def test_steering_grid_signed_angles_mirror_half_plane(arr):
+    """A negative elevation is the positive one in the opposite half-plane."""
+    grid = steering_grid(arr, np.array([-0.4, 0.4]), azimuth_rad=0.3)
+    np.testing.assert_allclose(grid[:, 0], steering_vector(arr, plane_direction(-0.4, 0.3)),
+                               atol=1e-12)
 
 
 def test_elevation_gradient_matches_finite_difference(arr):
