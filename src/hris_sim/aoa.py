@@ -176,12 +176,9 @@ class _ScanTable:
     energy: np.ndarray
 
 
-def _scan_table(sc: AoaScenario, grid: AoaGrid,
-                response: np.ndarray | None = None) -> _ScanTable:
+def _scan_table(sc: AoaScenario, grid: AoaGrid) -> _ScanTable:
     """Build the table of ``sc`` from ``grid_response(sc, grid)``."""
-    if response is None:
-        response = grid_response(sc, grid)
-    b = response * sc.pilot[:, None]
+    b = grid_response(sc, grid) * sc.pilot[:, None]
     return _ScanTable(np.conj(sc.combiner), np.conj(b).T,
                       np.sum(np.abs(b) ** 2, axis=0))
 
@@ -244,8 +241,7 @@ def _ml_rows(ys: np.ndarray, root_f: np.ndarray, sc: AoaScenario, grid: AoaGrid,
     return np.where(f1 >= f2, x1, x2)
 
 
-def ml_estimate(y: np.ndarray, sc: AoaScenario, grid: AoaGrid | None = None,
-                response: np.ndarray | None = None) -> float:
+def ml_estimate(y: np.ndarray, sc: AoaScenario, grid: AoaGrid | None = None) -> float:
     """Elevation estimate: coarse grid argmax plus golden-section refinement.
 
     This is the one-row case of the stacked-rows estimator the Monte Carlo
@@ -258,14 +254,13 @@ def ml_estimate(y: np.ndarray, sc: AoaScenario, grid: AoaGrid | None = None,
     sc : scenario the snapshots were produced under (true elevation unused,
         only the azimuth plane, combiner, pilots and sensed fraction matter).
     grid : search grid; defaults to AoaGrid().
-    response : optional precomputed ``grid_response(sc, grid)`` table.
     """
     grid = grid or AoaGrid()
     y = np.asarray(y, dtype=complex)
     if y.shape != (sc.n_snapshots,):
         raise ValueError("snapshot vector length does not match the scenario")
     root_f = np.array([math.sqrt(sc.sensed_fraction)])
-    return float(_ml_rows(y[None, :], root_f, sc, grid, _scan_table(sc, grid, response))[0])
+    return float(_ml_rows(y[None, :], root_f, sc, grid, _scan_table(sc, grid))[0])
 
 
 def _projected_fisher(sc: AoaScenario) -> float:
@@ -297,9 +292,14 @@ def _projected_fisher(sc: AoaScenario) -> float:
     return pperp
 
 
-def crlb_elevation(sc: AoaScenario) -> float:
+def _crlb(noise_var, sc: AoaScenario, pperp: float):
     """Elevation error variance bound sigma^2 / (2 P Pperp); see _projected_fisher."""
-    return sc.noise_var / (2.0 * sc.tx_power * _projected_fisher(sc))
+    return noise_var / (2.0 * sc.tx_power * pperp)
+
+
+def crlb_elevation(sc: AoaScenario) -> float:
+    """Elevation error variance bound of ``sc``; see _crlb."""
+    return _crlb(sc.noise_var, sc, _projected_fisher(sc))
 
 
 # ---------------------------------------------------------------------------
@@ -356,14 +356,14 @@ def _sweep_trial(spec: _SweepSpec, trial: int):
         ys = root_f[:, None, None] * base + np.sqrt(noise_var)[:, None] * noise_unit
         est = _ml_rows(ys.reshape(-1, spec.n_snapshots), np.repeat(root_f, shape[1]),
                        template, spec.grid, table)
-        sq_err[i] = np.reshape([(float(e) - theta) ** 2 for e in est], shape)
+        sq_err[i] = ((est - theta) ** 2).reshape(shape)
         for j, fraction in enumerate(spec.fractions):
             sc = AoaScenario(
                 array=template.array, sensed_fraction=fraction,
                 n_snapshots=spec.n_snapshots, snr_db=np.inf,
                 true_direction=direction, combiner=template.combiner,
                 pilot=template.pilot)
-            bound[i, j] = noise_var / (2.0 * sc.tx_power * _projected_fisher(sc))
+            bound[i, j] = _crlb(noise_var, sc, _projected_fisher(sc))
     return sq_err, bound
 
 
