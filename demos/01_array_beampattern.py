@@ -6,9 +6,8 @@ Run:  python3 demos/01_array_beampattern.py
 
 import numpy as np
 
-from hris_sim.arrays import (Direction, PlanarArray, array_factor,
+from hris_sim.arrays import (Direction, PlanarArray, array_factor, emit_beampattern,
                              plane_direction, steered_weights, steering_vector)
-from hris_sim.runner import emit_beampattern
 
 # ---------------------------------------------------------------------------
 # A 12 x 12 lattice at 4 mm spacing, 15.7 mm carrier wavelength

@@ -20,8 +20,8 @@ many worker processes are used.
 
 from .aoa import (AoaGrid, AoaScenario, crlb_elevation, ml_estimate,
                   rmse_experiment, simulate_snapshots, snapshot_scenario)
-from .arrays import (Direction, PlanarArray, array_factor, plane_direction,
-                     steered_weights, steering_vector)
+from .arrays import (Direction, PlanarArray, array_factor, emit_beampattern,
+                     plane_direction, steered_weights, steering_vector)
 from .channels import (ChannelSet, LinkGeometry, cascade, cascaded_per_user,
                        draw_channels, load_matrix, pathloss, save_matrix)
 from .chest import (ChestDims, EstimationReport, PilotSchedule, bs_estimate_G,
@@ -34,7 +34,7 @@ from .errors import (ConfigError, EstimationInfeasibleError, HrisSimError,
 from .hris import (HrisConfig, HrisSignals, build_signals, combiner_schedule,
                    reflect, sense, uniform_config)
 from .rng import complex_normal, substream
-from .runner import emit_beampattern, run
+from .runner import run
 from .version import __version__
 
 __all__ = [

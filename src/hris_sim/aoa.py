@@ -18,7 +18,7 @@ import numpy as np
 from .arrays import Direction, PlanarArray, steering_elevation_gradient, steering_grid, steering_vector
 from .errors import EstimationInfeasibleError
 from .hris import combiner_schedule
-from .parallel import map_trials
+from .parallel import map_trials, sweep_rows, trial_means
 from .rng import TAG_NOISE_HRIS, TAG_TRUTH, complex_normal, substream
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -306,19 +306,6 @@ def crlb_elevation(sc: AoaScenario) -> float:
 # Monte Carlo sweep
 
 
-@dataclass(frozen=True)
-class _SweepSpec:
-    seed: int
-    sides: tuple
-    fractions: tuple
-    snrs_db: tuple
-    n_snapshots: int
-    spacing_m: float
-    wavelength_m: float
-    azimuth_rad: float
-    grid: AoaGrid
-
-
 @lru_cache(maxsize=8)
 def _cell_tables(side: int, n_snapshots: int, spacing_m: float, wavelength_m: float,
                  azimuth_rad: float, grid: AoaGrid):
@@ -329,38 +316,39 @@ def _cell_tables(side: int, n_snapshots: int, spacing_m: float, wavelength_m: fl
     return template, _scan_table(template, grid)
 
 
-def _sweep_trial(spec: _SweepSpec, trial: int):
+def _sweep_trial(trial: int, *, seed: int, sides: tuple, fractions: tuple,
+                 snrs_db: tuple, n_snapshots: int, spacing_m: float,
+                 wavelength_m: float, azimuth_rad: float, grid: AoaGrid):
     """One trial: shared truth and unit-noise draws, every cell estimated on them.
 
     The (fraction, snr) cells of one array are estimated together as the
     stacked rows of one ``_ml_rows`` call; the bound's Fisher term depends on
     the fraction only and is computed once per (array, fraction).
     """
-    rng_truth = substream(spec.seed, "aoa_rmse", trial, TAG_TRUTH)
-    span = spec.grid.hi_rad - spec.grid.lo_rad
-    theta = spec.grid.lo_rad + span * float(
+    rng_truth = substream(seed, "aoa_rmse", trial, TAG_TRUTH)
+    theta = grid.lo_rad + (grid.hi_rad - grid.lo_rad) * float(
         rng_truth.uniform(_TRUTH_LO_FRAC, _TRUTH_HI_FRAC))
     noise_unit = complex_normal(
-        substream(spec.seed, "aoa_rmse", trial, TAG_NOISE_HRIS), spec.n_snapshots)
+        substream(seed, "aoa_rmse", trial, TAG_NOISE_HRIS), n_snapshots)
 
-    shape = (len(spec.fractions), len(spec.snrs_db))
-    sq_err = np.empty((len(spec.sides),) + shape)
+    shape = (len(fractions), len(snrs_db))
+    sq_err = np.empty((len(sides),) + shape)
     bound = np.empty_like(sq_err)
-    root_f = np.sqrt(spec.fractions)
-    noise_var = np.array([_noise_var(s) for s in spec.snrs_db])
-    direction = Direction(theta, spec.azimuth_rad)
-    for i, side in enumerate(spec.sides):
-        template, table = _cell_tables(side, spec.n_snapshots, spec.spacing_m,
-                                       spec.wavelength_m, spec.azimuth_rad, spec.grid)
+    root_f = np.sqrt(fractions)
+    noise_var = np.array([_noise_var(s) for s in snrs_db])
+    direction = Direction(theta, azimuth_rad)
+    for i, side in enumerate(sides):
+        template, table = _cell_tables(side, n_snapshots, spacing_m, wavelength_m,
+                                       azimuth_rad, grid)
         base = np.conj(template.combiner) @ steering_vector(template.array, direction)
         ys = root_f[:, None, None] * base + np.sqrt(noise_var)[:, None] * noise_unit
-        est = _ml_rows(ys.reshape(-1, spec.n_snapshots), np.repeat(root_f, shape[1]),
-                       template, spec.grid, table)
+        est = _ml_rows(ys.reshape(-1, n_snapshots), np.repeat(root_f, shape[1]),
+                       template, grid, table)
         sq_err[i] = ((est - theta) ** 2).reshape(shape)
-        for j, fraction in enumerate(spec.fractions):
+        for j, fraction in enumerate(fractions):
             sc = AoaScenario(
                 array=template.array, sensed_fraction=fraction,
-                n_snapshots=spec.n_snapshots, snr_db=np.inf,
+                n_snapshots=n_snapshots, snr_db=np.inf,
                 true_direction=direction, combiner=template.combiner,
                 pilot=template.pilot)
             bound[i, j] = _crlb(noise_var, sc, _projected_fisher(sc))
@@ -385,31 +373,17 @@ def rmse_experiment(n_list, sensed_fractions, n_snapshots: int, snr_db_grid,
         if side * side != int(n):
             raise ValueError(f"array size {n} is not a perfect square")
         sides.append(side)
-    spec = _SweepSpec(
-        seed=int(seed), sides=tuple(sides),
-        fractions=tuple(float(f) for f in sensed_fractions),
-        snrs_db=tuple(float(s) for s in snr_db_grid),
-        n_snapshots=int(n_snapshots), spacing_m=spacing_m,
-        wavelength_m=wavelength_m, azimuth_rad=azimuth_rad,
-        grid=grid or AoaGrid())
-    results = map_trials(partial(_sweep_trial, spec), n_trials, workers)
-    sq_err = np.stack([r[0] for r in results])
-    bound = np.stack([r[1] for r in results])
-    rmse = np.sqrt(np.mean(sq_err, axis=0))
+    fractions = tuple(float(f) for f in sensed_fractions)
+    snrs_db = tuple(float(s) for s in snr_db_grid)
+    trial = partial(_sweep_trial, seed=int(seed), sides=tuple(sides), fractions=fractions,
+                    snrs_db=snrs_db, n_snapshots=int(n_snapshots), spacing_m=spacing_m,
+                    wavelength_m=wavelength_m, azimuth_rad=azimuth_rad,
+                    grid=grid or AoaGrid())
+    mse, bound = trial_means(map_trials(trial, n_trials, workers))
+    rmse = np.sqrt(mse)
     # The bound column is reported on the RMSE scale: sqrt of the variance
     # bound averaged over the same truth draws the errors were measured on.
-    crlb = np.sqrt(np.mean(bound, axis=0))
-    rows = []
-    for i, n in enumerate(n_list):
-        for j, fraction in enumerate(spec.fractions):
-            for k, snr_db in enumerate(spec.snrs_db):
-                rows.append({
-                    "N": int(n),
-                    "sensed_fraction": fraction,
-                    "snr_db": snr_db,
-                    "n_trials": int(n_trials),
-                    "rmse_rad": float(rmse[i, j, k]),
-                    "rmse_deg": float(np.degrees(rmse[i, j, k])),
-                    "crlb_rad": float(crlb[i, j, k]),
-                })
-    return rows
+    return sweep_rows(
+        {"N": [int(n) for n in n_list], "sensed_fraction": fractions, "snr_db": snrs_db},
+        {"rmse_rad": rmse, "rmse_deg": np.degrees(rmse), "crlb_rad": np.sqrt(bound)},
+        n_trials=int(n_trials))

@@ -1,4 +1,4 @@
-"""Planar array geometry, steering vectors and far-field array factors.
+"""Planar array geometry, steering vectors, array factors and pattern cuts.
 
 The surface is a rectangular lattice of elements in the x-y plane with its
 broadside along +z.  Directions are given as (elevation, azimuth), where
@@ -8,12 +8,16 @@ of the direction in the x-y plane, counted from +x towards +y.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from .parallel import sweep_rows
+
 TWO_PI = 2.0 * np.pi
+_GAIN_FLOOR_DB = -400.0
 
 
 @dataclass(frozen=True)
@@ -150,3 +154,24 @@ def plane_direction(angle_rad: float, azimuth_rad: float = 0.0) -> Direction:
     if angle_rad >= 0.0:
         return Direction(angle_rad, azimuth_rad)
     return Direction(-angle_rad, azimuth_rad + np.pi)
+
+
+def emit_beampattern(array: PlanarArray, steer_deg: float, azimuth_deg: float = 0.0,
+                     n_points: int = 1441, span_deg: float = 90.0) -> list[dict]:
+    """Normalised power pattern of a steered phase profile along one plane cut.
+
+    The cut runs over signed angles -span..span in the given azimuth plane
+    (negative angles are the opposite half-plane).  Gains are in dB relative
+    to the pattern peak; exact nulls are floored at -400 dB.
+    """
+    az = math.radians(azimuth_deg)
+    weights = steered_weights(array, plane_direction(math.radians(steer_deg), az))
+    angles = np.linspace(-span_deg, span_deg, n_points)
+    af = np.abs(weights @ steering_grid(array, np.radians(angles), az))
+    peak = af.max()
+    if peak <= 0.0:
+        raise ValueError("pattern is identically zero")
+    with np.errstate(divide="ignore"):
+        gain_db = 20.0 * np.log10(af / peak)
+    return sweep_rows({"angle_deg": angles},
+                      {"gain_db": np.maximum(gain_db, _GAIN_FLOOR_DB)})

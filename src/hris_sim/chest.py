@@ -25,7 +25,7 @@ from scipy.linalg import dft
 from .channels import ChannelSet, LinkGeometry, cascaded_per_user, draw_channels
 from .errors import EstimationInfeasibleError, IdentifiabilityError
 from .hris import HrisConfig, build_signals, combiner_schedule
-from .parallel import map_trials
+from .parallel import db, map_trials, sweep_rows, trial_means
 from .rng import (TAG_CHANNEL, TAG_NOISE_BASELINE, TAG_NOISE_BS, TAG_NOISE_HRIS,
                   TAG_PHASES, complex_normal, substream)
 
@@ -113,15 +113,15 @@ def _decorrelate(block: np.ndarray, pilots: np.ndarray, amplitude: float) -> np.
 
 
 def hris_estimate_H(sched: PilotSchedule, ch: ChannelSet, rng: np.random.Generator,
-                    allow_rank_deficient: bool = False):
+                    allow_rank_deficient: bool = False) -> np.ndarray:
     """Estimate the terminals-to-surface channel from sensed pilot slots.
 
     Simulates the sensed observations Y_t = Q_t S H X + N_t for every slot,
     decorrelates the pilot block and solves the stacked least squares for
-    S H, then divides out the sensing diagonal S.  Returns ``(H_hat,
-    slot_observations)`` with the raw per-slot observation blocks retained.
+    S H, then divides out the sensing diagonal S, which every slot must share.
 
-    Raises IdentifiabilityError when the stacked combiner does not reach rank
+    Raises ValueError when rho or the sense phase changes from slot to slot,
+    IdentifiabilityError when the stacked combiner does not reach rank
     n_atoms (unless ``allow_rank_deficient`` asks for the minimum-norm
     solution instead) and EstimationInfeasibleError when some atom senses
     nothing (rho = 1) so its row of H cannot be recovered.
@@ -130,24 +130,24 @@ def hris_estimate_H(sched: PilotSchedule, ch: ChannelSet, rng: np.random.Generat
     amp = math.sqrt(ch.tx_power)
     incident = ch.H @ (amp * sched.pilots)
 
-    first = sched.hris_configs[0]
-    sensed_diag = np.sqrt(1.0 - first.rho) * np.exp(1j * first.sense_phase)
+    rho = np.array([cfg.rho for cfg in sched.hris_configs])
+    phase = np.array([cfg.sense_phase for cfg in sched.hris_configs])
+    if np.any(rho != rho[0]) or np.any(phase != phase[0]):
+        raise ValueError("rho or the sense phase changes from slot to slot; this "
+                         "estimator divides by one sensing diagonal shared by every slot")
+    sensed_diag = sched.hris_configs[0].sensed_gain
     if np.any(np.abs(sensed_diag) == 0.0):
         raise EstimationInfeasibleError(
             "atoms with rho = 1 leave no sensed signal; their rows of H are unrecoverable")
 
-    observations = []
     decorr = []
-    combiners = []
     for cfg in sched.hris_configs:
         block = build_signals(cfg).sensed_map @ incident
         if ch.noise_var_hris > 0.0:
             block = block + complex_normal(rng, block.shape, var=ch.noise_var_hris)
-        observations.append(block)
         decorr.append(_decorrelate(block, sched.pilots, amp))
-        combiners.append(cfg.combiner)
 
-    stacked_q = np.vstack(combiners)
+    stacked_q = np.vstack([cfg.combiner for cfg in sched.hris_configs])
     stacked_y = np.vstack(decorr)
     sh_hat, _, rank, _ = np.linalg.lstsq(stacked_q, stacked_y, rcond=None)
     if rank < n_atoms and not allow_rank_deficient:
@@ -155,8 +155,7 @@ def hris_estimate_H(sched: PilotSchedule, ch: ChannelSet, rng: np.random.Generat
             f"stacked combiner rank {rank} < {n_atoms} atoms over {sched.n_slots} "
             f"slots; the sensed system needs ceil(n_atoms / n_rf_chains) slots "
             f"(n_atoms * n_users / n_rf_chains pilot symbols)")
-    h_hat = sh_hat / sensed_diag[:, None]
-    return h_hat, observations
+    return sh_hat / sensed_diag[:, None]
 
 
 def bs_estimate_G(sched: PilotSchedule, ch: ChannelSet, h_hat: np.ndarray,
@@ -197,12 +196,12 @@ def run_two_sided(sched: PilotSchedule, ch: ChannelSet,
                   rng_hris: np.random.Generator, rng_bs: np.random.Generator,
                   allow_rank_deficient: bool = False):
     """Run both estimation stages and score them against the drawn truth."""
-    h_hat, _ = hris_estimate_H(sched, ch, rng_hris, allow_rank_deficient)
+    h_hat = hris_estimate_H(sched, ch, rng_hris, allow_rank_deficient)
     g_hat = bs_estimate_G(sched, ch, h_hat, rng_bs, allow_rank_deficient)
     report = EstimationReport(
         nmse_H=nmse(h_hat, ch.H),
         nmse_G=nmse(g_hat, ch.G),
-        nmse_cascaded=cascaded_nmse(h_hat, g_hat, ch),
+        nmse_cascaded=cascaded_nmse(_composed(h_hat, g_hat), ch),
         pilot_count=sched.pilot_count,
         rho=float(sched.hris_configs[0].rho[0]),
         n_rf_chains=sched.hris_configs[0].n_rf_chains,
@@ -210,13 +209,17 @@ def run_two_sided(sched: PilotSchedule, ch: ChannelSet,
     return h_hat, g_hat, report
 
 
-def cascaded_nmse(h_hat: np.ndarray, g_hat: np.ndarray, ch: ChannelSet) -> float:
-    """NMSE of the composed per-user cascades G_hat diag(h_hat_k) over all users."""
+def _composed(h_hat: np.ndarray, g_hat: np.ndarray) -> list[np.ndarray]:
+    """Per-user cascades G_hat diag(h_hat_k) composed from the two stage estimates."""
+    return [cascaded_per_user(h_hat, g_hat, k) for k in range(h_hat.shape[1])]
+
+
+def cascaded_nmse(estimates, ch: ChannelSet) -> float:
+    """NMSE over all users of per-user cascade estimates, A_k = G diag(h_k) for user k."""
     err = 0.0
     ref = 0.0
-    for k in range(ch.H.shape[1]):
+    for k, est in enumerate(estimates):
         truth = cascaded_per_user(ch.H, ch.G, k)
-        est = g_hat * h_hat[:, k]
         err += np.linalg.norm(est - truth) ** 2
         ref += np.linalg.norm(truth) ** 2
     return float(err / ref)
@@ -265,16 +268,6 @@ def cascaded_ls_baseline(ch: ChannelSet, pilot_count: int, rng: np.random.Genera
     return estimates
 
 
-def baseline_cascaded_nmse(estimates: list[np.ndarray], ch: ChannelSet) -> float:
-    err = 0.0
-    ref = 0.0
-    for k, est in enumerate(estimates):
-        truth = cascaded_per_user(ch.H, ch.G, k)
-        err += np.linalg.norm(est - truth) ** 2
-        ref += np.linalg.norm(truth) ** 2
-    return float(err / ref)
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo experiments
 
@@ -300,37 +293,28 @@ def _cached_schedule(seed: int, draw: int, rho: float, n_atoms: int, n_users: in
                                 base_reflect_phase=base)
 
 
-@dataclass(frozen=True)
-class _TradeoffSpec:
-    seed: int
-    rhos: tuple
-    n_draws: int
-    snr_db: float
-    dims: ChestDims
-
-
-def _tradeoff_trial(spec: _TradeoffSpec, trial: int):
-    d = spec.dims
+def _tradeoff_trial(trial: int, *, seed: int, rhos: tuple, n_draws: int, snr_db: float,
+                    dims: ChestDims):
     ch = draw_channels(
-        d.geom, d.n_atoms, d.n_users, d.n_bs_antennas,
-        substream(spec.seed, "chest_tradeoff", trial, TAG_CHANNEL),
-        tx_power=10.0 ** (spec.snr_db / 10.0),
-        pathloss_model=d.pathloss_model)
-    out = np.empty((len(spec.rhos), spec.n_draws, 2))
-    for j in range(spec.n_draws):
-        for i, rho in enumerate(spec.rhos):
-            sched = _cached_schedule(spec.seed, j, rho, d.n_atoms, d.n_users,
-                                     d.n_rf_chains, d.pilot_count)
+        dims.geom, dims.n_atoms, dims.n_users, dims.n_bs_antennas,
+        substream(seed, "chest_tradeoff", trial, TAG_CHANNEL),
+        tx_power=10.0 ** (snr_db / 10.0),
+        pathloss_model=dims.pathloss_model)
+    nmse_h = np.empty((len(rhos), n_draws))
+    nmse_g = np.empty_like(nmse_h)
+    for j in range(n_draws):
+        for i, rho in enumerate(rhos):
+            sched = _cached_schedule(seed, j, rho, dims.n_atoms, dims.n_users,
+                                     dims.n_rf_chains, dims.pilot_count)
             # Noise substreams are re-derived per cell: every (rho, draw) cell
             # of one trial sees identical noise, so curves are paired.
-            h_hat, _ = hris_estimate_H(
-                sched, ch, substream(spec.seed, "chest_tradeoff", trial, TAG_NOISE_HRIS))
+            h_hat = hris_estimate_H(
+                sched, ch, substream(seed, "chest_tradeoff", trial, TAG_NOISE_HRIS))
             g_hat = bs_estimate_G(
-                sched, ch, h_hat,
-                substream(spec.seed, "chest_tradeoff", trial, TAG_NOISE_BS))
-            out[i, j, 0] = nmse(h_hat, ch.H)
-            out[i, j, 1] = nmse(g_hat, ch.G)
-    return out
+                sched, ch, h_hat, substream(seed, "chest_tradeoff", trial, TAG_NOISE_BS))
+            nmse_h[i, j] = nmse(h_hat, ch.H)
+            nmse_g[i, j] = nmse(g_hat, ch.G)
+    return nmse_h, nmse_g
 
 
 def tradeoff_experiment(rho_grid, n_phase_draws: int, n_trials: int, seed: int,
@@ -342,34 +326,13 @@ def tradeoff_experiment(rho_grid, n_phase_draws: int, n_trials: int, seed: int,
     the two-sided estimator runs over ``n_trials`` paired channel draws.
     Returns one row per (rho, phase_draw) with mean NMSEs, linear and dB.
     """
-    dims = dims or ChestDims()
-    spec = _TradeoffSpec(seed=int(seed), rhos=tuple(float(r) for r in rho_grid),
-                         n_draws=int(n_phase_draws), snr_db=float(snr_db), dims=dims)
-    results = np.stack(map_trials(partial(_tradeoff_trial, spec), n_trials, workers))
-    means = results.mean(axis=0)  # (rho, draw, 2)
-    rows = []
-    for i, rho in enumerate(spec.rhos):
-        for j in range(spec.n_draws):
-            nm_h, nm_g = means[i, j]
-            rows.append({
-                "rho": rho,
-                "phase_draw": j,
-                "nmse_H": float(nm_h),
-                "nmse_H_db": 10.0 * math.log10(nm_h),
-                "nmse_G": float(nm_g),
-                "nmse_G_db": 10.0 * math.log10(nm_g),
-            })
-    return rows
-
-
-@dataclass(frozen=True)
-class _SweepSpec:
-    seed: int
-    nr_grid: tuple
-    snrs_db: tuple
-    rho: float
-    n_slots: int
-    dims: ChestDims
+    rhos = tuple(float(r) for r in rho_grid)
+    trial = partial(_tradeoff_trial, seed=int(seed), rhos=rhos, n_draws=int(n_phase_draws),
+                    snr_db=float(snr_db), dims=dims or ChestDims())
+    nmse_h, nmse_g = trial_means(map_trials(trial, n_trials, workers))
+    return sweep_rows({"rho": rhos, "phase_draw": range(int(n_phase_draws))},
+                      {"nmse_H": nmse_h, "nmse_H_db": db(nmse_h),
+                       "nmse_G": nmse_g, "nmse_G_db": db(nmse_g)})
 
 
 @lru_cache(maxsize=64)
@@ -378,33 +341,28 @@ def _sweep_schedule(rho: float, n_rf: int, n_atoms: int, n_users: int,
     return build_pilot_schedule(n_atoms, n_users, n_rf, pilot_count, rho)
 
 
-def _sweep_trial(spec: _SweepSpec, trial: int):
-    d = spec.dims
-    pilot_count = spec.n_slots * d.n_users
+def _sweep_trial(trial: int, *, seed: int, nr_grid: tuple, snrs_db: tuple, rho: float,
+                 n_slots: int, dims: ChestDims, baseline: bool):
+    pilot_count = n_slots * dims.n_users
     ch0 = draw_channels(
-        d.geom, d.n_atoms, d.n_users, d.n_bs_antennas,
-        substream(spec.seed, "rf_chain_sweep", trial, TAG_CHANNEL),
-        pathloss_model=d.pathloss_model)
-    casc = np.empty((len(spec.nr_grid), len(spec.snrs_db)))
-    base = np.full(len(spec.snrs_db), np.nan)
-    for s, snr_db in enumerate(spec.snrs_db):
+        dims.geom, dims.n_atoms, dims.n_users, dims.n_bs_antennas,
+        substream(seed, "rf_chain_sweep", trial, TAG_CHANNEL),
+        pathloss_model=dims.pathloss_model)
+    casc = np.empty((len(nr_grid), len(snrs_db)))
+    base = np.full(len(snrs_db), np.nan)
+    for s, snr_db in enumerate(snrs_db):
         ch = replace(ch0, tx_power=10.0 ** (snr_db / 10.0))
-        try:
+        if baseline:
             est = cascaded_ls_baseline(
-                ch, pilot_count,
-                substream(spec.seed, "rf_chain_sweep", trial, TAG_NOISE_BASELINE))
-            base[s] = baseline_cascaded_nmse(est, ch)
-        except IdentifiabilityError:
-            pass
-        for i, n_rf in enumerate(spec.nr_grid):
-            sched = _sweep_schedule(spec.rho, n_rf, d.n_atoms, d.n_users,
-                                    pilot_count)
-            h_hat, _ = hris_estimate_H(
-                sched, ch, substream(spec.seed, "rf_chain_sweep", trial, TAG_NOISE_HRIS))
+                ch, pilot_count, substream(seed, "rf_chain_sweep", trial, TAG_NOISE_BASELINE))
+            base[s] = cascaded_nmse(est, ch)
+        for i, n_rf in enumerate(nr_grid):
+            sched = _sweep_schedule(rho, n_rf, dims.n_atoms, dims.n_users, pilot_count)
+            h_hat = hris_estimate_H(
+                sched, ch, substream(seed, "rf_chain_sweep", trial, TAG_NOISE_HRIS))
             g_hat = bs_estimate_G(
-                sched, ch, h_hat,
-                substream(spec.seed, "rf_chain_sweep", trial, TAG_NOISE_BS))
-            casc[i, s] = cascaded_nmse(h_hat, g_hat, ch)
+                sched, ch, h_hat, substream(seed, "rf_chain_sweep", trial, TAG_NOISE_BS))
+            casc[i, s] = cascaded_nmse(_composed(h_hat, g_hat), ch)
     return casc, base
 
 
@@ -418,33 +376,22 @@ def rf_chain_sweep(nr_grid, snr_db_list, n_trials: int, seed: int,
     keeping the sensing stage identifiable down to a single chain) while
     n_rf_chains varies, so every extra chain contributes additional sensed
     rows per slot and the cascaded error improves accordingly.  The purely
-    reflective baseline runs at the same pilot budget where identifiable;
-    otherwise its column is flagged infeasible.
+    reflective baseline runs at the same pilot budget where identifiable,
+    that is with at least one slot per atom (its cycled DFT patterns then
+    have full rank); otherwise its column is flagged infeasible.
     """
     dims = dims or ChestDims()
     n_slots = int(n_slots) if n_slots is not None else dims.n_atoms
     if n_slots < 1:
         raise ValueError("n_slots must be a positive count")
-    spec = _SweepSpec(seed=int(seed), nr_grid=tuple(int(n) for n in nr_grid),
-                      snrs_db=tuple(float(s) for s in snr_db_list),
-                      rho=float(rho), n_slots=n_slots, dims=dims)
-    results = map_trials(partial(_sweep_trial, spec), n_trials, workers)
-    casc = np.stack([r[0] for r in results]).mean(axis=0)
-    base_trials = np.stack([r[1] for r in results])
-    feasible = not np.any(np.isnan(base_trials))
-    base = base_trials.mean(axis=0) if feasible else np.full(len(spec.snrs_db), np.nan)
-    rows = []
-    for i, n_rf in enumerate(spec.nr_grid):
-        for s, snr_db in enumerate(spec.snrs_db):
-            value = casc[i, s]
-            row = {
-                "n_rf": n_rf,
-                "snr_db": snr_db,
-                "nmse_cascaded": float(value),
-                "nmse_cascaded_db": 10.0 * math.log10(value),
-                "nmse_baseline": float(base[s]),
-                "nmse_baseline_db": 10.0 * math.log10(base[s]) if feasible else float("nan"),
-                "baseline_status": "ok" if feasible else "infeasible",
-            }
-            rows.append(row)
-    return rows
+    nr_grid = tuple(int(n) for n in nr_grid)
+    snrs_db = tuple(float(s) for s in snr_db_list)
+    baseline = n_slots >= dims.n_atoms
+    trial = partial(_sweep_trial, seed=int(seed), nr_grid=nr_grid, snrs_db=snrs_db,
+                    rho=float(rho), n_slots=n_slots, dims=dims, baseline=baseline)
+    casc, base = trial_means(map_trials(trial, n_trials, workers))
+    base = np.broadcast_to(base, casc.shape)
+    return sweep_rows({"n_rf": nr_grid, "snr_db": snrs_db},
+                      {"nmse_cascaded": casc, "nmse_cascaded_db": db(casc),
+                       "nmse_baseline": base, "nmse_baseline_db": db(base)},
+                      baseline_status="ok" if baseline else "infeasible")

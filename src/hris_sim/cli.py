@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .config import (DEFAULT_SPACING_M, DEFAULT_WAVELENGTH_M, PRESETS,
-                     load_config, parse_config_tree, preset_config)
+                     load_config, parse_config_tree, parse_workers, preset_config)
 from .errors import ConfigError, InfeasibleError
 from .runner import run
 
@@ -29,6 +29,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the configured random seed")
         p.add_argument("--workers", default=None,
+                       type=lambda raw: int(raw) if raw.isdecimal() else raw,
                        help="worker process count or 'auto'")
         p.add_argument("--out", default=None, help="output directory")
 
@@ -55,21 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_workers(raw):
-    if raw is None:
-        return None
-    if raw == "auto":
-        import os
-        return os.cpu_count() or 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"--workers must be an integer or 'auto', got {raw!r}")
-    if value < 1:
-        raise ConfigError("--workers must be at least 1")
-    return value
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -90,8 +76,8 @@ def main(argv=None) -> int:
                                 "span_deg": args.span_deg},
             }
             cfg = parse_config_tree(tree, source="command line")
-        paths = run(cfg, out_dir=args.out, seed=args.seed,
-                    workers=_resolve_workers(args.workers))
+        workers = None if args.workers is None else parse_workers(args.workers, "--workers")
+        paths = run(cfg, out_dir=args.out, seed=args.seed, workers=workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

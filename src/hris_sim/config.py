@@ -1,8 +1,10 @@
-"""Run configuration: strict schema, presets, and YAML loading.
+"""Run configuration: the experiment table, strict schema, presets, YAML loading.
 
 A configuration is a single key-value tree.  Parsing is strict: unknown keys
 are rejected with their full dotted path, types are checked, and the tree
-must carry the schema version it was written for.
+must carry the schema version it was written for.  ``EXPERIMENTS`` holds
+everything that differs between experiments, so nothing else in the package
+branches on an experiment's name.
 """
 
 from __future__ import annotations
@@ -11,13 +13,14 @@ import math
 import os
 from copy import deepcopy
 from dataclasses import dataclass, field
+from typing import Callable
 
 import yaml
 
-from .aoa import AoaGrid
-from .arrays import PlanarArray
-from .channels import LinkGeometry
-from .chest import ChestDims
+from .aoa import AoaGrid, rmse_experiment
+from .arrays import PlanarArray, emit_beampattern
+from .channels import LinkGeometry, pathloss
+from .chest import ChestDims, rf_chain_sweep, tradeoff_experiment
 from .errors import ConfigError
 
 CONFIG_VERSION = 1
@@ -26,11 +29,6 @@ CONFIG_VERSION = 1
 # presets; 15.70 mm corresponds to a 19 GHz carrier.
 DEFAULT_WAVELENGTH_M = 0.01570
 DEFAULT_SPACING_M = 0.004
-
-EXPERIMENTS = ("aoa_rmse", "chest_tradeoff", "rf_chain_sweep", "beampattern")
-
-_DEFAULT_TRIALS = {"aoa_rmse": 500, "chest_tradeoff": 200, "rf_chain_sweep": 200,
-                   "beampattern": 1}
 
 
 @dataclass(frozen=True)
@@ -173,11 +171,11 @@ def _parse_array(node, path="array") -> PlanarArray:
         raise ConfigError(f"invalid '{path}': {exc}") from exc
 
 
-def _parse_channel(node, path="channel") -> tuple[ChestDims, float | None]:
+def _parse_channel(node, path="channel") -> dict:
+    """ChestDims fields of the 'channel' section."""
     node = _check_mapping(node, path)
     _check_keys(node, {"cell_radius_m", "hris_bs_distance_m", "carrier_hz",
-                       "pathloss", "rician_k", "n_atoms", "n_users",
-                       "n_bs_antennas"}, path)
+                       "pathloss", "n_atoms", "n_users", "n_bs_antennas"}, path)
     try:
         geom = LinkGeometry(
             cell_radius_m=_get(node, "cell_radius_m", float, path, 10.0),
@@ -189,19 +187,13 @@ def _parse_channel(node, path="channel") -> tuple[ChestDims, float | None]:
     pathloss_model = _get(node, "pathloss", str, path, "none")
     if pathloss_model not in ("free_space", "none"):
         raise ConfigError(f"'{path}.pathloss' must be 'free_space' or 'none'")
-    rician = node.get("rician_k")
-    if rician is not None:
-        rician = _get(node, "rician_k", float, path)
-        if rician < 0.0:
-            raise ConfigError(f"'{path}.rician_k' must be non-negative")
-    dims = ChestDims(
-        n_atoms=_get(node, "n_atoms", int, path, 64),
-        n_users=_get(node, "n_users", int, path, 8),
-        n_bs_antennas=_get(node, "n_bs_antennas", int, path, 16),
-        pathloss_model=pathloss_model,
-        geom=geom,
-    )
-    return dims, rician
+    return {
+        "n_atoms": _get(node, "n_atoms", int, path, 64),
+        "n_users": _get(node, "n_users", int, path, 8),
+        "n_bs_antennas": _get(node, "n_bs_antennas", int, path, 16),
+        "pathloss_model": pathloss_model,
+        "geom": geom,
+    }
 
 
 def _parse_aoa(node, path="aoa") -> AoaParams:
@@ -242,7 +234,8 @@ def _parse_aoa(node, path="aoa") -> AoaParams:
     )
 
 
-def _parse_tradeoff(node, path="tradeoff"):
+def _parse_tradeoff(node, channel: dict, path="tradeoff"):
+    """TradeoffParams plus the receive chains and pilot budget of its ChestDims."""
     node = _check_mapping(node, path)
     _check_keys(node, {"rho_grid", "n_phase_draws", "snr_db", "n_rf_chains",
                        "pilot_count"}, path)
@@ -256,14 +249,12 @@ def _parse_tradeoff(node, path="tradeoff"):
         n_phase_draws=_get(node, "n_phase_draws", int, path, 3),
         snr_db=_get(node, "snr_db", float, path, 30.0),
     )
-    extras = {
-        "n_rf_chains": _get(node, "n_rf_chains", int, path, 8),
-        "pilot_count": _get(node, "pilot_count", int, path, 70),
-    }
-    return params, extras
+    return (params, _get(node, "n_rf_chains", int, path, 8),
+            _get(node, "pilot_count", int, path, 70))
 
 
-def _parse_rf_sweep(node, path="rf_sweep"):
+def _parse_rf_sweep(node, channel: dict, path="rf_sweep"):
+    """RfSweepParams plus the receive chains and pilot budget of its ChestDims."""
     node = _check_mapping(node, path)
     _check_keys(node, {"n_rf_grid", "snr_db_list", "rho", "n_slots"}, path)
     rho = _get(node, "rho", float, path, 0.5)
@@ -272,13 +263,15 @@ def _parse_rf_sweep(node, path="rf_sweep"):
     n_slots = _get(node, "n_slots", int, path, None)
     if n_slots is not None and n_slots < 1:
         raise ConfigError(f"'{path}.n_slots' must be a positive count")
-    return RfSweepParams(
+    params = RfSweepParams(
         n_rf_grid=_get_number_list(node, "n_rf_grid", path, default=(1, 2, 4, 8),
                                    integer=True),
         snr_db_list=_get_number_list(node, "snr_db_list", path, default=(0.0, 10.0)),
         rho=rho,
         n_slots=n_slots,
     )
+    slots = n_slots if n_slots is not None else channel["n_atoms"]
+    return params, max(params.n_rf_grid), slots * channel["n_users"]
 
 
 def _parse_beam(node, path="beampattern") -> BeamParams:
@@ -301,16 +294,134 @@ def _parse_beam(node, path="beampattern") -> BeamParams:
     )
 
 
+def _parse_chest(section: str, parse_section):
+    """Parser of an estimation sweep: the 'channel' section plus ``section``."""
+    def parse(tree: dict) -> dict:
+        channel = _parse_channel(tree.get("channel", {}))
+        params, n_rf_chains, pilot_count = parse_section(tree.get(section, {}), channel)
+        return {section: params, "chest_dims": ChestDims(
+            **channel, n_rf_chains=n_rf_chains, pilot_count=pilot_count)}
+    return parse
+
+
+def _parse_beampattern(tree: dict) -> dict:
+    if "array" not in tree:
+        raise ConfigError("beampattern runs need an 'array' section")
+    return {"array": _parse_array(tree["array"]),
+            "beam": _parse_beam(tree.get("beampattern", {}))}
+
+
+# --- derived metadata -------------------------------------------------------
+
+
+def _aoa_info(cfg: ExperimentConfig) -> dict:
+    p = cfg.aoa
+    return {
+        "snapshot_noise": "tx_power = 1, noise_var = 10**(-snr_db/10)",
+        "search_grid_points": p.grid.n_points,
+        "search_grid_deg": [math.degrees(p.grid.lo_rad), math.degrees(p.grid.hi_rad)],
+        "wavelength_m": p.wavelength_m,
+        "spacing_m": p.spacing_m,
+    }
+
+
+def _chest_info(cfg: ExperimentConfig, min_chains: int) -> dict:
+    d = cfg.chest_dims
+    n_slots = math.ceil(d.pilot_count / d.n_users)
+    info = {
+        "pilot_count": d.pilot_count,
+        "n_slots": n_slots,
+        "pilot_symbols_used": n_slots * d.n_users,
+        "h_stage_identifiable": n_slots * min_chains >= d.n_atoms,
+        "g_stage_equations": n_slots * d.n_users,
+        "baseline_identifiable": d.pilot_count // d.n_users >= d.n_atoms,
+        "noise_model": "unit noise variance; tx_power = 10**(snr_db/10)",
+        "pathloss_model": d.pathloss_model,
+    }
+    if d.pathloss_model == "free_space":
+        info["pathloss_at_bs_link"] = float(
+            pathloss(d.geom.hris_bs_distance_m, d.geom.wavelength_m))
+    return info
+
+
+# --- the experiment table ---------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """What one experiment adds to the common keys, and how it runs.
+
+    ``parse(tree)`` returns the ExperimentConfig fields built from its
+    ``sections``; ``run(cfg, seed, workers)`` returns its CSV rows;
+    ``derived(cfg)`` the "derived" block of metadata.json.
+    """
+
+    sections: frozenset
+    default_trials: int
+    csv_name: str
+    columns: tuple
+    parse: Callable[[dict], dict]
+    run: Callable[[ExperimentConfig, int, int], list]
+    derived: Callable[[ExperimentConfig], dict]
+
+
+EXPERIMENTS = {
+    "aoa_rmse": Experiment(
+        sections=frozenset({"aoa"}), default_trials=500, csv_name="aoa_rmse.csv",
+        columns=("N", "sensed_fraction", "snr_db", "n_trials", "rmse_rad", "rmse_deg",
+                 "crlb_rad"),
+        parse=lambda tree: {"aoa": _parse_aoa(tree.get("aoa", {}))},
+        run=lambda cfg, seed, workers: rmse_experiment(
+            cfg.aoa.n_list, cfg.aoa.sensed_fractions, cfg.aoa.n_snapshots,
+            cfg.aoa.snr_db_grid, cfg.n_trials, seed, workers=workers,
+            spacing_m=cfg.aoa.spacing_m, wavelength_m=cfg.aoa.wavelength_m,
+            azimuth_rad=cfg.aoa.azimuth_rad, grid=cfg.aoa.grid),
+        derived=_aoa_info),
+    "chest_tradeoff": Experiment(
+        sections=frozenset({"channel", "tradeoff"}), default_trials=200,
+        csv_name="tradeoff.csv",
+        columns=("rho", "phase_draw", "nmse_H", "nmse_H_db", "nmse_G", "nmse_G_db"),
+        parse=_parse_chest("tradeoff", _parse_tradeoff),
+        run=lambda cfg, seed, workers: tradeoff_experiment(
+            cfg.tradeoff.rho_grid, cfg.tradeoff.n_phase_draws, cfg.n_trials, seed,
+            workers=workers, snr_db=cfg.tradeoff.snr_db, dims=cfg.chest_dims),
+        derived=lambda cfg: _chest_info(cfg, cfg.chest_dims.n_rf_chains)),
+    "rf_chain_sweep": Experiment(
+        sections=frozenset({"channel", "rf_sweep"}), default_trials=200,
+        csv_name="rfsweep.csv",
+        columns=("n_rf", "snr_db", "nmse_cascaded", "nmse_cascaded_db", "nmse_baseline",
+                 "nmse_baseline_db", "baseline_status"),
+        parse=_parse_chest("rf_sweep", _parse_rf_sweep),
+        run=lambda cfg, seed, workers: rf_chain_sweep(
+            cfg.rf_sweep.n_rf_grid, cfg.rf_sweep.snr_db_list, cfg.n_trials, seed,
+            workers=workers, rho=cfg.rf_sweep.rho, dims=cfg.chest_dims,
+            n_slots=cfg.rf_sweep.n_slots),
+        derived=lambda cfg: _chest_info(cfg, min(cfg.rf_sweep.n_rf_grid))),
+    "beampattern": Experiment(
+        sections=frozenset({"array", "beampattern"}), default_trials=1,
+        csv_name="beampattern.csv", columns=("angle_deg", "gain_db"),
+        parse=_parse_beampattern,
+        run=lambda cfg, seed, workers: emit_beampattern(
+            cfg.array, cfg.beam.steer_deg, cfg.beam.azimuth_deg, cfg.beam.n_points,
+            cfg.beam.span_deg),
+        derived=lambda cfg: {"n_elements": cfg.array.n_elements,
+                             "steer_deg": cfg.beam.steer_deg}),
+}
+
+
 # --- top level --------------------------------------------------------------
 
-_SECTIONS_BY_EXPERIMENT = {
-    "aoa_rmse": {"aoa"},
-    "chest_tradeoff": {"channel", "tradeoff"},
-    "rf_chain_sweep": {"channel", "rf_sweep"},
-    "beampattern": {"array", "beampattern"},
-}
 _COMMON_KEYS = {"version", "experiment", "seed", "workers", "n_trials",
                 "output_dir", "dump_channels"}
+
+
+def parse_workers(raw, key: str = "'workers'") -> int:
+    """A worker count: a positive integer, or 'auto' for the CPU count."""
+    if raw == "auto":
+        return os.cpu_count() or 1
+    if isinstance(raw, int) and not isinstance(raw, bool) and raw >= 1:
+        return raw
+    raise ConfigError(f"{key} must be a positive integer or 'auto', got {raw!r}")
 
 
 def parse_config_tree(tree: dict, source: str = "config") -> ExperimentConfig:
@@ -324,24 +435,13 @@ def parse_config_tree(tree: dict, source: str = "config") -> ExperimentConfig:
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"'experiment' must be one of {', '.join(EXPERIMENTS)}; "
                           f"got {experiment!r}")
-    allowed = _COMMON_KEYS | _SECTIONS_BY_EXPERIMENT[experiment]
-    _check_keys(tree, allowed, "")
-
-    workers_raw = tree.get("workers", 1)
-    if workers_raw == "auto":
-        workers = os.cpu_count() or 1
-    elif isinstance(workers_raw, int) and not isinstance(workers_raw, bool) \
-            and workers_raw >= 1:
-        workers = workers_raw
-    else:
-        raise ConfigError(f"'workers' must be a positive integer or 'auto', "
-                          f"got {workers_raw!r}")
-
-    n_trials = _get(tree, "n_trials", int, "", _DEFAULT_TRIALS[experiment])
+    spec = EXPERIMENTS[experiment]
+    _check_keys(tree, _COMMON_KEYS | spec.sections, "")
+    workers = parse_workers(tree.get("workers", 1))
+    n_trials = _get(tree, "n_trials", int, "", spec.default_trials)
     if n_trials < 1:
         raise ConfigError("'n_trials' must be at least 1")
-
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         experiment=experiment,
         seed=_get(tree, "seed", int, "", 0),
         n_trials=n_trials,
@@ -349,41 +449,8 @@ def parse_config_tree(tree: dict, source: str = "config") -> ExperimentConfig:
         output_dir=_get(tree, "output_dir", str, "", "results"),
         dump_channels=_get(tree, "dump_channels", bool, "", False),
         raw=deepcopy(tree),
+        **spec.parse(tree),
     )
-
-    if experiment == "aoa_rmse":
-        cfg.aoa = _parse_aoa(tree.get("aoa", {}))
-    elif experiment == "beampattern":
-        if "array" not in tree:
-            raise ConfigError("beampattern runs need an 'array' section")
-        cfg.array = _parse_array(tree["array"])
-        cfg.beam = _parse_beam(tree.get("beampattern", {}))
-    else:
-        dims, rician = _parse_channel(tree.get("channel", {}))
-        if rician is not None:
-            raise ConfigError("'channel.rician_k' is not supported for the "
-                              "estimation sweeps; leave it unset")
-        if experiment == "chest_tradeoff":
-            params, extras = _parse_tradeoff(tree.get("tradeoff", {}))
-            cfg.tradeoff = params
-            dims = ChestDims(
-                n_atoms=dims.n_atoms, n_users=dims.n_users,
-                n_bs_antennas=dims.n_bs_antennas,
-                n_rf_chains=extras["n_rf_chains"],
-                pilot_count=extras["pilot_count"],
-                pathloss_model=dims.pathloss_model, geom=dims.geom)
-        else:
-            params = _parse_rf_sweep(tree.get("rf_sweep", {}))
-            cfg.rf_sweep = params
-            n_slots = params.n_slots if params.n_slots is not None else dims.n_atoms
-            dims = ChestDims(
-                n_atoms=dims.n_atoms, n_users=dims.n_users,
-                n_bs_antennas=dims.n_bs_antennas,
-                n_rf_chains=max(params.n_rf_grid),
-                pilot_count=n_slots * dims.n_users,
-                pathloss_model=dims.pathloss_model, geom=dims.geom)
-        cfg.chest_dims = dims
-    return cfg
 
 
 def load_config(path) -> ExperimentConfig:

@@ -53,6 +53,11 @@ class HrisConfig:
         if np.max(np.abs(np.abs(self.combiner) - 1.0)) > _UNIT_MODULUS_TOL:
             raise ValueError("combiner entries must have unit magnitude")
 
+    @property
+    def sensed_gain(self) -> np.ndarray:
+        """Diagonal of the sensing operator, sqrt(1-rho_n) * exp(j*sense_phase_n)."""
+        return np.sqrt(1.0 - self.rho) * np.exp(1j * self.sense_phase)
+
 
 def uniform_config(n_atoms: int, rho: float, combiner: np.ndarray,
                    reflect_phase=0.0, sense_phase=0.0) -> HrisConfig:
@@ -87,8 +92,7 @@ class HrisSignals:
 def build_signals(cfg: HrisConfig) -> HrisSignals:
     """Materialise reflection diagonal and sensing map from a configuration."""
     reflected = np.sqrt(cfg.rho) * np.exp(1j * cfg.reflect_phase)
-    sensed_diag = np.sqrt(1.0 - cfg.rho) * np.exp(1j * cfg.sense_phase)
-    return HrisSignals(reflected_gain=reflected, sensed_map=cfg.combiner * sensed_diag)
+    return HrisSignals(reflected_gain=reflected, sensed_map=cfg.combiner * cfg.sensed_gain)
 
 
 def reflect(signals: HrisSignals, incident: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Trial scheduling over a bounded worker pool.
+"""Monte Carlo plumbing: trial scheduling, trial means and sweep rows.
 
 Trials are independent by construction (each derives its own random stream
 from its index), so results are collected in trial order and the output of a
@@ -7,7 +7,10 @@ run does not depend on how many workers executed it.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
+
+import numpy as np
 
 
 def map_trials(fn, n_trials: int, workers: int = 1) -> list:
@@ -17,3 +20,42 @@ def map_trials(fn, n_trials: int, workers: int = 1) -> list:
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, n_trials // (workers * 4))
         return list(pool.map(fn, range(n_trials), chunksize=chunk))
+
+
+def trial_means(results: list) -> list[np.ndarray]:
+    """Mean over trials of each array in the tuples the trials returned."""
+    return [np.mean(np.stack(arrays), axis=0) for arrays in zip(*results)]
+
+
+def db(values) -> np.ndarray:
+    """10 log10 of every entry, one ``math.log10`` per entry.
+
+    ``np.log10`` differs from ``math.log10`` in the last bit on some inputs,
+    and the printed CSV digits would follow it.
+    """
+    flat = [10.0 * math.log10(v) for v in np.ravel(values)]
+    return np.reshape(np.array(flat, dtype=float), np.shape(values))
+
+
+def sweep_rows(axes: dict, columns: dict, **constants) -> list[dict]:
+    """One result row per cell of the grid spanned by ``axes``, in C order.
+
+    ``axes`` maps each axis column to its values, outermost first; every
+    array in ``columns`` must have one entry per grid cell; ``constants``
+    repeat in every row.
+    """
+    shape = tuple(len(values) for values in axes.values())
+    for name, values in columns.items():
+        if np.shape(values) != shape:
+            raise AssertionError(
+                f"column {name!r} has shape {np.shape(values)}, expected the full "
+                f"parameter grid {shape}")
+    axes = {name: np.asarray(values).tolist() for name, values in axes.items()}
+    flat = {name: np.ravel(values).tolist() for name, values in columns.items()}
+    rows = []
+    for i, idx in enumerate(np.ndindex(shape)):
+        row = {name: values[j] for (name, values), j in zip(axes.items(), idx)}
+        row.update((name, values[i]) for name, values in flat.items())
+        row.update(constants)
+        rows.append(row)
+    return rows

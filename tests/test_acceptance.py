@@ -15,12 +15,11 @@ import numpy as np
 import pytest
 
 from hris_sim.aoa import crlb_elevation, rmse_experiment, snapshot_scenario
-from hris_sim.arrays import Direction, PlanarArray
+from hris_sim.arrays import Direction, PlanarArray, emit_beampattern
 from hris_sim.channels import LinkGeometry, draw_channels
 from hris_sim.chest import (ChestDims, build_pilot_schedule, hris_estimate_H,
                             rf_chain_sweep, run_two_sided, tradeoff_experiment)
 from hris_sim.errors import IdentifiabilityError
-from hris_sim.runner import emit_beampattern
 
 import oracles
 import test_properties

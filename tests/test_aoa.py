@@ -303,15 +303,15 @@ def test_sweep_trial_matches_per_cell_estimates_and_bounds():
     """One sweep trial equals estimating and bounding every cell on its own."""
     grid = AoaGrid()
     fractions, snrs = (0.3, 0.9), (-5.0, 10.0, math.inf)
-    spec = aoa._SweepSpec(seed=9, sides=(4, 6), fractions=fractions, snrs_db=snrs,
-                          n_snapshots=32, spacing_m=0.004, wavelength_m=0.0157,
-                          azimuth_rad=0.4, grid=grid)
-    sq_err, bound = aoa._sweep_trial(spec, 2)
+    sides = (4, 6)
+    sq_err, bound = aoa._sweep_trial(2, seed=9, sides=sides, fractions=fractions,
+                                     snrs_db=snrs, n_snapshots=32, spacing_m=0.004,
+                                     wavelength_m=0.0157, azimuth_rad=0.4, grid=grid)
     u = substream(9, "aoa_rmse", 2, TAG_TRUTH).uniform(aoa._TRUTH_LO_FRAC,
                                                        aoa._TRUTH_HI_FRAC)
     theta = grid.lo_rad + (grid.hi_rad - grid.lo_rad) * float(u)
     noise = complex_normal(substream(9, "aoa_rmse", 2, TAG_NOISE_HRIS), 32)
-    for i, side in enumerate(spec.sides):
+    for i, side in enumerate(sides):
         template = snapshot_scenario(PlanarArray(side, side, 0.004, 0.0157), 1.0, 32,
                                      math.inf, Direction(0.0, 0.4))
         for j, fraction in enumerate(fractions):

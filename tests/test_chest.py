@@ -9,10 +9,9 @@ from scipy.linalg import dft
 
 from hris_sim.channels import (ChannelSet, LinkGeometry, cascaded_per_user,
                                draw_channels)
-from hris_sim.chest import (ChestDims, baseline_cascaded_nmse, bs_estimate_G,
-                            build_pilot_schedule, cascaded_ls_baseline,
-                            cascaded_nmse, hris_estimate_H, nmse,
-                            rf_chain_sweep, run_two_sided, tradeoff_experiment)
+from hris_sim.chest import (ChestDims, bs_estimate_G, build_pilot_schedule,
+                            cascaded_ls_baseline, cascaded_nmse, hris_estimate_H,
+                            nmse, rf_chain_sweep, run_two_sided, tradeoff_experiment)
 from hris_sim.errors import EstimationInfeasibleError, IdentifiabilityError
 from hris_sim.rng import substream
 
@@ -72,11 +71,22 @@ def test_sensed_stage_matches_pinv_oracle():
         blocks.append(y_t @ np.conj(sched.pilots.T) / (1 * amp))
     h_oracle = oracles.estimate_sh_pinv(combiners, blocks) / s_diag
 
-    h_hat, observations = hris_estimate_H(sched, ch, np.random.default_rng(0))
+    h_hat = hris_estimate_H(sched, ch, np.random.default_rng(0))
     np.testing.assert_allclose(h_hat, h_oracle, atol=1e-10)
     np.testing.assert_allclose(h_hat, H, atol=1e-9)
-    assert len(observations) == sched.n_slots
-    assert all(o.shape == (2, 1) for o in observations)
+    assert h_hat.shape == (4, 1)
+
+
+def test_per_slot_sensing_diagonal_rejected():
+    """Dividing by slot 0's diagonal would return a wrong H; the estimator refuses."""
+    sched = build_pilot_schedule(8, 2, 4, 8, 0.3)
+    ch = _channels(8, 2, 4, noise_var_hris=0.0, noise_var_bs=0.0)
+    assert nmse(hris_estimate_H(sched, ch, np.random.default_rng(0)), ch.H) < 1e-20
+    for cfg in sched.hris_configs[1::2]:
+        cfg.rho = np.full(8, 0.6)
+    assert len(sched.hris_configs) == 4
+    with pytest.raises(ValueError, match="changes from slot to slot"):
+        hris_estimate_H(sched, ch, np.random.default_rng(0))
 
 
 def test_bs_stage_matches_normal_equations_oracle():
@@ -126,15 +136,15 @@ def test_short_budget_sensing_rank_error():
     with pytest.raises(IdentifiabilityError, match="rank 56"):
         hris_estimate_H(sched, ch, np.random.default_rng(0))
     # The minimum-norm escape hatch still returns an (N, K) array.
-    h_hat, _ = hris_estimate_H(sched, ch, np.random.default_rng(0),
-                               allow_rank_deficient=True)
+    h_hat = hris_estimate_H(sched, ch, np.random.default_rng(0),
+                            allow_rank_deficient=True)
     assert h_hat.shape == (64, 8)
 
 
 def test_zero_reflection_leaves_g_unidentifiable():
     sched = build_pilot_schedule(8, 2, 2, 8, 0.0)
     ch = _channels(8, 2, 4, noise_var_hris=0.0, noise_var_bs=0.0)
-    h_hat, _ = hris_estimate_H(sched, ch, np.random.default_rng(0))
+    h_hat = hris_estimate_H(sched, ch, np.random.default_rng(0))
     with pytest.raises(IdentifiabilityError, match="reflection regressors"):
         bs_estimate_G(sched, ch, h_hat, np.random.default_rng(1))
 
@@ -153,7 +163,7 @@ def test_baseline_matches_two_unknown_oracle():
     assert len(estimates) == 1
     np.testing.assert_allclose(estimates[0].ravel(), a_oracle, atol=1e-10)
     np.testing.assert_allclose(estimates[0], cascaded_per_user(H, G, 0), atol=1e-10)
-    assert baseline_cascaded_nmse(estimates, ch) < 1e-20
+    assert cascaded_nmse(estimates, ch) < 1e-20
 
 
 def test_baseline_underdetermined_error():
@@ -169,16 +179,20 @@ def test_sensing_error_scales_inversely_with_power():
     reports = {}
     for power in (1.0, 100.0):
         chp = replace(ch, tx_power=power)
-        h_hat, _ = hris_estimate_H(sched, chp, substream(0, "unit_test", 0, 1))
+        h_hat = hris_estimate_H(sched, chp, substream(0, "unit_test", 0, 1))
         reports[power] = nmse(h_hat, ch.H)
     assert reports[1.0] / reports[100.0] == pytest.approx(100.0, rel=1e-9)
 
 
 def test_cascaded_nmse_composes_per_user():
     ch = _channels(4, 2, 3, seed=2, noise_var_hris=0.0, noise_var_bs=0.0)
+
+    def composed(g):
+        return [cascaded_per_user(ch.H, g, k) for k in range(2)]
+
     # Perfect estimates give zero; doubling G gives a known ratio via direct sums.
-    assert cascaded_nmse(ch.H, ch.G, ch) == 0.0
-    assert cascaded_nmse(ch.H, 2.0 * ch.G, ch) == pytest.approx(1.0)
+    assert cascaded_nmse(composed(ch.G), ch) == 0.0
+    assert cascaded_nmse(composed(2.0 * ch.G), ch) == pytest.approx(1.0)
 
 
 def test_tradeoff_experiment_rows_pairing_and_workers():

@@ -1,16 +1,22 @@
 """Result files: CSV formatting, beampattern emitter, end-to-end run()."""
 
 import json
-import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hris_sim.arrays import PlanarArray
+from hris_sim.arrays import PlanarArray, emit_beampattern
 from hris_sim.channels import draw_channels, load_matrix
 from hris_sim.config import parse_config_tree
 from hris_sim.rng import TAG_CHANNEL, substream
-from hris_sim.runner import emit_beampattern, run, write_csv
+from hris_sim.runner import run, write_csv
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402  (bench/workloads.py: trial counts and reference CSVs)
 
 ARR12 = PlanarArray(12, 12, 0.004, 0.0157)
 
@@ -94,7 +100,8 @@ def test_run_seed_override_changes_results(tmp_path):
     cfg2 = parse_config_tree(_tiny_aoa_tree())
     run(cfg1, out_dir=tmp_path / "a", seed=1)
     run(cfg2, out_dir=tmp_path / "b", seed=2)
-    assert cfg1.seed == 1  # override is recorded on the config
+    assert cfg1 == parse_config_tree(_tiny_aoa_tree())  # the run leaves cfg as given
+    assert json.loads((tmp_path / "a/metadata.json").read_text())["seed"] == 1
     assert ((tmp_path / "a/aoa_rmse.csv").read_bytes()
             != (tmp_path / "b/aoa_rmse.csv").read_bytes())
 
@@ -125,12 +132,35 @@ def test_run_chest_dumps_channels(tmp_path):
 
 
 def test_run_checks_row_count(tmp_path, monkeypatch):
-    import hris_sim.runner as runner_mod
+    import hris_sim.aoa as aoa_mod
     cfg = parse_config_tree(_tiny_aoa_tree())
-    monkeypatch.setattr(runner_mod, "rmse_experiment",
-                        lambda *a, **k: [{"N": 16}])
+    # Trials that cover one cell of the 1 x 2 x 2 grid cannot fill its rows.
+    monkeypatch.setattr(aoa_mod, "map_trials",
+                        lambda fn, n, workers: [(np.ones((1, 1, 1)), np.ones((1, 1, 1)))] * n)
     with pytest.raises(AssertionError, match="expected the full parameter grid"):
         run(cfg, out_dir=tmp_path)
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_bench_workload_matches_reference_csv(tmp_path, workload):
+    """The benchmark's reference CSVs pin every sweep's output bytes.
+
+    They were written with single-threaded BLAS, and two BLAS threads change
+    the last printed digit of some fig5 cells.  The thread count can only be
+    set before numpy loads, so the run happens in a fresh interpreter with
+    the benchmark's settings.
+    """
+    script = ("import sys, workloads\n"
+              "from hris_sim import config, runner\n"
+              "tree = workloads.config_tree(config.PRESETS, sys.argv[1], workloads.DEFAULT_SEED)\n"
+              "print(runner.run(config.parse_config_tree(tree), out_dir=sys.argv[2],"
+              " workers=1)['csv'])\n")
+    env = dict(os.environ, **workloads.BLAS_THREADS,
+               PYTHONPATH=os.pathsep.join([str(workloads.SRC), str(workloads.BENCH_DIR)]))
+    proc = subprocess.run([sys.executable, "-c", script, workload, str(tmp_path)],
+                          env=env, capture_output=True, text=True, check=True)
+    assert (Path(proc.stdout.strip()).read_bytes()
+            == workloads.reference_csv(workload).read_bytes())
 
 
 def test_beampattern_run_row_count(tmp_path):
