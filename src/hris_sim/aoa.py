@@ -115,15 +115,14 @@ def snapshot_scenario(array: PlanarArray, sensed_fraction: float, n_snapshots: i
     source in the azimuth-zero cut the vertical phase progression of most DFT
     rows sums to zero, leaving only every n_v-th row with any response.
     """
-    rows = combiner_schedule(array.n_elements, 1, n_snapshots,
-                             kind=combiner_kind, seed=schedule_seed)
     return AoaScenario(
         array=array,
         sensed_fraction=sensed_fraction,
         n_snapshots=n_snapshots,
         snr_db=snr_db,
         true_direction=true_direction,
-        combiner=np.vstack(rows),
+        combiner=combiner_schedule(array.n_elements, 1, n_snapshots,
+                                   kind=combiner_kind, seed=schedule_seed)[:, 0],
         pilot=np.ones(n_snapshots, dtype=complex),
     )
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hris import HrisConfig
+from .hris import HrisConfig, reflection_gain
 from .rng import complex_normal
 
 SPEED_OF_LIGHT = 299792458.0
@@ -125,8 +125,7 @@ def cascade(H: np.ndarray, G: np.ndarray, cfg: HrisConfig) -> np.ndarray:
     G = np.asarray(G)
     if H.shape[0] != cfg.n_atoms or G.shape[1] != cfg.n_atoms:
         raise ValueError("channel dimensions do not match the number of atoms")
-    refl = np.sqrt(cfg.rho) * np.exp(1j * cfg.reflect_phase)
-    return (G * refl) @ H
+    return (G * reflection_gain(cfg.rho, cfg.reflect_phase)) @ H
 
 
 def cascaded_per_user(H: np.ndarray, G: np.ndarray, user: int) -> np.ndarray:

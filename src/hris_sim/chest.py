@@ -24,24 +24,31 @@ from scipy.linalg import dft
 
 from .channels import ChannelSet, LinkGeometry, cascaded_per_user, draw_channels
 from .errors import EstimationInfeasibleError, IdentifiabilityError
-from .hris import HrisConfig, build_signals, combiner_schedule
+from .hris import combiner_schedule, reflection_gain, sensing_gain
 from .parallel import db, map_trials, sweep_rows, trial_means
 from .rng import (TAG_CHANNEL, TAG_NOISE_BASELINE, TAG_NOISE_BS, TAG_NOISE_HRIS,
-                  TAG_PHASES, complex_normal, substream)
+                  TAG_PHASES, complex_normal_stack, substream)
 
 
 @dataclass
 class PilotSchedule:
-    """Orthogonal pilot block plus the per-slot surface configurations.
+    """Orthogonal pilot block plus the surface settings of all slots, stacked.
 
     ``pilots`` is the (n_users, n_users) unit-modulus block X with
-    X^H X = n_users * I; slot t transmits sqrt(tx_power) * X while the
-    surface applies ``hris_configs[t]``.
+    X^H X = n_users * I; slot t transmits sqrt(tx_power) * X while the surface
+    applies ``combiners[t]`` (n_rf_chains, n_atoms) and the per-atom rows
+    ``rho[t]``, ``reflect_phase[t]`` and ``sense_phase[t]``.
     """
 
-    n_slots: int
     pilots: np.ndarray
-    hris_configs: list[HrisConfig]
+    combiners: np.ndarray
+    rho: np.ndarray
+    reflect_phase: np.ndarray
+    sense_phase: np.ndarray
+
+    @property
+    def n_slots(self) -> int:
+        return self.combiners.shape[0]
 
     @property
     def n_users(self) -> int:
@@ -89,25 +96,21 @@ def build_pilot_schedule(n_atoms: int, n_users: int, n_rf_chains: int,
     """
     if pilot_count < 1:
         raise ValueError("pilot_count must be positive")
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError("power split rho must lie in [0, 1]")
     n_slots = math.ceil(pilot_count / n_users)
-    combiners = combiner_schedule(n_atoms, n_rf_chains, n_slots, kind=combiner_kind)
     base = np.broadcast_to(np.asarray(base_reflect_phase, dtype=float), (n_atoms,))
     dft_phase = -2.0 * np.pi * np.arange(n_atoms) / n_atoms
-    configs = []
-    for t in range(n_slots):
-        configs.append(HrisConfig(
-            n_atoms=n_atoms,
-            rho=np.full(n_atoms, float(rho)),
-            reflect_phase=base + (t % n_atoms) * dft_phase,
-            sense_phase=np.full(n_atoms, float(sense_phase)),
-            n_rf_chains=n_rf_chains,
-            combiner=combiners[t],
-        ))
-    return PilotSchedule(n_slots=n_slots, pilots=dft(n_users), hris_configs=configs)
+    return PilotSchedule(
+        pilots=dft(n_users),
+        combiners=combiner_schedule(n_atoms, n_rf_chains, n_slots, kind=combiner_kind),
+        rho=np.full((n_slots, n_atoms), float(rho)),
+        reflect_phase=base + (np.arange(n_slots) % n_atoms)[:, None] * dft_phase,
+        sense_phase=np.full((n_slots, n_atoms), float(sense_phase)))
 
 
 def _decorrelate(block: np.ndarray, pilots: np.ndarray, amplitude: float) -> np.ndarray:
-    """Undo the pilot block: Y X^H / (K * amplitude) for X = amplitude * pilots."""
+    """Undo the pilot block of every slot: Y X^H / (K * amplitude) for X = amplitude * pilots."""
     k = pilots.shape[0]
     return block @ np.conj(pilots.T) / (k * amplitude)
 
@@ -116,9 +119,10 @@ def hris_estimate_H(sched: PilotSchedule, ch: ChannelSet, rng: np.random.Generat
                     allow_rank_deficient: bool = False) -> np.ndarray:
     """Estimate the terminals-to-surface channel from sensed pilot slots.
 
-    Simulates the sensed observations Y_t = Q_t S H X + N_t for every slot,
-    decorrelates the pilot block and solves the stacked least squares for
-    S H, then divides out the sensing diagonal S, which every slot must share.
+    Simulates the sensed observations Y_t = Q_t S H X + N_t of all slots in
+    one stacked product, decorrelates the pilot blocks and solves the stacked
+    least squares for S H, then divides out the sensing diagonal S, which
+    every slot must share.
 
     Raises ValueError when rho or the sense phase changes from slot to slot,
     IdentifiabilityError when the stacked combiner does not reach rank
@@ -126,33 +130,25 @@ def hris_estimate_H(sched: PilotSchedule, ch: ChannelSet, rng: np.random.Generat
     solution instead) and EstimationInfeasibleError when some atom senses
     nothing (rho = 1) so its row of H cannot be recovered.
     """
-    n_atoms = sched.hris_configs[0].n_atoms
+    n_slots, n_rf, n_atoms = sched.combiners.shape
     amp = math.sqrt(ch.tx_power)
-    incident = ch.H @ (amp * sched.pilots)
-
-    rho = np.array([cfg.rho for cfg in sched.hris_configs])
-    phase = np.array([cfg.sense_phase for cfg in sched.hris_configs])
-    if np.any(rho != rho[0]) or np.any(phase != phase[0]):
+    if np.any(sched.rho != sched.rho[0]) or np.any(sched.sense_phase != sched.sense_phase[0]):
         raise ValueError("rho or the sense phase changes from slot to slot; this "
                          "estimator divides by one sensing diagonal shared by every slot")
-    sensed_diag = sched.hris_configs[0].sensed_gain
+    sensed_diag = sensing_gain(sched.rho[0], sched.sense_phase[0])
     if np.any(np.abs(sensed_diag) == 0.0):
         raise EstimationInfeasibleError(
             "atoms with rho = 1 leave no sensed signal; their rows of H are unrecoverable")
 
-    decorr = []
-    for cfg in sched.hris_configs:
-        block = build_signals(cfg).sensed_map @ incident
-        if ch.noise_var_hris > 0.0:
-            block = block + complex_normal(rng, block.shape, var=ch.noise_var_hris)
-        decorr.append(_decorrelate(block, sched.pilots, amp))
-
-    stacked_q = np.vstack([cfg.combiner for cfg in sched.hris_configs])
-    stacked_y = np.vstack(decorr)
+    blocks = (sched.combiners * sensed_diag) @ (ch.H @ (amp * sched.pilots))
+    if ch.noise_var_hris > 0.0:
+        blocks = blocks + complex_normal_stack(rng, blocks.shape, var=ch.noise_var_hris)
+    stacked_y = _decorrelate(blocks, sched.pilots, amp).reshape(n_slots * n_rf, -1)
+    stacked_q = sched.combiners.reshape(n_slots * n_rf, n_atoms)
     sh_hat, _, rank, _ = np.linalg.lstsq(stacked_q, stacked_y, rcond=None)
     if rank < n_atoms and not allow_rank_deficient:
         raise IdentifiabilityError(
-            f"stacked combiner rank {rank} < {n_atoms} atoms over {sched.n_slots} "
+            f"stacked combiner rank {rank} < {n_atoms} atoms over {n_slots} "
             f"slots; the sensed system needs ceil(n_atoms / n_rf_chains) slots "
             f"(n_atoms * n_users / n_rf_chains pilot symbols)")
     return sh_hat / sensed_diag[:, None]
@@ -167,27 +163,22 @@ def bs_estimate_G(sched: PilotSchedule, ch: ChannelSet, h_hat: np.ndarray,
     known regressors Z_t = R_t H_hat X and solves min_G sum_t
     ||Y_t - G Z_t||_F^2 in one stacked least squares.
     """
-    n_atoms = sched.hris_configs[0].n_atoms
-    amp = math.sqrt(ch.tx_power)
-    pilot_block = amp * sched.pilots
+    n_slots, _, n_atoms = sched.combiners.shape
+    pilot_block = math.sqrt(ch.tx_power) * sched.pilots
+    refl = reflection_gain(sched.rho, sched.reflect_phase)  # (slots, N)
 
-    blocks = []
-    regressors = []
-    for cfg in sched.hris_configs:
-        refl = np.sqrt(cfg.rho) * np.exp(1j * cfg.reflect_phase)
-        block = (ch.G * refl) @ (ch.H @ pilot_block)
-        if ch.noise_var_bs > 0.0:
-            block = block + complex_normal(rng, block.shape, var=ch.noise_var_bs)
-        blocks.append(block)
-        regressors.append(refl[:, None] * (h_hat @ pilot_block))
-
-    stacked_z = np.hstack(regressors)
-    stacked_y = np.hstack(blocks)
-    gt_hat, _, rank, _ = np.linalg.lstsq(stacked_z.T, stacked_y.T, rcond=None)
+    blocks = (ch.G * refl[:, None, :]) @ (ch.H @ pilot_block)
+    if ch.noise_var_bs > 0.0:
+        blocks = blocks + complex_normal_stack(rng, blocks.shape, var=ch.noise_var_bs)
+    regressors = refl[:, :, None] * (h_hat @ pilot_block)
+    # Row t*K + k of each stacked matrix holds slot t, pilot column k.
+    stacked_z = regressors.transpose(0, 2, 1).reshape(-1, n_atoms)
+    stacked_y = blocks.transpose(0, 2, 1).reshape(stacked_z.shape[0], -1)
+    gt_hat, _, rank, _ = np.linalg.lstsq(stacked_z, stacked_y, rcond=None)
     if rank < n_atoms and not allow_rank_deficient:
         raise IdentifiabilityError(
             f"stacked reflection regressors rank {rank} < {n_atoms} atoms over "
-            f"{sched.n_slots} slots; G is not identifiable (need n_slots * n_users "
+            f"{n_slots} slots; G is not identifiable (need n_slots * n_users "
             f">= n_atoms and a non-degenerate reflection pattern, rho > 0)")
     return gt_hat.T
 
@@ -203,8 +194,8 @@ def run_two_sided(sched: PilotSchedule, ch: ChannelSet,
         nmse_G=nmse(g_hat, ch.G),
         nmse_cascaded=cascaded_nmse(_composed(h_hat, g_hat), ch),
         pilot_count=sched.pilot_count,
-        rho=float(sched.hris_configs[0].rho[0]),
-        n_rf_chains=sched.hris_configs[0].n_rf_chains,
+        rho=float(sched.rho[0, 0]),
+        n_rf_chains=sched.combiners.shape[1],
     )
     return h_hat, g_hat, report
 
@@ -234,8 +225,7 @@ def cascaded_ls_baseline(ch: ChannelSet, pilot_count: int, rng: np.random.Genera
     identifiability needs at least n_atoms slots, i.e. n_atoms * n_users
     pilot symbols.  Returns the list of per-user estimates.
     """
-    n_atoms = ch.H.shape[0]
-    n_users = ch.H.shape[1]
+    n_atoms, n_users = ch.H.shape
     n_slots = pilot_count // n_users
     if n_slots < n_atoms:
         m = ch.G.shape[0]
@@ -248,19 +238,13 @@ def cascaded_ls_baseline(ch: ChannelSet, pilot_count: int, rng: np.random.Genera
     pilots = dft(n_users)
     patterns = dft(n_atoms)[np.mod(np.arange(n_slots), n_atoms), :]  # (slots, N)
 
-    decorr = []
-    for t in range(n_slots):
-        block = (ch.G * patterns[t]) @ (ch.H @ (amp * pilots))
-        if ch.noise_var_bs > 0.0:
-            block = block + complex_normal(rng, block.shape, var=ch.noise_var_bs)
-        decorr.append(_decorrelate(block, pilots, amp))
-
-    stacked = np.stack(decorr)  # (slots, M, K)
-    phi = patterns.T  # (N, slots)
+    blocks = (ch.G * patterns[:, None, :]) @ (ch.H @ (amp * pilots))
+    if ch.noise_var_bs > 0.0:
+        blocks = blocks + complex_normal_stack(rng, blocks.shape, var=ch.noise_var_bs)
+    stacked = _decorrelate(blocks, pilots, amp)  # stacked[:, :, k] = patterns @ A_k^T
     estimates = []
     for k in range(n_users):
-        b_k = stacked[:, :, k].T  # (M, slots) = A_k @ phi
-        a_t, _, rank, _ = np.linalg.lstsq(phi.T, b_k.T, rcond=None)
+        a_t, _, rank, _ = np.linalg.lstsq(patterns, stacked[:, :, k], rcond=None)
         if rank < n_atoms:
             raise IdentifiabilityError(
                 f"reflection pattern matrix rank {rank} < {n_atoms}")
@@ -335,10 +319,7 @@ def tradeoff_experiment(rho_grid, n_phase_draws: int, n_trials: int, seed: int,
                        "nmse_G": nmse_g, "nmse_G_db": db(nmse_g)})
 
 
-@lru_cache(maxsize=64)
-def _sweep_schedule(rho: float, n_rf: int, n_atoms: int, n_users: int,
-                    pilot_count: int) -> PilotSchedule:
-    return build_pilot_schedule(n_atoms, n_users, n_rf, pilot_count, rho)
+_sweep_schedule = lru_cache(maxsize=64)(build_pilot_schedule)
 
 
 def _sweep_trial(trial: int, *, seed: int, nr_grid: tuple, snrs_db: tuple, rho: float,
@@ -357,7 +338,7 @@ def _sweep_trial(trial: int, *, seed: int, nr_grid: tuple, snrs_db: tuple, rho: 
                 ch, pilot_count, substream(seed, "rf_chain_sweep", trial, TAG_NOISE_BASELINE))
             base[s] = cascaded_nmse(est, ch)
         for i, n_rf in enumerate(nr_grid):
-            sched = _sweep_schedule(rho, n_rf, dims.n_atoms, dims.n_users, pilot_count)
+            sched = _sweep_schedule(dims.n_atoms, dims.n_users, n_rf, pilot_count, rho)
             h_hat = hris_estimate_H(
                 sched, ch, substream(seed, "rf_chain_sweep", trial, TAG_NOISE_HRIS))
             g_hat = bs_estimate_G(

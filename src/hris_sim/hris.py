@@ -9,7 +9,7 @@ per receive chain, after combining.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import dft
@@ -53,10 +53,15 @@ class HrisConfig:
         if np.max(np.abs(np.abs(self.combiner) - 1.0)) > _UNIT_MODULUS_TOL:
             raise ValueError("combiner entries must have unit magnitude")
 
-    @property
-    def sensed_gain(self) -> np.ndarray:
-        """Diagonal of the sensing operator, sqrt(1-rho_n) * exp(j*sense_phase_n)."""
-        return np.sqrt(1.0 - self.rho) * np.exp(1j * self.sense_phase)
+
+def reflection_gain(rho, phase) -> np.ndarray:
+    """Reflection coefficient sqrt(rho) * exp(j*phase), element-wise."""
+    return np.sqrt(rho) * np.exp(1j * phase)
+
+
+def sensing_gain(rho, phase) -> np.ndarray:
+    """Sensing coefficient sqrt(1-rho) * exp(j*phase), element-wise."""
+    return np.sqrt(1.0 - rho) * np.exp(1j * phase)
 
 
 def uniform_config(n_atoms: int, rho: float, combiner: np.ndarray,
@@ -91,8 +96,8 @@ class HrisSignals:
 
 def build_signals(cfg: HrisConfig) -> HrisSignals:
     """Materialise reflection diagonal and sensing map from a configuration."""
-    reflected = np.sqrt(cfg.rho) * np.exp(1j * cfg.reflect_phase)
-    return HrisSignals(reflected_gain=reflected, sensed_map=cfg.combiner * cfg.sensed_gain)
+    return HrisSignals(reflected_gain=reflection_gain(cfg.rho, cfg.reflect_phase),
+                       sensed_map=cfg.combiner * sensing_gain(cfg.rho, cfg.sense_phase))
 
 
 def reflect(signals: HrisSignals, incident: np.ndarray) -> np.ndarray:
@@ -126,8 +131,8 @@ def sense(signals: HrisSignals, incident: np.ndarray, noise_std: float,
 
 
 def combiner_schedule(n_atoms: int, n_rf_chains: int, n_slots: int,
-                      kind: str = "dft", seed: int = 0) -> list[np.ndarray]:
-    """Per-slot analog combiner settings, each (n_rf_chains, n_atoms), unit modulus.
+                      kind: str = "dft", seed: int = 0) -> np.ndarray:
+    """Analog combiners of all slots, shape (n_slots, n_rf_chains, n_atoms), unit modulus.
 
     ``dft`` assigns slot t the rows t*n_rf_chains .. t*n_rf_chains+n_rf_chains-1
     (mod n_atoms) of the n_atoms-point DFT matrix; stacking ceil(N/N_r) such
@@ -141,12 +146,9 @@ def combiner_schedule(n_atoms: int, n_rf_chains: int, n_slots: int,
         raise ValueError("n_rf_chains must lie in [1, n_atoms]")
     if n_slots < 1:
         raise ValueError("n_slots must be at least 1")
+    shape = (n_slots, n_rf_chains, n_atoms)
     if kind == "dft":
-        full = dft(n_atoms)
-        return [full[(t * n_rf_chains + np.arange(n_rf_chains)) % n_atoms, :]
-                for t in range(n_slots)]
+        return dft(n_atoms)[np.arange(n_slots * n_rf_chains) % n_atoms].reshape(shape)
     if kind == "random_phase":
-        gen = np.random.default_rng(seed)
-        phases = gen.uniform(0.0, 2.0 * np.pi, size=(n_slots, n_rf_chains, n_atoms))
-        return [np.exp(1j * p) for p in phases]
+        return np.exp(1j * np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=shape))
     raise ValueError(f"unknown combiner schedule kind {kind!r}")

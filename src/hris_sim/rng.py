@@ -61,3 +61,12 @@ def complex_normal(rng: np.random.Generator, shape, var: float = 1.0) -> np.ndar
     """
     scale = np.sqrt(var / 2.0)
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def complex_normal_stack(rng: np.random.Generator, shape: tuple, var: float = 1.0) -> np.ndarray:
+    """``shape[0]`` calls of ``complex_normal(rng, shape[1:], var)``, stacked.
+
+    The draws consume the stream in the order of those calls, so the values are equal.
+    """
+    z = rng.standard_normal((shape[0], 2, *shape[1:]))
+    return np.sqrt(var / 2.0) * (z[:, 0] + 1j * z[:, 1])

@@ -2,9 +2,9 @@
 
 Every run produces one CSV (comma separated, '.' decimal marks, header row,
 LF line endings) plus a metadata JSON describing the configuration, derived
-quantities and wall-clock duration.  CSV contents depend only on (seed,
-config), never on the worker count; floats are printed through one fixed
-format so repeated runs are byte-identical.
+quantities, wall-clock duration and environment.  CSV contents depend only on
+(seed, config) and the BLAS thread count, never on the worker count; floats
+are printed through one fixed format so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -12,10 +12,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import platform
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .channels import draw_channels, save_matrix
 from .config import EXPERIMENTS, ExperimentConfig
@@ -85,6 +88,10 @@ def run(cfg: ExperimentConfig, out_dir=None, seed: int | None = None,
                 "key_layout": "(seed, experiment_id, substream_tag, trial)"},
         "outputs": {"csv": csv_path.name, "rows": len(rows)},
         "duration_s": duration,
+        "environment": {"python": platform.python_version(), "numpy": np.__version__,
+                        "scipy": scipy.__version__, "cpu_count": os.cpu_count(),
+                        "blas_threads": {k: os.environ.get(k) for k in (
+                            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}},
     }
     meta_path = out / "metadata.json"
     with open(meta_path, "w", encoding="utf-8") as fh:

@@ -11,6 +11,7 @@ import functools
 import math
 
 import numpy as np
+from scipy.linalg import dft
 
 
 def element_positions_loops(n_h, n_v, spacing_m):
@@ -208,3 +209,62 @@ def baseline_two_unknowns(patterns, observations):
                   [patterns[1][0], patterns[1][1]]], dtype=complex)
     rhs = np.array([observations[0], observations[1]], dtype=complex)
     return np.linalg.solve(m, rhs)
+
+
+# ---------------------------------------------------------------------------
+# Per-slot channel-estimation references: one product, one noise draw and one
+# decorrelation per slot, then the same stacked least squares as the package.
+
+
+def _complex_normal_by_hand(rng, shape, var):
+    scale = np.sqrt(var / 2.0)
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def estimate_h_per_slot(sched, ch, rng):
+    """Sensed-stage H estimate over the schedule arrays, slot by slot."""
+    amp = math.sqrt(ch.tx_power)
+    incident = ch.H @ (amp * sched.pilots)
+    decorr = []
+    for t in range(sched.combiners.shape[0]):
+        sensed = np.sqrt(1.0 - sched.rho[t]) * np.exp(1j * sched.sense_phase[t])
+        block = (sched.combiners[t] * sensed) @ incident
+        if ch.noise_var_hris > 0.0:
+            block = block + _complex_normal_by_hand(rng, block.shape, ch.noise_var_hris)
+        decorr.append(block @ np.conj(sched.pilots.T) / (sched.pilots.shape[0] * amp))
+    sh_hat = np.linalg.lstsq(np.vstack(list(sched.combiners)), np.vstack(decorr),
+                             rcond=None)[0]
+    return sh_hat / (np.sqrt(1.0 - sched.rho[0]) * np.exp(1j * sched.sense_phase[0]))[:, None]
+
+
+def estimate_g_per_slot(sched, ch, h_hat, rng):
+    """Reflected-stage G estimate over the schedule arrays, slot by slot."""
+    pilot_block = math.sqrt(ch.tx_power) * sched.pilots
+    blocks, regressors = [], []
+    for t in range(sched.combiners.shape[0]):
+        refl = np.sqrt(sched.rho[t]) * np.exp(1j * sched.reflect_phase[t])
+        block = (ch.G * refl) @ (ch.H @ pilot_block)
+        if ch.noise_var_bs > 0.0:
+            block = block + _complex_normal_by_hand(rng, block.shape, ch.noise_var_bs)
+        blocks.append(block)
+        regressors.append(refl[:, None] * (h_hat @ pilot_block))
+    gt_hat = np.linalg.lstsq(np.hstack(regressors).T, np.hstack(blocks).T, rcond=None)[0]
+    return gt_hat.T
+
+
+def baseline_per_slot(ch, pilot_count, rng):
+    """Reflective-baseline per-user cascade estimates, slot by slot."""
+    n_atoms, n_users = ch.H.shape
+    n_slots = pilot_count // n_users
+    amp = math.sqrt(ch.tx_power)
+    pilots = dft(n_users)
+    patterns = dft(n_atoms)[np.mod(np.arange(n_slots), n_atoms), :]
+    decorr = []
+    for t in range(n_slots):
+        block = (ch.G * patterns[t]) @ (ch.H @ (amp * pilots))
+        if ch.noise_var_bs > 0.0:
+            block = block + _complex_normal_by_hand(rng, block.shape, ch.noise_var_bs)
+        decorr.append(block @ np.conj(pilots.T) / (n_users * amp))
+    stacked = np.stack(decorr)
+    return [np.linalg.lstsq(patterns, stacked[:, :, k], rcond=None)[0].T
+            for k in range(n_users)]

@@ -9,11 +9,12 @@ from scipy.linalg import dft
 
 from hris_sim.channels import (ChannelSet, LinkGeometry, cascaded_per_user,
                                draw_channels)
-from hris_sim.chest import (ChestDims, bs_estimate_G, build_pilot_schedule,
-                            cascaded_ls_baseline, cascaded_nmse, hris_estimate_H,
-                            nmse, rf_chain_sweep, run_two_sided, tradeoff_experiment)
+from hris_sim.chest import (ChestDims, _cached_schedule, bs_estimate_G,
+                            build_pilot_schedule, cascaded_ls_baseline, cascaded_nmse,
+                            hris_estimate_H, nmse, rf_chain_sweep, run_two_sided,
+                            tradeoff_experiment)
 from hris_sim.errors import EstimationInfeasibleError, IdentifiabilityError
-from hris_sim.rng import substream
+from hris_sim.rng import TAG_NOISE_BASELINE, TAG_NOISE_BS, TAG_NOISE_HRIS, substream
 
 import oracles
 
@@ -39,16 +40,16 @@ def test_schedule_bookkeeping():
     assert sched.pilot_count == 72
     np.testing.assert_allclose(np.conj(sched.pilots.T) @ sched.pilots,
                                8.0 * np.eye(8), atol=1e-10)
-    assert len(sched.hris_configs) == 9
-    for cfg in sched.hris_configs:
-        assert cfg.combiner.shape == (8, 64)
-        np.testing.assert_allclose(cfg.rho, 0.5)
+    assert sched.combiners.shape == (9, 8, 64)
+    for name in ("rho", "reflect_phase", "sense_phase"):
+        assert getattr(sched, name).shape == (9, 64)
+    np.testing.assert_allclose(sched.rho, 0.5)
     # Reflection phases must vary between slots so the base station sees
     # every atom move.
-    assert not np.allclose(sched.hris_configs[0].reflect_phase,
-                           sched.hris_configs[1].reflect_phase)
-    with pytest.raises(ValueError):
-        build_pilot_schedule(64, 8, 8, 0, 0.5)
+    assert not np.allclose(sched.reflect_phase[0], sched.reflect_phase[1])
+    for pilot_count, rho in ((0, 0.5), (70, 1.5), (70, -0.1)):
+        with pytest.raises(ValueError):
+            build_pilot_schedule(64, 8, 8, pilot_count, rho)
 
 
 def test_sensed_stage_matches_pinv_oracle():
@@ -65,9 +66,9 @@ def test_sensed_stage_matches_pinv_oracle():
     s_diag = math.sqrt(1.0 - rho) * np.exp(1j * sense_phase)
     x_block = amp * sched.pilots
     combiners, blocks = [], []
-    for cfg in sched.hris_configs:
-        y_t = cfg.combiner @ (s_diag * (H @ x_block))
-        combiners.append(cfg.combiner)
+    for combiner in sched.combiners:
+        y_t = combiner @ (s_diag * (H @ x_block))
+        combiners.append(combiner)
         blocks.append(y_t @ np.conj(sched.pilots.T) / (1 * amp))
     h_oracle = oracles.estimate_sh_pinv(combiners, blocks) / s_diag
 
@@ -82,9 +83,8 @@ def test_per_slot_sensing_diagonal_rejected():
     sched = build_pilot_schedule(8, 2, 4, 8, 0.3)
     ch = _channels(8, 2, 4, noise_var_hris=0.0, noise_var_bs=0.0)
     assert nmse(hris_estimate_H(sched, ch, np.random.default_rng(0)), ch.H) < 1e-20
-    for cfg in sched.hris_configs[1::2]:
-        cfg.rho = np.full(8, 0.6)
-    assert len(sched.hris_configs) == 4
+    sched.rho[1::2] = 0.6
+    assert sched.n_slots == 4
     with pytest.raises(ValueError, match="changes from slot to slot"):
         hris_estimate_H(sched, ch, np.random.default_rng(0))
 
@@ -99,8 +99,8 @@ def test_bs_stage_matches_normal_equations_oracle():
 
     pilot_block = sched.pilots
     regressors, observations = [], []
-    for cfg in sched.hris_configs:
-        refl = np.sqrt(cfg.rho) * np.exp(1j * cfg.reflect_phase)
+    for rho, phase in zip(sched.rho, sched.reflect_phase):
+        refl = np.sqrt(rho) * np.exp(1j * phase)
         observations.append((G * refl) @ (H @ pilot_block))
         regressors.append(refl[:, None] * (H @ pilot_block))
     g_oracle = oracles.estimate_g_normal_equations(regressors, observations)
@@ -121,6 +121,39 @@ def test_two_sided_noise_free_exact():
     assert report.pilot_count == 64
     assert report.rho == 0.5
     assert report.n_rf_chains == 8
+
+
+def _assert_stages_match_per_slot_oracle(sched, ch, trial):
+    """Batched H and G stages equal the per-slot loops bit for bit, noise on."""
+    def rng(tag):
+        return substream(7, "unit_test", trial, tag)
+
+    h_hat = hris_estimate_H(sched, ch, rng(TAG_NOISE_HRIS))
+    assert np.array_equal(h_hat, oracles.estimate_h_per_slot(sched, ch, rng(TAG_NOISE_HRIS)))
+    g_hat = bs_estimate_G(sched, ch, h_hat, rng(TAG_NOISE_BS))
+    assert np.array_equal(g_hat, oracles.estimate_g_per_slot(sched, ch, h_hat, rng(TAG_NOISE_BS)))
+
+
+def test_stages_bit_exact_to_per_slot_oracle_fig5_shape():
+    # 70 pilots over 8 users: 9 slots, random base phases as in the trade-off sweep.
+    for draw, rho in ((0, 0.2), (1, 0.7)):
+        sched = _cached_schedule(20260823, draw, rho, 64, 8, 8, 70)
+        assert sched.n_slots == 9
+        ch = _channels(64, 8, 16, seed=draw, tx_power=1000.0)
+        _assert_stages_match_per_slot_oracle(sched, ch, draw)
+
+
+def test_stages_and_baseline_bit_exact_to_per_slot_oracle_fig6_shape():
+    ch = _channels(64, 8, 16, seed=4, tx_power=1.0)  # 0 dB
+    for n_rf in (1, 8):
+        sched = build_pilot_schedule(64, 8, n_rf, 512, 0.5)
+        assert sched.n_slots == 64
+        _assert_stages_match_per_slot_oracle(sched, ch, n_rf)
+    estimates = cascaded_ls_baseline(ch, 512, substream(7, "unit_test", 0, TAG_NOISE_BASELINE))
+    reference = oracles.baseline_per_slot(ch, 512,
+                                          substream(7, "unit_test", 0, TAG_NOISE_BASELINE))
+    assert len(estimates) == len(reference) == 8
+    assert all(np.array_equal(a, b) for a, b in zip(estimates, reference))
 
 
 def test_rho_one_leaves_sensing_infeasible():

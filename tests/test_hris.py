@@ -94,6 +94,7 @@ def test_reflect_scales_amplitudes():
 def test_dft_schedule_small_stacks_to_full_dft():
     from scipy.linalg import dft
     slots = combiner_schedule(4, 2, 2, kind="dft")
+    assert slots.shape == (2, 2, 4)
     stacked = np.vstack(slots)
     np.testing.assert_allclose(stacked, dft(4), atol=1e-12)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hris_sim.rng import (EXPERIMENT_IDS, TAG_CHANNEL, TAG_NOISE_HRIS,
-                          complex_normal, substream)
+                          complex_normal, complex_normal_stack, substream)
 
 
 def test_same_tuple_same_stream():
@@ -51,3 +51,12 @@ def test_complex_normal_shape():
     rng = substream(7, "unit_test", 0, 0)
     assert complex_normal(rng, (3, 4)).shape == (3, 4)
     assert complex_normal(rng, 5).shape == (5,)
+
+
+@pytest.mark.parametrize("n_slots", [1, 9, 64])
+def test_complex_normal_stack_equals_loop_of_draws(n_slots):
+    stacked = complex_normal_stack(substream(3, "unit_test", n_slots, 1), (n_slots, 8, 4),
+                                   var=0.3)
+    rng = substream(3, "unit_test", n_slots, 1)
+    looped = np.stack([complex_normal(rng, (8, 4), var=0.3) for _ in range(n_slots)])
+    assert np.array_equal(stacked, looped)

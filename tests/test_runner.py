@@ -83,6 +83,11 @@ def test_run_aoa_writes_csv_and_metadata(tmp_path):
     assert meta["rng"]["bit_generator"] == "Philox"
     assert meta["derived"]["search_grid_points"] == 721
     assert meta["config"] == cfg.raw
+    env = meta["environment"]
+    assert set(env) == {"python", "numpy", "scipy", "cpu_count", "blas_threads"}
+    assert set(env["blas_threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                        "MKL_NUM_THREADS"}
+    assert env["numpy"] == np.__version__
     assert paths["csv"].endswith("aoa_rmse.csv")
 
 
