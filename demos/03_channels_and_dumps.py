@@ -12,7 +12,7 @@ import numpy as np
 from hris_sim.channels import (LinkGeometry, cascade, cascaded_per_user,
                                draw_channels, load_matrix, pathloss,
                                save_matrix)
-from hris_sim.hris import combiner_schedule, reflection_gain, uniform_config
+from hris_sim.hris import reflection_gain
 from hris_sim.rng import substream
 
 # ---------------------------------------------------------------------------
@@ -43,12 +43,11 @@ print(f"normalised mode mean |H|^2 {np.mean(np.abs(normalised.H) ** 2):.3f} "
 # ---------------------------------------------------------------------------
 # The reflected end-to-end channel for one surface configuration
 # ---------------------------------------------------------------------------
-cfg = uniform_config(16, rho=0.5, combiner=combiner_schedule(16, 2, 1)[0],
-                     reflect_phase=0.0)
-effective = cascade(ch.H, ch.G, cfg)
+rho, reflect_phase = np.full(16, 0.5), np.zeros(16)
+effective = cascade(ch.H, ch.G, rho, reflect_phase)
 print(f"\ncascade G diag(.) H -> {effective.shape} (antennas x terminals)")
 a_0 = cascaded_per_user(ch.H, ch.G, user=0)
-refl = reflection_gain(cfg.rho, cfg.reflect_phase)
+refl = reflection_gain(rho, reflect_phase)
 print(f"per-user form reproduces it: "
       f"{np.allclose(a_0 @ refl, effective[:, 0])}")
 

@@ -27,9 +27,9 @@ sched = build_pilot_schedule(n_atoms=64, n_users=8, n_rf_chains=8,
                              pilot_count=64, rho=0.5)
 ch = channels(tx_power=1.0)
 ch.noise_var_hris = ch.noise_var_bs = 0.0
-h_hat, g_hat, report = run_two_sided(sched, ch, substream(0, "unit_test", 0, 1),
-                                     substream(0, "unit_test", 0, 2))
-print(f"64 atoms, 8 terminals, 8 chains, {report.pilot_count} pilots, no noise:")
+h_hat, g_hat = run_two_sided(sched, ch, substream(0, "unit_test", 0, 1),
+                             substream(0, "unit_test", 0, 2))
+print(f"64 atoms, 8 terminals, 8 chains, {sched.pilot_count} pilots, no noise:")
 print(f"  relative error H {np.linalg.norm(h_hat - ch.H) / np.linalg.norm(ch.H):.2e}, "
       f"G {np.linalg.norm(g_hat - ch.G) / np.linalg.norm(ch.G):.2e}")
 

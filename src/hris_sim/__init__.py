@@ -24,33 +24,31 @@ from .arrays import (Direction, PlanarArray, array_factor, emit_beampattern,
                      plane_direction, steered_weights, steering_vector)
 from .channels import (ChannelSet, LinkGeometry, cascade, cascaded_per_user,
                        draw_channels, load_matrix, pathloss, save_matrix)
-from .chest import (ChestDims, EstimationReport, PilotSchedule, bs_estimate_G,
+from .chest import (ChestDims, PilotSchedule, bs_estimate_G,
                     build_pilot_schedule, cascaded_ls_baseline, hris_estimate_H,
                     nmse, rf_chain_sweep, run_two_sided, tradeoff_experiment)
 from .config import (ExperimentConfig, load_config, parse_config_tree,
                      preset_config)
 from .errors import (ConfigError, EstimationInfeasibleError, HrisSimError,
                      IdentifiabilityError, InfeasibleError)
-from .hris import (HrisConfig, HrisSignals, build_signals, combiner_schedule,
-                   reflect, sense, uniform_config)
+from .hris import combiner_schedule, reflection_gain, sensing_gain
 from .rng import complex_normal, substream
 from .runner import run
 from .version import __version__
 
 __all__ = [
     "AoaGrid", "AoaScenario", "ChannelSet", "ChestDims", "ConfigError",
-    "Direction", "EstimationInfeasibleError", "EstimationReport",
-    "ExperimentConfig", "HrisConfig", "HrisSignals", "HrisSimError",
-    "IdentifiabilityError", "InfeasibleError", "LinkGeometry", "PilotSchedule",
-    "PlanarArray", "array_factor", "bs_estimate_G", "build_pilot_schedule",
-    "build_signals", "cascade", "cascaded_ls_baseline", "cascaded_per_user",
-    "combiner_schedule", "complex_normal", "crlb_elevation",
-    "draw_channels", "emit_beampattern",
+    "Direction", "EstimationInfeasibleError", "ExperimentConfig",
+    "HrisSimError", "IdentifiabilityError", "InfeasibleError", "LinkGeometry",
+    "PilotSchedule", "PlanarArray", "array_factor", "bs_estimate_G",
+    "build_pilot_schedule", "cascade", "cascaded_ls_baseline",
+    "cascaded_per_user", "combiner_schedule", "complex_normal",
+    "crlb_elevation", "draw_channels", "emit_beampattern",
     "hris_estimate_H", "load_config", "load_matrix", "ml_estimate", "nmse",
     "parse_config_tree", "pathloss", "plane_direction", "preset_config",
-    "reflect", "rf_chain_sweep", "rmse_experiment", "run", "run_two_sided",
-    "save_matrix", "sense", "simulate_snapshots", "snapshot_scenario",
-    "steered_weights", "steering_vector", "substream", "tradeoff_experiment",
-    "uniform_config",
+    "reflection_gain", "rf_chain_sweep", "rmse_experiment", "run",
+    "run_two_sided", "save_matrix", "sensing_gain", "simulate_snapshots",
+    "snapshot_scenario", "steered_weights", "steering_vector", "substream",
+    "tradeoff_experiment",
     "__version__",
 ]

@@ -105,15 +105,14 @@ class AoaGrid:
 
 def snapshot_scenario(array: PlanarArray, sensed_fraction: float, n_snapshots: int,
                       snr_db: float, true_direction: Direction,
-                      combiner_kind: str = "random_phase",
                       schedule_seed: int = 0) -> AoaScenario:
-    """Standard scenario: one combining row per snapshot, all-ones pilots.
+    """Standard scenario: one random-phase combining row per snapshot, all-ones pilots.
 
-    The default random-phase schedule has a dense spatial spectrum, so every
-    snapshot carries angle information at every direction.  Single-row DFT
-    combiners are selectable but make poor probes on a planar lattice: for a
-    source in the azimuth-zero cut the vertical phase progression of most DFT
-    rows sums to zero, leaving only every n_v-th row with any response.
+    The random-phase schedule has a dense spatial spectrum, so every snapshot
+    carries angle information at every direction.  Single-row DFT combiners
+    would make poor probes on a planar lattice: for a source in the
+    azimuth-zero cut the vertical phase progression of most DFT rows sums to
+    zero, leaving only every n_v-th row with any response.
     """
     return AoaScenario(
         array=array,
@@ -122,7 +121,7 @@ def snapshot_scenario(array: PlanarArray, sensed_fraction: float, n_snapshots: i
         snr_db=snr_db,
         true_direction=true_direction,
         combiner=combiner_schedule(array.n_elements, 1, n_snapshots,
-                                   kind=combiner_kind, seed=schedule_seed)[:, 0],
+                                   kind="random_phase", seed=schedule_seed)[:, 0],
         pilot=np.ones(n_snapshots, dtype=complex),
     )
 

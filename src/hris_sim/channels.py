@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hris import HrisConfig, reflection_gain
+from .hris import reflection_gain
 from .rng import complex_normal
 
 SPEED_OF_LIGHT = 299792458.0
@@ -73,19 +73,14 @@ def pathloss(distance_m, wavelength_m: float):
 def draw_channels(geom: LinkGeometry, n_atoms: int, n_users: int, n_bs_antennas: int,
                   rng: np.random.Generator, *, tx_power: float = 1.0,
                   noise_var_hris: float = 1.0, noise_var_bs: float = 1.0,
-                  pathloss_model: str = "free_space",
-                  rician_k: float | None = None) -> ChannelSet:
-    """Draw one Rayleigh (optionally Rician) channel realisation.
+                  pathloss_model: str = "free_space") -> ChannelSet:
+    """Draw one Rayleigh channel realisation.
 
     Terminal positions are uniform over the cell disc; each column of H is
     scaled by sqrt(pathloss) of that terminal's distance to the surface,
     which sits on the edge of the disc.  With ``pathloss_model="none"`` all
     link gains are unit variance, which is the normalised mode used when only
     estimator behaviour (not absolute levels) matters.
-
-    ``rician_k`` mixes a fixed unit-modulus line-of-sight component of
-    the given K-factor into both hops; the default (None) keeps pure Rayleigh
-    fading.
     """
     if pathloss_model not in ("free_space", "none"):
         raise ValueError(f"unknown pathloss model {pathloss_model!r}")
@@ -105,27 +100,22 @@ def draw_channels(geom: LinkGeometry, n_atoms: int, n_users: int, n_bs_antennas:
 
     H = complex_normal(rng, (n_atoms, n_users)) * np.sqrt(gain_h)
     G = complex_normal(rng, (n_bs_antennas, n_atoms)) * np.sqrt(gain_g)
-    if rician_k is not None:
-        if rician_k < 0.0:
-            raise ValueError("Rician K-factor must be non-negative")
-        los_h = np.ones((n_atoms, n_users), dtype=complex) * np.sqrt(gain_h)
-        los_g = np.ones((n_bs_antennas, n_atoms), dtype=complex) * np.sqrt(gain_g)
-        w_los = np.sqrt(rician_k / (1.0 + rician_k))
-        w_nlos = np.sqrt(1.0 / (1.0 + rician_k))
-        H = w_los * los_h + w_nlos * H
-        G = w_los * los_g + w_nlos * G
     return ChannelSet(H=H, G=G, noise_var_hris=noise_var_hris,
                       noise_var_bs=noise_var_bs, tx_power=tx_power,
                       pathloss_model=pathloss_model)
 
 
-def cascade(H: np.ndarray, G: np.ndarray, cfg: HrisConfig) -> np.ndarray:
-    """End-to-end reflected channel G @ diag(sqrt(rho)*exp(j*phi)) @ H."""
+def cascade(H: np.ndarray, G: np.ndarray, rho, reflect_phase) -> np.ndarray:
+    """End-to-end reflected channel G @ diag(sqrt(rho)*exp(j*phi)) @ H.
+
+    ``rho`` and ``reflect_phase`` hold one entry per atom.
+    """
     H = np.asarray(H)
     G = np.asarray(G)
-    if H.shape[0] != cfg.n_atoms or G.shape[1] != cfg.n_atoms:
+    gain = reflection_gain(np.asarray(rho), np.asarray(reflect_phase))
+    if gain.shape != (H.shape[0],) or G.shape[1] != H.shape[0]:
         raise ValueError("channel dimensions do not match the number of atoms")
-    return (G * reflection_gain(cfg.rho, cfg.reflect_phase)) @ H
+    return (G * gain) @ H
 
 
 def cascaded_per_user(H: np.ndarray, G: np.ndarray, user: int) -> np.ndarray:

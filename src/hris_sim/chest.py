@@ -30,14 +30,16 @@ from .rng import (TAG_CHANNEL, TAG_NOISE_BASELINE, TAG_NOISE_BS, TAG_NOISE_HRIS,
                   TAG_PHASES, complex_normal_stack, substream)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PilotSchedule:
     """Orthogonal pilot block plus the surface settings of all slots, stacked.
 
     ``pilots`` is the (n_users, n_users) unit-modulus block X with
     X^H X = n_users * I; slot t transmits sqrt(tx_power) * X while the surface
     applies ``combiners[t]`` (n_rf_chains, n_atoms) and the per-atom rows
-    ``rho[t]``, ``reflect_phase[t]`` and ``sense_phase[t]``.
+    ``rho[t]``, ``reflect_phase[t]`` and ``sense_phase[t]``.  Schedules are
+    shared through caches, so they are frozen and ``build_pilot_schedule``
+    hands out read-only arrays; derive a variant with ``dataclasses.replace``.
     """
 
     pilots: np.ndarray
@@ -60,18 +62,6 @@ class PilotSchedule:
         return self.n_slots * self.n_users
 
 
-@dataclass
-class EstimationReport:
-    """Normalised squared errors of one two-sided estimation run."""
-
-    nmse_H: float
-    nmse_G: float
-    nmse_cascaded: float
-    pilot_count: int
-    rho: float
-    n_rf_chains: int
-
-
 def nmse(estimate: np.ndarray, truth: np.ndarray) -> float:
     """Squared Frobenius error over squared Frobenius norm of the truth."""
     err = np.linalg.norm(estimate - truth) ** 2
@@ -84,8 +74,7 @@ def nmse(estimate: np.ndarray, truth: np.ndarray) -> float:
 def build_pilot_schedule(n_atoms: int, n_users: int, n_rf_chains: int,
                          pilot_count: int, rho: float,
                          base_reflect_phase: np.ndarray | float = 0.0,
-                         sense_phase: float = 0.0,
-                         combiner_kind: str = "dft") -> PilotSchedule:
+                         sense_phase: float = 0.0) -> PilotSchedule:
     """Assemble the slotted schedule for a given pilot budget.
 
     The budget is rounded up to whole slots: n_slots = ceil(pilot_count /
@@ -101,12 +90,15 @@ def build_pilot_schedule(n_atoms: int, n_users: int, n_rf_chains: int,
     n_slots = math.ceil(pilot_count / n_users)
     base = np.broadcast_to(np.asarray(base_reflect_phase, dtype=float), (n_atoms,))
     dft_phase = -2.0 * np.pi * np.arange(n_atoms) / n_atoms
-    return PilotSchedule(
+    arrays = dict(
         pilots=dft(n_users),
-        combiners=combiner_schedule(n_atoms, n_rf_chains, n_slots, kind=combiner_kind),
+        combiners=combiner_schedule(n_atoms, n_rf_chains, n_slots),
         rho=np.full((n_slots, n_atoms), float(rho)),
         reflect_phase=base + (np.arange(n_slots) % n_atoms)[:, None] * dft_phase,
         sense_phase=np.full((n_slots, n_atoms), float(sense_phase)))
+    for array in arrays.values():
+        array.setflags(write=False)
+    return PilotSchedule(**arrays)
 
 
 def _decorrelate(block: np.ndarray, pilots: np.ndarray, amplitude: float) -> np.ndarray:
@@ -115,8 +107,7 @@ def _decorrelate(block: np.ndarray, pilots: np.ndarray, amplitude: float) -> np.
     return block @ np.conj(pilots.T) / (k * amplitude)
 
 
-def hris_estimate_H(sched: PilotSchedule, ch: ChannelSet, rng: np.random.Generator,
-                    allow_rank_deficient: bool = False) -> np.ndarray:
+def hris_estimate_H(sched: PilotSchedule, ch: ChannelSet, rng: np.random.Generator) -> np.ndarray:
     """Estimate the terminals-to-surface channel from sensed pilot slots.
 
     Simulates the sensed observations Y_t = Q_t S H X + N_t of all slots in
@@ -126,9 +117,8 @@ def hris_estimate_H(sched: PilotSchedule, ch: ChannelSet, rng: np.random.Generat
 
     Raises ValueError when rho or the sense phase changes from slot to slot,
     IdentifiabilityError when the stacked combiner does not reach rank
-    n_atoms (unless ``allow_rank_deficient`` asks for the minimum-norm
-    solution instead) and EstimationInfeasibleError when some atom senses
-    nothing (rho = 1) so its row of H cannot be recovered.
+    n_atoms and EstimationInfeasibleError when some atom senses nothing
+    (rho = 1) so its row of H cannot be recovered.
     """
     n_slots, n_rf, n_atoms = sched.combiners.shape
     amp = math.sqrt(ch.tx_power)
@@ -146,7 +136,7 @@ def hris_estimate_H(sched: PilotSchedule, ch: ChannelSet, rng: np.random.Generat
     stacked_y = _decorrelate(blocks, sched.pilots, amp).reshape(n_slots * n_rf, -1)
     stacked_q = sched.combiners.reshape(n_slots * n_rf, n_atoms)
     sh_hat, _, rank, _ = np.linalg.lstsq(stacked_q, stacked_y, rcond=None)
-    if rank < n_atoms and not allow_rank_deficient:
+    if rank < n_atoms:
         raise IdentifiabilityError(
             f"stacked combiner rank {rank} < {n_atoms} atoms over {n_slots} "
             f"slots; the sensed system needs ceil(n_atoms / n_rf_chains) slots "
@@ -155,7 +145,7 @@ def hris_estimate_H(sched: PilotSchedule, ch: ChannelSet, rng: np.random.Generat
 
 
 def bs_estimate_G(sched: PilotSchedule, ch: ChannelSet, h_hat: np.ndarray,
-                  rng: np.random.Generator, allow_rank_deficient: bool = False) -> np.ndarray:
+                  rng: np.random.Generator) -> np.ndarray:
     """Estimate the surface-to-base channel from reflected pilot slots.
 
     The base station observes Y_t = G R_t H X + N_t with R_t the slot's
@@ -175,7 +165,7 @@ def bs_estimate_G(sched: PilotSchedule, ch: ChannelSet, h_hat: np.ndarray,
     stacked_z = regressors.transpose(0, 2, 1).reshape(-1, n_atoms)
     stacked_y = blocks.transpose(0, 2, 1).reshape(stacked_z.shape[0], -1)
     gt_hat, _, rank, _ = np.linalg.lstsq(stacked_z, stacked_y, rcond=None)
-    if rank < n_atoms and not allow_rank_deficient:
+    if rank < n_atoms:
         raise IdentifiabilityError(
             f"stacked reflection regressors rank {rank} < {n_atoms} atoms over "
             f"{n_slots} slots; G is not identifiable (need n_slots * n_users "
@@ -184,20 +174,13 @@ def bs_estimate_G(sched: PilotSchedule, ch: ChannelSet, h_hat: np.ndarray,
 
 
 def run_two_sided(sched: PilotSchedule, ch: ChannelSet,
-                  rng_hris: np.random.Generator, rng_bs: np.random.Generator,
-                  allow_rank_deficient: bool = False):
-    """Run both estimation stages and score them against the drawn truth."""
-    h_hat = hris_estimate_H(sched, ch, rng_hris, allow_rank_deficient)
-    g_hat = bs_estimate_G(sched, ch, h_hat, rng_bs, allow_rank_deficient)
-    report = EstimationReport(
-        nmse_H=nmse(h_hat, ch.H),
-        nmse_G=nmse(g_hat, ch.G),
-        nmse_cascaded=cascaded_nmse(_composed(h_hat, g_hat), ch),
-        pilot_count=sched.pilot_count,
-        rho=float(sched.rho[0, 0]),
-        n_rf_chains=sched.combiners.shape[1],
-    )
-    return h_hat, g_hat, report
+                  rng_hris: np.random.Generator, rng_bs: np.random.Generator):
+    """Both estimation stages: the surface's H estimate, then the base station's G.
+
+    Returns ``(h_hat, g_hat)``; the G stage uses the forwarded ``h_hat``.
+    """
+    h_hat = hris_estimate_H(sched, ch, rng_hris)
+    return h_hat, bs_estimate_G(sched, ch, h_hat, rng_bs)
 
 
 def _composed(h_hat: np.ndarray, g_hat: np.ndarray) -> list[np.ndarray]:
@@ -267,6 +250,19 @@ class ChestDims:
     geom: LinkGeometry = LinkGeometry()
 
 
+def _require_sensed_rank(n_slots: int, n_rf_chains: int, n_atoms: int) -> None:
+    """Decide once per sweep that the H stage is identifiable, before any trial runs.
+
+    T slots of R chains stack T*R combiner rows, so the sensed system needs
+    T*R >= n_atoms; the cycled DFT rows reach full rank exactly then.
+    """
+    if n_slots * n_rf_chains < n_atoms:
+        raise IdentifiabilityError(
+            f"stacked combiner rank at most {n_slots * n_rf_chains} < {n_atoms} atoms "
+            f"with {n_rf_chains} receive chains over {n_slots} slots; the sensed "
+            f"system needs n_slots * n_rf_chains >= n_atoms")
+
+
 @lru_cache(maxsize=64)
 def _cached_schedule(seed: int, draw: int, rho: float, n_atoms: int, n_users: int,
                      n_rf_chains: int, pilot_count: int) -> PilotSchedule:
@@ -292,10 +288,9 @@ def _tradeoff_trial(trial: int, *, seed: int, rhos: tuple, n_draws: int, snr_db:
                                      dims.n_rf_chains, dims.pilot_count)
             # Noise substreams are re-derived per cell: every (rho, draw) cell
             # of one trial sees identical noise, so curves are paired.
-            h_hat = hris_estimate_H(
-                sched, ch, substream(seed, "chest_tradeoff", trial, TAG_NOISE_HRIS))
-            g_hat = bs_estimate_G(
-                sched, ch, h_hat, substream(seed, "chest_tradeoff", trial, TAG_NOISE_BS))
+            h_hat, g_hat = run_two_sided(
+                sched, ch, substream(seed, "chest_tradeoff", trial, TAG_NOISE_HRIS),
+                substream(seed, "chest_tradeoff", trial, TAG_NOISE_BS))
             nmse_h[i, j] = nmse(h_hat, ch.H)
             nmse_g[i, j] = nmse(g_hat, ch.G)
     return nmse_h, nmse_g
@@ -310,9 +305,12 @@ def tradeoff_experiment(rho_grid, n_phase_draws: int, n_trials: int, seed: int,
     the two-sided estimator runs over ``n_trials`` paired channel draws.
     Returns one row per (rho, phase_draw) with mean NMSEs, linear and dB.
     """
+    dims = dims or ChestDims()
+    _require_sensed_rank(math.ceil(dims.pilot_count / dims.n_users), dims.n_rf_chains,
+                         dims.n_atoms)
     rhos = tuple(float(r) for r in rho_grid)
     trial = partial(_tradeoff_trial, seed=int(seed), rhos=rhos, n_draws=int(n_phase_draws),
-                    snr_db=float(snr_db), dims=dims or ChestDims())
+                    snr_db=float(snr_db), dims=dims)
     nmse_h, nmse_g = trial_means(map_trials(trial, n_trials, workers))
     return sweep_rows({"rho": rhos, "phase_draw": range(int(n_phase_draws))},
                       {"nmse_H": nmse_h, "nmse_H_db": db(nmse_h),
@@ -339,10 +337,9 @@ def _sweep_trial(trial: int, *, seed: int, nr_grid: tuple, snrs_db: tuple, rho: 
             base[s] = cascaded_nmse(est, ch)
         for i, n_rf in enumerate(nr_grid):
             sched = _sweep_schedule(dims.n_atoms, dims.n_users, n_rf, pilot_count, rho)
-            h_hat = hris_estimate_H(
-                sched, ch, substream(seed, "rf_chain_sweep", trial, TAG_NOISE_HRIS))
-            g_hat = bs_estimate_G(
-                sched, ch, h_hat, substream(seed, "rf_chain_sweep", trial, TAG_NOISE_BS))
+            h_hat, g_hat = run_two_sided(
+                sched, ch, substream(seed, "rf_chain_sweep", trial, TAG_NOISE_HRIS),
+                substream(seed, "rf_chain_sweep", trial, TAG_NOISE_BS))
             casc[i, s] = cascaded_nmse(_composed(h_hat, g_hat), ch)
     return casc, base
 
@@ -367,6 +364,7 @@ def rf_chain_sweep(nr_grid, snr_db_list, n_trials: int, seed: int,
         raise ValueError("n_slots must be a positive count")
     nr_grid = tuple(int(n) for n in nr_grid)
     snrs_db = tuple(float(s) for s in snr_db_list)
+    _require_sensed_rank(n_slots, min(nr_grid), dims.n_atoms)
     baseline = n_slots >= dims.n_atoms
     trial = partial(_sweep_trial, seed=int(seed), nr_grid=nr_grid, snrs_db=snrs_db,
                     rho=float(rho), n_slots=n_slots, dims=dims, baseline=baseline)

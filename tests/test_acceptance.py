@@ -43,8 +43,8 @@ def test_criterion_1(capsys):
     t0 = time.perf_counter()
     sched = build_pilot_schedule(64, 8, 8, 64, 0.5)
     ch = _noise_free_channels()
-    h_hat, g_hat, _ = run_two_sided(sched, ch, np.random.default_rng(0),
-                                    np.random.default_rng(1))
+    h_hat, g_hat = run_two_sided(sched, ch, np.random.default_rng(0),
+                                 np.random.default_rng(1))
     relerr_h = np.linalg.norm(h_hat - ch.H) / np.linalg.norm(ch.H)
     relerr_g = np.linalg.norm(g_hat - ch.G) / np.linalg.norm(ch.G)
     elapsed = time.perf_counter() - t0
@@ -185,7 +185,7 @@ def test_criterion_7(capsys):
     t0 = time.perf_counter()
     # Four hypothesis properties at 250 cases each; any violation raises.
     test_properties.test_per_atom_power_conservation()
-    test_properties.test_sense_and_reflect_are_linear()
+    test_properties.test_stage_estimates_are_linear()
     test_properties.test_steering_vectors_unit_modulus()
     test_properties.test_cascade_matches_brute_force()
 

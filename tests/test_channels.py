@@ -8,7 +8,6 @@ import pytest
 from hris_sim.channels import (ChannelSet, LinkGeometry, cascade,
                                cascaded_per_user, draw_channels, load_matrix,
                                pathloss, save_matrix)
-from hris_sim.hris import uniform_config
 from hris_sim.rng import substream
 
 import oracles
@@ -83,26 +82,6 @@ def test_unknown_pathloss_model_rejected():
                       pathloss_model="urban")
 
 
-def test_rician_k_zero_matches_pure_rayleigh_statistics():
-    geom = LinkGeometry()
-    ch = draw_channels(geom, 6, 2, 3, substream(3, "unit_test", 0, 0),
-                       pathloss_model="none", rician_k=0.0)
-    # With K = 0 the line-of-sight weight vanishes.
-    ch_ref = draw_channels(geom, 6, 2, 3, substream(3, "unit_test", 0, 0),
-                           pathloss_model="none")
-    np.testing.assert_allclose(ch.H, ch_ref.H, atol=1e-12)
-
-
-def test_rician_large_k_approaches_los():
-    geom = LinkGeometry()
-    ch = draw_channels(geom, 6, 2, 3, substream(3, "unit_test", 0, 0),
-                       pathloss_model="none", rician_k=1e9)
-    np.testing.assert_allclose(ch.H, np.ones((6, 2)), atol=1e-3)
-    with pytest.raises(ValueError):
-        draw_channels(geom, 6, 2, 3, substream(3, "unit_test", 0, 0),
-                      rician_k=-1.0)
-
-
 def test_cascade_matches_loop_oracle():
     rng = np.random.default_rng(17)
     n_atoms, n_users, n_bs = 3, 2, 4
@@ -110,18 +89,19 @@ def test_cascade_matches_loop_oracle():
     G = rng.standard_normal((n_bs, n_atoms)) + 1j * rng.standard_normal((n_bs, n_atoms))
     rho = rng.uniform(0.0, 1.0, n_atoms)
     phase = rng.uniform(0.0, 2.0 * math.pi, n_atoms)
-    cfg = uniform_config(n_atoms, rho=0.5, combiner=np.ones((1, n_atoms)))
-    cfg.rho = rho
-    cfg.reflect_phase = phase
-    got = cascade(H, G, cfg)
+    got = cascade(H, G, rho, phase)
     expected = oracles.cascade_loops(H, G, rho, phase)
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
 def test_cascade_dimension_check():
-    cfg = uniform_config(3, rho=0.5, combiner=np.ones((1, 3)))
+    rho, phase = np.full(3, 0.5), np.zeros(3)
     with pytest.raises(ValueError):
-        cascade(np.ones((4, 2)), np.ones((2, 3)), cfg)
+        cascade(np.ones((4, 2)), np.ones((2, 3)), rho, phase)
+    with pytest.raises(ValueError):
+        cascade(np.ones((3, 2)), np.ones((2, 4)), rho, phase)
+    with pytest.raises(ValueError):
+        cascade(np.ones((4, 2)), np.ones((2, 4)), rho, phase)
 
 
 def test_cascaded_per_user_definition():

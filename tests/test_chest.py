@@ -1,7 +1,7 @@
 """Two-sided channel estimation: stage oracles, failure modes, experiments."""
 
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -9,12 +9,14 @@ from scipy.linalg import dft
 
 from hris_sim.channels import (ChannelSet, LinkGeometry, cascaded_per_user,
                                draw_channels)
-from hris_sim.chest import (ChestDims, _cached_schedule, bs_estimate_G,
-                            build_pilot_schedule, cascaded_ls_baseline, cascaded_nmse,
-                            hris_estimate_H, nmse, rf_chain_sweep, run_two_sided,
-                            tradeoff_experiment)
+from hris_sim import chest
+from hris_sim.chest import (ChestDims, _cached_schedule, _sweep_schedule, _sweep_trial,
+                            _tradeoff_trial, bs_estimate_G, build_pilot_schedule,
+                            cascaded_ls_baseline, cascaded_nmse, hris_estimate_H, nmse,
+                            rf_chain_sweep, run_two_sided, tradeoff_experiment)
 from hris_sim.errors import EstimationInfeasibleError, IdentifiabilityError
-from hris_sim.rng import TAG_NOISE_BASELINE, TAG_NOISE_BS, TAG_NOISE_HRIS, substream
+from hris_sim.rng import (TAG_CHANNEL, TAG_NOISE_BASELINE, TAG_NOISE_BS, TAG_NOISE_HRIS,
+                          substream)
 
 import oracles
 
@@ -83,7 +85,9 @@ def test_per_slot_sensing_diagonal_rejected():
     sched = build_pilot_schedule(8, 2, 4, 8, 0.3)
     ch = _channels(8, 2, 4, noise_var_hris=0.0, noise_var_bs=0.0)
     assert nmse(hris_estimate_H(sched, ch, np.random.default_rng(0)), ch.H) < 1e-20
-    sched.rho[1::2] = 0.6
+    rho = sched.rho.copy()
+    rho[1::2] = 0.6
+    sched = replace(sched, rho=rho)
     assert sched.n_slots == 4
     with pytest.raises(ValueError, match="changes from slot to slot"):
         hris_estimate_H(sched, ch, np.random.default_rng(0))
@@ -113,14 +117,12 @@ def test_bs_stage_matches_normal_equations_oracle():
 def test_two_sided_noise_free_exact():
     sched = build_pilot_schedule(64, 8, 8, 64, 0.5)
     ch = _channels(64, 8, 16, seed=3, noise_var_hris=0.0, noise_var_bs=0.0)
-    h_hat, g_hat, report = run_two_sided(
+    h_hat, g_hat = run_two_sided(
         sched, ch, np.random.default_rng(0), np.random.default_rng(1))
     assert np.linalg.norm(h_hat - ch.H) / np.linalg.norm(ch.H) < 1e-9
     assert np.linalg.norm(g_hat - ch.G) / np.linalg.norm(ch.G) < 1e-9
-    assert report.nmse_cascaded < 1e-18
-    assert report.pilot_count == 64
-    assert report.rho == 0.5
-    assert report.n_rf_chains == 8
+    composed = [cascaded_per_user(h_hat, g_hat, k) for k in range(8)]
+    assert cascaded_nmse(composed, ch) < 1e-18
 
 
 def _assert_stages_match_per_slot_oracle(sched, ch, trial):
@@ -156,6 +158,75 @@ def test_stages_and_baseline_bit_exact_to_per_slot_oracle_fig6_shape():
     assert all(np.array_equal(a, b) for a, b in zip(estimates, reference))
 
 
+def test_cached_schedules_are_read_only():
+    """A caller cannot change the schedule the cache hands to the next caller."""
+    key = (1, 0, 0.5, 8, 2, 2, 8)
+    sched = _cached_schedule(*key)
+    with pytest.raises(ValueError, match="read-only"):
+        sched.rho[1] = 0.9
+    with pytest.raises(FrozenInstanceError):
+        sched.rho = np.full_like(sched.rho, 0.9)
+    again = _cached_schedule(*key)
+    assert again is sched
+    np.testing.assert_array_equal(again.rho, 0.5)
+    swept = _sweep_schedule(8, 2, 2, 8, 0.5)
+    for name in ("pilots", "combiners", "rho", "reflect_phase", "sense_phase"):
+        assert not getattr(swept, name).flags.writeable
+
+
+def test_tradeoff_trial_bit_exact_to_per_slot_oracle():
+    """One fig5-shaped trial equals the per-slot oracles run cell by cell."""
+    seed, trial, rhos, n_draws, dims = 20260823, 3, (0.2, 0.7), 2, ChestDims()
+    nmse_h, nmse_g = _tradeoff_trial(trial, seed=seed, rhos=rhos, n_draws=n_draws,
+                                     snr_db=30.0, dims=dims)
+    ch = draw_channels(dims.geom, dims.n_atoms, dims.n_users, dims.n_bs_antennas,
+                       substream(seed, "chest_tradeoff", trial, TAG_CHANNEL),
+                       tx_power=1000.0, pathloss_model=dims.pathloss_model)
+    expected_h = np.empty((len(rhos), n_draws))
+    expected_g = np.empty_like(expected_h)
+    for i, rho in enumerate(rhos):
+        for j in range(n_draws):
+            sched = _cached_schedule(seed, j, rho, dims.n_atoms, dims.n_users,
+                                     dims.n_rf_chains, dims.pilot_count)
+            h_hat = oracles.estimate_h_per_slot(
+                sched, ch, substream(seed, "chest_tradeoff", trial, TAG_NOISE_HRIS))
+            g_hat = oracles.estimate_g_per_slot(
+                sched, ch, h_hat, substream(seed, "chest_tradeoff", trial, TAG_NOISE_BS))
+            expected_h[i, j] = nmse(h_hat, ch.H)
+            expected_g[i, j] = nmse(g_hat, ch.G)
+    assert np.array_equal(nmse_h, expected_h)
+    assert np.array_equal(nmse_g, expected_g)
+
+
+def test_sweep_trial_bit_exact_to_per_slot_oracle():
+    """One fig6-shaped trial, baseline on, equals the per-slot oracles cell by cell."""
+    seed, trial, nr_grid, snrs_db, dims = 20260823, 2, (1, 8), (0.0, 10.0), ChestDims()
+    n_slots = dims.n_atoms
+    casc, base = _sweep_trial(trial, seed=seed, nr_grid=nr_grid, snrs_db=snrs_db, rho=0.5,
+                              n_slots=n_slots, dims=dims, baseline=True)
+    ch0 = draw_channels(dims.geom, dims.n_atoms, dims.n_users, dims.n_bs_antennas,
+                        substream(seed, "rf_chain_sweep", trial, TAG_CHANNEL),
+                        pathloss_model=dims.pathloss_model)
+    expected_casc = np.empty((len(nr_grid), len(snrs_db)))
+    expected_base = np.empty(len(snrs_db))
+    for s, snr_db in enumerate(snrs_db):
+        ch = replace(ch0, tx_power=10.0 ** (snr_db / 10.0))
+        expected_base[s] = cascaded_nmse(oracles.baseline_per_slot(
+            ch, n_slots * dims.n_users,
+            substream(seed, "rf_chain_sweep", trial, TAG_NOISE_BASELINE)), ch)
+        for i, n_rf in enumerate(nr_grid):
+            sched = build_pilot_schedule(dims.n_atoms, dims.n_users, n_rf,
+                                         n_slots * dims.n_users, 0.5)
+            h_hat = oracles.estimate_h_per_slot(
+                sched, ch, substream(seed, "rf_chain_sweep", trial, TAG_NOISE_HRIS))
+            g_hat = oracles.estimate_g_per_slot(
+                sched, ch, h_hat, substream(seed, "rf_chain_sweep", trial, TAG_NOISE_BS))
+            expected_casc[i, s] = cascaded_nmse(
+                [cascaded_per_user(h_hat, g_hat, k) for k in range(dims.n_users)], ch)
+    assert np.array_equal(casc, expected_casc)
+    assert np.array_equal(base, expected_base)
+
+
 def test_rho_one_leaves_sensing_infeasible():
     sched = build_pilot_schedule(8, 2, 2, 8, 1.0)
     ch = _channels(8, 2, 4, noise_var_hris=0.0, noise_var_bs=0.0)
@@ -168,10 +239,6 @@ def test_short_budget_sensing_rank_error():
     ch = _channels(64, 8, 16, noise_var_hris=0.0, noise_var_bs=0.0)
     with pytest.raises(IdentifiabilityError, match="rank 56"):
         hris_estimate_H(sched, ch, np.random.default_rng(0))
-    # The minimum-norm escape hatch still returns an (N, K) array.
-    h_hat = hris_estimate_H(sched, ch, np.random.default_rng(0),
-                            allow_rank_deficient=True)
-    assert h_hat.shape == (64, 8)
 
 
 def test_zero_reflection_leaves_g_unidentifiable():
@@ -272,6 +339,20 @@ def test_rf_chain_sweep_short_schedule_flags_baseline():
     assert all(math.isnan(r["nmse_baseline"]) for r in rows)
     with pytest.raises(ValueError):
         rf_chain_sweep([2], [0.0], 2, seed=1, dims=dims, n_slots=0)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_unidentifiable_h_stage_raises_before_any_trial(monkeypatch, workers):
+    """4 slots of 1 chain cannot reach rank 8: both sweeps refuse before map_trials."""
+    def no_trials(*args, **kwargs):
+        raise AssertionError("map_trials ran on an unidentifiable sweep")
+
+    monkeypatch.setattr(chest, "map_trials", no_trials)
+    dims = ChestDims(n_atoms=8, n_users=2, n_bs_antennas=4, n_rf_chains=1, pilot_count=8)
+    with pytest.raises(IdentifiabilityError, match="rank at most 4 < 8"):
+        rf_chain_sweep([1, 2], [0.0], 4, seed=1, dims=dims, n_slots=4, workers=workers)
+    with pytest.raises(IdentifiabilityError, match="rank at most 4 < 8"):
+        tradeoff_experiment([0.5], 1, 4, seed=1, dims=dims, workers=workers)
 
 
 def test_rf_chain_sweep_worker_invariance():

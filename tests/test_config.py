@@ -133,10 +133,10 @@ def test_channel_section_validation():
     tree = dict(base, channel={"pathloss": "urban"})
     with pytest.raises(ConfigError, match="pathloss"):
         parse_config_tree(tree)
-    # No sweep draws Rician channels, so the key is not part of the schema.
+    # Channels are pure Rayleigh: the section takes no fading parameter.
     for k in (-1.0, 2.0):
-        tree = dict(base, channel={"rician_k": k})
-        with pytest.raises(ConfigError, match="unknown key 'channel.rician_k'"):
+        tree = dict(base, channel={"k_factor": k})
+        with pytest.raises(ConfigError, match="unknown key 'channel.k_factor'"):
             parse_config_tree(tree)
     tree = dict(base, channel={"cell_radius_m": -5.0})
     with pytest.raises(ConfigError, match="invalid 'channel'"):

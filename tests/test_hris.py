@@ -5,90 +5,50 @@ import math
 import numpy as np
 import pytest
 
-from hris_sim.hris import (HrisConfig, build_signals, combiner_schedule,
-                           reflect, sense, uniform_config)
+from hris_sim.channels import ChannelSet
+from hris_sim.chest import build_pilot_schedule, hris_estimate_H
+from hris_sim.hris import combiner_schedule, reflection_gain, sensing_gain
 from hris_sim.rng import substream
 
 
-def _identity_like_combiner(n_atoms):
-    return np.ones((1, n_atoms), dtype=complex)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        uniform_config(4, rho=1.5, combiner=_identity_like_combiner(4))
-    with pytest.raises(ValueError):
-        uniform_config(4, rho=-0.1, combiner=_identity_like_combiner(4))
-    with pytest.raises(ValueError):
-        uniform_config(4, rho=0.5, combiner=2.0 * _identity_like_combiner(4))
-    with pytest.raises(ValueError):
-        HrisConfig(n_atoms=4, rho=np.full(3, 0.5), reflect_phase=np.zeros(4),
-                   sense_phase=np.zeros(4), n_rf_chains=1,
-                   combiner=_identity_like_combiner(4))
-
-
-def test_build_signals_amplitudes():
+def test_gain_amplitudes_and_phases():
     rho = np.array([0.0, 0.25, 1.0])
-    cfg = HrisConfig(n_atoms=3, rho=rho, reflect_phase=np.array([0.0, 1.0, 2.0]),
-                     sense_phase=np.zeros(3), n_rf_chains=1,
-                     combiner=_identity_like_combiner(3))
-    sig = build_signals(cfg)
-    np.testing.assert_allclose(np.abs(sig.reflected_gain), np.sqrt(rho), atol=1e-15)
-    np.testing.assert_allclose(np.abs(sig.sensed_map[0]), np.sqrt(1.0 - rho), atol=1e-15)
-    np.testing.assert_allclose(np.angle(sig.reflected_gain[1]), 1.0, atol=1e-15)
+    phase = np.array([0.0, 1.0, 2.0])
+    refl = reflection_gain(rho, phase)
+    sens = sensing_gain(rho, phase)
+    np.testing.assert_allclose(np.abs(refl), np.sqrt(rho), atol=1e-15)
+    np.testing.assert_allclose(np.abs(sens), np.sqrt(1.0 - rho), atol=1e-15)
+    np.testing.assert_allclose(np.angle(refl[1]), 1.0, atol=1e-15)
+    np.testing.assert_allclose(np.angle(sens[1]), 1.0, atol=1e-15)
 
 
 def test_full_reflection_senses_nothing():
-    cfg = uniform_config(5, rho=1.0, combiner=_identity_like_combiner(5))
-    sig = build_signals(cfg)
-    out = sense(sig, np.ones(5, dtype=complex), noise_std=0.0)
-    np.testing.assert_allclose(out, 0.0, atol=1e-15)
-
-
-def test_sense_matches_dense_multiply():
-    rng = np.random.default_rng(3)
-    n = 6
-    combiner = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, (2, n)))
-    cfg = uniform_config(n, rho=0.3, combiner=combiner, sense_phase=0.7)
-    sig = build_signals(cfg)
-    incident = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    expected = (combiner * (math.sqrt(0.7) * np.exp(1j * 0.7))) @ incident
-    np.testing.assert_allclose(sense(sig, incident, 0.0), expected, atol=1e-12)
+    np.testing.assert_array_equal(sensing_gain(np.ones(5), np.linspace(0.0, 3.0, 5)), 0.0)
 
 
 def test_sense_noise_variance_statistics():
-    cfg = uniform_config(4, rho=0.5, combiner=np.ones((2, 4), dtype=complex))
-    sig = build_signals(cfg)
+    """Noise enters per receive chain after combining, at the channel's variance.
+
+    With H = 0 the H-stage estimate is pure noise.  A square DFT schedule
+    (T*R = N, Q^H Q = N I) and K orthogonal unit-modulus pilots at amplitude
+    a turn per-chain noise of variance s2 into per-entry estimate variance
+    s2 / (N K a^2 (1 - rho)).  Noise added per atom before combining would
+    come out N times larger.
+    """
+    n_atoms, n_users, n_rf, rho, tx_power, noise_var = 8, 2, 2, 0.5, 4.0, 0.7
+    sched = build_pilot_schedule(n_atoms, n_users, n_rf, n_atoms * n_users // n_rf, rho)
+    ch = ChannelSet(H=np.zeros((n_atoms, n_users), dtype=complex),
+                    G=np.ones((1, n_atoms), dtype=complex), noise_var_hris=noise_var,
+                    tx_power=tx_power)
     rng = substream(1234, "unit_test", 0, 0)
-    noise_std = 0.7
-    draws = np.stack([sense(sig, np.zeros(4, dtype=complex), noise_std, rng)
-                      for _ in range(50_000)])
-    var = np.mean(np.abs(draws) ** 2, axis=0)
-    np.testing.assert_allclose(var, noise_std ** 2, rtol=0.05)
-
-
-def test_sense_requires_rng_when_noisy():
-    cfg = uniform_config(4, rho=0.5, combiner=_identity_like_combiner(4))
-    sig = build_signals(cfg)
-    with pytest.raises(ValueError):
-        sense(sig, np.zeros(4, dtype=complex), noise_std=0.1)
-
-
-def test_sense_and_reflect_reject_wrong_length():
-    cfg = uniform_config(4, rho=0.5, combiner=_identity_like_combiner(4))
-    sig = build_signals(cfg)
-    with pytest.raises(ValueError):
-        sense(sig, np.zeros(5, dtype=complex), 0.0)
-    with pytest.raises(ValueError):
-        reflect(sig, np.zeros(3, dtype=complex))
+    draws = np.stack([hris_estimate_H(sched, ch, rng) for _ in range(4000)])
+    expected = noise_var / (n_atoms * n_users * tx_power * (1.0 - rho))
+    np.testing.assert_allclose(np.mean(np.abs(draws) ** 2), expected, rtol=0.05)
 
 
 def test_reflect_scales_amplitudes():
-    cfg = uniform_config(4, rho=0.25, combiner=_identity_like_combiner(4),
-                         reflect_phase=math.pi / 2.0)
-    sig = build_signals(cfg)
-    out = reflect(sig, np.ones(4, dtype=complex))
-    np.testing.assert_allclose(out, 0.5j * np.ones(4), atol=1e-15)
+    np.testing.assert_allclose(reflection_gain(np.full(4, 0.25), math.pi / 2.0),
+                               0.5j * np.ones(4), atol=1e-15)
 
 
 def test_dft_schedule_small_stacks_to_full_dft():
