@@ -3,14 +3,20 @@
 The surface first estimates the terminals-to-surface channel H from its own
 sensed observations, then the base station estimates the surface-to-base
 channel G from reflected pilots using the forwarded H estimate.  Both stages
-are plain least squares over a slotted schedule: within a slot the terminals
-repeat one orthogonal pilot block while the surface holds one combiner and
-one reflection pattern; both are switched between slots.  The same transmitted
+are least squares over a slotted schedule: within a slot the terminals repeat
+one orthogonal pilot block while the surface holds one combiner and one
+reflection pattern; both are switched between slots.  The same transmitted
 pilots therefore serve both estimation stages.
 
 A purely reflective surface (rho = 1 everywhere, no sensing) serves as the
 baseline: the base station then has to estimate every per-user cascaded
 matrix directly, which needs far more pilots.
+
+Every solve is closed form.  The regressors of the sensing stage and of the
+baseline depend only on the system shape, so their pseudoinverses and ranks
+are computed once per shape and cached; each estimate is then one product.
+The base-station stage solves its N x N normal equations by Cholesky, with
+the Gram matrix built from the Hadamard structure of its stacked regressors.
 """
 
 from __future__ import annotations
@@ -18,9 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import dft
+from scipy.linalg import dft, solve_triangular
 
 from .channels import ChannelSet, LinkGeometry, cascaded_per_user, draw_channels
 from .errors import EstimationInfeasibleError, IdentifiabilityError
@@ -62,6 +69,67 @@ class PilotSchedule:
         return self.n_slots * self.n_users
 
 
+class _Pinv(NamedTuple):
+    """Pseudoinverse and numerical rank of a fixed regressor.
+
+    ``source`` is the array it was computed from; a cached entry serves a
+    caller only when the caller holds that very object, never an equal copy.
+    """
+
+    source: np.ndarray
+    pinv: np.ndarray
+    rank: int
+
+
+def _pinv_of(source: np.ndarray, matrix: np.ndarray) -> _Pinv:
+    """Rank as lstsq's default rcond counts it (max(M, N) * eps of the largest singular value).
+
+    The pseudoinverse is read-only: cached entries are shared by every caller.
+    """
+    pinv = np.linalg.pinv(matrix)
+    pinv.setflags(write=False)
+    return _Pinv(source, pinv, int(np.linalg.matrix_rank(matrix)))
+
+
+@lru_cache(maxsize=16)
+def _dft_sensing(n_atoms: int, n_rf_chains: int, n_slots: int) -> _Pinv:
+    """The cycled-DFT combiners of one schedule shape with their stacked pseudoinverse."""
+    combiners = combiner_schedule(n_atoms, n_rf_chains, n_slots)
+    combiners.setflags(write=False)
+    return _pinv_of(combiners, combiners.reshape(n_slots * n_rf_chains, n_atoms))
+
+
+def _sensing_pinv(combiners: np.ndarray) -> _Pinv:
+    """Stacked-combiner pseudoinverse: cached for built schedules, fresh for any other."""
+    n_slots, n_rf, n_atoms = combiners.shape
+    cached = _dft_sensing(n_atoms, n_rf, n_slots)
+    if cached.source is combiners:
+        return cached
+    return _pinv_of(combiners, combiners.reshape(n_slots * n_rf, n_atoms))
+
+
+@lru_cache(maxsize=4)
+def _baseline_pinv(n_atoms: int, n_slots: int) -> _Pinv:
+    """The baseline's cycled DFT reflection patterns (slots, N) with their pseudoinverse."""
+    patterns = dft(n_atoms)[np.mod(np.arange(n_slots), n_atoms), :]
+    patterns.setflags(write=False)
+    return _pinv_of(patterns, patterns)
+
+
+def _cholesky(gram: np.ndarray):
+    """Lower Cholesky factor and squared pivot ratio (min diag / max diag)^2.
+
+    A factorisation that fails (the Gram is not numerically positive
+    definite) gives ``(None, 0.0)``.
+    """
+    try:
+        lower = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return None, 0.0
+    pivots = np.diag(lower).real
+    return lower, float(pivots.min() / pivots.max()) ** 2
+
+
 def nmse(estimate: np.ndarray, truth: np.ndarray) -> float:
     """Squared Frobenius error over squared Frobenius norm of the truth."""
     err = np.linalg.norm(estimate - truth) ** 2
@@ -92,7 +160,7 @@ def build_pilot_schedule(n_atoms: int, n_users: int, n_rf_chains: int,
     dft_phase = -2.0 * np.pi * np.arange(n_atoms) / n_atoms
     arrays = dict(
         pilots=dft(n_users),
-        combiners=combiner_schedule(n_atoms, n_rf_chains, n_slots),
+        combiners=_dft_sensing(n_atoms, n_rf_chains, n_slots).source,
         rho=np.full((n_slots, n_atoms), float(rho)),
         reflect_phase=base + (np.arange(n_slots) % n_atoms)[:, None] * dft_phase,
         sense_phase=np.full((n_slots, n_atoms), float(sense_phase)))
@@ -112,8 +180,11 @@ def hris_estimate_H(sched: PilotSchedule, ch: ChannelSet, rng: np.random.Generat
 
     Simulates the sensed observations Y_t = Q_t S H X + N_t of all slots in
     one stacked product, decorrelates the pilot blocks and solves the stacked
-    least squares for S H, then divides out the sensing diagonal S, which
-    every slot must share.
+    least squares for S H as pinv(Q) times the stacked observations, then
+    divides out the sensing diagonal S, which every slot must share.  The
+    pseudoinverse and rank of the stacked combiner Q are cached per schedule
+    shape for built schedules; a schedule whose combiners were swapped for
+    other arrays gets its own, computed on the call.
 
     Raises ValueError when rho or the sense phase changes from slot to slot,
     IdentifiabilityError when the stacked combiner does not reach rank
@@ -134,14 +205,13 @@ def hris_estimate_H(sched: PilotSchedule, ch: ChannelSet, rng: np.random.Generat
     if ch.noise_var_hris > 0.0:
         blocks = blocks + complex_normal_stack(rng, blocks.shape, var=ch.noise_var_hris)
     stacked_y = _decorrelate(blocks, sched.pilots, amp).reshape(n_slots * n_rf, -1)
-    stacked_q = sched.combiners.reshape(n_slots * n_rf, n_atoms)
-    sh_hat, _, rank, _ = np.linalg.lstsq(stacked_q, stacked_y, rcond=None)
-    if rank < n_atoms:
+    solver = _sensing_pinv(sched.combiners)
+    if solver.rank < n_atoms:
         raise IdentifiabilityError(
-            f"stacked combiner rank {rank} < {n_atoms} atoms over {n_slots} "
+            f"stacked combiner rank {solver.rank} < {n_atoms} atoms over {n_slots} "
             f"slots; the sensed system needs ceil(n_atoms / n_rf_chains) slots "
             f"(n_atoms * n_users / n_rf_chains pilot symbols)")
-    return sh_hat / sensed_diag[:, None]
+    return (solver.pinv @ stacked_y) / sensed_diag[:, None]
 
 
 def bs_estimate_G(sched: PilotSchedule, ch: ChannelSet, h_hat: np.ndarray,
@@ -151,7 +221,14 @@ def bs_estimate_G(sched: PilotSchedule, ch: ChannelSet, h_hat: np.ndarray,
     The base station observes Y_t = G R_t H X + N_t with R_t the slot's
     reflection diagonal.  Using the forwarded estimate of H it forms the
     known regressors Z_t = R_t H_hat X and solves min_G sum_t
-    ||Y_t - G Z_t||_F^2 in one stacked least squares.
+    ||Y_t - G Z_t||_F^2 through the N x N normal equations.  Their Gram
+    matrix factors as (conj(W) W^T) * (R^H R), the element-wise product of the
+    pilot-domain Gram of W = H_hat X and the slot-domain Gram of the (slots,
+    N) reflection gains R; Cholesky and two triangular solves finish it.
+
+    Raises IdentifiabilityError when the factorisation fails or its pivots
+    say the stacked regressors do not reach rank n_atoms (too few slots, a
+    pattern repeated in every slot, or rho = 0).
     """
     n_slots, _, n_atoms = sched.combiners.shape
     pilot_block = math.sqrt(ch.tx_power) * sched.pilots
@@ -160,17 +237,25 @@ def bs_estimate_G(sched: PilotSchedule, ch: ChannelSet, h_hat: np.ndarray,
     blocks = (ch.G * refl[:, None, :]) @ (ch.H @ pilot_block)
     if ch.noise_var_bs > 0.0:
         blocks = blocks + complex_normal_stack(rng, blocks.shape, var=ch.noise_var_bs)
-    regressors = refl[:, :, None] * (h_hat @ pilot_block)
+    w = h_hat @ pilot_block
+    regressors = refl[:, :, None] * w
     # Row t*K + k of each stacked matrix holds slot t, pilot column k.
     stacked_z = regressors.transpose(0, 2, 1).reshape(-1, n_atoms)
     stacked_y = blocks.transpose(0, 2, 1).reshape(stacked_z.shape[0], -1)
-    gt_hat, _, rank, _ = np.linalg.lstsq(stacked_z, stacked_y, rcond=None)
-    if rank < n_atoms:
+    lower, ratio = _cholesky((np.conj(w) @ w.T) * (np.conj(refl).T @ refl))
+    # lstsq's default rcond drops singular values below max(M, N) * eps of the
+    # largest.  The Gram holds squared singular values, so the same rcond
+    # bounds its squared pivot ratio; rounding while forming the Gram is of
+    # that order, so a rank-deficient system cannot pass unnoticed.
+    floor = max(stacked_z.shape) * np.finfo(float).eps
+    if not ratio >= floor:
         raise IdentifiabilityError(
-            f"stacked reflection regressors rank {rank} < {n_atoms} atoms over "
-            f"{n_slots} slots; G is not identifiable (need n_slots * n_users "
+            f"stacked reflection regressors rank {np.linalg.matrix_rank(stacked_z)} of "
+            f"{n_atoms} atoms over {n_slots} slots, squared Gram pivot ratio "
+            f"{ratio:.1e} < {floor:.1e}; G is not identifiable (need n_slots * n_users "
             f">= n_atoms and a non-degenerate reflection pattern, rho > 0)")
-    return gt_hat.T
+    half = solve_triangular(lower, np.conj(stacked_z).T @ stacked_y, lower=True)
+    return solve_triangular(lower, half, lower=True, trans="C").T
 
 
 def run_two_sided(sched: PilotSchedule, ch: ChannelSet,
@@ -206,7 +291,9 @@ def cascaded_ls_baseline(ch: ChannelSet, pilot_count: int, rng: np.random.Genera
     the base station solves A_k Phi = observations for each user's (M,
     n_atoms) cascade matrix.  Each slot contributes one pattern, so
     identifiability needs at least n_atoms slots, i.e. n_atoms * n_users
-    pilot symbols.  Returns the list of per-user estimates.
+    pilot symbols.  The pattern matrix depends only on (n_atoms, n_slots),
+    so its pseudoinverse is cached and one product solves every user.
+    Returns the list of per-user estimates.
     """
     n_atoms, n_users = ch.H.shape
     n_slots = pilot_count // n_users
@@ -219,20 +306,17 @@ def cascaded_ls_baseline(ch: ChannelSet, pilot_count: int, rng: np.random.Genera
             f"({n_atoms * n_users} pilot symbols)")
     amp = math.sqrt(ch.tx_power)
     pilots = dft(n_users)
-    patterns = dft(n_atoms)[np.mod(np.arange(n_slots), n_atoms), :]  # (slots, N)
+    solver = _baseline_pinv(n_atoms, n_slots)
+    if solver.rank < n_atoms:
+        raise IdentifiabilityError(f"reflection pattern matrix rank {solver.rank} < {n_atoms}")
+    patterns = solver.source  # (slots, N)
 
     blocks = (ch.G * patterns[:, None, :]) @ (ch.H @ (amp * pilots))
     if ch.noise_var_bs > 0.0:
         blocks = blocks + complex_normal_stack(rng, blocks.shape, var=ch.noise_var_bs)
     stacked = _decorrelate(blocks, pilots, amp)  # stacked[:, :, k] = patterns @ A_k^T
-    estimates = []
-    for k in range(n_users):
-        a_t, _, rank, _ = np.linalg.lstsq(patterns, stacked[:, :, k], rcond=None)
-        if rank < n_atoms:
-            raise IdentifiabilityError(
-                f"reflection pattern matrix rank {rank} < {n_atoms}")
-        estimates.append(a_t.T)
-    return estimates
+    a_t = (solver.pinv @ stacked.reshape(n_slots, -1)).reshape(n_atoms, -1, n_users)
+    return [a_t[:, :, k].T for k in range(n_users)]
 
 
 # ---------------------------------------------------------------------------
@@ -282,16 +366,20 @@ def _tradeoff_trial(trial: int, *, seed: int, rhos: tuple, n_draws: int, snr_db:
         pathloss_model=dims.pathloss_model)
     nmse_h = np.empty((len(rhos), n_draws))
     nmse_g = np.empty_like(nmse_h)
-    for j in range(n_draws):
-        for i, rho in enumerate(rhos):
-            sched = _cached_schedule(seed, j, rho, dims.n_atoms, dims.n_users,
-                                     dims.n_rf_chains, dims.pilot_count)
-            # Noise substreams are re-derived per cell: every (rho, draw) cell
-            # of one trial sees identical noise, so curves are paired.
-            h_hat, g_hat = run_two_sided(
-                sched, ch, substream(seed, "chest_tradeoff", trial, TAG_NOISE_HRIS),
-                substream(seed, "chest_tradeoff", trial, TAG_NOISE_BS))
-            nmse_h[i, j] = nmse(h_hat, ch.H)
+    for i, rho in enumerate(rhos):
+        # Noise substreams are re-derived per cell: every (rho, draw) cell of
+        # one trial sees identical noise, so curves are paired.  The H stage
+        # never reads the reflection phases, the only thing the draws change,
+        # so one H estimate per rho serves every draw.
+        schedules = [_cached_schedule(seed, j, rho, dims.n_atoms, dims.n_users,
+                                      dims.n_rf_chains, dims.pilot_count)
+                     for j in range(n_draws)]
+        h_hat = hris_estimate_H(schedules[0], ch,
+                                substream(seed, "chest_tradeoff", trial, TAG_NOISE_HRIS))
+        nmse_h[i, :] = nmse(h_hat, ch.H)
+        for j, sched in enumerate(schedules):
+            g_hat = bs_estimate_G(sched, ch, h_hat,
+                                  substream(seed, "chest_tradeoff", trial, TAG_NOISE_BS))
             nmse_g[i, j] = nmse(g_hat, ch.G)
     return nmse_h, nmse_g
 

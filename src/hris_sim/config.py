@@ -154,6 +154,18 @@ def _get_number_list(node: dict, key: str, path: str, default=_MISSING,
     return tuple(out)
 
 
+def _check_rf_chains(n_rf: int, full: str, channel: dict) -> int:
+    """Reject a receive-chain count outside [1, channel.n_atoms].
+
+    That is the range ``hris.combiner_schedule`` builds combiners for; a run
+    outside it would fail in its first trial instead.
+    """
+    if not 1 <= n_rf <= channel["n_atoms"]:
+        raise ConfigError(f"'{full}' must lie in [1, channel.n_atoms = "
+                          f"{channel['n_atoms']}], got {n_rf}")
+    return n_rf
+
+
 # --- section parsers --------------------------------------------------------
 
 
@@ -249,8 +261,9 @@ def _parse_tradeoff(node, channel: dict, path="tradeoff"):
         n_phase_draws=_get(node, "n_phase_draws", int, path, 3),
         snr_db=_get(node, "snr_db", float, path, 30.0),
     )
-    return (params, _get(node, "n_rf_chains", int, path, 8),
-            _get(node, "pilot_count", int, path, 70))
+    n_rf_chains = _check_rf_chains(_get(node, "n_rf_chains", int, path, 8),
+                                   f"{path}.n_rf_chains", channel)
+    return params, n_rf_chains, _get(node, "pilot_count", int, path, 70)
 
 
 def _parse_rf_sweep(node, channel: dict, path="rf_sweep"):
@@ -263,9 +276,12 @@ def _parse_rf_sweep(node, channel: dict, path="rf_sweep"):
     n_slots = _get(node, "n_slots", int, path, None)
     if n_slots is not None and n_slots < 1:
         raise ConfigError(f"'{path}.n_slots' must be a positive count")
+    n_rf_grid = _get_number_list(node, "n_rf_grid", path, default=(1, 2, 4, 8),
+                                 integer=True)
+    for i, n_rf in enumerate(n_rf_grid):
+        _check_rf_chains(n_rf, f"{path}.n_rf_grid[{i}]", channel)
     params = RfSweepParams(
-        n_rf_grid=_get_number_list(node, "n_rf_grid", path, default=(1, 2, 4, 8),
-                                   integer=True),
+        n_rf_grid=n_rf_grid,
         snr_db_list=_get_number_list(node, "snr_db_list", path, default=(0.0, 10.0)),
         rho=rho,
         n_slots=n_slots,

@@ -11,7 +11,7 @@ import functools
 import math
 
 import numpy as np
-from scipy.linalg import dft
+from scipy.linalg import dft, solve_triangular
 
 
 def element_positions_loops(n_h, n_v, spacing_m):
@@ -213,7 +213,9 @@ def baseline_two_unknowns(patterns, observations):
 
 # ---------------------------------------------------------------------------
 # Per-slot channel-estimation references: one product, one noise draw and one
-# decorrelation per slot, then the same stacked least squares as the package.
+# decorrelation per slot, then each stage solved twice: by lstsq, and by the
+# closed form the package uses (an explicit pinv, or Cholesky on the Hadamard
+# Gram), written out from scratch so the package must match it bit for bit.
 
 
 def _complex_normal_by_hand(rng, shape, var):
@@ -221,8 +223,8 @@ def _complex_normal_by_hand(rng, shape, var):
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def estimate_h_per_slot(sched, ch, rng):
-    """Sensed-stage H estimate over the schedule arrays, slot by slot."""
+def _sensed_per_slot(sched, ch, rng):
+    """Stacked decorrelated sensed blocks and the slot-0 sensing diagonal."""
     amp = math.sqrt(ch.tx_power)
     incident = ch.H @ (amp * sched.pilots)
     decorr = []
@@ -232,28 +234,60 @@ def estimate_h_per_slot(sched, ch, rng):
         if ch.noise_var_hris > 0.0:
             block = block + _complex_normal_by_hand(rng, block.shape, ch.noise_var_hris)
         decorr.append(block @ np.conj(sched.pilots.T) / (sched.pilots.shape[0] * amp))
-    sh_hat = np.linalg.lstsq(np.vstack(list(sched.combiners)), np.vstack(decorr),
-                             rcond=None)[0]
-    return sh_hat / (np.sqrt(1.0 - sched.rho[0]) * np.exp(1j * sched.sense_phase[0]))[:, None]
+    return np.vstack(decorr), np.sqrt(1.0 - sched.rho[0]) * np.exp(1j * sched.sense_phase[0])
 
 
-def estimate_g_per_slot(sched, ch, h_hat, rng):
-    """Reflected-stage G estimate over the schedule arrays, slot by slot."""
+def estimate_h_per_slot(sched, ch, rng):
+    """Sensed-stage H estimate over the schedule arrays, slot by slot, by lstsq."""
+    stacked_y, sensed = _sensed_per_slot(sched, ch, rng)
+    sh_hat = np.linalg.lstsq(np.vstack(list(sched.combiners)), stacked_y, rcond=None)[0]
+    return sh_hat / sensed[:, None]
+
+
+def estimate_h_per_slot_pinv(sched, ch, rng):
+    """Sensed-stage H estimate, slot by slot, by pinv of the stacked combiner."""
+    stacked_y, sensed = _sensed_per_slot(sched, ch, rng)
+    return (np.linalg.pinv(np.vstack(list(sched.combiners))) @ stacked_y) / sensed[:, None]
+
+
+def _reflected_per_slot(sched, ch, h_hat, rng):
+    """Reflection gains (slots, N), observed blocks and regressors R_t H_hat X per slot."""
     pilot_block = math.sqrt(ch.tx_power) * sched.pilots
-    blocks, regressors = [], []
+    refl, blocks, regressors = [], [], []
     for t in range(sched.combiners.shape[0]):
-        refl = np.sqrt(sched.rho[t]) * np.exp(1j * sched.reflect_phase[t])
-        block = (ch.G * refl) @ (ch.H @ pilot_block)
+        refl.append(np.sqrt(sched.rho[t]) * np.exp(1j * sched.reflect_phase[t]))
+        block = (ch.G * refl[t]) @ (ch.H @ pilot_block)
         if ch.noise_var_bs > 0.0:
             block = block + _complex_normal_by_hand(rng, block.shape, ch.noise_var_bs)
         blocks.append(block)
-        regressors.append(refl[:, None] * (h_hat @ pilot_block))
+        regressors.append(refl[t][:, None] * (h_hat @ pilot_block))
+    return np.array(refl), blocks, regressors
+
+
+def estimate_g_per_slot(sched, ch, h_hat, rng):
+    """Reflected-stage G estimate over the schedule arrays, slot by slot, by lstsq."""
+    _, blocks, regressors = _reflected_per_slot(sched, ch, h_hat, rng)
     gt_hat = np.linalg.lstsq(np.hstack(regressors).T, np.hstack(blocks).T, rcond=None)[0]
     return gt_hat.T
 
 
-def baseline_per_slot(ch, pilot_count, rng):
-    """Reflective-baseline per-user cascade estimates, slot by slot."""
+def estimate_g_per_slot_cholesky(sched, ch, h_hat, rng):
+    """Reflected-stage G estimate, slot by slot, by Cholesky on the normal equations.
+
+    The Gram of the stacked regressors Z (rows R_t[n] W[n, k]) is
+    (conj(W) W^T) * (R^H R) with W = H_hat X and R the (slots, N) reflection
+    gains; the right-hand side is Z^H Y.
+    """
+    refl, blocks, regressors = _reflected_per_slot(sched, ch, h_hat, rng)
+    w = h_hat @ (math.sqrt(ch.tx_power) * sched.pilots)
+    z = np.hstack(regressors).T
+    lower = np.linalg.cholesky((np.conj(w) @ w.T) * (np.conj(refl).T @ refl))
+    half = solve_triangular(lower, np.conj(z).T @ np.hstack(blocks).T, lower=True)
+    return solve_triangular(lower, half, lower=True, trans="C").T
+
+
+def _baseline_per_slot(ch, pilot_count, rng):
+    """Reflective-baseline patterns (slots, N) and decorrelated blocks (slots, M, K)."""
     n_atoms, n_users = ch.H.shape
     n_slots = pilot_count // n_users
     amp = math.sqrt(ch.tx_power)
@@ -265,6 +299,18 @@ def baseline_per_slot(ch, pilot_count, rng):
         if ch.noise_var_bs > 0.0:
             block = block + _complex_normal_by_hand(rng, block.shape, ch.noise_var_bs)
         decorr.append(block @ np.conj(pilots.T) / (n_users * amp))
-    stacked = np.stack(decorr)
+    return patterns, np.stack(decorr)
+
+
+def baseline_per_slot(ch, pilot_count, rng):
+    """Reflective-baseline per-user cascade estimates, slot by slot, by lstsq."""
+    patterns, stacked = _baseline_per_slot(ch, pilot_count, rng)
     return [np.linalg.lstsq(patterns, stacked[:, :, k], rcond=None)[0].T
-            for k in range(n_users)]
+            for k in range(stacked.shape[2])]
+
+
+def baseline_per_slot_pinv(ch, pilot_count, rng):
+    """Reflective-baseline per-user cascade estimates, slot by slot, by pinv(patterns)."""
+    patterns, stacked = _baseline_per_slot(ch, pilot_count, rng)
+    inverse = np.linalg.pinv(patterns)
+    return [(inverse @ stacked[:, :, k]).T for k in range(stacked.shape[2])]

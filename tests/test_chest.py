@@ -15,10 +15,21 @@ from hris_sim.chest import (ChestDims, _cached_schedule, _sweep_schedule, _sweep
                             cascaded_ls_baseline, cascaded_nmse, hris_estimate_H, nmse,
                             rf_chain_sweep, run_two_sided, tradeoff_experiment)
 from hris_sim.errors import EstimationInfeasibleError, IdentifiabilityError
+from hris_sim.hris import combiner_schedule
 from hris_sim.rng import (TAG_CHANNEL, TAG_NOISE_BASELINE, TAG_NOISE_BS, TAG_NOISE_HRIS,
                           substream)
 
 import oracles
+
+# The package solves in closed form (pinv, Cholesky); the per-slot lstsq
+# oracles solve the same systems by SVD.  Estimates may differ by this much
+# in relative Frobenius norm (worst case measured on these shapes: 2.4e-14),
+# and the trial NMSEs derived from them element-wise (worst case: 3.8e-13).
+LSTSQ_RTOL = 1e-12
+
+
+def _assert_near_lstsq(estimate, reference):
+    assert np.linalg.norm(estimate - reference) <= LSTSQ_RTOL * np.linalg.norm(reference)
 
 
 def _channels(n_atoms, n_users, n_bs, seed=0, **kw):
@@ -55,7 +66,7 @@ def test_schedule_bookkeeping():
 
 
 def test_sensed_stage_matches_pinv_oracle():
-    """Package lstsq pipeline vs an explicit pseudoinverse on hand-built data."""
+    """Package cached-pinv pipeline vs an explicit pseudoinverse on hand-built data."""
     rho, sense_phase = 0.3, 0.7
     sched = build_pilot_schedule(4, 1, 2, 2, rho, sense_phase=sense_phase)
     rng = np.random.default_rng(7)
@@ -94,7 +105,7 @@ def test_per_slot_sensing_diagonal_rejected():
 
 
 def test_bs_stage_matches_normal_equations_oracle():
-    """Package stacked lstsq vs explicit normal equations for the G stage."""
+    """Package Hadamard-Gram Cholesky vs explicit per-slot normal equations for the G stage."""
     sched = build_pilot_schedule(2, 1, 2, 2, 0.5)
     rng = np.random.default_rng(11)
     H = rng.normal(size=(2, 1)) + 1j * rng.normal(size=(2, 1))
@@ -126,14 +137,20 @@ def test_two_sided_noise_free_exact():
 
 
 def _assert_stages_match_per_slot_oracle(sched, ch, trial):
-    """Batched H and G stages equal the per-slot loops bit for bit, noise on."""
+    """Batched H and G stages, noise on, against the per-slot loops.
+
+    Equal bit for bit to the closed-form loops, within LSTSQ_RTOL of the lstsq ones.
+    """
     def rng(tag):
         return substream(7, "unit_test", trial, tag)
 
     h_hat = hris_estimate_H(sched, ch, rng(TAG_NOISE_HRIS))
-    assert np.array_equal(h_hat, oracles.estimate_h_per_slot(sched, ch, rng(TAG_NOISE_HRIS)))
+    assert np.array_equal(h_hat, oracles.estimate_h_per_slot_pinv(sched, ch, rng(TAG_NOISE_HRIS)))
+    _assert_near_lstsq(h_hat, oracles.estimate_h_per_slot(sched, ch, rng(TAG_NOISE_HRIS)))
     g_hat = bs_estimate_G(sched, ch, h_hat, rng(TAG_NOISE_BS))
-    assert np.array_equal(g_hat, oracles.estimate_g_per_slot(sched, ch, h_hat, rng(TAG_NOISE_BS)))
+    assert np.array_equal(
+        g_hat, oracles.estimate_g_per_slot_cholesky(sched, ch, h_hat, rng(TAG_NOISE_BS)))
+    _assert_near_lstsq(g_hat, oracles.estimate_g_per_slot(sched, ch, h_hat, rng(TAG_NOISE_BS)))
 
 
 def test_stages_bit_exact_to_per_slot_oracle_fig5_shape():
@@ -151,11 +168,15 @@ def test_stages_and_baseline_bit_exact_to_per_slot_oracle_fig6_shape():
         sched = build_pilot_schedule(64, 8, n_rf, 512, 0.5)
         assert sched.n_slots == 64
         _assert_stages_match_per_slot_oracle(sched, ch, n_rf)
-    estimates = cascaded_ls_baseline(ch, 512, substream(7, "unit_test", 0, TAG_NOISE_BASELINE))
-    reference = oracles.baseline_per_slot(ch, 512,
-                                          substream(7, "unit_test", 0, TAG_NOISE_BASELINE))
+    def rng():
+        return substream(7, "unit_test", 0, TAG_NOISE_BASELINE)
+
+    estimates = cascaded_ls_baseline(ch, 512, rng())
+    reference = oracles.baseline_per_slot_pinv(ch, 512, rng())
     assert len(estimates) == len(reference) == 8
     assert all(np.array_equal(a, b) for a, b in zip(estimates, reference))
+    for a, b in zip(estimates, oracles.baseline_per_slot(ch, 512, rng())):
+        _assert_near_lstsq(a, b)
 
 
 def test_cached_schedules_are_read_only():
@@ -174,57 +195,83 @@ def test_cached_schedules_are_read_only():
         assert not getattr(swept, name).flags.writeable
 
 
-def test_tradeoff_trial_bit_exact_to_per_slot_oracle():
-    """One fig5-shaped trial equals the per-slot oracles run cell by cell."""
-    seed, trial, rhos, n_draws, dims = 20260823, 3, (0.2, 0.7), 2, ChestDims()
-    nmse_h, nmse_g = _tradeoff_trial(trial, seed=seed, rhos=rhos, n_draws=n_draws,
-                                     snr_db=30.0, dims=dims)
+# Per-slot oracle pairs: the closed forms the package must match bit for bit,
+# and the lstsq solves it must match within LSTSQ_RTOL.
+CLOSED_FORM = (oracles.estimate_h_per_slot_pinv, oracles.estimate_g_per_slot_cholesky,
+               oracles.baseline_per_slot_pinv)
+LSTSQ = (oracles.estimate_h_per_slot, oracles.estimate_g_per_slot, oracles.baseline_per_slot)
+
+
+def _tradeoff_trial_by_oracle(seed, trial, rhos, n_draws, dims, solvers):
+    """One fig5-shaped trial from the per-slot oracles, every cell solved from scratch."""
+    estimate_h, estimate_g, _ = solvers
     ch = draw_channels(dims.geom, dims.n_atoms, dims.n_users, dims.n_bs_antennas,
                        substream(seed, "chest_tradeoff", trial, TAG_CHANNEL),
                        tx_power=1000.0, pathloss_model=dims.pathloss_model)
-    expected_h = np.empty((len(rhos), n_draws))
-    expected_g = np.empty_like(expected_h)
+    nmse_h = np.empty((len(rhos), n_draws))
+    nmse_g = np.empty_like(nmse_h)
     for i, rho in enumerate(rhos):
         for j in range(n_draws):
             sched = _cached_schedule(seed, j, rho, dims.n_atoms, dims.n_users,
                                      dims.n_rf_chains, dims.pilot_count)
-            h_hat = oracles.estimate_h_per_slot(
-                sched, ch, substream(seed, "chest_tradeoff", trial, TAG_NOISE_HRIS))
-            g_hat = oracles.estimate_g_per_slot(
-                sched, ch, h_hat, substream(seed, "chest_tradeoff", trial, TAG_NOISE_BS))
-            expected_h[i, j] = nmse(h_hat, ch.H)
-            expected_g[i, j] = nmse(g_hat, ch.G)
-    assert np.array_equal(nmse_h, expected_h)
-    assert np.array_equal(nmse_g, expected_g)
+            h_hat = estimate_h(sched, ch, substream(seed, "chest_tradeoff", trial,
+                                                    TAG_NOISE_HRIS))
+            g_hat = estimate_g(sched, ch, h_hat,
+                               substream(seed, "chest_tradeoff", trial, TAG_NOISE_BS))
+            nmse_h[i, j] = nmse(h_hat, ch.H)
+            nmse_g[i, j] = nmse(g_hat, ch.G)
+    return nmse_h, nmse_g
+
+
+def test_tradeoff_trial_bit_exact_to_per_slot_oracle():
+    """One fig5-shaped trial equals the per-slot oracles run cell by cell."""
+    seed, trial, rhos, n_draws, dims = 20260823, 3, (0.2, 0.7), 2, ChestDims()
+    got = _tradeoff_trial(trial, seed=seed, rhos=rhos, n_draws=n_draws, snr_db=30.0,
+                          dims=dims)
+    exact = _tradeoff_trial_by_oracle(seed, trial, rhos, n_draws, dims, CLOSED_FORM)
+    near = _tradeoff_trial_by_oracle(seed, trial, rhos, n_draws, dims, LSTSQ)
+    for value, expected, reference in zip(got, exact, near):
+        assert np.array_equal(value, expected)
+        np.testing.assert_allclose(value, reference, rtol=LSTSQ_RTOL, atol=0.0)
+
+
+def _sweep_trial_by_oracle(seed, trial, nr_grid, snrs_db, n_slots, dims, solvers):
+    """One fig6-shaped trial, baseline on, from the per-slot oracles cell by cell."""
+    estimate_h, estimate_g, baseline = solvers
+    ch0 = draw_channels(dims.geom, dims.n_atoms, dims.n_users, dims.n_bs_antennas,
+                        substream(seed, "rf_chain_sweep", trial, TAG_CHANNEL),
+                        pathloss_model=dims.pathloss_model)
+    casc = np.empty((len(nr_grid), len(snrs_db)))
+    base = np.empty(len(snrs_db))
+    for s, snr_db in enumerate(snrs_db):
+        ch = replace(ch0, tx_power=10.0 ** (snr_db / 10.0))
+        base[s] = cascaded_nmse(baseline(
+            ch, n_slots * dims.n_users,
+            substream(seed, "rf_chain_sweep", trial, TAG_NOISE_BASELINE)), ch)
+        for i, n_rf in enumerate(nr_grid):
+            sched = build_pilot_schedule(dims.n_atoms, dims.n_users, n_rf,
+                                         n_slots * dims.n_users, 0.5)
+            h_hat = estimate_h(sched, ch, substream(seed, "rf_chain_sweep", trial,
+                                                    TAG_NOISE_HRIS))
+            g_hat = estimate_g(sched, ch, h_hat,
+                               substream(seed, "rf_chain_sweep", trial, TAG_NOISE_BS))
+            casc[i, s] = cascaded_nmse(
+                [cascaded_per_user(h_hat, g_hat, k) for k in range(dims.n_users)], ch)
+    return casc, base
 
 
 def test_sweep_trial_bit_exact_to_per_slot_oracle():
     """One fig6-shaped trial, baseline on, equals the per-slot oracles cell by cell."""
     seed, trial, nr_grid, snrs_db, dims = 20260823, 2, (1, 8), (0.0, 10.0), ChestDims()
     n_slots = dims.n_atoms
-    casc, base = _sweep_trial(trial, seed=seed, nr_grid=nr_grid, snrs_db=snrs_db, rho=0.5,
-                              n_slots=n_slots, dims=dims, baseline=True)
-    ch0 = draw_channels(dims.geom, dims.n_atoms, dims.n_users, dims.n_bs_antennas,
-                        substream(seed, "rf_chain_sweep", trial, TAG_CHANNEL),
-                        pathloss_model=dims.pathloss_model)
-    expected_casc = np.empty((len(nr_grid), len(snrs_db)))
-    expected_base = np.empty(len(snrs_db))
-    for s, snr_db in enumerate(snrs_db):
-        ch = replace(ch0, tx_power=10.0 ** (snr_db / 10.0))
-        expected_base[s] = cascaded_nmse(oracles.baseline_per_slot(
-            ch, n_slots * dims.n_users,
-            substream(seed, "rf_chain_sweep", trial, TAG_NOISE_BASELINE)), ch)
-        for i, n_rf in enumerate(nr_grid):
-            sched = build_pilot_schedule(dims.n_atoms, dims.n_users, n_rf,
-                                         n_slots * dims.n_users, 0.5)
-            h_hat = oracles.estimate_h_per_slot(
-                sched, ch, substream(seed, "rf_chain_sweep", trial, TAG_NOISE_HRIS))
-            g_hat = oracles.estimate_g_per_slot(
-                sched, ch, h_hat, substream(seed, "rf_chain_sweep", trial, TAG_NOISE_BS))
-            expected_casc[i, s] = cascaded_nmse(
-                [cascaded_per_user(h_hat, g_hat, k) for k in range(dims.n_users)], ch)
-    assert np.array_equal(casc, expected_casc)
-    assert np.array_equal(base, expected_base)
+    got = _sweep_trial(trial, seed=seed, nr_grid=nr_grid, snrs_db=snrs_db, rho=0.5,
+                       n_slots=n_slots, dims=dims, baseline=True)
+    args = (seed, trial, nr_grid, snrs_db, n_slots, dims)
+    exact = _sweep_trial_by_oracle(*args, CLOSED_FORM)
+    near = _sweep_trial_by_oracle(*args, LSTSQ)
+    for value, expected, reference in zip(got, exact, near):
+        assert np.array_equal(value, expected)
+        np.testing.assert_allclose(value, reference, rtol=LSTSQ_RTOL, atol=0.0)
 
 
 def test_rho_one_leaves_sensing_infeasible():
@@ -242,11 +289,61 @@ def test_short_budget_sensing_rank_error():
 
 
 def test_zero_reflection_leaves_g_unidentifiable():
+    """rho = 0 zeroes the Gram matrix: the Cholesky factorisation fails loudly."""
     sched = build_pilot_schedule(8, 2, 2, 8, 0.0)
     ch = _channels(8, 2, 4, noise_var_hris=0.0, noise_var_bs=0.0)
     h_hat = hris_estimate_H(sched, ch, np.random.default_rng(0))
-    with pytest.raises(IdentifiabilityError, match="reflection regressors"):
+    with pytest.raises(IdentifiabilityError, match="reflection regressors rank 0 of 8"):
         bs_estimate_G(sched, ch, h_hat, np.random.default_rng(1))
+
+
+def test_repeated_reflection_pattern_leaves_g_unidentifiable():
+    """One pattern in every slot: the Gram has rank <= n_users < n_atoms."""
+    sched = build_pilot_schedule(64, 8, 8, 72, 0.5)
+    ch = _channels(64, 8, 16, noise_var_hris=0.0, noise_var_bs=0.0)
+    h_hat = hris_estimate_H(sched, ch, np.random.default_rng(0))
+    assert nmse(bs_estimate_G(sched, ch, h_hat, np.random.default_rng(1)), ch.G) < 1e-20
+    same = replace(sched, reflect_phase=np.broadcast_to(sched.reflect_phase[3], (9, 64)))
+    with pytest.raises(IdentifiabilityError, match="reflection regressors rank 8 of 64"):
+        bs_estimate_G(same, ch, h_hat, np.random.default_rng(1))
+
+
+def test_vanishing_atom_fails_the_gram_pivot_floor():
+    """Full rank for lstsq's rcond, yet a Gram pivot ratio below the floor: refused."""
+    sched = build_pilot_schedule(8, 2, 2, 8, 0.5)
+    ch = _channels(8, 2, 4, noise_var_hris=0.0, noise_var_bs=0.0)
+    h_hat = ch.H.copy()
+    h_hat[5] *= 1e-9  # squared pivot ratio ~1e-18 against a floor of 8 * eps
+    with pytest.raises(IdentifiabilityError, match=r"rank 8 of 8 .* ratio \S+ < 1\.8e-15"):
+        bs_estimate_G(sched, ch, h_hat, np.random.default_rng(1))
+    h_hat[5] *= 1e3  # ~1e-12: conditioned badly, but above the floor
+    # Noise free, G_hat R_t h_hat X reproduces every slot exactly when atom 5's
+    # column of G is scaled up by the factor its forwarded row was scaled down.
+    expected = ch.G.copy()
+    expected[:, 5] /= 1e-6
+    np.testing.assert_allclose(bs_estimate_G(sched, ch, h_hat, np.random.default_rng(1)),
+                               expected, rtol=1e-6)
+
+
+def test_replaced_combiners_never_reuse_a_cached_pseudoinverse():
+    """The H-stage cache serves only the combiner array it was built from, by identity."""
+    sched = build_pilot_schedule(16, 2, 4, 8, 0.5)
+    ch = _channels(16, 2, 4, noise_var_hris=0.0, noise_var_bs=0.0)
+    assert nmse(hris_estimate_H(sched, ch, np.random.default_rng(0)), ch.H) < 1e-20
+
+    # Same shape, other combiners: a stale pinv would return a wrong H.
+    other = combiner_schedule(16, 4, 4, kind="random_phase", seed=3)
+    h_hat = hris_estimate_H(replace(sched, combiners=other), ch, np.random.default_rng(0))
+    assert nmse(h_hat, ch.H) < 1e-18
+    # An equal copy gets its own pinv too, with the same bits.
+    copy = replace(sched, combiners=np.array(sched.combiners))
+    assert np.array_equal(hris_estimate_H(copy, ch, np.random.default_rng(0)),
+                          hris_estimate_H(sched, ch, np.random.default_rng(0)))
+    # Same shape, rank 8: the cached full-rank entry must not hide it.
+    short = np.concatenate([sched.combiners[:2]] * 2)
+    with pytest.raises(IdentifiabilityError, match="rank 8 < 16"):
+        hris_estimate_H(replace(sched, combiners=short), ch, np.random.default_rng(0))
+    assert nmse(hris_estimate_H(sched, ch, np.random.default_rng(0)), ch.H) < 1e-20
 
 
 def test_baseline_matches_two_unknown_oracle():

@@ -41,6 +41,20 @@ def test_config_problems_exit_two(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.yaml")]) == 2
 
 
+@pytest.mark.parametrize("section", [
+    "experiment: rf_chain_sweep\nrf_sweep: {n_rf_grid: [1, 9], snr_db_list: [0.0]}\n",
+    "experiment: chest_tradeoff\ntradeoff: {n_rf_chains: 0}\n"])
+def test_receive_chains_beyond_the_atoms_exit_two(tmp_path, capsys, section):
+    cfg = tmp_path / "chains.yaml"
+    cfg.write_text("version: 1\nn_trials: 1\n"
+                   "channel: {n_atoms: 8, n_users: 2, n_bs_antennas: 4}\n" + section,
+                   encoding="utf-8")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "must lie in [1, channel.n_atoms = 8]" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_infeasible_setup_exits_three(tmp_path, capsys):
     cfg = tmp_path / "infeasible.yaml"
     # Too few slots for the sensing stage to reach full rank.

@@ -107,6 +107,22 @@ def test_tradeoff_section_and_dims_wiring():
         parse_config_tree(tree)
 
 
+@pytest.mark.parametrize("n_rf", [0, -1, 17])
+def test_receive_chains_outside_one_to_n_atoms_rejected(n_rf):
+    """Chain counts are checked against channel.n_atoms with a dotted path."""
+    channel = {"n_atoms": 16, "n_users": 4, "n_bs_antennas": 8}
+    tree = {"version": 1, "experiment": "chest_tradeoff", "channel": channel,
+            "tradeoff": {"n_rf_chains": n_rf}}
+    with pytest.raises(ConfigError, match=rf"'tradeoff\.n_rf_chains' must lie in "
+                                          rf"\[1, channel\.n_atoms = 16\], got {n_rf}"):
+        parse_config_tree(tree)
+    tree = {"version": 1, "experiment": "rf_chain_sweep", "channel": channel,
+            "rf_sweep": {"n_rf_grid": [1, 16, n_rf]}}
+    with pytest.raises(ConfigError, match=rf"'rf_sweep\.n_rf_grid\[2\]' must lie in "
+                                          rf"\[1, channel\.n_atoms = 16\], got {n_rf}"):
+        parse_config_tree(tree)
+
+
 def test_rf_sweep_slot_count_wiring():
     tree = {"version": 1, "experiment": "rf_chain_sweep",
             "channel": {"n_atoms": 16, "n_users": 4, "n_bs_antennas": 8},
