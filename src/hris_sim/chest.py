@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -67,6 +67,17 @@ class PilotSchedule:
     def pilot_count(self) -> int:
         """Total pilot symbols spent: slots times block length."""
         return self.n_slots * self.n_users
+
+    @cached_property
+    def reflection_gains(self) -> np.ndarray:
+        """Read-only (n_slots, n_atoms) reflection gains sqrt(rho) * exp(j * reflect_phase).
+
+        Computed on first use and kept with the schedule; a variant made with
+        ``dataclasses.replace`` is a new object and computes its own.
+        """
+        gains = reflection_gain(self.rho, self.reflect_phase)
+        gains.setflags(write=False)
+        return gains
 
 
 class _Pinv(NamedTuple):
@@ -232,7 +243,7 @@ def bs_estimate_G(sched: PilotSchedule, ch: ChannelSet, h_hat: np.ndarray,
     """
     n_slots, _, n_atoms = sched.combiners.shape
     pilot_block = math.sqrt(ch.tx_power) * sched.pilots
-    refl = reflection_gain(sched.rho, sched.reflect_phase)  # (slots, N)
+    refl = sched.reflection_gains  # (slots, N)
 
     blocks = (ch.G * refl[:, None, :]) @ (ch.H @ pilot_block)
     if ch.noise_var_bs > 0.0:

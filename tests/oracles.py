@@ -130,16 +130,19 @@ def concentrated_criterion_scalar(theta, y, sc):
     """|b^H y|^2 / ||b||^2 at one elevation, b_t = sqrt(f) * q_t^H a(theta) * s_t.
 
     One steering vector, one gemv and one vdot per call, in the operation
-    order of the original per-cell estimator, so its values are bit-for-bit
-    those the package's batched criterion must reproduce at azimuth zero.
+    order of the package: the steering vector is the Kronecker product
+    a_y (x) a_x of the per-axis ramps exp(j k y u_y) and exp(j k x u_x) of the
+    z = 0 lattice.  So its values are bit-for-bit those the package's batched
+    criterion must reproduce, at any azimuth.
     """
     arr = sc.array
     k = 2.0 * math.pi / arr.wavelength_m
-    pos = _positions(arr.n_h, arr.n_v, arr.spacing_m)
+    kpos = k * _positions(arr.n_h, arr.n_v, arr.spacing_m)
     az = sc.true_direction.azimuth_rad
     se = np.sin(theta)
-    u = np.array([se * np.cos(az), se * np.sin(az), np.cos(theta)])
-    a = np.exp(1j * ((k * pos) @ u))
+    a_x = np.exp(1j * (kpos[:arr.n_h, 0] * (se * np.cos(az))))
+    a_y = np.exp(1j * (kpos[::arr.n_h, 1] * (se * np.sin(az))))
+    a = np.outer(a_y, a_x).ravel()
     b = math.sqrt(sc.sensed_fraction) * (np.conj(sc.combiner) @ a) * sc.pilot
     den = float(np.sum(np.abs(b) ** 2))
     if den <= 0.0:

@@ -279,7 +279,7 @@ def test_stacked_rows_match_oracle_at_random_azimuths(side):
     rng = np.random.default_rng(side)
     for azimuth in rng.uniform(0.0, 2.0 * math.pi, 2):
         est, expected = _stacked_rows(side, 6, float(azimuth), seed=side)
-        np.testing.assert_allclose(est, expected, rtol=0.0, atol=1e-8)
+        assert np.array_equal(est, expected)
 
 
 @pytest.mark.parametrize("edge", [0, -1])

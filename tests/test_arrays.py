@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hris_sim.aoa import AoaGrid
 from hris_sim.arrays import (Direction, PlanarArray, array_factor,
                              element_positions, plane_direction,
                              steered_weights, steering_elevation_gradient,
@@ -77,6 +78,33 @@ def test_steering_grid_matches_single_calls(arr):
     grid = steering_grid(arr, els)
     for j, el in enumerate(els):
         assert np.array_equal(grid[:, j], steering_vector(arr, Direction(el, 0.0)))
+
+
+@pytest.mark.parametrize("side", [4, 12, 20])
+def test_steering_grid_at_azimuth_zero_is_exponential_of_summed_phase(side):
+    """The Kronecker form equals exp(j k <p_n, u>) bit for bit in the azimuth-zero plane."""
+    arr = PlanarArray(side, side, 0.004, 0.0157)
+    el = AoaGrid().points
+    se = np.sin(el)
+    u = np.stack([se * np.cos(0.0), se * np.sin(0.0), np.cos(el)], axis=-1)
+    k = arr.wavenumber
+    expected = np.exp(1j * np.matmul(k * element_positions(arr), u[:, :, None])[..., 0])
+    assert np.array_equal(steering_grid(arr, el), expected.T)
+
+
+def test_steering_grid_evaluates_one_exponential_per_axis_entry(arr, monkeypatch):
+    """n_h + n_v complex exponentials per direction, not n_h * n_v."""
+    evaluated = []
+    exp = np.exp
+
+    def counting_exp(x, *args, **kwargs):
+        if np.iscomplexobj(x):
+            evaluated.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    steering_grid(arr, np.linspace(0.0, 1.0, 5), azimuth_rad=0.4)
+    assert sum(evaluated) == 5 * (arr.n_h + arr.n_v)
 
 
 def test_steering_grid_signed_angles_mirror_half_plane(arr):

@@ -15,7 +15,7 @@ from hris_sim.chest import (ChestDims, _cached_schedule, _sweep_schedule, _sweep
                             cascaded_ls_baseline, cascaded_nmse, hris_estimate_H, nmse,
                             rf_chain_sweep, run_two_sided, tradeoff_experiment)
 from hris_sim.errors import EstimationInfeasibleError, IdentifiabilityError
-from hris_sim.hris import combiner_schedule
+from hris_sim.hris import combiner_schedule, reflection_gain
 from hris_sim.rng import (TAG_CHANNEL, TAG_NOISE_BASELINE, TAG_NOISE_BS, TAG_NOISE_HRIS,
                           substream)
 
@@ -194,6 +194,21 @@ def test_cached_schedules_are_read_only():
     for name in ("pilots", "combiners", "rho", "reflect_phase", "sense_phase"):
         assert not getattr(swept, name).flags.writeable
 
+
+
+def test_reflection_gains_cached_per_schedule_and_fresh_after_replace():
+    """One gain computation per schedule; a replaced rho or phase gets its own gains."""
+    sched = build_pilot_schedule(8, 2, 2, 8, 0.5)
+    gains = sched.reflection_gains
+    assert sched.reflection_gains is gains
+    assert not gains.flags.writeable
+    assert np.array_equal(gains, reflection_gain(sched.rho, sched.reflect_phase))
+    for variant in (replace(sched, rho=np.full_like(sched.rho, 0.25)),
+                    replace(sched, reflect_phase=sched.reflect_phase + 0.5)):
+        assert np.array_equal(variant.reflection_gains,
+                              reflection_gain(variant.rho, variant.reflect_phase))
+        assert not np.array_equal(variant.reflection_gains, gains)
+    assert sched.reflection_gains is gains
 
 # Per-slot oracle pairs: the closed forms the package must match bit for bit,
 # and the lstsq solves it must match within LSTSQ_RTOL.
