@@ -41,7 +41,8 @@ for offset_deg in (2.0, 5.0, 10.0):
 # A full signed-angle cut through the steered pattern
 # ---------------------------------------------------------------------------
 steer_deg = -40.0  # negative angles live in the opposite half-plane
-rows = emit_beampattern(arr, steer_deg=steer_deg, n_points=721, span_deg=90.0)
+rows = emit_beampattern(arr, steer_deg=steer_deg, azimuth_deg=0.0, n_points=721,
+                        span_deg=90.0)
 angles = np.array([r["angle_deg"] for r in rows])
 gains = np.array([r["gain_db"] for r in rows])
 peak_angle = angles[int(np.argmax(gains))]

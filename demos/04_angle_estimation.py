@@ -56,7 +56,8 @@ sc.sensed_fraction = 0.4
 # ---------------------------------------------------------------------------
 rows = rmse_experiment(n_list=[144], sensed_fractions=[0.2, 0.8],
                        n_snapshots=64, snr_db_grid=[0.0, 10.0, 20.0],
-                       n_trials=40, seed=7)
+                       n_trials=40, seed=7, spacing_m=arr.spacing_m,
+                       wavelength_m=arr.wavelength_m, azimuth_rad=0.0)
 print("\n  N    fraction   snr    rmse        bound (rmse scale)")
 for r in rows:
     print(f"  {r['N']}  {r['sensed_fraction']:.1f}      {r['snr_db']:5.1f}  "

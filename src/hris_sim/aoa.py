@@ -354,9 +354,9 @@ def _sweep_trial(trial: int, *, seed: int, sides: tuple, fractions: tuple,
 
 
 def rmse_experiment(n_list, sensed_fractions, n_snapshots: int, snr_db_grid,
-                    n_trials: int, seed: int, workers: int = 1,
-                    spacing_m: float = 0.004, wavelength_m: float = 0.01570,
-                    azimuth_rad: float = 0.0, grid: AoaGrid | None = None) -> list[dict]:
+                    n_trials: int, seed: int, workers: int = 1, *,
+                    spacing_m: float, wavelength_m: float, azimuth_rad: float,
+                    grid: AoaGrid | None = None) -> list[dict]:
     """Monte Carlo RMSE versus the bound over (array size, sensed fraction, snr).
 
     Array sizes are given as total element counts of square lattices.  Truth

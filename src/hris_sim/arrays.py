@@ -182,8 +182,8 @@ def plane_direction(angle_rad: float, azimuth_rad: float = 0.0) -> Direction:
     return Direction(-angle_rad, azimuth_rad + np.pi)
 
 
-def emit_beampattern(array: PlanarArray, steer_deg: float, azimuth_deg: float = 0.0,
-                     n_points: int = 1441, span_deg: float = 90.0) -> list[dict]:
+def emit_beampattern(array: PlanarArray, steer_deg: float, azimuth_deg: float,
+                     n_points: int, span_deg: float) -> list[dict]:
     """Normalised power pattern of a steered phase profile along one plane cut.
 
     The cut runs over signed angles -span..span in the given azimuth plane

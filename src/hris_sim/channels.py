@@ -17,6 +17,7 @@ from .hris import reflection_gain
 from .rng import complex_normal
 
 SPEED_OF_LIGHT = 299792458.0
+PATHLOSS_MODELS = ("free_space", "none")
 
 # Binary matrix dump layout: eight little-endian uint64 header fields
 # (magic, version, rows, cols, dtype code, seed, stream id, crc32 of payload)
@@ -82,7 +83,7 @@ def draw_channels(geom: LinkGeometry, n_atoms: int, n_users: int, n_bs_antennas:
     link gains are unit variance, which is the normalised mode used when only
     estimator behaviour (not absolute levels) matters.
     """
-    if pathloss_model not in ("free_space", "none"):
+    if pathloss_model not in PATHLOSS_MODELS:
         raise ValueError(f"unknown pathloss model {pathloss_model!r}")
     # Uniform draw over the disc via sqrt-radius, surface at (0, R).
     radius = geom.cell_radius_m * np.sqrt(rng.uniform(size=n_users))

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import dft, solve_triangular
 
-from .channels import ChannelSet, LinkGeometry, cascaded_per_user, draw_channels
+from .channels import ChannelSet, LinkGeometry, draw_channels
 from .errors import EstimationInfeasibleError, IdentifiabilityError
 from .hris import combiner_schedule, reflection_gain, sensing_gain
 from .parallel import db, map_trials, sweep_rows, trial_means
@@ -279,20 +279,21 @@ def run_two_sided(sched: PilotSchedule, ch: ChannelSet,
     return h_hat, bs_estimate_G(sched, ch, h_hat, rng_bs)
 
 
-def _composed(h_hat: np.ndarray, g_hat: np.ndarray) -> list[np.ndarray]:
-    """Per-user cascades G_hat diag(h_hat_k) composed from the two stage estimates."""
-    return [cascaded_per_user(h_hat, g_hat, k) for k in range(h_hat.shape[1])]
+def _cascades(H: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Per-user cascades A_k = G diag(h_k) stacked into one (K, M, N) array.
+
+    The stack is C-ordered: ``np.linalg.norm`` sums in memory order, and a
+    stack built from a list of the K matrices is C-ordered too.
+    """
+    return np.multiply(G, H.T[:, None, :], order="C")
 
 
 def cascaded_nmse(estimates, ch: ChannelSet) -> float:
-    """NMSE over all users of per-user cascade estimates, A_k = G diag(h_k) for user k."""
-    err = 0.0
-    ref = 0.0
-    for k, est in enumerate(estimates):
-        truth = cascaded_per_user(ch.H, ch.G, k)
-        err += np.linalg.norm(est - truth) ** 2
-        ref += np.linalg.norm(truth) ** 2
-    return float(err / ref)
+    """NMSE over all users of per-user cascade estimates, A_k = G diag(h_k) for user k.
+
+    ``estimates`` is a (K, M, N) stack or a list of the K (M, N) matrices.
+    """
+    return nmse(np.asarray(estimates), _cascades(ch.H, ch.G))
 
 
 def cascaded_ls_baseline(ch: ChannelSet, pilot_count: int, rng: np.random.Generator):
@@ -396,7 +397,7 @@ def _tradeoff_trial(trial: int, *, seed: int, rhos: tuple, n_draws: int, snr_db:
 
 
 def tradeoff_experiment(rho_grid, n_phase_draws: int, n_trials: int, seed: int,
-                        workers: int = 1, snr_db: float = 30.0,
+                        workers: int = 1, *, snr_db: float,
                         dims: ChestDims | None = None) -> list[dict]:
     """Sweep the power split: estimation quality of both stages versus rho.
 
@@ -439,12 +440,12 @@ def _sweep_trial(trial: int, *, seed: int, nr_grid: tuple, snrs_db: tuple, rho: 
             h_hat, g_hat = run_two_sided(
                 sched, ch, substream(seed, "rf_chain_sweep", trial, TAG_NOISE_HRIS),
                 substream(seed, "rf_chain_sweep", trial, TAG_NOISE_BS))
-            casc[i, s] = cascaded_nmse(_composed(h_hat, g_hat), ch)
+            casc[i, s] = cascaded_nmse(_cascades(h_hat, g_hat), ch)
     return casc, base
 
 
-def rf_chain_sweep(nr_grid, snr_db_list, n_trials: int, seed: int,
-                   workers: int = 1, rho: float = 0.5,
+def rf_chain_sweep(n_rf_grid, snr_db_list, n_trials: int, seed: int,
+                   workers: int = 1, *, rho: float,
                    dims: ChestDims | None = None,
                    n_slots: int | None = None) -> list[dict]:
     """Cascaded estimation quality versus the number of surface receive chains.
@@ -461,7 +462,7 @@ def rf_chain_sweep(nr_grid, snr_db_list, n_trials: int, seed: int,
     n_slots = int(n_slots) if n_slots is not None else dims.n_atoms
     if n_slots < 1:
         raise ValueError("n_slots must be a positive count")
-    nr_grid = tuple(int(n) for n in nr_grid)
+    nr_grid = tuple(int(n) for n in n_rf_grid)
     snrs_db = tuple(float(s) for s in snr_db_list)
     _require_sensed_rank(n_slots, min(nr_grid), dims.n_atoms)
     baseline = n_slots >= dims.n_atoms

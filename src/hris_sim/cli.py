@@ -9,14 +9,21 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import (DEFAULT_SPACING_M, DEFAULT_WAVELENGTH_M, PRESETS,
-                     load_config, parse_config_tree, parse_workers, preset_config)
+from .config import (EXPERIMENTS, PRESETS, load_config, parse_config_tree,
+                     parse_workers, preset_config)
 from .errors import ConfigError, InfeasibleError
 from .runner import run
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
+
+# The beampattern flags are the keys of its config sections, with their types
+# and without defaults: a flag left out stays out of the config tree, and the
+# config schema fills in its default.
+_BEAM_SECTIONS = EXPERIMENTS["beampattern"].sections
+_BEAM_HELP = {"n_h": "elements along x (required)", "n_v": "elements along y (required)",
+              "steer_deg": "commanded signed elevation angle"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -43,15 +50,10 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_preset)
 
     p_beam = sub.add_parser("beampattern", help="emit a steered pattern cut")
-    p_beam.add_argument("--n-h", type=int, required=True, help="elements along x")
-    p_beam.add_argument("--n-v", type=int, required=True, help="elements along y")
-    p_beam.add_argument("--spacing-m", type=float, default=DEFAULT_SPACING_M)
-    p_beam.add_argument("--wavelength-m", type=float, default=DEFAULT_WAVELENGTH_M)
-    p_beam.add_argument("--steer-deg", type=float, default=0.0,
-                        help="commanded signed elevation angle")
-    p_beam.add_argument("--azimuth-deg", type=float, default=0.0)
-    p_beam.add_argument("--n-points", type=int, default=1441)
-    p_beam.add_argument("--span-deg", type=float, default=90.0)
+    for section in _BEAM_SECTIONS.values():
+        for key, spec in section.kind.items():
+            p_beam.add_argument("--" + key.replace("_", "-"), type=spec.kind,
+                                help=_BEAM_HELP.get(key))
     add_common(p_beam)
     return parser
 
@@ -64,17 +66,12 @@ def main(argv=None) -> int:
         elif args.command == "preset":
             cfg = preset_config(args.name)
         else:
-            tree = {
-                "version": 1,
-                "experiment": "beampattern",
-                "array": {"n_h": args.n_h, "n_v": args.n_v,
-                          "spacing_m": args.spacing_m,
-                          "wavelength_m": args.wavelength_m},
-                "beampattern": {"steer_deg": args.steer_deg,
-                                "azimuth_deg": args.azimuth_deg,
-                                "n_points": args.n_points,
-                                "span_deg": args.span_deg},
-            }
+            tree = {"version": 1, "experiment": "beampattern"}
+            for name, section in _BEAM_SECTIONS.items():
+                given = {key: getattr(args, key) for key in section.kind
+                         if getattr(args, key) is not None}
+                if given:
+                    tree[name] = given
             cfg = parse_config_tree(tree, source="command line")
         workers = None if args.workers is None else parse_workers(args.workers, "--workers")
         paths = run(cfg, out_dir=args.out, seed=args.seed, workers=workers)

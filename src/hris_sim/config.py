@@ -1,10 +1,14 @@
 """Run configuration: the experiment table, strict schema, presets, YAML loading.
 
-A configuration is a single key-value tree.  Parsing is strict: unknown keys
-are rejected with their full dotted path, types are checked, and the tree
-must carry the schema version it was written for.  ``EXPERIMENTS`` holds
-everything that differs between experiments, so nothing else in the package
-branches on an experiment's name.
+A configuration is a single key-value tree.  Every section has one schema
+table that maps each key to its type, its default and an optional range
+check, and one reader walks a tree against its table: unknown keys are
+rejected, types are checked and missing keys filled in, with every message
+giving the full dotted path.  The tree must carry the schema version it was
+written for.  Model defaults (surface size, link geometry, search grid) are
+read off their dataclasses; experiment defaults live in the tables alone.
+``EXPERIMENTS`` holds everything that differs between experiments, so
+nothing else in the package branches on an experiment's name.
 """
 
 from __future__ import annotations
@@ -13,22 +17,17 @@ import math
 import os
 from copy import deepcopy
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import yaml
 
 from .aoa import AoaGrid, rmse_experiment
 from .arrays import PlanarArray, emit_beampattern
-from .channels import LinkGeometry, pathloss
+from .channels import PATHLOSS_MODELS, LinkGeometry, pathloss
 from .chest import ChestDims, rf_chain_sweep, tradeoff_experiment
 from .errors import ConfigError
 
 CONFIG_VERSION = 1
-
-# Default carrier wavelength (metres) and lattice spacing of the bundled
-# presets; 15.70 mm corresponds to a 19 GHz carrier.
-DEFAULT_WAVELENGTH_M = 0.01570
-DEFAULT_SPACING_M = 0.004
 
 
 @dataclass(frozen=True)
@@ -85,76 +84,144 @@ class ExperimentConfig:
     raw: dict = field(default_factory=dict)
 
 
-# --- low-level checked accessors -------------------------------------------
+# --- the schema -------------------------------------------------------------
+
+_REQUIRED = object()
 
 
-def _check_mapping(node, path: str) -> dict:
+class _Field(NamedTuple):
+    """One key of a section: its type, its default and an optional check.
+
+    ``kind`` is int, float, bool or str; [int] or [float] for a non-empty list;
+    a table (dict of fields) for a nested section; or a function
+    ``(value, path) -> value``.  A missing key's ``default`` is converted and
+    checked like a given value; None means "not given".  ``check`` is
+    (predicate, phrase), applied to each entry of a list.
+    """
+
+    kind: object
+    default: object = _REQUIRED
+    check: tuple | None = None
+
+
+_NOUNS = {int: "an integer", float: "a number", bool: "a boolean", str: "a string"}
+_COUNT = (lambda n: n >= 1, "must be at least 1")
+_SPLIT = (lambda rho: 0.0 < rho < 1.0, "must lie strictly in (0, 1)")
+
+# Lattice of the bundled presets: 4 mm spacing at a 15.70 mm (19 GHz) wavelength.
+_LATTICE = {"spacing_m": _Field(float, 0.004), "wavelength_m": _Field(float, 0.01570)}
+
+_ARRAY = {"n_h": _Field(int), "n_v": _Field(int), **_LATTICE}
+
+_AOA = {
+    "n_list": _Field([int], check=(lambda n: n >= 1 and math.isqrt(n) ** 2 == n,
+                                   "must be positive perfect squares")),
+    "sensed_fractions": _Field([float], check=(lambda f: 0.0 < f <= 1.0,
+                                               "must lie in (0, 1]")),
+    "n_snapshots": _Field(int, 64, _COUNT),
+    "snr_db_grid": _Field([float], tuple(range(-10, 31, 5))),
+    **_LATTICE,
+    "azimuth_deg": _Field(float, 0.0),
+    "grid": _Field({
+        "lo_deg": _Field(float, math.degrees(AoaGrid.lo_rad)),
+        "hi_deg": _Field(float, math.degrees(AoaGrid.hi_rad)),
+        "n_points": _Field(int, AoaGrid.n_points),
+        "refine_iters": _Field(int, AoaGrid.refine_iters),
+    }, {}),
+}
+
+_CHANNEL = {
+    "cell_radius_m": _Field(float, LinkGeometry.cell_radius_m),
+    "hris_bs_distance_m": _Field(float, LinkGeometry.hris_bs_distance_m),
+    "carrier_hz": _Field(float, LinkGeometry.carrier_hz),
+    "pathloss": _Field(str, ChestDims.pathloss_model, (
+        lambda model: model in PATHLOSS_MODELS,
+        f"must be one of {', '.join(PATHLOSS_MODELS)}")),
+    "n_atoms": _Field(int, ChestDims.n_atoms, _COUNT),
+    "n_users": _Field(int, ChestDims.n_users, _COUNT),
+    "n_bs_antennas": _Field(int, ChestDims.n_bs_antennas, _COUNT),
+}
+
+# Receive-chain counts are checked against channel.n_atoms by the parsers.
+_TRADEOFF = {
+    "rho_grid": _Field([float], tuple(round(0.1 * i, 1) for i in range(1, 10)), _SPLIT),
+    "n_phase_draws": _Field(int, 3, _COUNT),
+    "snr_db": _Field(float, 30.0),
+    "n_rf_chains": _Field(int, ChestDims.n_rf_chains),
+    "pilot_count": _Field(int, ChestDims.pilot_count, _COUNT),
+}
+
+_RF_SWEEP = {
+    "n_rf_grid": _Field([int], (1, 2, 4, 8)),
+    "snr_db_list": _Field([float], (0.0, 10.0)),
+    "rho": _Field(float, 0.5, _SPLIT),
+    "n_slots": _Field(int, None, _COUNT),  # not given: one slot per atom
+}
+
+_BEAM = {
+    "steer_deg": _Field(float, 0.0, (lambda deg: abs(deg) < 90.0, "must lie in (-90, 90)")),
+    "azimuth_deg": _Field(float, 0.0),
+    "n_points": _Field(int, 1441, (lambda n: n >= 2, "must be at least 2")),
+    "span_deg": _Field(float, 90.0, (lambda deg: 0.0 < deg <= 90.0, "must lie in (0, 90]")),
+}
+
+
+def _convert(kind, value, full: str):
+    if isinstance(kind, dict):
+        return _read(value, kind, full)
+    if isinstance(kind, list):
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ConfigError(f"'{full}' must be a non-empty list of numbers, got {value!r}")
+        return tuple(_convert(kind[0], entry, f"{full}[{i}]") for i, entry in enumerate(value))
+    if kind not in _NOUNS:
+        return kind(value, full)
+    # A boolean is neither a number nor a string; an integer is also a number.
+    if (isinstance(value, bool) != (kind is bool)
+            or not isinstance(value, (int, float) if kind is float else kind)):
+        raise ConfigError(f"'{full}' must be {_NOUNS[kind]}, got {value!r}")
+    return kind(value)
+
+
+def _read(node, table: dict, path: str) -> dict:
+    """Every key of ``table`` read from the mapping ``node``; other keys are errors."""
     if not isinstance(node, dict):
         raise ConfigError(f"'{path}' must be a mapping, got {type(node).__name__}")
-    return node
-
-
-def _check_keys(node: dict, allowed, path: str) -> None:
+    prefix = f"{path}." if path else ""
     for key in node:
-        if key not in allowed:
-            raise ConfigError(f"unknown key '{path}.{key}'" if path else
-                              f"unknown key '{key}'")
-
-
-_MISSING = object()
-
-
-def _get(node: dict, key: str, kind, path: str, default=_MISSING):
-    if key not in node:
-        if default is _MISSING:
-            raise ConfigError(f"missing required key '{path}.{key}'" if path else
-                              f"missing required key '{key}'")
-        return default
-    value = node[key]
-    full = f"{path}.{key}" if path else key
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"'{full}' must be a number, got {value!r}")
-        return float(value)
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"'{full}' must be an integer, got {value!r}")
-        return value
-    if kind is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"'{full}' must be a boolean, got {value!r}")
-        return value
-    if kind is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"'{full}' must be a string, got {value!r}")
-        return value
-    raise AssertionError(kind)
-
-
-def _get_number_list(node: dict, key: str, path: str, default=_MISSING,
-                     integer: bool = False) -> tuple:
-    if key not in node:
-        if default is _MISSING:
-            raise ConfigError(f"missing required key '{path}.{key}'")
-        return tuple(default)
-    value = node[key]
-    full = f"{path}.{key}" if path else key
-    if not isinstance(value, (list, tuple)) or not value:
-        raise ConfigError(f"'{full}' must be a non-empty list of numbers")
-    out = []
-    for i, entry in enumerate(value):
-        if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-            raise ConfigError(f"'{full}[{i}]' must be a number, got {entry!r}")
-        if integer:
-            if not isinstance(entry, int):
-                raise ConfigError(f"'{full}[{i}]' must be an integer, got {entry!r}")
-            out.append(int(entry))
+        if key not in table:
+            raise ConfigError(f"unknown key '{prefix}{key}'")
+    values = {}
+    for key, (kind, default, check) in table.items():
+        full = prefix + key
+        if key in node:
+            value = _convert(kind, node[key], full)
+        elif default is _REQUIRED:
+            raise ConfigError(f"missing required key '{full}'")
         else:
-            out.append(float(entry))
-    return tuple(out)
+            value = None if default is None else _convert(kind, default, full)
+        values[key] = value
+        if check is None or value is None:
+            continue
+        is_list = isinstance(kind, list)
+        for entry in value if is_list else (value,):
+            if not check[0](entry):
+                raise ConfigError(f"'{full}' {'entries ' if is_list else ''}{check[1]}, "
+                                  f"got {entry!r}")
+    return values
 
 
-def _check_rf_chains(n_rf: int, full: str, channel: dict) -> int:
+# --- section assembly -------------------------------------------------------
+
+
+def _build(path: str, cls, **values):
+    """``cls(**values)``, with the class's own validation reported on ``path``."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"invalid '{path}': {exc}") from exc
+
+
+def _check_rf_chains(n_rf: int, full: str, channel: dict) -> None:
     """Reject a receive-chain count outside [1, channel.n_atoms].
 
     That is the range ``hris.combiner_schedule`` builds combiners for; a run
@@ -163,168 +230,56 @@ def _check_rf_chains(n_rf: int, full: str, channel: dict) -> int:
     if not 1 <= n_rf <= channel["n_atoms"]:
         raise ConfigError(f"'{full}' must lie in [1, channel.n_atoms = "
                           f"{channel['n_atoms']}], got {n_rf}")
-    return n_rf
 
 
-# --- section parsers --------------------------------------------------------
+def _chest_dims(channel: dict, n_rf_chains: int, pilot_count: int) -> ChestDims:
+    geom = _build("channel", LinkGeometry, cell_radius_m=channel["cell_radius_m"],
+                  hris_bs_distance_m=channel["hris_bs_distance_m"],
+                  carrier_hz=channel["carrier_hz"])
+    return ChestDims(n_atoms=channel["n_atoms"], n_users=channel["n_users"],
+                     n_bs_antennas=channel["n_bs_antennas"], n_rf_chains=n_rf_chains,
+                     pilot_count=pilot_count, pathloss_model=channel["pathloss"],
+                     geom=geom)
 
 
-def _parse_array(node, path="array") -> PlanarArray:
-    node = _check_mapping(node, path)
-    _check_keys(node, {"n_h", "n_v", "spacing_m", "wavelength_m"}, path)
-    try:
-        return PlanarArray(
-            n_h=_get(node, "n_h", int, path),
-            n_v=_get(node, "n_v", int, path),
-            spacing_m=_get(node, "spacing_m", float, path, DEFAULT_SPACING_M),
-            wavelength_m=_get(node, "wavelength_m", float, path, DEFAULT_WAVELENGTH_M),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid '{path}': {exc}") from exc
+# Section keys are the field names of the params dataclasses, and these the
+# keyword arguments of the experiment drivers; only the AoA angles change
+# name, as they are configured in degrees.
 
 
-def _parse_channel(node, path="channel") -> dict:
-    """ChestDims fields of the 'channel' section."""
-    node = _check_mapping(node, path)
-    _check_keys(node, {"cell_radius_m", "hris_bs_distance_m", "carrier_hz",
-                       "pathloss", "n_atoms", "n_users", "n_bs_antennas"}, path)
-    try:
-        geom = LinkGeometry(
-            cell_radius_m=_get(node, "cell_radius_m", float, path, 10.0),
-            hris_bs_distance_m=_get(node, "hris_bs_distance_m", float, path, 50.0),
-            carrier_hz=_get(node, "carrier_hz", float, path, 19e9),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid '{path}': {exc}") from exc
-    pathloss_model = _get(node, "pathloss", str, path, "none")
-    if pathloss_model not in ("free_space", "none"):
-        raise ConfigError(f"'{path}.pathloss' must be 'free_space' or 'none'")
-    return {
-        "n_atoms": _get(node, "n_atoms", int, path, 64),
-        "n_users": _get(node, "n_users", int, path, 8),
-        "n_bs_antennas": _get(node, "n_bs_antennas", int, path, 16),
-        "pathloss_model": pathloss_model,
-        "geom": geom,
-    }
+def _parse_aoa(values: dict) -> dict:
+    aoa = dict(values["aoa"])
+    grid = aoa.pop("grid")
+    aoa["azimuth_rad"] = math.radians(aoa.pop("azimuth_deg"))
+    aoa["grid"] = _build("aoa.grid", AoaGrid, lo_rad=math.radians(grid["lo_deg"]),
+                         hi_rad=math.radians(grid["hi_deg"]), n_points=grid["n_points"],
+                         refine_iters=grid["refine_iters"])
+    return {"aoa": AoaParams(**aoa)}
 
 
-def _parse_aoa(node, path="aoa") -> AoaParams:
-    node = _check_mapping(node, path)
-    _check_keys(node, {"n_list", "sensed_fractions", "n_snapshots", "snr_db_grid",
-                       "spacing_m", "wavelength_m", "azimuth_deg", "grid"}, path)
-    n_list = _get_number_list(node, "n_list", path, integer=True)
-    for n in n_list:
-        if math.isqrt(n) ** 2 != n:
-            raise ConfigError(f"'{path}.n_list' entries must be perfect squares, got {n}")
-    fractions = _get_number_list(node, "sensed_fractions", path)
-    for f in fractions:
-        if not 0.0 < f <= 1.0:
-            raise ConfigError(f"'{path}.sensed_fractions' entries must lie in (0, 1]")
-    grid = AoaGrid()
-    if "grid" in node:
-        gnode = _check_mapping(node["grid"], f"{path}.grid")
-        _check_keys(gnode, {"lo_deg", "hi_deg", "n_points", "refine_iters"}, f"{path}.grid")
-        try:
-            grid = AoaGrid(
-                lo_rad=math.radians(_get(gnode, "lo_deg", float, f"{path}.grid", 0.0)),
-                hi_rad=math.radians(_get(gnode, "hi_deg", float, f"{path}.grid", 89.75)),
-                n_points=_get(gnode, "n_points", int, f"{path}.grid", 721),
-                refine_iters=_get(gnode, "refine_iters", int, f"{path}.grid", 48),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"invalid '{path}.grid': {exc}") from exc
-    return AoaParams(
-        n_list=n_list,
-        sensed_fractions=fractions,
-        n_snapshots=_get(node, "n_snapshots", int, path, 64),
-        snr_db_grid=_get_number_list(node, "snr_db_grid", path,
-                                     default=tuple(range(-10, 31, 5))),
-        spacing_m=_get(node, "spacing_m", float, path, DEFAULT_SPACING_M),
-        wavelength_m=_get(node, "wavelength_m", float, path, DEFAULT_WAVELENGTH_M),
-        azimuth_rad=math.radians(_get(node, "azimuth_deg", float, path, 0.0)),
-        grid=grid,
-    )
+def _parse_tradeoff(values: dict) -> dict:
+    tradeoff, channel = dict(values["tradeoff"]), values["channel"]
+    n_rf_chains, pilot_count = tradeoff.pop("n_rf_chains"), tradeoff.pop("pilot_count")
+    _check_rf_chains(n_rf_chains, "tradeoff.n_rf_chains", channel)
+    return {"tradeoff": TradeoffParams(**tradeoff),
+            "chest_dims": _chest_dims(channel, n_rf_chains, pilot_count)}
 
 
-def _parse_tradeoff(node, channel: dict, path="tradeoff"):
-    """TradeoffParams plus the receive chains and pilot budget of its ChestDims."""
-    node = _check_mapping(node, path)
-    _check_keys(node, {"rho_grid", "n_phase_draws", "snr_db", "n_rf_chains",
-                       "pilot_count"}, path)
-    rho_grid = _get_number_list(node, "rho_grid", path,
-                                default=tuple(round(0.1 * i, 1) for i in range(1, 10)))
-    for r in rho_grid:
-        if not 0.0 < r < 1.0:
-            raise ConfigError(f"'{path}.rho_grid' entries must lie strictly in (0, 1)")
-    params = TradeoffParams(
-        rho_grid=rho_grid,
-        n_phase_draws=_get(node, "n_phase_draws", int, path, 3),
-        snr_db=_get(node, "snr_db", float, path, 30.0),
-    )
-    n_rf_chains = _check_rf_chains(_get(node, "n_rf_chains", int, path, 8),
-                                   f"{path}.n_rf_chains", channel)
-    return params, n_rf_chains, _get(node, "pilot_count", int, path, 70)
+def _parse_rf_sweep(values: dict) -> dict:
+    sweep, channel = values["rf_sweep"], values["channel"]
+    for i, n_rf in enumerate(sweep["n_rf_grid"]):
+        _check_rf_chains(n_rf, f"rf_sweep.n_rf_grid[{i}]", channel)
+    n_slots = channel["n_atoms"] if sweep["n_slots"] is None else sweep["n_slots"]
+    return {"rf_sweep": RfSweepParams(**sweep),
+            "chest_dims": _chest_dims(channel, max(sweep["n_rf_grid"]),
+                                      n_slots * channel["n_users"])}
 
 
-def _parse_rf_sweep(node, channel: dict, path="rf_sweep"):
-    """RfSweepParams plus the receive chains and pilot budget of its ChestDims."""
-    node = _check_mapping(node, path)
-    _check_keys(node, {"n_rf_grid", "snr_db_list", "rho", "n_slots"}, path)
-    rho = _get(node, "rho", float, path, 0.5)
-    if not 0.0 < rho < 1.0:
-        raise ConfigError(f"'{path}.rho' must lie strictly in (0, 1)")
-    n_slots = _get(node, "n_slots", int, path, None)
-    if n_slots is not None and n_slots < 1:
-        raise ConfigError(f"'{path}.n_slots' must be a positive count")
-    n_rf_grid = _get_number_list(node, "n_rf_grid", path, default=(1, 2, 4, 8),
-                                 integer=True)
-    for i, n_rf in enumerate(n_rf_grid):
-        _check_rf_chains(n_rf, f"{path}.n_rf_grid[{i}]", channel)
-    params = RfSweepParams(
-        n_rf_grid=n_rf_grid,
-        snr_db_list=_get_number_list(node, "snr_db_list", path, default=(0.0, 10.0)),
-        rho=rho,
-        n_slots=n_slots,
-    )
-    slots = n_slots if n_slots is not None else channel["n_atoms"]
-    return params, max(params.n_rf_grid), slots * channel["n_users"]
-
-
-def _parse_beam(node, path="beampattern") -> BeamParams:
-    node = _check_mapping(node, path)
-    _check_keys(node, {"steer_deg", "azimuth_deg", "n_points", "span_deg"}, path)
-    steer = _get(node, "steer_deg", float, path, 0.0)
-    span = _get(node, "span_deg", float, path, 90.0)
-    if not 0.0 < span <= 90.0:
-        raise ConfigError(f"'{path}.span_deg' must lie in (0, 90]")
-    if abs(steer) >= 90.0:
-        raise ConfigError(f"'{path}.steer_deg' must lie in (-90, 90)")
-    n_points = _get(node, "n_points", int, path, 1441)
-    if n_points < 2:
-        raise ConfigError(f"'{path}.n_points' must be at least 2")
-    return BeamParams(
-        steer_deg=steer,
-        azimuth_deg=_get(node, "azimuth_deg", float, path, 0.0),
-        n_points=n_points,
-        span_deg=span,
-    )
-
-
-def _parse_chest(section: str, parse_section):
-    """Parser of an estimation sweep: the 'channel' section plus ``section``."""
-    def parse(tree: dict) -> dict:
-        channel = _parse_channel(tree.get("channel", {}))
-        params, n_rf_chains, pilot_count = parse_section(tree.get(section, {}), channel)
-        return {section: params, "chest_dims": ChestDims(
-            **channel, n_rf_chains=n_rf_chains, pilot_count=pilot_count)}
-    return parse
-
-
-def _parse_beampattern(tree: dict) -> dict:
-    if "array" not in tree:
+def _parse_beampattern(values: dict) -> dict:
+    if values["array"] is None:
         raise ConfigError("beampattern runs need an 'array' section")
-    return {"array": _parse_array(tree["array"]),
-            "beam": _parse_beam(tree.get("beampattern", {}))}
+    return {"array": _build("array", PlanarArray, **values["array"]),
+            "beam": BeamParams(**values["beampattern"])}
 
 
 # --- derived metadata -------------------------------------------------------
@@ -367,12 +322,13 @@ def _chest_info(cfg: ExperimentConfig, min_chains: int) -> dict:
 class Experiment:
     """What one experiment adds to the common keys, and how it runs.
 
-    ``parse(tree)`` returns the ExperimentConfig fields built from its
-    ``sections``; ``run(cfg, seed, workers)`` returns its CSV rows;
-    ``derived(cfg)`` the "derived" block of metadata.json.
+    ``sections`` maps each section the experiment takes to its schema entry;
+    ``parse(values)`` builds the ExperimentConfig fields from the values read;
+    ``run(cfg, seed, workers)`` returns its CSV rows; ``derived(cfg)`` the
+    "derived" block of metadata.json.
     """
 
-    sections: frozenset
+    sections: dict
     default_trials: int
     csv_name: str
     columns: tuple
@@ -383,43 +339,38 @@ class Experiment:
 
 EXPERIMENTS = {
     "aoa_rmse": Experiment(
-        sections=frozenset({"aoa"}), default_trials=500, csv_name="aoa_rmse.csv",
+        sections={"aoa": _Field(_AOA, {})}, default_trials=500,
+        csv_name="aoa_rmse.csv",
         columns=("N", "sensed_fraction", "snr_db", "n_trials", "rmse_rad", "rmse_deg",
                  "crlb_rad"),
-        parse=lambda tree: {"aoa": _parse_aoa(tree.get("aoa", {}))},
+        parse=_parse_aoa,
         run=lambda cfg, seed, workers: rmse_experiment(
-            cfg.aoa.n_list, cfg.aoa.sensed_fractions, cfg.aoa.n_snapshots,
-            cfg.aoa.snr_db_grid, cfg.n_trials, seed, workers=workers,
-            spacing_m=cfg.aoa.spacing_m, wavelength_m=cfg.aoa.wavelength_m,
-            azimuth_rad=cfg.aoa.azimuth_rad, grid=cfg.aoa.grid),
+            n_trials=cfg.n_trials, seed=seed, workers=workers, **vars(cfg.aoa)),
         derived=_aoa_info),
     "chest_tradeoff": Experiment(
-        sections=frozenset({"channel", "tradeoff"}), default_trials=200,
-        csv_name="tradeoff.csv",
+        sections={"channel": _Field(_CHANNEL, {}), "tradeoff": _Field(_TRADEOFF, {})},
+        default_trials=200, csv_name="tradeoff.csv",
         columns=("rho", "phase_draw", "nmse_H", "nmse_H_db", "nmse_G", "nmse_G_db"),
-        parse=_parse_chest("tradeoff", _parse_tradeoff),
+        parse=_parse_tradeoff,
         run=lambda cfg, seed, workers: tradeoff_experiment(
-            cfg.tradeoff.rho_grid, cfg.tradeoff.n_phase_draws, cfg.n_trials, seed,
-            workers=workers, snr_db=cfg.tradeoff.snr_db, dims=cfg.chest_dims),
+            n_trials=cfg.n_trials, seed=seed, workers=workers, dims=cfg.chest_dims,
+            **vars(cfg.tradeoff)),
         derived=lambda cfg: _chest_info(cfg, cfg.chest_dims.n_rf_chains)),
     "rf_chain_sweep": Experiment(
-        sections=frozenset({"channel", "rf_sweep"}), default_trials=200,
-        csv_name="rfsweep.csv",
+        sections={"channel": _Field(_CHANNEL, {}), "rf_sweep": _Field(_RF_SWEEP, {})},
+        default_trials=200, csv_name="rfsweep.csv",
         columns=("n_rf", "snr_db", "nmse_cascaded", "nmse_cascaded_db", "nmse_baseline",
                  "nmse_baseline_db", "baseline_status"),
-        parse=_parse_chest("rf_sweep", _parse_rf_sweep),
+        parse=_parse_rf_sweep,
         run=lambda cfg, seed, workers: rf_chain_sweep(
-            cfg.rf_sweep.n_rf_grid, cfg.rf_sweep.snr_db_list, cfg.n_trials, seed,
-            workers=workers, rho=cfg.rf_sweep.rho, dims=cfg.chest_dims,
-            n_slots=cfg.rf_sweep.n_slots),
+            n_trials=cfg.n_trials, seed=seed, workers=workers, dims=cfg.chest_dims,
+            **vars(cfg.rf_sweep)),
         derived=lambda cfg: _chest_info(cfg, min(cfg.rf_sweep.n_rf_grid))),
     "beampattern": Experiment(
-        sections=frozenset({"array", "beampattern"}), default_trials=1,
-        csv_name="beampattern.csv", columns=("angle_deg", "gain_db"),
+        sections={"array": _Field(_ARRAY, None), "beampattern": _Field(_BEAM, {})},
+        default_trials=1, csv_name="beampattern.csv", columns=("angle_deg", "gain_db"),
         parse=_parse_beampattern,
-        run=lambda cfg, seed, workers: emit_beampattern(
-            cfg.array, cfg.beam.steer_deg, cfg.beam.azimuth_deg, cfg.beam.n_points,
-            cfg.beam.span_deg),
+        run=lambda cfg, seed, workers: emit_beampattern(cfg.array, **vars(cfg.beam)),
         derived=lambda cfg: {"n_elements": cfg.array.n_elements,
                              "steer_deg": cfg.beam.steer_deg}),
 }
@@ -427,46 +378,50 @@ EXPERIMENTS = {
 
 # --- top level --------------------------------------------------------------
 
-_COMMON_KEYS = {"version", "experiment", "seed", "workers", "n_trials",
-                "output_dir", "dump_channels"}
 
-
-def parse_workers(raw, key: str = "'workers'") -> int:
+def parse_workers(raw, name: str = "workers") -> int:
     """A worker count: a positive integer, or 'auto' for the CPU count."""
     if raw == "auto":
         return os.cpu_count() or 1
     if isinstance(raw, int) and not isinstance(raw, bool) and raw >= 1:
         return raw
-    raise ConfigError(f"{key} must be a positive integer or 'auto', got {raw!r}")
+    raise ConfigError(f"'{name}' must be a positive integer or 'auto', got {raw!r}")
+
+
+def _version(value, full: str) -> int:
+    version = _convert(int, value, full)
+    if version != CONFIG_VERSION:
+        raise ConfigError(f"unsupported config version {version}; this build "
+                          f"reads version {CONFIG_VERSION}")
+    return version
+
+
+# Read first: the experiment decides which sections a tree may hold.
+_HEAD = {
+    "version": _Field(_version),
+    "experiment": _Field(str, check=(lambda name: name in EXPERIMENTS,
+                                     f"must be one of {', '.join(EXPERIMENTS)}")),
+}
+# The other keys every experiment takes; n_trials defaults per experiment.
+_COMMON = {
+    "seed": _Field(int, 0),
+    "workers": _Field(parse_workers, 1),
+    "output_dir": _Field(str, "results"),
+    "dump_channels": _Field(bool, False),
+}
 
 
 def parse_config_tree(tree: dict, source: str = "config") -> ExperimentConfig:
     """Validate a raw configuration tree into an ExperimentConfig."""
-    tree = _check_mapping(tree, source)
-    version = _get(tree, "version", int, "")
-    if version != CONFIG_VERSION:
-        raise ConfigError(f"unsupported config version {version}; this build "
-                          f"reads version {CONFIG_VERSION}")
-    experiment = _get(tree, "experiment", str, "")
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"'experiment' must be one of {', '.join(EXPERIMENTS)}; "
-                          f"got {experiment!r}")
-    spec = EXPERIMENTS[experiment]
-    _check_keys(tree, _COMMON_KEYS | spec.sections, "")
-    workers = parse_workers(tree.get("workers", 1))
-    n_trials = _get(tree, "n_trials", int, "", spec.default_trials)
-    if n_trials < 1:
-        raise ConfigError("'n_trials' must be at least 1")
+    if not isinstance(tree, dict):
+        raise ConfigError(f"'{source}' must be a mapping, got {type(tree).__name__}")
+    head = _read({key: tree[key] for key in _HEAD if key in tree}, _HEAD, "")
+    spec = EXPERIMENTS[head["experiment"]]
+    values = _read(tree, {**_HEAD, **_COMMON, "n_trials": _Field(
+        int, spec.default_trials, _COUNT), **spec.sections}, "")
     return ExperimentConfig(
-        experiment=experiment,
-        seed=_get(tree, "seed", int, "", 0),
-        n_trials=n_trials,
-        workers=workers,
-        output_dir=_get(tree, "output_dir", str, "", "results"),
-        dump_channels=_get(tree, "dump_channels", bool, "", False),
-        raw=deepcopy(tree),
-        **spec.parse(tree),
-    )
+        **{key: values[key] for key in ("experiment", "n_trials", *_COMMON)},
+        raw=deepcopy(tree), **spec.parse(values))
 
 
 def load_config(path) -> ExperimentConfig:

@@ -25,6 +25,8 @@ import oracles
 import test_properties
 
 SEED = 20260823
+# Lattice and azimuth of the angle sweeps: the bundled fig4 preset's.
+AOA_SWEEP = dict(spacing_m=0.004, wavelength_m=0.0157, azimuth_rad=0.0)
 
 
 def _report(capsys, number, ok, detail):
@@ -130,7 +132,8 @@ def test_criterion_5(capsys):
     and the larger sensed fraction never loses."""
     t0 = time.perf_counter()
     snr_grid = [-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0]
-    rows = rmse_experiment([144, 400], [0.2, 0.8], 64, snr_grid, 500, seed=SEED)
+    rows = rmse_experiment([144, 400], [0.2, 0.8], 64, snr_grid, 500, seed=SEED,
+                           **AOA_SWEEP)
     ratios = np.array([r["rmse_rad"] / r["crlb_rad"] for r in rows])
     floor_ok = bool(np.all(ratios >= 0.9))
     top = [r for r in rows if r["snr_db"] == 30.0]
@@ -189,16 +192,18 @@ def test_criterion_7(capsys):
     test_properties.test_steering_vectors_unit_modulus()
     test_properties.test_cascade_matches_brute_force()
 
-    aoa_1 = rmse_experiment([16], [0.4, 0.8], 16, [0.0, 15.0], 6, seed=SEED)
+    aoa_1 = rmse_experiment([16], [0.4, 0.8], 16, [0.0, 15.0], 6, seed=SEED,
+                            **AOA_SWEEP)
     aoa_3 = rmse_experiment([16], [0.4, 0.8], 16, [0.0, 15.0], 6, seed=SEED,
-                            workers=3)
+                            workers=3, **AOA_SWEEP)
     dims = ChestDims(n_atoms=8, n_users=2, n_bs_antennas=4, n_rf_chains=2,
                      pilot_count=8)
-    trade_1 = tradeoff_experiment([0.3, 0.7], 2, 5, seed=SEED, dims=dims)
-    trade_2 = tradeoff_experiment([0.3, 0.7], 2, 5, seed=SEED, dims=dims,
+    trade_1 = tradeoff_experiment([0.3, 0.7], 2, 5, seed=SEED, snr_db=30.0, dims=dims)
+    trade_2 = tradeoff_experiment([0.3, 0.7], 2, 5, seed=SEED, snr_db=30.0, dims=dims,
                                   workers=2)
-    sweep_1 = rf_chain_sweep([1, 2], [0.0], 5, seed=SEED, dims=dims)
-    sweep_2 = rf_chain_sweep([1, 2], [0.0], 5, seed=SEED, dims=dims, workers=2)
+    sweep_1 = rf_chain_sweep([1, 2], [0.0], 5, seed=SEED, rho=0.5, dims=dims)
+    sweep_2 = rf_chain_sweep([1, 2], [0.0], 5, seed=SEED, rho=0.5, dims=dims,
+                             workers=2)
     deterministic = (aoa_1 == aoa_3) and (trade_1 == trade_2) and (sweep_1 == sweep_2)
     elapsed = time.perf_counter() - t0
     ok = deterministic
@@ -218,7 +223,7 @@ def test_criterion_8(capsys):
     worst_steps = 0.0
     for _ in range(10):
         steer = float(rng.uniform(-60.0, 60.0))
-        rows = emit_beampattern(arr, steer, n_points=1441, span_deg=90.0)
+        rows = emit_beampattern(arr, steer, azimuth_deg=0.0, n_points=1441, span_deg=90.0)
         angles = np.array([r["angle_deg"] for r in rows])
         gains = np.array([r["gain_db"] for r in rows])
         step = angles[1] - angles[0]

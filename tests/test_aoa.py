@@ -17,6 +17,8 @@ import oracles
 
 
 ARR = PlanarArray(8, 8, 0.004, 0.0157)
+# Lattice and azimuth of the Monte Carlo sweeps below.
+SWEEP = dict(spacing_m=0.004, wavelength_m=0.0157, azimuth_rad=0.0)
 
 
 def _scenario(el_rad, fraction=0.5, n_snapshots=32, snr_db=20.0, azimuth=0.0):
@@ -133,7 +135,7 @@ def test_degenerate_response_raises_on_sweep_path(monkeypatch):
     monkeypatch.setattr(aoa, "_cell_tables", lambda side, n_snapshots, *rest: (
         template, aoa._scan_table(template, rest[-1])))
     with pytest.raises(EstimationInfeasibleError):
-        rmse_experiment([4], [0.3, 0.9], 2, [0.0, 10.0, 20.0], 1, seed=0)
+        rmse_experiment([4], [0.3, 0.9], 2, [0.0, 10.0, 20.0], 1, seed=0, **SWEEP)
 
 
 def test_bound_undefined_without_elevation_dependence():
@@ -210,8 +212,8 @@ def test_gradient_route_matches_fd_of_response():
 
 
 def test_rmse_experiment_rows_and_determinism():
-    rows1 = rmse_experiment([16], [0.5], 16, [10.0, 20.0], 5, seed=42)
-    rows2 = rmse_experiment([16], [0.5], 16, [10.0, 20.0], 5, seed=42)
+    rows1 = rmse_experiment([16], [0.5], 16, [10.0, 20.0], 5, seed=42, **SWEEP)
+    rows2 = rmse_experiment([16], [0.5], 16, [10.0, 20.0], 5, seed=42, **SWEEP)
     assert rows1 == rows2
     assert len(rows1) == 2
     assert [r["snr_db"] for r in rows1] == [10.0, 20.0]
@@ -220,18 +222,18 @@ def test_rmse_experiment_rows_and_determinism():
 
 
 def test_rmse_experiment_worker_invariance():
-    rows1 = rmse_experiment([16], [0.3, 0.9], 16, [15.0], 6, seed=3, workers=1)
-    rows3 = rmse_experiment([16], [0.3, 0.9], 16, [15.0], 6, seed=3, workers=3)
+    rows1 = rmse_experiment([16], [0.3, 0.9], 16, [15.0], 6, seed=3, workers=1, **SWEEP)
+    rows3 = rmse_experiment([16], [0.3, 0.9], 16, [15.0], 6, seed=3, workers=3, **SWEEP)
     assert rows1 == rows3
 
 
 def test_rmse_experiment_rejects_non_square_counts():
     with pytest.raises(ValueError):
-        rmse_experiment([10], [0.5], 8, [0.0], 2, seed=0)
+        rmse_experiment([10], [0.5], 8, [0.0], 2, seed=0, **SWEEP)
 
 
 def test_higher_fraction_never_worse():
-    rows = rmse_experiment([36], [0.2, 0.8], 32, [0.0, 10.0], 30, seed=11)
+    rows = rmse_experiment([36], [0.2, 0.8], 32, [0.0, 10.0], 30, seed=11, **SWEEP)
     by_cell = {(r["sensed_fraction"], r["snr_db"]): r["rmse_rad"] for r in rows}
     for snr in (0.0, 10.0):
         assert by_cell[(0.8, snr)] <= by_cell[(0.2, snr)]

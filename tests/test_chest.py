@@ -430,7 +430,7 @@ def test_tradeoff_experiment_rows_pairing_and_workers():
 
 def test_rf_chain_sweep_rows_and_orderings():
     dims = ChestDims(n_atoms=8, n_users=2, n_bs_antennas=4, n_rf_chains=2)
-    rows = rf_chain_sweep([1, 2, 4], [0.0, 10.0], 4, seed=13, dims=dims)
+    rows = rf_chain_sweep([1, 2, 4], [0.0, 10.0], 4, seed=13, rho=0.5, dims=dims)
     assert len(rows) == 6
     by_cell = {(r["n_rf"], r["snr_db"]): r for r in rows}
     for snr in (0.0, 10.0):
@@ -446,11 +446,11 @@ def test_rf_chain_sweep_rows_and_orderings():
 
 def test_rf_chain_sweep_short_schedule_flags_baseline():
     dims = ChestDims(n_atoms=8, n_users=2, n_bs_antennas=4, n_rf_chains=2)
-    rows = rf_chain_sweep([2], [0.0], 2, seed=1, dims=dims, n_slots=4)
+    rows = rf_chain_sweep([2], [0.0], 2, seed=1, rho=0.5, dims=dims, n_slots=4)
     assert all(r["baseline_status"] == "infeasible" for r in rows)
     assert all(math.isnan(r["nmse_baseline"]) for r in rows)
     with pytest.raises(ValueError):
-        rf_chain_sweep([2], [0.0], 2, seed=1, dims=dims, n_slots=0)
+        rf_chain_sweep([2], [0.0], 2, seed=1, rho=0.5, dims=dims, n_slots=0)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -462,13 +462,14 @@ def test_unidentifiable_h_stage_raises_before_any_trial(monkeypatch, workers):
     monkeypatch.setattr(chest, "map_trials", no_trials)
     dims = ChestDims(n_atoms=8, n_users=2, n_bs_antennas=4, n_rf_chains=1, pilot_count=8)
     with pytest.raises(IdentifiabilityError, match="rank at most 4 < 8"):
-        rf_chain_sweep([1, 2], [0.0], 4, seed=1, dims=dims, n_slots=4, workers=workers)
+        rf_chain_sweep([1, 2], [0.0], 4, seed=1, rho=0.5, dims=dims, n_slots=4,
+                       workers=workers)
     with pytest.raises(IdentifiabilityError, match="rank at most 4 < 8"):
-        tradeoff_experiment([0.5], 1, 4, seed=1, dims=dims, workers=workers)
+        tradeoff_experiment([0.5], 1, 4, seed=1, snr_db=30.0, dims=dims, workers=workers)
 
 
 def test_rf_chain_sweep_worker_invariance():
     dims = ChestDims(n_atoms=8, n_users=2, n_bs_antennas=4, n_rf_chains=2)
-    rows1 = rf_chain_sweep([1, 2], [5.0], 4, seed=21, dims=dims, workers=1)
-    rows2 = rf_chain_sweep([1, 2], [5.0], 4, seed=21, dims=dims, workers=2)
+    rows1 = rf_chain_sweep([1, 2], [5.0], 4, seed=21, rho=0.5, dims=dims, workers=1)
+    rows2 = rf_chain_sweep([1, 2], [5.0], 4, seed=21, rho=0.5, dims=dims, workers=2)
     assert rows1 == rows2

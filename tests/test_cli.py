@@ -5,6 +5,8 @@ import json
 import pytest
 
 from hris_sim.cli import main
+from hris_sim.config import parse_config_tree
+from hris_sim.runner import run
 
 
 def _write_tiny_aoa(tmp_path):
@@ -55,6 +57,15 @@ def test_receive_chains_beyond_the_atoms_exit_two(tmp_path, capsys, section):
     assert not (tmp_path / "o").exists()
 
 
+def test_count_below_one_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "zero.yaml"
+    cfg.write_text("version: 1\nexperiment: aoa_rmse\nn_trials: 1\n"
+                   "aoa: {n_list: [0], sensed_fractions: [0.5]}\n", encoding="utf-8")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "config error: 'aoa.n_list'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_infeasible_setup_exits_three(tmp_path, capsys):
     cfg = tmp_path / "infeasible.yaml"
     # Too few slots for the sensing stage to reach full rank.
@@ -102,6 +113,18 @@ def test_beampattern_subcommand(tmp_path):
     lines = (out / "beampattern.csv").read_text().strip().splitlines()
     assert lines[0] == "angle_deg,gain_db"
     assert len(lines) == 92
+
+
+def test_beampattern_flags_take_their_defaults_from_the_schema(tmp_path):
+    """Flags left out stay out of the tree; the run equals the YAML-style tree's."""
+    assert main(["beampattern", "--n-h", "12", "--n-v", "12",
+                 "--out", str(tmp_path / "cli")]) == 0
+    tree = {"version": 1, "experiment": "beampattern", "array": {"n_h": 12, "n_v": 12}}
+    run(parse_config_tree(tree), out_dir=tmp_path / "tree")
+    assert ((tmp_path / "cli/beampattern.csv").read_bytes()
+            == (tmp_path / "tree/beampattern.csv").read_bytes())
+    meta = json.loads((tmp_path / "cli/metadata.json").read_text())
+    assert meta["config"] == tree
 
 
 def test_beampattern_bad_parameters_exit_two(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Configuration schema: strict parsing, presets, YAML loading."""
 
 import math
+from copy import deepcopy
+from dataclasses import replace
 
 import pytest
 
@@ -53,6 +55,14 @@ def test_type_errors_are_reported():
         parse_config_tree(tree)
     with pytest.raises(ConfigError, match="'n_trials' must be at least 1"):
         parse_config_tree(_aoa_tree(n_trials=0))
+
+
+def test_explicit_null_is_a_type_error():
+    with pytest.raises(ConfigError, match="'seed' must be an integer, got None"):
+        parse_config_tree(_aoa_tree(seed=None))
+    tree = {"version": 1, "experiment": "rf_chain_sweep", "rf_sweep": {"n_slots": None}}
+    with pytest.raises(ConfigError, match="'rf_sweep.n_slots' must be an integer, got None"):
+        parse_config_tree(tree)
 
 
 def test_workers_accepts_auto_and_positive_ints():
@@ -121,6 +131,67 @@ def test_receive_chains_outside_one_to_n_atoms_rejected(n_rf):
     with pytest.raises(ConfigError, match=rf"'rf_sweep\.n_rf_grid\[2\]' must lie in "
                                           rf"\[1, channel\.n_atoms = 16\], got {n_rf}"):
         parse_config_tree(tree)
+
+
+_MINIMAL = {
+    "aoa_rmse": {"aoa": {"n_list": [16], "sensed_fractions": [0.5]}},
+    "chest_tradeoff": {},
+    "rf_chain_sweep": {},
+    "beampattern": {"array": {"n_h": 12, "n_v": 12}},
+}
+
+
+@pytest.mark.parametrize("experiment,section,key,value,bad", [
+    ("aoa_rmse", "aoa", "n_list", [16, 0], 0),
+    ("aoa_rmse", "aoa", "n_list", [-4], -4),
+    ("aoa_rmse", "aoa", "n_snapshots", 0, 0),
+    ("chest_tradeoff", "channel", "n_atoms", 0, 0),
+    ("chest_tradeoff", "channel", "n_users", 0, 0),
+    ("chest_tradeoff", "channel", "n_bs_antennas", 0, 0),
+    ("chest_tradeoff", "tradeoff", "n_phase_draws", 0, 0),
+    ("chest_tradeoff", "tradeoff", "pilot_count", 0, 0),
+])
+def test_counts_below_one_rejected_with_dotted_path(experiment, section, key, value, bad):
+    """Count keys are checked while parsing, not left to fail inside a trial."""
+    tree = {"version": 1, "experiment": experiment, **deepcopy(_MINIMAL[experiment])}
+    tree.setdefault(section, {})[key] = value
+    with pytest.raises(ConfigError, match=rf"'{section}\.{key}' .*, got {bad}$"):
+        parse_config_tree(tree)
+
+
+_CHANNEL_DEFAULTS = {"cell_radius_m": 10.0, "hris_bs_distance_m": 50.0,
+                     "carrier_hz": 19.0e9, "pathloss": "none", "n_atoms": 64,
+                     "n_users": 8, "n_bs_antennas": 16}
+_LATTICE_DEFAULTS = {"spacing_m": 0.004, "wavelength_m": 0.0157}
+
+# Every key each experiment takes, spelled out at its documented default.
+_SPELLED_OUT = {
+    "aoa_rmse": {"n_trials": 500, "aoa": {
+        "n_list": [16], "sensed_fractions": [0.5], "n_snapshots": 64,
+        "snr_db_grid": [-10, -5, 0, 5, 10, 15, 20, 25, 30], **_LATTICE_DEFAULTS,
+        "azimuth_deg": 0.0,
+        "grid": {"lo_deg": 0.0, "hi_deg": 89.75, "n_points": 721, "refine_iters": 48}}},
+    "chest_tradeoff": {"n_trials": 200, "channel": _CHANNEL_DEFAULTS, "tradeoff": {
+        "rho_grid": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9], "n_phase_draws": 3,
+        "snr_db": 30.0, "n_rf_chains": 8, "pilot_count": 70}},
+    "rf_chain_sweep": {"n_trials": 200, "channel": _CHANNEL_DEFAULTS, "rf_sweep": {
+        "n_rf_grid": [1, 2, 4, 8], "snr_db_list": [0.0, 10.0], "rho": 0.5}},
+    "beampattern": {"n_trials": 1,
+                    "array": {"n_h": 12, "n_v": 12, **_LATTICE_DEFAULTS},
+                    "beampattern": {"steer_deg": 0.0, "azimuth_deg": 0.0,
+                                    "n_points": 1441, "span_deg": 90.0}},
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_SPELLED_OUT))
+def test_defaults_parse_like_the_same_values_given(experiment):
+    """A default goes through the same conversion as a given value."""
+    common = {"version": 1, "experiment": experiment, "seed": 0, "workers": 1,
+              "output_dir": "results", "dump_channels": False}
+    full = parse_config_tree({**common, **deepcopy(_SPELLED_OUT[experiment])})
+    minimal = parse_config_tree({"version": 1, "experiment": experiment,
+                                 **deepcopy(_MINIMAL[experiment])})
+    assert repr(replace(full, raw={})) == repr(replace(minimal, raw={}))
 
 
 def test_rf_sweep_slot_count_wiring():

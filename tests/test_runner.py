@@ -35,7 +35,8 @@ def test_csv_cell_formatting(tmp_path):
 
 
 def test_beampattern_peak_at_commanded_angle():
-    rows = emit_beampattern(ARR12, steer_deg=25.0, n_points=1441)
+    rows = emit_beampattern(ARR12, steer_deg=25.0, azimuth_deg=0.0, n_points=1441,
+                            span_deg=90.0)
     assert len(rows) == 1441
     angles = np.array([r["angle_deg"] for r in rows])
     gains = np.array([r["gain_db"] for r in rows])
@@ -47,15 +48,18 @@ def test_beampattern_peak_at_commanded_angle():
 
 
 def test_beampattern_broadside_cut_is_symmetric():
-    rows = emit_beampattern(ARR12, steer_deg=0.0, n_points=181)
+    rows = emit_beampattern(ARR12, steer_deg=0.0, azimuth_deg=0.0, n_points=181,
+                            span_deg=90.0)
     gains = np.array([r["gain_db"] for r in rows])
     np.testing.assert_allclose(gains, gains[::-1], atol=1e-9)
     assert gains[90] == 0.0  # broadside peak at the centre sample
 
 
 def test_beampattern_negative_steer_mirrors_positive():
-    pos = emit_beampattern(ARR12, steer_deg=30.0, n_points=361)
-    neg = emit_beampattern(ARR12, steer_deg=-30.0, n_points=361)
+    pos = emit_beampattern(ARR12, steer_deg=30.0, azimuth_deg=0.0, n_points=361,
+                           span_deg=90.0)
+    neg = emit_beampattern(ARR12, steer_deg=-30.0, azimuth_deg=0.0, n_points=361,
+                           span_deg=90.0)
     gp = np.array([r["gain_db"] for r in pos])
     gn = np.array([r["gain_db"] for r in neg])
     np.testing.assert_allclose(gp, gn[::-1], atol=1e-9)
