@@ -17,6 +17,18 @@ baseline depend only on the system shape, so their pseudoinverses and ranks
 are computed once per shape and cached; each estimate is then one product.
 The base-station stage solves its N x N normal equations by Cholesky, with
 the Gram matrix built from the Hadamard structure of its stacked regressors.
+Its right-hand side is factored the same way: Z^H Y sums conj(R[t, n] W[n, k])
+Y_t[m, k] over slots t and pilot columns k, so the slot sum
+V = conj(R)^T Y depends only on the reflections and the observations, and
+each forwarded H estimate adds only the sum over k with its own W = H_hat X.
+
+Each estimator is split into observe and solve steps that take their noise
+as an argument; the public functions draw it from the generator they are
+given and run one cell.  A Monte Carlo trial pairs its cells: every cell of a
+trial sees the same noise substream, so the trial draws each noise array once
+per shape and reuses it, observes the reflected pilots once per reflection
+schedule and SNR, and factors the Gram matrices of all cells that share
+those observations in one stacked Cholesky.
 """
 
 from __future__ import annotations
@@ -27,7 +39,7 @@ from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import dft, solve_triangular
+from scipy.linalg import cho_solve, dft
 
 from .channels import ChannelSet, LinkGeometry, draw_channels
 from .errors import EstimationInfeasibleError, IdentifiabilityError
@@ -127,18 +139,22 @@ def _baseline_pinv(n_atoms: int, n_slots: int) -> _Pinv:
     return _pinv_of(patterns, patterns)
 
 
-def _cholesky(gram: np.ndarray):
-    """Lower Cholesky factor and squared pivot ratio (min diag / max diag)^2.
+def _cholesky(grams: np.ndarray):
+    """Lower Cholesky factors of a (C, N, N) stack and each squared pivot ratio.
 
-    A factorisation that fails (the Gram is not numerically positive
-    definite) gives ``(None, 0.0)``.
+    The ratio is (min diag / max diag)^2 of a factor.  When some Gram is not
+    numerically positive definite the stacked factorisation fails as a whole:
+    the factors are then None and each Gram is factored alone to find the
+    ones that fail, whose ratio reads 0.
     """
     try:
-        lower = np.linalg.cholesky(gram)
+        lower = np.linalg.cholesky(grams)
     except np.linalg.LinAlgError:
-        return None, 0.0
-    pivots = np.diag(lower).real
-    return lower, float(pivots.min() / pivots.max()) ** 2
+        if len(grams) == 1:
+            return None, np.zeros(1)
+        return None, np.concatenate([_cholesky(gram[None])[1] for gram in grams])
+    pivots = np.diagonal(lower, axis1=1, axis2=2).real
+    return lower, (pivots.min(axis=1) / pivots.max(axis=1)) ** 2
 
 
 def nmse(estimate: np.ndarray, truth: np.ndarray) -> float:
@@ -186,6 +202,46 @@ def _decorrelate(block: np.ndarray, pilots: np.ndarray, amplitude: float) -> np.
     return block @ np.conj(pilots.T) / (k * amplitude)
 
 
+def _noise(rng: np.random.Generator, shape: tuple, var: float) -> np.ndarray | None:
+    """Receiver noise of one stacked observation, or None at zero variance (no draw)."""
+    return complex_normal_stack(rng, shape, var=var) if var > 0.0 else None
+
+
+def _observe(signal: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
+    return signal if noise is None else signal + noise
+
+
+def _sensed_noise(sched: PilotSchedule, ch: ChannelSet, rng: np.random.Generator):
+    return _noise(rng, (*sched.combiners.shape[:2], sched.n_users), ch.noise_var_hris)
+
+
+def _reflected_noise(n_slots: int, ch: ChannelSet, rng: np.random.Generator):
+    return _noise(rng, (n_slots, ch.G.shape[0], ch.H.shape[1]), ch.noise_var_bs)
+
+
+def _estimate_H(sched: PilotSchedule, ch: ChannelSet, noise: np.ndarray | None) -> np.ndarray:
+    """The H stage of ``hris_estimate_H`` on given (n_slots, n_rf_chains, n_users) noise."""
+    n_slots, n_rf, n_atoms = sched.combiners.shape
+    amp = math.sqrt(ch.tx_power)
+    if np.any(sched.rho != sched.rho[0]) or np.any(sched.sense_phase != sched.sense_phase[0]):
+        raise ValueError("rho or the sense phase changes from slot to slot; this "
+                         "estimator divides by one sensing diagonal shared by every slot")
+    sensed_diag = sensing_gain(sched.rho[0], sched.sense_phase[0])
+    if np.any(np.abs(sensed_diag) == 0.0):
+        raise EstimationInfeasibleError(
+            "atoms with rho = 1 leave no sensed signal; their rows of H are unrecoverable")
+
+    blocks = _observe((sched.combiners * sensed_diag) @ (ch.H @ (amp * sched.pilots)), noise)
+    stacked_y = _decorrelate(blocks, sched.pilots, amp).reshape(n_slots * n_rf, -1)
+    solver = _sensing_pinv(sched.combiners)
+    if solver.rank < n_atoms:
+        raise IdentifiabilityError(
+            f"stacked combiner rank {solver.rank} < {n_atoms} atoms over {n_slots} "
+            f"slots; the sensed system needs ceil(n_atoms / n_rf_chains) slots "
+            f"(n_atoms * n_users / n_rf_chains pilot symbols)")
+    return (solver.pinv @ stacked_y) / sensed_diag[:, None]
+
+
 def hris_estimate_H(sched: PilotSchedule, ch: ChannelSet, rng: np.random.Generator) -> np.ndarray:
     """Estimate the terminals-to-surface channel from sensed pilot slots.
 
@@ -202,27 +258,58 @@ def hris_estimate_H(sched: PilotSchedule, ch: ChannelSet, rng: np.random.Generat
     n_atoms and EstimationInfeasibleError when some atom senses nothing
     (rho = 1) so its row of H cannot be recovered.
     """
-    n_slots, n_rf, n_atoms = sched.combiners.shape
-    amp = math.sqrt(ch.tx_power)
-    if np.any(sched.rho != sched.rho[0]) or np.any(sched.sense_phase != sched.sense_phase[0]):
-        raise ValueError("rho or the sense phase changes from slot to slot; this "
-                         "estimator divides by one sensing diagonal shared by every slot")
-    sensed_diag = sensing_gain(sched.rho[0], sched.sense_phase[0])
-    if np.any(np.abs(sensed_diag) == 0.0):
-        raise EstimationInfeasibleError(
-            "atoms with rho = 1 leave no sensed signal; their rows of H are unrecoverable")
+    return _estimate_H(sched, ch, _sensed_noise(sched, ch, rng))
 
-    blocks = (sched.combiners * sensed_diag) @ (ch.H @ (amp * sched.pilots))
-    if ch.noise_var_hris > 0.0:
-        blocks = blocks + complex_normal_stack(rng, blocks.shape, var=ch.noise_var_hris)
-    stacked_y = _decorrelate(blocks, sched.pilots, amp).reshape(n_slots * n_rf, -1)
-    solver = _sensing_pinv(sched.combiners)
-    if solver.rank < n_atoms:
-        raise IdentifiabilityError(
-            f"stacked combiner rank {solver.rank} < {n_atoms} atoms over {n_slots} "
-            f"slots; the sensed system needs ceil(n_atoms / n_rf_chains) slots "
-            f"(n_atoms * n_users / n_rf_chains pilot symbols)")
-    return (solver.pinv @ stacked_y) / sensed_diag[:, None]
+
+def _contract_reflected(sched: PilotSchedule, ch: ChannelSet,
+                        noise: np.ndarray | None) -> np.ndarray:
+    """Observe the reflected pilots and sum them over slots against the reflections.
+
+    Returns V (n_atoms, M, n_users) with V[n] = sum_t conj(R[t, n]) Y_t: the
+    part of the G stage's right-hand side shared by every forwarded H estimate.
+    """
+    refl = sched.reflection_gains  # (slots, N)
+    pilot_block = math.sqrt(ch.tx_power) * sched.pilots
+    blocks = _observe((ch.G * refl[:, None, :]) @ (ch.H @ pilot_block), noise)
+    n_slots, m, k = blocks.shape
+    return (np.conj(refl).T @ blocks.reshape(n_slots, m * k)).reshape(-1, m, k)
+
+
+def _estimate_G(sched: PilotSchedule, ch: ChannelSet, h_hats,
+                contracted: np.ndarray) -> list[np.ndarray]:
+    """One G estimate per forwarded H estimate, all from one set of reflected observations.
+
+    ``contracted`` is ``_contract_reflected`` of ``sched``; every H estimate
+    is one cell with its own normal equations.  The Grams of all cells are
+    factored in one stacked Cholesky.  Each cell's two triangular solves are
+    one ``cho_solve``: scipy's batched ``solve_triangular`` loops over a
+    stack in Python and is slower than one call per cell.
+    """
+    refl = sched.reflection_gains  # (slots, N)
+    n_slots, n_atoms = refl.shape
+    pilot_block = math.sqrt(ch.tx_power) * sched.pilots
+    ws = [h_hat @ pilot_block for h_hat in h_hats]
+    slot_gram = np.conj(refl).T @ refl
+    lower, ratios = _cholesky(np.stack([(np.conj(w) @ w.T) * slot_gram for w in ws]))
+    # lstsq's default rcond drops singular values below max(M, N) * eps of the
+    # largest, M = n_slots * n_users rows of the stacked regressors.  The Gram
+    # holds squared singular values, so the same rcond bounds its squared
+    # pivot ratio; rounding while forming the Gram is of that order, so a
+    # rank-deficient system cannot pass unnoticed.
+    floor = max(n_slots * sched.n_users, n_atoms) * np.finfo(float).eps
+    for w, ratio in zip(ws, ratios):
+        if not ratio >= floor:
+            # Row t*K + k of the stacked regressors holds slot t, pilot column k.
+            stacked_z = (refl[:, :, None] * w).transpose(0, 2, 1)
+            raise IdentifiabilityError(
+                f"stacked reflection regressors rank "
+                f"{np.linalg.matrix_rank(stacked_z.reshape(-1, n_atoms))} of "
+                f"{n_atoms} atoms over {n_slots} slots, squared Gram pivot ratio "
+                f"{ratio:.1e} < {floor:.1e}; G is not identifiable (need n_slots * n_users "
+                f">= n_atoms and a non-degenerate reflection pattern, rho > 0)")
+    # Z^H Y[n, m] = sum_k conj(W[n, k]) V[n, m, k].
+    return [cho_solve((factor, True), (contracted @ np.conj(w)[:, :, None])[:, :, 0]).T
+            for factor, w in zip(lower, ws)]
 
 
 def bs_estimate_G(sched: PilotSchedule, ch: ChannelSet, h_hat: np.ndarray,
@@ -235,38 +322,16 @@ def bs_estimate_G(sched: PilotSchedule, ch: ChannelSet, h_hat: np.ndarray,
     ||Y_t - G Z_t||_F^2 through the N x N normal equations.  Their Gram
     matrix factors as (conj(W) W^T) * (R^H R), the element-wise product of the
     pilot-domain Gram of W = H_hat X and the slot-domain Gram of the (slots,
-    N) reflection gains R; Cholesky and two triangular solves finish it.
+    N) reflection gains R; their right-hand side as the sum over pilot
+    columns of conj(W) times V = R^H Y.  Cholesky and two triangular solves
+    finish it.
 
     Raises IdentifiabilityError when the factorisation fails or its pivots
     say the stacked regressors do not reach rank n_atoms (too few slots, a
     pattern repeated in every slot, or rho = 0).
     """
-    n_slots, _, n_atoms = sched.combiners.shape
-    pilot_block = math.sqrt(ch.tx_power) * sched.pilots
-    refl = sched.reflection_gains  # (slots, N)
-
-    blocks = (ch.G * refl[:, None, :]) @ (ch.H @ pilot_block)
-    if ch.noise_var_bs > 0.0:
-        blocks = blocks + complex_normal_stack(rng, blocks.shape, var=ch.noise_var_bs)
-    w = h_hat @ pilot_block
-    regressors = refl[:, :, None] * w
-    # Row t*K + k of each stacked matrix holds slot t, pilot column k.
-    stacked_z = regressors.transpose(0, 2, 1).reshape(-1, n_atoms)
-    stacked_y = blocks.transpose(0, 2, 1).reshape(stacked_z.shape[0], -1)
-    lower, ratio = _cholesky((np.conj(w) @ w.T) * (np.conj(refl).T @ refl))
-    # lstsq's default rcond drops singular values below max(M, N) * eps of the
-    # largest.  The Gram holds squared singular values, so the same rcond
-    # bounds its squared pivot ratio; rounding while forming the Gram is of
-    # that order, so a rank-deficient system cannot pass unnoticed.
-    floor = max(stacked_z.shape) * np.finfo(float).eps
-    if not ratio >= floor:
-        raise IdentifiabilityError(
-            f"stacked reflection regressors rank {np.linalg.matrix_rank(stacked_z)} of "
-            f"{n_atoms} atoms over {n_slots} slots, squared Gram pivot ratio "
-            f"{ratio:.1e} < {floor:.1e}; G is not identifiable (need n_slots * n_users "
-            f">= n_atoms and a non-degenerate reflection pattern, rho > 0)")
-    half = solve_triangular(lower, np.conj(stacked_z).T @ stacked_y, lower=True)
-    return solve_triangular(lower, half, lower=True, trans="C").T
+    noise = _reflected_noise(sched.n_slots, ch, rng)
+    return _estimate_G(sched, ch, [h_hat], _contract_reflected(sched, ch, noise))[0]
 
 
 def run_two_sided(sched: PilotSchedule, ch: ChannelSet,
@@ -291,9 +356,38 @@ def _cascades(H: np.ndarray, G: np.ndarray) -> np.ndarray:
 def cascaded_nmse(estimates, ch: ChannelSet) -> float:
     """NMSE over all users of per-user cascade estimates, A_k = G diag(h_k) for user k.
 
-    ``estimates`` is a (K, M, N) stack or a list of the K (M, N) matrices.
+    ``estimates`` is a C-ordered (K, M, N) stack or a list of the K (M, N) matrices.
     """
-    return nmse(np.asarray(estimates), _cascades(ch.H, ch.G))
+    return nmse(estimates, _cascades(ch.H, ch.G))
+
+
+def _baseline_solver(ch: ChannelSet, pilot_count: int) -> _Pinv:
+    """The baseline's cached pattern pseudoinverse, after its identifiability checks."""
+    n_atoms, n_users = ch.H.shape
+    n_slots = pilot_count // n_users
+    if n_slots < n_atoms:
+        m = ch.G.shape[0]
+        raise IdentifiabilityError(
+            f"cascaded least squares underdetermined at a {pilot_count}-pilot "
+            f"budget: {m * n_atoms} unknowns per user vs {m * n_slots} equations "
+            f"({n_slots} slots); need at least {n_atoms} slots "
+            f"({n_atoms * n_users} pilot symbols)")
+    solver = _baseline_pinv(n_atoms, n_slots)
+    if solver.rank < n_atoms:
+        raise IdentifiabilityError(f"reflection pattern matrix rank {solver.rank} < {n_atoms}")
+    return solver
+
+
+def _estimate_baseline(ch: ChannelSet, solver: _Pinv, noise: np.ndarray | None) -> np.ndarray:
+    """The cascades of ``cascaded_ls_baseline`` on given (n_slots, M, n_users) noise."""
+    n_atoms, n_users = ch.H.shape
+    amp = math.sqrt(ch.tx_power)
+    pilots = dft(n_users)
+    patterns = solver.source  # (slots, N)
+    blocks = _observe((ch.G * patterns[:, None, :]) @ (ch.H @ (amp * pilots)), noise)
+    stacked = _decorrelate(blocks, pilots, amp)  # stacked[:, :, k] = patterns @ A_k^T
+    a_t = (solver.pinv @ stacked.reshape(len(patterns), -1)).reshape(n_atoms, -1, n_users)
+    return np.ascontiguousarray(a_t.transpose(2, 1, 0))
 
 
 def cascaded_ls_baseline(ch: ChannelSet, pilot_count: int, rng: np.random.Generator):
@@ -305,30 +399,10 @@ def cascaded_ls_baseline(ch: ChannelSet, pilot_count: int, rng: np.random.Genera
     identifiability needs at least n_atoms slots, i.e. n_atoms * n_users
     pilot symbols.  The pattern matrix depends only on (n_atoms, n_slots),
     so its pseudoinverse is cached and one product solves every user.
-    Returns the list of per-user estimates.
+    Returns the C-ordered (n_users, M, n_atoms) stack of per-user estimates.
     """
-    n_atoms, n_users = ch.H.shape
-    n_slots = pilot_count // n_users
-    if n_slots < n_atoms:
-        m = ch.G.shape[0]
-        raise IdentifiabilityError(
-            f"cascaded least squares underdetermined at a {pilot_count}-pilot "
-            f"budget: {m * n_atoms} unknowns per user vs {m * n_slots} equations "
-            f"({n_slots} slots); need at least {n_atoms} slots "
-            f"({n_atoms * n_users} pilot symbols)")
-    amp = math.sqrt(ch.tx_power)
-    pilots = dft(n_users)
-    solver = _baseline_pinv(n_atoms, n_slots)
-    if solver.rank < n_atoms:
-        raise IdentifiabilityError(f"reflection pattern matrix rank {solver.rank} < {n_atoms}")
-    patterns = solver.source  # (slots, N)
-
-    blocks = (ch.G * patterns[:, None, :]) @ (ch.H @ (amp * pilots))
-    if ch.noise_var_bs > 0.0:
-        blocks = blocks + complex_normal_stack(rng, blocks.shape, var=ch.noise_var_bs)
-    stacked = _decorrelate(blocks, pilots, amp)  # stacked[:, :, k] = patterns @ A_k^T
-    a_t = (solver.pinv @ stacked.reshape(n_slots, -1)).reshape(n_atoms, -1, n_users)
-    return [a_t[:, :, k].T for k in range(n_users)]
+    solver = _baseline_solver(ch, pilot_count)
+    return _estimate_baseline(ch, solver, _reflected_noise(len(solver.source), ch, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -378,20 +452,22 @@ def _tradeoff_trial(trial: int, *, seed: int, rhos: tuple, n_draws: int, snr_db:
         pathloss_model=dims.pathloss_model)
     nmse_h = np.empty((len(rhos), n_draws))
     nmse_g = np.empty_like(nmse_h)
-    for i, rho in enumerate(rhos):
-        # Noise substreams are re-derived per cell: every (rho, draw) cell of
-        # one trial sees identical noise, so curves are paired.  The H stage
-        # never reads the reflection phases, the only thing the draws change,
-        # so one H estimate per rho serves every draw.
-        schedules = [_cached_schedule(seed, j, rho, dims.n_atoms, dims.n_users,
-                                      dims.n_rf_chains, dims.pilot_count)
-                     for j in range(n_draws)]
-        h_hat = hris_estimate_H(schedules[0], ch,
-                                substream(seed, "chest_tradeoff", trial, TAG_NOISE_HRIS))
+    schedules = [[_cached_schedule(seed, j, rho, dims.n_atoms, dims.n_users,
+                                   dims.n_rf_chains, dims.pilot_count) for j in range(n_draws)]
+                 for rho in rhos]
+    # Every (rho, draw) cell of one trial sees identical noise, so curves are
+    # paired: the noise of each stage is drawn once and serves every cell.
+    noise_h = _sensed_noise(schedules[0][0], ch, substream(
+        seed, "chest_tradeoff", trial, TAG_NOISE_HRIS))
+    noise_g = _reflected_noise(schedules[0][0].n_slots, ch, substream(
+        seed, "chest_tradeoff", trial, TAG_NOISE_BS))
+    for i, row in enumerate(schedules):
+        # The H stage never reads the reflection phases, the only thing the
+        # draws change, so one H estimate per rho serves every draw.
+        h_hat = _estimate_H(row[0], ch, noise_h)
         nmse_h[i, :] = nmse(h_hat, ch.H)
-        for j, sched in enumerate(schedules):
-            g_hat = bs_estimate_G(sched, ch, h_hat,
-                                  substream(seed, "chest_tradeoff", trial, TAG_NOISE_BS))
+        for j, sched in enumerate(row):
+            (g_hat,) = _estimate_G(sched, ch, [h_hat], _contract_reflected(sched, ch, noise_g))
             nmse_g[i, j] = nmse(g_hat, ch.G)
     return nmse_h, nmse_g
 
@@ -427,19 +503,30 @@ def _sweep_trial(trial: int, *, seed: int, nr_grid: tuple, snrs_db: tuple, rho: 
         dims.geom, dims.n_atoms, dims.n_users, dims.n_bs_antennas,
         substream(seed, "rf_chain_sweep", trial, TAG_CHANNEL),
         pathloss_model=dims.pathloss_model)
+    schedules = [_sweep_schedule(dims.n_atoms, dims.n_users, n_rf, pilot_count, rho)
+                 for n_rf in nr_grid]
+    # Every cell of one trial sees identical noise, so curves are paired: the
+    # noise of each stage and shape is drawn once and serves every SNR.  The
+    # schedules differ only in their combiners, so they share the reflected
+    # observations and the G stage of all chain counts is one stacked solve.
+    def noise_rng(tag):
+        return substream(seed, "rf_chain_sweep", trial, tag)
+
+    noise_h = [_sensed_noise(sched, ch0, noise_rng(TAG_NOISE_HRIS)) for sched in schedules]
+    noise_g = _reflected_noise(n_slots, ch0, noise_rng(TAG_NOISE_BS))
+    if baseline:
+        solver = _baseline_solver(ch0, pilot_count)
+        noise_base = _reflected_noise(n_slots, ch0, noise_rng(TAG_NOISE_BASELINE))
     casc = np.empty((len(nr_grid), len(snrs_db)))
     base = np.full(len(snrs_db), np.nan)
     for s, snr_db in enumerate(snrs_db):
         ch = replace(ch0, tx_power=10.0 ** (snr_db / 10.0))
         if baseline:
-            est = cascaded_ls_baseline(
-                ch, pilot_count, substream(seed, "rf_chain_sweep", trial, TAG_NOISE_BASELINE))
-            base[s] = cascaded_nmse(est, ch)
-        for i, n_rf in enumerate(nr_grid):
-            sched = _sweep_schedule(dims.n_atoms, dims.n_users, n_rf, pilot_count, rho)
-            h_hat, g_hat = run_two_sided(
-                sched, ch, substream(seed, "rf_chain_sweep", trial, TAG_NOISE_HRIS),
-                substream(seed, "rf_chain_sweep", trial, TAG_NOISE_BS))
+            base[s] = cascaded_nmse(_estimate_baseline(ch, solver, noise_base), ch)
+        h_hats = [_estimate_H(sched, ch, noise) for sched, noise in zip(schedules, noise_h)]
+        g_hats = _estimate_G(schedules[0], ch, h_hats,
+                             _contract_reflected(schedules[0], ch, noise_g))
+        for i, (h_hat, g_hat) in enumerate(zip(h_hats, g_hats)):
             casc[i, s] = cascaded_nmse(_cascades(h_hat, g_hat), ch)
     return casc, base
 

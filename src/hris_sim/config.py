@@ -221,15 +221,24 @@ def _build(path: str, cls, **values):
         raise ConfigError(f"invalid '{path}': {exc}") from exc
 
 
-def _check_rf_chains(n_rf: int, full: str, channel: dict) -> None:
+def _check_rf_chains(n_rf: int, full: str, channel: dict, tree: dict) -> None:
     """Reject a receive-chain count outside [1, channel.n_atoms].
 
     That is the range ``hris.combiner_schedule`` builds combiners for; a run
-    outside it would fail in its first trial instead.
+    outside it would fail in its first trial instead.  ``full`` is the path
+    of the count, a key or a list entry of one; when ``tree`` does not set
+    that key the count is the schema default, and the message says so and
+    names the key to set.
     """
-    if not 1 <= n_rf <= channel["n_atoms"]:
-        raise ConfigError(f"'{full}' must lie in [1, channel.n_atoms = "
-                          f"{channel['n_atoms']}], got {n_rf}")
+    if 1 <= n_rf <= channel["n_atoms"]:
+        return
+    bound = f"[1, channel.n_atoms = {channel['n_atoms']}]"
+    key = full.partition("[")[0]
+    section, name = key.split(".")
+    if name not in tree.get(section, {}):
+        raise ConfigError(f"'{key}' is not set, and its default {n_rf} at '{full}' lies "
+                          f"outside {bound}; set '{key}'")
+    raise ConfigError(f"'{full}' must lie in {bound}, got {n_rf}")
 
 
 def _chest_dims(channel: dict, n_rf_chains: int, pilot_count: int) -> ChestDims:
@@ -247,7 +256,7 @@ def _chest_dims(channel: dict, n_rf_chains: int, pilot_count: int) -> ChestDims:
 # name, as they are configured in degrees.
 
 
-def _parse_aoa(values: dict) -> dict:
+def _parse_aoa(values: dict, tree: dict) -> dict:
     aoa = dict(values["aoa"])
     grid = aoa.pop("grid")
     aoa["azimuth_rad"] = math.radians(aoa.pop("azimuth_deg"))
@@ -257,25 +266,25 @@ def _parse_aoa(values: dict) -> dict:
     return {"aoa": AoaParams(**aoa)}
 
 
-def _parse_tradeoff(values: dict) -> dict:
+def _parse_tradeoff(values: dict, tree: dict) -> dict:
     tradeoff, channel = dict(values["tradeoff"]), values["channel"]
     n_rf_chains, pilot_count = tradeoff.pop("n_rf_chains"), tradeoff.pop("pilot_count")
-    _check_rf_chains(n_rf_chains, "tradeoff.n_rf_chains", channel)
+    _check_rf_chains(n_rf_chains, "tradeoff.n_rf_chains", channel, tree)
     return {"tradeoff": TradeoffParams(**tradeoff),
             "chest_dims": _chest_dims(channel, n_rf_chains, pilot_count)}
 
 
-def _parse_rf_sweep(values: dict) -> dict:
+def _parse_rf_sweep(values: dict, tree: dict) -> dict:
     sweep, channel = values["rf_sweep"], values["channel"]
     for i, n_rf in enumerate(sweep["n_rf_grid"]):
-        _check_rf_chains(n_rf, f"rf_sweep.n_rf_grid[{i}]", channel)
+        _check_rf_chains(n_rf, f"rf_sweep.n_rf_grid[{i}]", channel, tree)
     n_slots = channel["n_atoms"] if sweep["n_slots"] is None else sweep["n_slots"]
     return {"rf_sweep": RfSweepParams(**sweep),
             "chest_dims": _chest_dims(channel, max(sweep["n_rf_grid"]),
                                       n_slots * channel["n_users"])}
 
 
-def _parse_beampattern(values: dict) -> dict:
+def _parse_beampattern(values: dict, tree: dict) -> dict:
     if values["array"] is None:
         raise ConfigError("beampattern runs need an 'array' section")
     return {"array": _build("array", PlanarArray, **values["array"]),
@@ -323,7 +332,8 @@ class Experiment:
     """What one experiment adds to the common keys, and how it runs.
 
     ``sections`` maps each section the experiment takes to its schema entry;
-    ``parse(values)`` builds the ExperimentConfig fields from the values read;
+    ``parse(values, tree)`` builds the ExperimentConfig fields from the values
+    read (``tree`` is the raw tree, which tells a given value from a default);
     ``run(cfg, seed, workers)`` returns its CSV rows; ``derived(cfg)`` the
     "derived" block of metadata.json.
     """
@@ -332,7 +342,7 @@ class Experiment:
     default_trials: int
     csv_name: str
     columns: tuple
-    parse: Callable[[dict], dict]
+    parse: Callable[[dict, dict], dict]
     run: Callable[[ExperimentConfig, int, int], list]
     derived: Callable[[ExperimentConfig], dict]
 
@@ -421,7 +431,7 @@ def parse_config_tree(tree: dict, source: str = "config") -> ExperimentConfig:
         int, spec.default_trials, _COUNT), **spec.sections}, "")
     return ExperimentConfig(
         **{key: values[key] for key in ("experiment", "n_trials", *_COMMON)},
-        raw=deepcopy(tree), **spec.parse(values))
+        raw=deepcopy(tree), **spec.parse(values, tree))
 
 
 def load_config(path) -> ExperimentConfig:

@@ -279,13 +279,17 @@ def estimate_g_per_slot_cholesky(sched, ch, h_hat, rng):
 
     The Gram of the stacked regressors Z (rows R_t[n] W[n, k]) is
     (conj(W) W^T) * (R^H R) with W = H_hat X and R the (slots, N) reflection
-    gains; the right-hand side is Z^H Y.
+    gains.  The right-hand side Z^H Y is taken in factored form: the per-slot
+    blocks Y_t, stacked, are summed over slots against the reflections,
+    V[n, m, k] = sum_t conj(R[t, n]) Y_t[m, k], and then over pilot columns,
+    (Z^H Y)[n, m] = sum_k conj(W[n, k]) V[n, m, k].
     """
-    refl, blocks, regressors = _reflected_per_slot(sched, ch, h_hat, rng)
+    refl, blocks, _ = _reflected_per_slot(sched, ch, h_hat, rng)
     w = h_hat @ (math.sqrt(ch.tx_power) * sched.pilots)
-    z = np.hstack(regressors).T
+    y = np.stack(blocks)
+    v = (np.conj(refl).T @ y.reshape(len(blocks), -1)).reshape(-1, *y.shape[1:])
     lower = np.linalg.cholesky((np.conj(w) @ w.T) * (np.conj(refl).T @ refl))
-    half = solve_triangular(lower, np.conj(z).T @ np.hstack(blocks).T, lower=True)
+    half = solve_triangular(lower, (v @ np.conj(w)[:, :, None])[:, :, 0], lower=True)
     return solve_triangular(lower, half, lower=True, trans="C").T
 
 

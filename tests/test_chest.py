@@ -17,7 +17,7 @@ from hris_sim.chest import (ChestDims, _cached_schedule, _sweep_schedule, _sweep
 from hris_sim.errors import EstimationInfeasibleError, IdentifiabilityError
 from hris_sim.hris import combiner_schedule, reflection_gain
 from hris_sim.rng import (TAG_CHANNEL, TAG_NOISE_BASELINE, TAG_NOISE_BS, TAG_NOISE_HRIS,
-                          substream)
+                          complex_normal_stack, substream)
 
 import oracles
 
@@ -172,6 +172,7 @@ def test_stages_and_baseline_bit_exact_to_per_slot_oracle_fig6_shape():
         return substream(7, "unit_test", 0, TAG_NOISE_BASELINE)
 
     estimates = cascaded_ls_baseline(ch, 512, rng())
+    assert estimates.shape == (8, 16, 64) and estimates.flags.c_contiguous
     reference = oracles.baseline_per_slot_pinv(ch, 512, rng())
     assert len(estimates) == len(reference) == 8
     assert all(np.array_equal(a, b) for a, b in zip(estimates, reference))
@@ -209,6 +210,74 @@ def test_reflection_gains_cached_per_schedule_and_fresh_after_replace():
                               reflection_gain(variant.rho, variant.reflect_phase))
         assert not np.array_equal(variant.reflection_gains, gains)
     assert sched.reflection_gains is gains
+
+
+def test_sweep_schedules_share_their_reflections():
+    """The chain sweep observes the reflected pilots once for every chain count."""
+    schedules = [_sweep_schedule(64, 8, n_rf, 512, 0.5) for n_rf in (1, 2, 4, 8)]
+    for sched in schedules[1:]:
+        assert np.array_equal(sched.reflection_gains, schedules[0].reflection_gains)
+
+
+def test_stacked_g_solve_equals_one_cell_solves():
+    """C cells sharing one set of reflected observations, solved in one stack, equal C calls."""
+    ch = _channels(64, 8, 16, seed=6, tx_power=10.0)
+    schedules = [_sweep_schedule(64, 8, n_rf, 512, 0.5) for n_rf in (1, 2, 4, 8)]
+
+    def rng(tag, cell=0):
+        return substream(7, "unit_test", cell, tag)
+
+    h_hats = [hris_estimate_H(sched, ch, rng(TAG_NOISE_HRIS, i))
+              for i, sched in enumerate(schedules)]
+    noise = chest._reflected_noise(64, ch, rng(TAG_NOISE_BS))
+    g_hats = chest._estimate_G(schedules[0], ch, h_hats,
+                               chest._contract_reflected(schedules[0], ch, noise))
+    assert len(g_hats) == 4
+    for sched, h_hat, g_hat in zip(schedules, h_hats, g_hats):
+        assert np.array_equal(g_hat, bs_estimate_G(sched, ch, h_hat, rng(TAG_NOISE_BS)))
+
+
+@pytest.mark.parametrize("scale, rank", [(0.0, 7), (1e-9, 8)])
+def test_stacked_g_solve_names_the_degenerate_cell(scale, rank):
+    """One degenerate cell fails the whole stack, with that cell's own rank in the message."""
+    sched = build_pilot_schedule(8, 2, 2, 8, 0.5)
+    ch = _channels(8, 2, 4, noise_var_hris=0.0, noise_var_bs=0.0)
+    degenerate = ch.H.copy()
+    degenerate[5] *= scale
+    contracted = chest._contract_reflected(sched, ch, None)
+    good = chest._estimate_G(sched, ch, [ch.H, ch.H], contracted)
+    assert all(nmse(g_hat, ch.G) < 1e-20 for g_hat in good)
+    with pytest.raises(IdentifiabilityError, match=rf"regressors rank {rank} of 8 "):
+        chest._estimate_G(sched, ch, [ch.H, degenerate, ch.H], contracted)
+
+
+def _count_noise_draws(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return complex_normal_stack(*args, **kwargs)
+
+    monkeypatch.setattr(chest, "complex_normal_stack", counted)
+    return calls
+
+
+def test_sweep_trial_draws_each_noise_once(monkeypatch):
+    """A fig6 trial draws one G-stage, one baseline and one H-stage noise per chain count."""
+    calls = _count_noise_draws(monkeypatch)
+    _sweep_trial(0, seed=3, nr_grid=(1, 2, 4, 8), snrs_db=(0.0, 10.0), rho=0.5, n_slots=64,
+                 dims=ChestDims(), baseline=True)
+    assert sorted(calls) == sorted([(64, 1, 8), (64, 2, 8), (64, 4, 8), (64, 8, 8),
+                                    (64, 16, 8), (64, 16, 8)])
+
+
+def test_tradeoff_trial_draws_each_noise_once(monkeypatch):
+    """A fig5 trial draws one H-stage and one G-stage noise for all 27 cells."""
+    calls = _count_noise_draws(monkeypatch)
+    _tradeoff_trial(0, seed=3, rhos=tuple(round(0.1 * i, 1) for i in range(1, 10)),
+                    n_draws=3, snr_db=30.0, dims=ChestDims())
+    assert calls == [(9, 8, 8), (9, 16, 8)]
+
 
 # Per-slot oracle pairs: the closed forms the package must match bit for bit,
 # and the lstsq solves it must match within LSTSQ_RTOL.

@@ -57,6 +57,18 @@ def test_receive_chains_beyond_the_atoms_exit_two(tmp_path, capsys, section):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("experiment, key", [("rf_chain_sweep", "rf_sweep.n_rf_grid"),
+                                             ("chest_tradeoff", "tradeoff.n_rf_chains")])
+def test_default_receive_chains_beyond_the_atoms_exit_two(tmp_path, capsys, experiment, key):
+    cfg = tmp_path / "small.yaml"
+    cfg.write_text(f"version: 1\nn_trials: 1\nexperiment: {experiment}\n"
+                   "channel: {n_atoms: 4, n_users: 2, n_bs_antennas: 4}\n", encoding="utf-8")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: '{key}' is not set" in err and f"; set '{key}'" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_count_below_one_exits_two(tmp_path, capsys):
     cfg = tmp_path / "zero.yaml"
     cfg.write_text("version: 1\nexperiment: aoa_rmse\nn_trials: 1\n"

@@ -1,6 +1,7 @@
 """Configuration schema: strict parsing, presets, YAML loading."""
 
 import math
+import re
 from copy import deepcopy
 from dataclasses import replace
 
@@ -131,6 +132,21 @@ def test_receive_chains_outside_one_to_n_atoms_rejected(n_rf):
     with pytest.raises(ConfigError, match=rf"'rf_sweep\.n_rf_grid\[2\]' must lie in "
                                           rf"\[1, channel\.n_atoms = 16\], got {n_rf}"):
         parse_config_tree(tree)
+
+
+@pytest.mark.parametrize("experiment, key, full", [
+    ("chest_tradeoff", "tradeoff.n_rf_chains", "tradeoff.n_rf_chains"),
+    ("rf_chain_sweep", "rf_sweep.n_rf_grid", "rf_sweep.n_rf_grid[3]")])
+def test_default_receive_chains_beyond_the_atoms_name_the_key_to_set(experiment, key, full):
+    """A tree that only shrinks the surface is told that a default, not its own value, fails."""
+    tree = {"version": 1, "experiment": experiment, "channel": {"n_atoms": 4}}
+    message = (rf"'{re.escape(key)}' is not set, and its default 8 at '{re.escape(full)}' "
+               rf"lies outside \[1, channel\.n_atoms = 4\]; set '{re.escape(key)}'")
+    with pytest.raises(ConfigError, match=message):
+        parse_config_tree(tree)
+    section, name = key.split(".")
+    tree[section] = {name: 4 if name == "n_rf_chains" else [1, 2, 4]}
+    assert parse_config_tree(tree).chest_dims.n_rf_chains == 4
 
 
 _MINIMAL = {
