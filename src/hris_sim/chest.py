@@ -12,9 +12,13 @@ A purely reflective surface (rho = 1 everywhere, no sensing) serves as the
 baseline: the base station then has to estimate every per-user cascaded
 matrix directly, which needs far more pilots.
 
-Every solve is closed form.  The regressors of the sensing stage and of the
-baseline depend only on the system shape, so their pseudoinverses and ranks
-are computed once per shape and cached; each estimate is then one product.
+Every solve is closed form.  The sensing stage and the baseline stack
+cycled DFT rows: row i of the stacked combiner, and baseline pattern i, is
+row (i mod N) of the N-point DFT matrix F.  With c_r the number of rows of
+index r, Q^H Q = F^H diag(c) F, so pinv(Q) y is the inverse DFT of the means
+of y's rows grouped by index, exact whenever every c_r >= 1.  Both stages are
+linear in their noise, so an estimate is the truth plus that solve of the
+noise alone, scaled by the cell's pilot amplitude and sensing gain.
 The base-station stage solves its N x N normal equations by Cholesky, with
 the Gram matrix built from the Hadamard structure of its stacked regressors.
 Its right-hand side is factored the same way: Z^H Y sums conj(R[t, n] W[n, k])
@@ -28,7 +32,8 @@ given and run one cell.  A Monte Carlo trial pairs its cells: every cell of a
 trial sees the same noise substream, so the trial draws each noise array once
 per shape and reuses it, observes the reflected pilots once per reflection
 schedule and SNR, and factors the Gram matrices of all cells that share
-those observations in one stacked Cholesky.
+those observations in one stacked Cholesky.  Each noise array is solved once
+per trial and shape; a cell then only scales and adds.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, partial
-from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_solve, dft
@@ -92,51 +96,27 @@ class PilotSchedule:
         return gains
 
 
-class _Pinv(NamedTuple):
-    """Pseudoinverse and numerical rank of a fixed regressor.
-
-    ``source`` is the array it was computed from; a cached entry serves a
-    caller only when the caller holds that very object, never an equal copy.
-    """
-
-    source: np.ndarray
-    pinv: np.ndarray
-    rank: int
-
-
-def _pinv_of(source: np.ndarray, matrix: np.ndarray) -> _Pinv:
-    """Rank as lstsq's default rcond counts it (max(M, N) * eps of the largest singular value).
-
-    The pseudoinverse is read-only: cached entries are shared by every caller.
-    """
-    pinv = np.linalg.pinv(matrix)
-    pinv.setflags(write=False)
-    return _Pinv(source, pinv, int(np.linalg.matrix_rank(matrix)))
-
-
 @lru_cache(maxsize=16)
-def _dft_sensing(n_atoms: int, n_rf_chains: int, n_slots: int) -> _Pinv:
-    """The cycled-DFT combiners of one schedule shape with their stacked pseudoinverse."""
+def _dft_sensing(n_atoms: int, n_rf_chains: int, n_slots: int) -> np.ndarray:
+    """The read-only cycled-DFT combiners of one schedule shape, shared by its schedules."""
     combiners = combiner_schedule(n_atoms, n_rf_chains, n_slots)
     combiners.setflags(write=False)
-    return _pinv_of(combiners, combiners.reshape(n_slots * n_rf_chains, n_atoms))
+    return combiners
 
 
-def _sensing_pinv(combiners: np.ndarray) -> _Pinv:
-    """Stacked-combiner pseudoinverse: cached for built schedules, fresh for any other."""
-    n_slots, n_rf, n_atoms = combiners.shape
-    cached = _dft_sensing(n_atoms, n_rf, n_slots)
-    if cached.source is combiners:
-        return cached
-    return _pinv_of(combiners, combiners.reshape(n_slots * n_rf, n_atoms))
+def _dft_lstsq(rows: np.ndarray, n_atoms: int) -> np.ndarray:
+    """pinv(Q) @ rows for the (L, n_atoms) Q whose row i is DFT row (i mod n_atoms).
 
-
-@lru_cache(maxsize=4)
-def _baseline_pinv(n_atoms: int, n_slots: int) -> _Pinv:
-    """The baseline's cycled DFT reflection patterns (slots, N) with their pseudoinverse."""
-    patterns = dft(n_atoms)[np.mod(np.arange(n_slots), n_atoms), :]
-    patterns.setflags(write=False)
-    return _pinv_of(patterns, patterns)
+    Q^H Q = F^H diag(c) F with c_r the count of rows of index r, and
+    F F^H = n_atoms * I, so the solve is the inverse DFT, along rows, of the
+    means of ``rows`` grouped by index.  Needs L >= n_atoms (every c_r >= 1).
+    """
+    full, rem = divmod(len(rows), n_atoms)
+    sums = rows[:full * n_atoms].reshape(full, n_atoms, -1).sum(axis=0)
+    sums[:rem] += rows[full * n_atoms:]
+    counts = np.full(n_atoms, full)
+    counts[:rem] += 1
+    return np.fft.ifft(sums / counts[:, None], axis=0)
 
 
 def _cholesky(grams: np.ndarray):
@@ -187,7 +167,7 @@ def build_pilot_schedule(n_atoms: int, n_users: int, n_rf_chains: int,
     dft_phase = -2.0 * np.pi * np.arange(n_atoms) / n_atoms
     arrays = dict(
         pilots=dft(n_users),
-        combiners=_dft_sensing(n_atoms, n_rf_chains, n_slots).source,
+        combiners=_dft_sensing(n_atoms, n_rf_chains, n_slots),
         rho=np.full((n_slots, n_atoms), float(rho)),
         reflect_phase=base + (np.arange(n_slots) % n_atoms)[:, None] * dft_phase,
         sense_phase=np.full((n_slots, n_atoms), float(sense_phase)))
@@ -196,10 +176,9 @@ def build_pilot_schedule(n_atoms: int, n_users: int, n_rf_chains: int,
     return PilotSchedule(**arrays)
 
 
-def _decorrelate(block: np.ndarray, pilots: np.ndarray, amplitude: float) -> np.ndarray:
-    """Undo the pilot block of every slot: Y X^H / (K * amplitude) for X = amplitude * pilots."""
-    k = pilots.shape[0]
-    return block @ np.conj(pilots.T) / (k * amplitude)
+def _decorrelate(block: np.ndarray, pilots: np.ndarray) -> np.ndarray:
+    """Undo the pilot block of every slot: Y X^H / K for X = pilots, X^H X = K I."""
+    return block @ np.conj(pilots.T) / pilots.shape[0]
 
 
 def _noise(rng: np.random.Generator, shape: tuple, var: float) -> np.ndarray | None:
@@ -212,53 +191,70 @@ def _observe(signal: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
 
 
 def _sensed_noise(sched: PilotSchedule, ch: ChannelSet, rng: np.random.Generator):
-    return _noise(rng, (*sched.combiners.shape[:2], sched.n_users), ch.noise_var_hris)
+    """pinv(Q) N X^H / K: the sensed noise of all slots, drawn and solved alone (0 if none)."""
+    noise = _noise(rng, (*sched.combiners.shape[:2], sched.n_users), ch.noise_var_hris)
+    if noise is None:
+        return 0.0
+    rows = _decorrelate(noise, sched.pilots).reshape(-1, sched.n_users)
+    return _dft_lstsq(rows, sched.combiners.shape[2])
 
 
 def _reflected_noise(n_slots: int, ch: ChannelSet, rng: np.random.Generator):
     return _noise(rng, (n_slots, ch.G.shape[0], ch.H.shape[1]), ch.noise_var_bs)
 
 
-def _estimate_H(sched: PilotSchedule, ch: ChannelSet, noise: np.ndarray | None) -> np.ndarray:
-    """The H stage of ``hris_estimate_H`` on given (n_slots, n_rf_chains, n_users) noise."""
+def _require_sensed_rank(n_slots: int, n_rf_chains: int, n_atoms: int) -> None:
+    """The H stage's rank check, run per sweep before any trial and per estimate.
+
+    T slots of R chains stack T*R cycled DFT combiner rows, whose rank is
+    min(T*R, n_atoms): the sensed system needs T*R >= n_atoms.
+    """
+    if n_slots * n_rf_chains < n_atoms:
+        raise IdentifiabilityError(
+            f"stacked combiner rank {n_slots * n_rf_chains} < {n_atoms} atoms with "
+            f"{n_rf_chains} receive chains over {n_slots} slots; the sensed system needs "
+            f"ceil(n_atoms / n_rf_chains) slots (n_atoms * n_users / n_rf_chains pilot symbols)")
+
+
+def _sensing_diag(sched: PilotSchedule) -> np.ndarray:
+    """The sensing diagonal every slot shares, after the H stage's checks on ``sched``."""
     n_slots, n_rf, n_atoms = sched.combiners.shape
-    amp = math.sqrt(ch.tx_power)
     if np.any(sched.rho != sched.rho[0]) or np.any(sched.sense_phase != sched.sense_phase[0]):
         raise ValueError("rho or the sense phase changes from slot to slot; this "
                          "estimator divides by one sensing diagonal shared by every slot")
+    if not np.array_equal(sched.combiners, _dft_sensing(n_atoms, n_rf, n_slots)):
+        raise ValueError("the combiners are not the cycled DFT rows of build_pilot_schedule; "
+                         "the H stage solves only those, in closed form")
+    _require_sensed_rank(n_slots, n_rf, n_atoms)
     sensed_diag = sensing_gain(sched.rho[0], sched.sense_phase[0])
     if np.any(np.abs(sensed_diag) == 0.0):
         raise EstimationInfeasibleError(
             "atoms with rho = 1 leave no sensed signal; their rows of H are unrecoverable")
+    return sensed_diag
 
-    blocks = _observe((sched.combiners * sensed_diag) @ (ch.H @ (amp * sched.pilots)), noise)
-    stacked_y = _decorrelate(blocks, sched.pilots, amp).reshape(n_slots * n_rf, -1)
-    solver = _sensing_pinv(sched.combiners)
-    if solver.rank < n_atoms:
-        raise IdentifiabilityError(
-            f"stacked combiner rank {solver.rank} < {n_atoms} atoms over {n_slots} "
-            f"slots; the sensed system needs ceil(n_atoms / n_rf_chains) slots "
-            f"(n_atoms * n_users / n_rf_chains pilot symbols)")
-    return (solver.pinv @ stacked_y) / sensed_diag[:, None]
+
+def _estimate_H(ch: ChannelSet, sensed_diag: np.ndarray, solved_noise) -> np.ndarray:
+    """H + solved_noise / (amp * s): one cell's H estimate from ``_sensed_noise``."""
+    return ch.H + solved_noise / (math.sqrt(ch.tx_power) * sensed_diag)[:, None]
 
 
 def hris_estimate_H(sched: PilotSchedule, ch: ChannelSet, rng: np.random.Generator) -> np.ndarray:
     """Estimate the terminals-to-surface channel from sensed pilot slots.
 
-    Simulates the sensed observations Y_t = Q_t S H X + N_t of all slots in
-    one stacked product, decorrelates the pilot blocks and solves the stacked
-    least squares for S H as pinv(Q) times the stacked observations, then
-    divides out the sensing diagonal S, which every slot must share.  The
-    pseudoinverse and rank of the stacked combiner Q are cached per schedule
-    shape for built schedules; a schedule whose combiners were swapped for
-    other arrays gets its own, computed on the call.
+    The sensed observations are Y_t = Q_t S H X + N_t.  Decorrelating the
+    pilot blocks and solving the stacked least squares for S H, then
+    dividing out the sensing diagonal S, gives H + pinv(Q) N X^H / (K amp S):
+    the noise is drawn for all slots at once and solved alone, in the exact
+    DFT form of the module docstring.
 
-    Raises ValueError when rho or the sense phase changes from slot to slot,
-    IdentifiabilityError when the stacked combiner does not reach rank
-    n_atoms and EstimationInfeasibleError when some atom senses nothing
-    (rho = 1) so its row of H cannot be recovered.
+    Raises ValueError when rho or the sense phase changes from slot to slot
+    or when the combiners are not the cycled DFT rows of
+    ``build_pilot_schedule``, IdentifiabilityError when the stacked combiner
+    does not reach rank n_atoms and EstimationInfeasibleError when some atom
+    senses nothing (rho = 1) so its row of H cannot be recovered.
     """
-    return _estimate_H(sched, ch, _sensed_noise(sched, ch, rng))
+    sensed_diag = _sensing_diag(sched)
+    return _estimate_H(ch, sensed_diag, _sensed_noise(sched, ch, rng))
 
 
 def _contract_reflected(sched: PilotSchedule, ch: ChannelSet,
@@ -361,8 +357,11 @@ def cascaded_nmse(estimates, ch: ChannelSet) -> float:
     return nmse(estimates, _cascades(ch.H, ch.G))
 
 
-def _baseline_solver(ch: ChannelSet, pilot_count: int) -> _Pinv:
-    """The baseline's cached pattern pseudoinverse, after its identifiability checks."""
+def _baseline_noise(ch: ChannelSet, pilot_count: int, rng: np.random.Generator):
+    """pinv(Phi) N_k X^H / K of every user k, drawn and solved alone, as (K, M, N) (0 if none).
+
+    Raises IdentifiabilityError when the budget gives fewer slots than atoms.
+    """
     n_atoms, n_users = ch.H.shape
     n_slots = pilot_count // n_users
     if n_slots < n_atoms:
@@ -372,22 +371,17 @@ def _baseline_solver(ch: ChannelSet, pilot_count: int) -> _Pinv:
             f"budget: {m * n_atoms} unknowns per user vs {m * n_slots} equations "
             f"({n_slots} slots); need at least {n_atoms} slots "
             f"({n_atoms * n_users} pilot symbols)")
-    solver = _baseline_pinv(n_atoms, n_slots)
-    if solver.rank < n_atoms:
-        raise IdentifiabilityError(f"reflection pattern matrix rank {solver.rank} < {n_atoms}")
-    return solver
-
-
-def _estimate_baseline(ch: ChannelSet, solver: _Pinv, noise: np.ndarray | None) -> np.ndarray:
-    """The cascades of ``cascaded_ls_baseline`` on given (n_slots, M, n_users) noise."""
-    n_atoms, n_users = ch.H.shape
-    amp = math.sqrt(ch.tx_power)
-    pilots = dft(n_users)
-    patterns = solver.source  # (slots, N)
-    blocks = _observe((ch.G * patterns[:, None, :]) @ (ch.H @ (amp * pilots)), noise)
-    stacked = _decorrelate(blocks, pilots, amp)  # stacked[:, :, k] = patterns @ A_k^T
-    a_t = (solver.pinv @ stacked.reshape(len(patterns), -1)).reshape(n_atoms, -1, n_users)
+    noise = _reflected_noise(n_slots, ch, rng)
+    if noise is None:
+        return 0.0
+    stacked = _decorrelate(noise, dft(n_users))  # stacked[:, :, k]: the noise of user k
+    a_t = _dft_lstsq(stacked.reshape(n_slots, -1), n_atoms).reshape(n_atoms, -1, n_users)
     return np.ascontiguousarray(a_t.transpose(2, 1, 0))
+
+
+def _estimate_baseline(ch: ChannelSet, solved_noise) -> np.ndarray:
+    """A_k + solved_noise_k / amp for every user: one cell's cascades from ``_baseline_noise``."""
+    return _cascades(ch.H, ch.G) + solved_noise / math.sqrt(ch.tx_power)
 
 
 def cascaded_ls_baseline(ch: ChannelSet, pilot_count: int, rng: np.random.Generator):
@@ -397,12 +391,12 @@ def cascaded_ls_baseline(ch: ChannelSet, pilot_count: int, rng: np.random.Genera
     the base station solves A_k Phi = observations for each user's (M,
     n_atoms) cascade matrix.  Each slot contributes one pattern, so
     identifiability needs at least n_atoms slots, i.e. n_atoms * n_users
-    pilot symbols.  The pattern matrix depends only on (n_atoms, n_slots),
-    so its pseudoinverse is cached and one product solves every user.
-    Returns the C-ordered (n_users, M, n_atoms) stack of per-user estimates.
+    pilot symbols.  The patterns are cycled DFT rows, so every user's solve
+    is the exact DFT form of the module docstring, applied to the noise
+    alone: A_k + pinv(Phi) N_k / amp.  Returns the C-ordered (n_users, M,
+    n_atoms) stack of per-user estimates.
     """
-    solver = _baseline_solver(ch, pilot_count)
-    return _estimate_baseline(ch, solver, _reflected_noise(len(solver.source), ch, rng))
+    return _estimate_baseline(ch, _baseline_noise(ch, pilot_count, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -418,19 +412,6 @@ class ChestDims:
     pilot_count: int = 70
     pathloss_model: str = "none"
     geom: LinkGeometry = LinkGeometry()
-
-
-def _require_sensed_rank(n_slots: int, n_rf_chains: int, n_atoms: int) -> None:
-    """Decide once per sweep that the H stage is identifiable, before any trial runs.
-
-    T slots of R chains stack T*R combiner rows, so the sensed system needs
-    T*R >= n_atoms; the cycled DFT rows reach full rank exactly then.
-    """
-    if n_slots * n_rf_chains < n_atoms:
-        raise IdentifiabilityError(
-            f"stacked combiner rank at most {n_slots * n_rf_chains} < {n_atoms} atoms "
-            f"with {n_rf_chains} receive chains over {n_slots} slots; the sensed "
-            f"system needs n_slots * n_rf_chains >= n_atoms")
 
 
 @lru_cache(maxsize=64)
@@ -457,14 +438,16 @@ def _tradeoff_trial(trial: int, *, seed: int, rhos: tuple, n_draws: int, snr_db:
                  for rho in rhos]
     # Every (rho, draw) cell of one trial sees identical noise, so curves are
     # paired: the noise of each stage is drawn once and serves every cell.
+    # The H stage never reads the reflection phases, the only thing the draws
+    # change, so one H estimate per rho serves every draw; the schedules share
+    # their combiners, so one sensed-noise solve serves every rho.
+    sensed_diags = [_sensing_diag(row[0]) for row in schedules]
     noise_h = _sensed_noise(schedules[0][0], ch, substream(
         seed, "chest_tradeoff", trial, TAG_NOISE_HRIS))
     noise_g = _reflected_noise(schedules[0][0].n_slots, ch, substream(
         seed, "chest_tradeoff", trial, TAG_NOISE_BS))
-    for i, row in enumerate(schedules):
-        # The H stage never reads the reflection phases, the only thing the
-        # draws change, so one H estimate per rho serves every draw.
-        h_hat = _estimate_H(row[0], ch, noise_h)
+    for i, (row, sensed_diag) in enumerate(zip(schedules, sensed_diags)):
+        h_hat = _estimate_H(ch, sensed_diag, noise_h)
         nmse_h[i, :] = nmse(h_hat, ch.H)
         for j, sched in enumerate(row):
             (g_hat,) = _estimate_G(sched, ch, [h_hat], _contract_reflected(sched, ch, noise_g))
@@ -512,18 +495,18 @@ def _sweep_trial(trial: int, *, seed: int, nr_grid: tuple, snrs_db: tuple, rho: 
     def noise_rng(tag):
         return substream(seed, "rf_chain_sweep", trial, tag)
 
+    sensed_diags = [_sensing_diag(sched) for sched in schedules]
     noise_h = [_sensed_noise(sched, ch0, noise_rng(TAG_NOISE_HRIS)) for sched in schedules]
     noise_g = _reflected_noise(n_slots, ch0, noise_rng(TAG_NOISE_BS))
     if baseline:
-        solver = _baseline_solver(ch0, pilot_count)
-        noise_base = _reflected_noise(n_slots, ch0, noise_rng(TAG_NOISE_BASELINE))
+        noise_base = _baseline_noise(ch0, pilot_count, noise_rng(TAG_NOISE_BASELINE))
     casc = np.empty((len(nr_grid), len(snrs_db)))
     base = np.full(len(snrs_db), np.nan)
     for s, snr_db in enumerate(snrs_db):
         ch = replace(ch0, tx_power=10.0 ** (snr_db / 10.0))
         if baseline:
-            base[s] = cascaded_nmse(_estimate_baseline(ch, solver, noise_base), ch)
-        h_hats = [_estimate_H(sched, ch, noise) for sched, noise in zip(schedules, noise_h)]
+            base[s] = cascaded_nmse(_estimate_baseline(ch, noise_base), ch)
+        h_hats = [_estimate_H(ch, diag, noise) for diag, noise in zip(sensed_diags, noise_h)]
         g_hats = _estimate_G(schedules[0], ch, h_hats,
                              _contract_reflected(schedules[0], ch, noise_g))
         for i, (h_hat, g_hat) in enumerate(zip(h_hats, g_hats)):

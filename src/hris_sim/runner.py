@@ -5,11 +5,13 @@ LF line endings) plus a metadata JSON describing the configuration, derived
 quantities, wall-clock duration and environment.  CSV contents depend only on
 (seed, config) and the BLAS thread count, never on the worker count; floats
 are printed through one fixed format so repeated runs are byte-identical.
+The metadata's ``results_sha256`` covers the unrounded cells, last bits too.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -43,6 +45,13 @@ def write_csv(path, rows: list[dict], columns: list[str]) -> None:
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_format_cell(row[c]) for c in columns])
+
+
+def results_digest(rows: list[dict], columns: list[str]) -> str:
+    """sha256 over every cell of ``rows`` in column order, floats unrounded (``float.hex``)."""
+    cells = ",".join(float(v).hex() if isinstance(v, (float, np.floating)) else str(v)
+                     for row in rows for v in (row[c] for c in columns))
+    return hashlib.sha256(cells.encode()).hexdigest()
 
 
 def run(cfg: ExperimentConfig, out_dir=None, seed: int | None = None,
@@ -87,6 +96,7 @@ def run(cfg: ExperimentConfig, out_dir=None, seed: int | None = None,
         "rng": {"bit_generator": "Philox",
                 "key_layout": "(seed, experiment_id, substream_tag, trial)"},
         "outputs": {"csv": csv_path.name, "rows": len(rows)},
+        "results_sha256": results_digest(rows, spec.columns),
         "duration_s": duration,
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
                         "scipy": scipy.__version__, "cpu_count": os.cpu_count(),

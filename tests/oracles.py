@@ -216,9 +216,11 @@ def baseline_two_unknowns(patterns, observations):
 
 # ---------------------------------------------------------------------------
 # Per-slot channel-estimation references: one product, one noise draw and one
-# decorrelation per slot, then each stage solved twice: by lstsq, and by the
-# closed form the package uses (an explicit pinv, or Cholesky on the Hadamard
-# Gram), written out from scratch so the package must match it bit for bit.
+# decorrelation per slot, then each stage solved twice: by lstsq on the
+# simulated observations, and by the closed form the package uses, written out
+# from scratch so the package must match it bit for bit.  The closed forms are
+# the inverse DFT of group means applied to the noise alone (sensing stage and
+# baseline) and Cholesky on the Hadamard Gram (base-station stage).
 
 
 def _complex_normal_by_hand(rng, shape, var):
@@ -247,10 +249,38 @@ def estimate_h_per_slot(sched, ch, rng):
     return sh_hat / sensed[:, None]
 
 
-def estimate_h_per_slot_pinv(sched, ch, rng):
-    """Sensed-stage H estimate, slot by slot, by pinv of the stacked combiner."""
-    stacked_y, sensed = _sensed_per_slot(sched, ch, rng)
-    return (np.linalg.pinv(np.vstack(list(sched.combiners))) @ stacked_y) / sensed[:, None]
+def _dft_solve_loops(rows, n_atoms):
+    """pinv(Q) @ rows for Q whose row i is DFT row (i mod n_atoms), one group at a time.
+
+    Sums the rows of each DFT index in row order, divides by their count and
+    takes the inverse DFT over atoms: Q^H Q = F^H diag(count) F.
+    """
+    means = []
+    for r in range(n_atoms):
+        acc, count = rows[r], 1
+        for i in range(r + n_atoms, len(rows), n_atoms):
+            acc = acc + rows[i]
+            count += 1
+        means.append(acc / count)
+    return np.fft.ifft(np.array(means), axis=0)
+
+
+def estimate_h_per_slot_dft(sched, ch, rng):
+    """Sensed-stage H estimate, slot by slot, as H plus the DFT solve of the noise alone.
+
+    The stage is linear in its noise: H_hat = H + pinv(Q) (N_t X^H / K)_t / (amp * s).
+    """
+    n_users = sched.pilots.shape[0]
+    if ch.noise_var_hris == 0.0:
+        return ch.H.copy()
+    decorr = []
+    for t in range(sched.combiners.shape[0]):
+        noise = _complex_normal_by_hand(rng, (sched.combiners.shape[1], n_users),
+                                        ch.noise_var_hris)
+        decorr.append(noise @ np.conj(sched.pilots.T) / n_users)
+    solved = _dft_solve_loops(np.vstack(decorr), sched.combiners.shape[2])
+    sensed = np.sqrt(1.0 - sched.rho[0]) * np.exp(1j * sched.sense_phase[0])
+    return ch.H + solved / (math.sqrt(ch.tx_power) * sensed)[:, None]
 
 
 def _reflected_per_slot(sched, ch, h_hat, rng):
@@ -316,8 +346,19 @@ def baseline_per_slot(ch, pilot_count, rng):
             for k in range(stacked.shape[2])]
 
 
-def baseline_per_slot_pinv(ch, pilot_count, rng):
-    """Reflective-baseline per-user cascade estimates, slot by slot, by pinv(patterns)."""
-    patterns, stacked = _baseline_per_slot(ch, pilot_count, rng)
-    inverse = np.linalg.pinv(patterns)
-    return [(inverse @ stacked[:, :, k]).T for k in range(stacked.shape[2])]
+def baseline_per_slot_dft(ch, pilot_count, rng):
+    """Reflective-baseline cascades, slot by slot, as A_k plus the DFT solve of user k's noise."""
+    n_atoms, n_users = ch.H.shape
+    n_bs = ch.G.shape[0]
+    amp = math.sqrt(ch.tx_power)
+    pilots = dft(n_users)
+    truths = [ch.G * ch.H[:, k] for k in range(n_users)]
+    if ch.noise_var_bs == 0.0:
+        return truths
+    decorr = []
+    for t in range(pilot_count // n_users):
+        noise = _complex_normal_by_hand(rng, (n_bs, n_users), ch.noise_var_bs)
+        decorr.append(noise @ np.conj(pilots.T) / n_users)
+    stacked = np.stack(decorr)
+    return [truth + _dft_solve_loops(stacked[:, :, k], n_atoms).T / amp
+            for k, truth in enumerate(truths)]

@@ -1,7 +1,11 @@
 """Two-sided channel estimation: stage oracles, failure modes, experiments."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,10 +25,11 @@ from hris_sim.rng import (TAG_CHANNEL, TAG_NOISE_BASELINE, TAG_NOISE_BS, TAG_NOI
 
 import oracles
 
-# The package solves in closed form (pinv, Cholesky); the per-slot lstsq
-# oracles solve the same systems by SVD.  Estimates may differ by this much
-# in relative Frobenius norm (worst case measured on these shapes: 2.4e-14),
-# and the trial NMSEs derived from them element-wise (worst case: 3.8e-13).
+# The package solves in closed form (inverse DFT of group means, Cholesky);
+# the per-slot lstsq oracles solve the same systems by SVD.  Estimates may
+# differ by this much in relative Frobenius norm (worst case measured on these
+# shapes: 1.0e-14), and the trial NMSEs derived from them element-wise (worst
+# case: 1.8e-13).
 LSTSQ_RTOL = 1e-12
 
 
@@ -66,7 +71,7 @@ def test_schedule_bookkeeping():
 
 
 def test_sensed_stage_matches_pinv_oracle():
-    """Package cached-pinv pipeline vs an explicit pseudoinverse on hand-built data."""
+    """Package DFT-form H stage vs an explicit pseudoinverse on hand-built data."""
     rho, sense_phase = 0.3, 0.7
     sched = build_pilot_schedule(4, 1, 2, 2, rho, sense_phase=sense_phase)
     rng = np.random.default_rng(7)
@@ -145,7 +150,7 @@ def _assert_stages_match_per_slot_oracle(sched, ch, trial):
         return substream(7, "unit_test", trial, tag)
 
     h_hat = hris_estimate_H(sched, ch, rng(TAG_NOISE_HRIS))
-    assert np.array_equal(h_hat, oracles.estimate_h_per_slot_pinv(sched, ch, rng(TAG_NOISE_HRIS)))
+    assert np.array_equal(h_hat, oracles.estimate_h_per_slot_dft(sched, ch, rng(TAG_NOISE_HRIS)))
     _assert_near_lstsq(h_hat, oracles.estimate_h_per_slot(sched, ch, rng(TAG_NOISE_HRIS)))
     g_hat = bs_estimate_G(sched, ch, h_hat, rng(TAG_NOISE_BS))
     assert np.array_equal(
@@ -173,11 +178,44 @@ def test_stages_and_baseline_bit_exact_to_per_slot_oracle_fig6_shape():
 
     estimates = cascaded_ls_baseline(ch, 512, rng())
     assert estimates.shape == (8, 16, 64) and estimates.flags.c_contiguous
-    reference = oracles.baseline_per_slot_pinv(ch, 512, rng())
+    reference = oracles.baseline_per_slot_dft(ch, 512, rng())
     assert len(estimates) == len(reference) == 8
     assert all(np.array_equal(a, b) for a, b in zip(estimates, reference))
     for a, b in zip(estimates, oracles.baseline_per_slot(ch, 512, rng())):
         _assert_near_lstsq(a, b)
+
+
+# sha256 over H-stage estimates at the fig5 shape and at both ends of the fig6
+# chain sweep, and over the fig6 baseline, all with noise on.
+_ESTIMATE_DIGEST = """
+import hashlib
+import numpy as np
+from hris_sim.channels import LinkGeometry, draw_channels
+from hris_sim.chest import build_pilot_schedule, cascaded_ls_baseline, hris_estimate_H
+from hris_sim.rng import TAG_NOISE_BASELINE, TAG_NOISE_HRIS, substream
+ch = draw_channels(LinkGeometry(), 64, 8, 16, np.random.default_rng(4), pathloss_model="none")
+digest = hashlib.sha256()
+for n_rf, pilot_count in ((8, 70), (1, 512), (8, 512)):
+    sched = build_pilot_schedule(64, 8, n_rf, pilot_count, 0.5)
+    rng = substream(7, "unit_test", n_rf, TAG_NOISE_HRIS)
+    digest.update(hris_estimate_H(sched, ch, rng).tobytes())
+digest.update(cascaded_ls_baseline(ch, 512, substream(7, "unit_test", 0, TAG_NOISE_BASELINE)).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_h_stage_and_baseline_do_not_depend_on_blas_threads():
+    """The same estimate bits with one and two BLAS threads (set before numpy loads)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _ESTIMATE_DIGEST], env=env,
+                              capture_output=True, text=True, check=True, timeout=120)
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 def test_cached_schedules_are_read_only():
@@ -281,8 +319,8 @@ def test_tradeoff_trial_draws_each_noise_once(monkeypatch):
 
 # Per-slot oracle pairs: the closed forms the package must match bit for bit,
 # and the lstsq solves it must match within LSTSQ_RTOL.
-CLOSED_FORM = (oracles.estimate_h_per_slot_pinv, oracles.estimate_g_per_slot_cholesky,
-               oracles.baseline_per_slot_pinv)
+CLOSED_FORM = (oracles.estimate_h_per_slot_dft, oracles.estimate_g_per_slot_cholesky,
+               oracles.baseline_per_slot_dft)
 LSTSQ = (oracles.estimate_h_per_slot, oracles.estimate_g_per_slot, oracles.baseline_per_slot)
 
 
@@ -409,25 +447,26 @@ def test_vanishing_atom_fails_the_gram_pivot_floor():
                                expected, rtol=1e-6)
 
 
-def test_replaced_combiners_never_reuse_a_cached_pseudoinverse():
-    """The H-stage cache serves only the combiner array it was built from, by identity."""
+def test_non_dft_combiners_are_refused():
+    """The H stage solves only the cycled DFT combiners; other schedules get a typed error."""
     sched = build_pilot_schedule(16, 2, 4, 8, 0.5)
-    ch = _channels(16, 2, 4, noise_var_hris=0.0, noise_var_bs=0.0)
-    assert nmse(hris_estimate_H(sched, ch, np.random.default_rng(0)), ch.H) < 1e-20
+    ch = _channels(16, 2, 4, noise_var_hris=0.1)
 
-    # Same shape, other combiners: a stale pinv would return a wrong H.
-    other = combiner_schedule(16, 4, 4, kind="random_phase", seed=3)
-    h_hat = hris_estimate_H(replace(sched, combiners=other), ch, np.random.default_rng(0))
-    assert nmse(h_hat, ch.H) < 1e-18
-    # An equal copy gets its own pinv too, with the same bits.
-    copy = replace(sched, combiners=np.array(sched.combiners))
-    assert np.array_equal(hris_estimate_H(copy, ch, np.random.default_rng(0)),
+    def estimate(combiners):
+        return hris_estimate_H(replace(sched, combiners=combiners), ch, np.random.default_rng(0))
+
+    # An equal copy of the built combiners is the same schedule, with the same bits.
+    assert np.array_equal(estimate(np.array(sched.combiners)),
                           hris_estimate_H(sched, ch, np.random.default_rng(0)))
-    # Same shape, rank 8: the cached full-rank entry must not hide it.
-    short = np.concatenate([sched.combiners[:2]] * 2)
+    for other in (combiner_schedule(16, 4, 4, kind="random_phase", seed=3),
+                  sched.combiners[::-1],
+                  np.concatenate([sched.combiners[:2]] * 2)):
+        with pytest.raises(ValueError, match="not the cycled DFT rows"):
+            estimate(other)
+    # Two slots of four chains stack only 8 cycled DFT rows: rank 8.
+    short = build_pilot_schedule(16, 2, 4, 4, 0.5)
     with pytest.raises(IdentifiabilityError, match="rank 8 < 16"):
-        hris_estimate_H(replace(sched, combiners=short), ch, np.random.default_rng(0))
-    assert nmse(hris_estimate_H(sched, ch, np.random.default_rng(0)), ch.H) < 1e-20
+        hris_estimate_H(short, ch, np.random.default_rng(0))
 
 
 def test_baseline_matches_two_unknown_oracle():
@@ -530,10 +569,10 @@ def test_unidentifiable_h_stage_raises_before_any_trial(monkeypatch, workers):
 
     monkeypatch.setattr(chest, "map_trials", no_trials)
     dims = ChestDims(n_atoms=8, n_users=2, n_bs_antennas=4, n_rf_chains=1, pilot_count=8)
-    with pytest.raises(IdentifiabilityError, match="rank at most 4 < 8"):
+    with pytest.raises(IdentifiabilityError, match="rank 4 < 8"):
         rf_chain_sweep([1, 2], [0.0], 4, seed=1, rho=0.5, dims=dims, n_slots=4,
                        workers=workers)
-    with pytest.raises(IdentifiabilityError, match="rank at most 4 < 8"):
+    with pytest.raises(IdentifiabilityError, match="rank 4 < 8"):
         tradeoff_experiment([0.5], 1, 4, seed=1, snr_db=30.0, dims=dims, workers=workers)
 
 

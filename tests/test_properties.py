@@ -1,8 +1,9 @@
-"""Randomised model invariants, 1000 generated cases across four properties."""
+"""Randomised model invariants, 250 generated cases per property."""
 
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from hris_sim.chest import bs_estimate_G, build_pilot_schedule, hris_estimate_H
 from hris_sim.hris import reflection_gain, sensing_gain
 
 import oracles
+from test_chest import LSTSQ_RTOL
 
 _SETTINGS = dict(max_examples=250, derandomize=True, deadline=None)
 
@@ -82,6 +84,44 @@ def test_stage_estimates_are_linear(case):
 
     np.testing.assert_allclose(g_stage(g_a + scale * g_b), g_stage(g_a) + scale * g_stage(g_b),
                                atol=1e-9)
+
+
+@st.composite
+def per_slot_cases(draw):
+    """A schedule whose rho and reflection phases change from slot to slot, a noisy channel.
+
+    Every slot's rho row differs from the others (a per-slot ramp modulo 1,
+    mapped to [0.1, 0.9]), and the reflection phases add a per-slot draw to
+    the cycled DFT phases.  At least twice as many regressor rows as atoms
+    (T*K >= 2N) keep the G system full rank and well conditioned.
+    """
+    n = draw(st.integers(1, 16))
+    n_users = draw(st.integers(1, 4))
+    n_slots = max(2, -(-2 * n // n_users)) + draw(st.integers(0, 2))
+    sched = build_pilot_schedule(n, n_users, draw(st.integers(1, n)), n_slots * n_users, 0.5)
+    ramp = (draw(_vectors(_unit, n)) + np.arange(n_slots)[:, None] / n_slots) % 1.0
+    phases = draw(_vectors(_angle, n_slots * n)).reshape(n_slots, n)
+    sched = replace(sched, rho=0.1 + 0.8 * ramp, reflect_phase=sched.reflect_phase + phases)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def normal(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    H = normal((n, n_users))
+    ch = ChannelSet(H=H, G=normal((3, n)), noise_var_hris=0.1, noise_var_bs=0.1)
+    return sched, ch, H + 0.1 * normal(H.shape), draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(**_SETTINGS)
+@given(per_slot_cases())
+def test_per_slot_schedules_g_stage_matches_lstsq_and_h_stage_refuses(case):
+    """Per-slot rho and phases: the G stage equals the per-slot lstsq oracle; H raises."""
+    sched, ch, h_hat, seed = case
+    g_hat = bs_estimate_G(sched, ch, h_hat, np.random.default_rng(seed))
+    reference = oracles.estimate_g_per_slot(sched, ch, h_hat, np.random.default_rng(seed))
+    assert np.linalg.norm(g_hat - reference) <= LSTSQ_RTOL * np.linalg.norm(reference)
+    with pytest.raises(ValueError, match="changes from slot to slot"):
+        hris_estimate_H(sched, ch, np.random.default_rng(seed))
 
 
 @settings(**_SETTINGS)

@@ -115,6 +115,38 @@ def test_run_seed_override_changes_results(tmp_path):
             != (tmp_path / "b/aoa_rmse.csv").read_bytes())
 
 
+def _tiny_sweep_tree():
+    return {"version": 1, "experiment": "rf_chain_sweep", "seed": 9, "n_trials": 6,
+            "channel": {"n_atoms": 8, "n_users": 2, "n_bs_antennas": 4},
+            "rf_sweep": {"n_rf_grid": [1, 2], "snr_db_list": [0.0, 10.0]}}
+
+
+def _digest_and_csv(out_dir, **kwargs):
+    paths = run(parse_config_tree(_tiny_sweep_tree()), out_dir=out_dir, **kwargs)
+    meta = json.loads(Path(paths["metadata"]).read_text())
+    return meta["results_sha256"], Path(paths["csv"]).read_bytes()
+
+
+def test_results_digest_is_worker_invariant(tmp_path):
+    digest, csv_bytes = _digest_and_csv(tmp_path / "w1", workers=1)
+    assert len(digest) == 64
+    assert _digest_and_csv(tmp_path / "w2", workers=2) == (digest, csv_bytes)
+
+
+def test_results_digest_sees_what_the_csv_cannot(tmp_path, monkeypatch):
+    """Summing the trials in reverse moves last bits only: the CSV stays, the digest moves."""
+    import hris_sim.chest as chest_mod
+    digest, csv_bytes = _digest_and_csv(tmp_path / "forward")
+
+    def reversed_means(results):
+        return [np.mean(np.stack(arrays[::-1]), axis=0) for arrays in zip(*results)]
+
+    monkeypatch.setattr(chest_mod, "trial_means", reversed_means)  # the sweep's binding
+    reversed_digest, reversed_csv = _digest_and_csv(tmp_path / "reversed")
+    assert reversed_csv == csv_bytes
+    assert reversed_digest != digest
+
+
 def test_run_chest_dumps_channels(tmp_path):
     tree = {"version": 1, "experiment": "chest_tradeoff", "seed": 9,
             "n_trials": 2, "dump_channels": True,
