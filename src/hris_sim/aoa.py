@@ -10,7 +10,7 @@ amplitude, and is benchmarked against the matching Cramer-Rao bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
 import numpy as np
@@ -262,19 +262,19 @@ def ml_estimate(y: np.ndarray, sc: AoaScenario, grid: AoaGrid | None = None) -> 
 
 
 def _projected_fisher(sc: AoaScenario) -> float:
-    """Projected Fisher term Pperp of the elevation, with the amplitude as nuisance.
+    """Projected Fisher term Pperp(1) of the elevation, with the amplitude as nuisance.
 
     For mean mu_t = alpha * sqrt(P) * g_t(theta) * s_t the Fisher information
     of theta after removing the (Re alpha, Im alpha) block is
     (2 P / sigma^2) * Pperp with
     Pperp = sum|g'_t s_t|^2 - |sum g'_t conj(g_t) |s_t|^2|^2 / sum|g_t s_t|^2,
-    evaluated at the true direction.  It does not depend on the snr.
+    evaluated at the true direction.  It does not depend on the snr, and g
+    and g' scale with sqrt(f), so Pperp(f) = f * Pperp(1): this returns the
+    term at sensed fraction 1, whatever ``sc.sensed_fraction`` is.
     """
     d = sc.true_direction
-    a_dot = steering_elevation_gradient(sc.array, d)
-    root_f = math.sqrt(sc.sensed_fraction)
-    g = _response(sc, d)
-    g_dot = root_f * (np.conj(sc.combiner) @ a_dot)
+    g = np.conj(sc.combiner) @ steering_vector(sc.array, d)
+    g_dot = np.conj(sc.combiner) @ steering_elevation_gradient(sc.array, d)
     bs = g * sc.pilot
     bds = g_dot * sc.pilot
     den = float(np.sum(np.abs(bs) ** 2))
@@ -290,14 +290,14 @@ def _projected_fisher(sc: AoaScenario) -> float:
     return pperp
 
 
-def _crlb(noise_var, sc: AoaScenario, pperp: float):
-    """Elevation error variance bound sigma^2 / (2 P Pperp); see _projected_fisher."""
-    return noise_var / (2.0 * sc.tx_power * pperp)
+def _crlb(noise_var, tx_power: float, fraction, pperp: float):
+    """Elevation error variance bound sigma^2 / (2 P f Pperp(1)); see _projected_fisher."""
+    return noise_var / (2.0 * tx_power * (fraction * pperp))
 
 
 def crlb_elevation(sc: AoaScenario) -> float:
     """Elevation error variance bound of ``sc``; see _crlb."""
-    return _crlb(sc.noise_var, sc, _projected_fisher(sc))
+    return _crlb(sc.noise_var, sc.tx_power, sc.sensed_fraction, _projected_fisher(sc))
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +320,8 @@ def _sweep_trial(trial: int, *, seed: int, sides: tuple, fractions: tuple,
     """One trial: shared truth and unit-noise draws, every cell estimated on them.
 
     The (fraction, snr) cells of one array are estimated together as the
-    stacked rows of one ``_ml_rows`` call; the bound's Fisher term depends on
-    the fraction only and is computed once per (array, fraction).
+    stacked rows of one ``_ml_rows`` call; the bound's Fisher term is
+    computed once per array and scaled by each fraction.
     """
     rng_truth = substream(seed, "aoa_rmse", trial, TAG_TRUTH)
     theta = grid.lo_rad + (grid.hi_rad - grid.lo_rad) * float(
@@ -343,13 +343,8 @@ def _sweep_trial(trial: int, *, seed: int, sides: tuple, fractions: tuple,
         est = _ml_rows(ys.reshape(-1, n_snapshots), np.repeat(root_f, shape[1]),
                        template, grid, table)
         sq_err[i] = ((est - theta) ** 2).reshape(shape)
-        for j, fraction in enumerate(fractions):
-            sc = AoaScenario(
-                array=template.array, sensed_fraction=fraction,
-                n_snapshots=n_snapshots, snr_db=np.inf,
-                true_direction=direction, combiner=template.combiner,
-                pilot=template.pilot)
-            bound[i, j] = _crlb(noise_var, sc, _projected_fisher(sc))
+        pperp = _projected_fisher(replace(template, true_direction=direction))
+        bound[i] = _crlb(noise_var, template.tx_power, np.array(fractions)[:, None], pperp)
     return sq_err, bound
 
 

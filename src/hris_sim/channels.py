@@ -60,7 +60,6 @@ class ChannelSet:
     noise_var_hris: float = 1.0
     noise_var_bs: float = 1.0
     tx_power: float = 1.0
-    pathloss_model: str = "free_space"
 
 
 def pathloss(distance_m, wavelength_m: float):
@@ -102,8 +101,7 @@ def draw_channels(geom: LinkGeometry, n_atoms: int, n_users: int, n_bs_antennas:
     H = complex_normal(rng, (n_atoms, n_users)) * np.sqrt(gain_h)
     G = complex_normal(rng, (n_bs_antennas, n_atoms)) * np.sqrt(gain_g)
     return ChannelSet(H=H, G=G, noise_var_hris=noise_var_hris,
-                      noise_var_bs=noise_var_bs, tx_power=tx_power,
-                      pathloss_model=pathloss_model)
+                      noise_var_bs=noise_var_bs, tx_power=tx_power)
 
 
 def cascade(H: np.ndarray, G: np.ndarray, rho, reflect_phase) -> np.ndarray:

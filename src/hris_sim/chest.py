@@ -47,7 +47,7 @@ from scipy.linalg import cho_solve, dft
 
 from .channels import ChannelSet, LinkGeometry, draw_channels
 from .errors import EstimationInfeasibleError, IdentifiabilityError
-from .hris import combiner_schedule, reflection_gain, sensing_gain
+from .hris import reflection_gain, sensing_gain
 from .parallel import db, map_trials, sweep_rows, trial_means
 from .rng import (TAG_CHANNEL, TAG_NOISE_BASELINE, TAG_NOISE_BS, TAG_NOISE_HRIS,
                   TAG_PHASES, complex_normal_stack, substream)
@@ -59,21 +59,22 @@ class PilotSchedule:
 
     ``pilots`` is the (n_users, n_users) unit-modulus block X with
     X^H X = n_users * I; slot t transmits sqrt(tx_power) * X while the surface
-    applies ``combiners[t]`` (n_rf_chains, n_atoms) and the per-atom rows
-    ``rho[t]``, ``reflect_phase[t]`` and ``sense_phase[t]``.  Schedules are
+    applies the per-atom rows ``rho[t]``, ``reflect_phase[t]`` and
+    ``sense_phase[t]`` and combines onto ``n_rf_chains`` chains with the cycled
+    DFT rows the H stage solves (``hris.combiner_schedule``).  Schedules are
     shared through caches, so they are frozen and ``build_pilot_schedule``
     hands out read-only arrays; derive a variant with ``dataclasses.replace``.
     """
 
     pilots: np.ndarray
-    combiners: np.ndarray
+    n_rf_chains: int
     rho: np.ndarray
     reflect_phase: np.ndarray
     sense_phase: np.ndarray
 
     @property
     def n_slots(self) -> int:
-        return self.combiners.shape[0]
+        return self.rho.shape[0]
 
     @property
     def n_users(self) -> int:
@@ -94,14 +95,6 @@ class PilotSchedule:
         gains = reflection_gain(self.rho, self.reflect_phase)
         gains.setflags(write=False)
         return gains
-
-
-@lru_cache(maxsize=16)
-def _dft_sensing(n_atoms: int, n_rf_chains: int, n_slots: int) -> np.ndarray:
-    """The read-only cycled-DFT combiners of one schedule shape, shared by its schedules."""
-    combiners = combiner_schedule(n_atoms, n_rf_chains, n_slots)
-    combiners.setflags(write=False)
-    return combiners
 
 
 def _dft_lstsq(rows: np.ndarray, n_atoms: int) -> np.ndarray:
@@ -153,7 +146,7 @@ def build_pilot_schedule(n_atoms: int, n_users: int, n_rf_chains: int,
     """Assemble the slotted schedule for a given pilot budget.
 
     The budget is rounded up to whole slots: n_slots = ceil(pilot_count /
-    n_users).  Combiners follow the cycling row-block DFT schedule; the
+    n_users), with ``n_rf_chains`` in [1, n_atoms] sensing chains; the
     reflection pattern of slot t adds the phases of DFT row (t mod n_atoms)
     on top of ``base_reflect_phase``, so reflected pilots vary across slots
     (the base station stage needs that variation to see all atoms).
@@ -162,18 +155,19 @@ def build_pilot_schedule(n_atoms: int, n_users: int, n_rf_chains: int,
         raise ValueError("pilot_count must be positive")
     if not 0.0 <= rho <= 1.0:
         raise ValueError("power split rho must lie in [0, 1]")
+    if not 1 <= n_rf_chains <= n_atoms:
+        raise ValueError("n_rf_chains must lie in [1, n_atoms]")
     n_slots = math.ceil(pilot_count / n_users)
     base = np.broadcast_to(np.asarray(base_reflect_phase, dtype=float), (n_atoms,))
     dft_phase = -2.0 * np.pi * np.arange(n_atoms) / n_atoms
     arrays = dict(
         pilots=dft(n_users),
-        combiners=_dft_sensing(n_atoms, n_rf_chains, n_slots),
         rho=np.full((n_slots, n_atoms), float(rho)),
         reflect_phase=base + (np.arange(n_slots) % n_atoms)[:, None] * dft_phase,
         sense_phase=np.full((n_slots, n_atoms), float(sense_phase)))
     for array in arrays.values():
         array.setflags(write=False)
-    return PilotSchedule(**arrays)
+    return PilotSchedule(n_rf_chains=int(n_rf_chains), **arrays)
 
 
 def _decorrelate(block: np.ndarray, pilots: np.ndarray) -> np.ndarray:
@@ -192,44 +186,38 @@ def _observe(signal: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
 
 def _sensed_noise(sched: PilotSchedule, ch: ChannelSet, rng: np.random.Generator):
     """pinv(Q) N X^H / K: the sensed noise of all slots, drawn and solved alone (0 if none)."""
-    noise = _noise(rng, (*sched.combiners.shape[:2], sched.n_users), ch.noise_var_hris)
+    noise = _noise(rng, (sched.n_slots, sched.n_rf_chains, sched.n_users), ch.noise_var_hris)
     if noise is None:
         return 0.0
     rows = _decorrelate(noise, sched.pilots).reshape(-1, sched.n_users)
-    return _dft_lstsq(rows, sched.combiners.shape[2])
+    return _dft_lstsq(rows, sched.rho.shape[1])
 
 
 def _reflected_noise(n_slots: int, ch: ChannelSet, rng: np.random.Generator):
     return _noise(rng, (n_slots, ch.G.shape[0], ch.H.shape[1]), ch.noise_var_bs)
 
 
-def _require_sensed_rank(n_slots: int, n_rf_chains: int, n_atoms: int) -> None:
-    """The H stage's rank check, run per sweep before any trial and per estimate.
+def _sensing_diag(sched: PilotSchedule) -> np.ndarray:
+    """The read-only sensing diagonal every slot shares, after the H stage's checks on ``sched``.
 
     T slots of R chains stack T*R cycled DFT combiner rows, whose rank is
     min(T*R, n_atoms): the sensed system needs T*R >= n_atoms.
     """
-    if n_slots * n_rf_chains < n_atoms:
-        raise IdentifiabilityError(
-            f"stacked combiner rank {n_slots * n_rf_chains} < {n_atoms} atoms with "
-            f"{n_rf_chains} receive chains over {n_slots} slots; the sensed system needs "
-            f"ceil(n_atoms / n_rf_chains) slots (n_atoms * n_users / n_rf_chains pilot symbols)")
-
-
-def _sensing_diag(sched: PilotSchedule) -> np.ndarray:
-    """The sensing diagonal every slot shares, after the H stage's checks on ``sched``."""
-    n_slots, n_rf, n_atoms = sched.combiners.shape
+    n_slots, n_atoms = sched.rho.shape
     if np.any(sched.rho != sched.rho[0]) or np.any(sched.sense_phase != sched.sense_phase[0]):
         raise ValueError("rho or the sense phase changes from slot to slot; this "
                          "estimator divides by one sensing diagonal shared by every slot")
-    if not np.array_equal(sched.combiners, _dft_sensing(n_atoms, n_rf, n_slots)):
-        raise ValueError("the combiners are not the cycled DFT rows of build_pilot_schedule; "
-                         "the H stage solves only those, in closed form")
-    _require_sensed_rank(n_slots, n_rf, n_atoms)
+    rank = n_slots * sched.n_rf_chains
+    if rank < n_atoms:
+        raise IdentifiabilityError(
+            f"stacked combiner rank {rank} < {n_atoms} atoms with {sched.n_rf_chains} "
+            f"receive chains over {n_slots} slots; the sensed system needs "
+            f"ceil(n_atoms / n_rf_chains) slots (n_atoms * n_users / n_rf_chains pilot symbols)")
     sensed_diag = sensing_gain(sched.rho[0], sched.sense_phase[0])
     if np.any(np.abs(sensed_diag) == 0.0):
         raise EstimationInfeasibleError(
             "atoms with rho = 1 leave no sensed signal; their rows of H are unrecoverable")
+    sensed_diag.setflags(write=False)
     return sensed_diag
 
 
@@ -241,16 +229,16 @@ def _estimate_H(ch: ChannelSet, sensed_diag: np.ndarray, solved_noise) -> np.nda
 def hris_estimate_H(sched: PilotSchedule, ch: ChannelSet, rng: np.random.Generator) -> np.ndarray:
     """Estimate the terminals-to-surface channel from sensed pilot slots.
 
-    The sensed observations are Y_t = Q_t S H X + N_t.  Decorrelating the
-    pilot blocks and solving the stacked least squares for S H, then
-    dividing out the sensing diagonal S, gives H + pinv(Q) N X^H / (K amp S):
-    the noise is drawn for all slots at once and solved alone, in the exact
-    DFT form of the module docstring.
+    The sensed observations are Y_t = Q_t S H X + N_t, with Q_t the slot's
+    ``sched.n_rf_chains`` cycled DFT combiner rows (see ``PilotSchedule``).
+    Decorrelating the pilot blocks and solving the stacked least squares for
+    S H, then dividing out the sensing diagonal S, gives
+    H + pinv(Q) N X^H / (K amp S): the noise is drawn for all slots at once
+    and solved alone, in the exact DFT form of the module docstring.
 
-    Raises ValueError when rho or the sense phase changes from slot to slot
-    or when the combiners are not the cycled DFT rows of
-    ``build_pilot_schedule``, IdentifiabilityError when the stacked combiner
-    does not reach rank n_atoms and EstimationInfeasibleError when some atom
+    Raises ValueError when rho or the sense phase changes from slot to slot,
+    IdentifiabilityError when the n_slots * n_rf_chains stacked combiner rows
+    do not reach rank n_atoms and EstimationInfeasibleError when some atom
     senses nothing (rho = 1) so its row of H cannot be recovered.
     """
     sensed_diag = _sensing_diag(sched)
@@ -379,9 +367,9 @@ def _baseline_noise(ch: ChannelSet, pilot_count: int, rng: np.random.Generator):
     return np.ascontiguousarray(a_t.transpose(2, 1, 0))
 
 
-def _estimate_baseline(ch: ChannelSet, solved_noise) -> np.ndarray:
-    """A_k + solved_noise_k / amp for every user: one cell's cascades from ``_baseline_noise``."""
-    return _cascades(ch.H, ch.G) + solved_noise / math.sqrt(ch.tx_power)
+def _estimate_baseline(truth: np.ndarray, ch: ChannelSet, solved_noise) -> np.ndarray:
+    """A_k + solved_noise_k / amp for every user, ``truth`` = ``_cascades(ch.H, ch.G)``."""
+    return truth + solved_noise / math.sqrt(ch.tx_power)
 
 
 def cascaded_ls_baseline(ch: ChannelSet, pilot_count: int, rng: np.random.Generator):
@@ -396,7 +384,7 @@ def cascaded_ls_baseline(ch: ChannelSet, pilot_count: int, rng: np.random.Genera
     alone: A_k + pinv(Phi) N_k / amp.  Returns the C-ordered (n_users, M,
     n_atoms) stack of per-user estimates.
     """
-    return _estimate_baseline(ch, _baseline_noise(ch, pilot_count, rng))
+    return _estimate_baseline(_cascades(ch.H, ch.G), ch, _baseline_noise(ch, pilot_count, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -414,14 +402,22 @@ class ChestDims:
     geom: LinkGeometry = LinkGeometry()
 
 
-@lru_cache(maxsize=64)
-def _cached_schedule(seed: int, draw: int, rho: float, n_atoms: int, n_users: int,
-                     n_rf_chains: int, pilot_count: int) -> PilotSchedule:
-    """Schedule for one (phase draw, rho) cell; base phases keyed by draw id only."""
-    base = substream(seed, "chest_tradeoff", draw, TAG_PHASES).uniform(
-        0.0, 2.0 * np.pi, size=n_atoms)
-    return build_pilot_schedule(n_atoms, n_users, n_rf_chains, pilot_count, rho,
-                                base_reflect_phase=base)
+@lru_cache(maxsize=1)
+def _tradeoff_schedules(seed: int, rhos: tuple, n_draws: int, dims: ChestDims):
+    """The (rho, draw) schedules of one trade-off sweep and each rho's sensing diagonal.
+
+    One entry, the current sweep's: its driver builds it, and so runs the H
+    stage's checks, before any trial; every trial (and fork worker) looks it
+    up.  Draw j's base reflection phases are keyed by the draw only.
+    """
+    bases = [substream(seed, "chest_tradeoff", j, TAG_PHASES).uniform(
+        0.0, 2.0 * np.pi, size=dims.n_atoms) for j in range(n_draws)]
+    schedules = tuple(
+        tuple(build_pilot_schedule(dims.n_atoms, dims.n_users, dims.n_rf_chains,
+                                   dims.pilot_count, rho, base_reflect_phase=base)
+              for base in bases)
+        for rho in rhos)
+    return schedules, tuple(_sensing_diag(row[0]) for row in schedules)
 
 
 def _tradeoff_trial(trial: int, *, seed: int, rhos: tuple, n_draws: int, snr_db: float,
@@ -433,15 +429,12 @@ def _tradeoff_trial(trial: int, *, seed: int, rhos: tuple, n_draws: int, snr_db:
         pathloss_model=dims.pathloss_model)
     nmse_h = np.empty((len(rhos), n_draws))
     nmse_g = np.empty_like(nmse_h)
-    schedules = [[_cached_schedule(seed, j, rho, dims.n_atoms, dims.n_users,
-                                   dims.n_rf_chains, dims.pilot_count) for j in range(n_draws)]
-                 for rho in rhos]
+    schedules, sensed_diags = _tradeoff_schedules(seed, rhos, n_draws, dims)
     # Every (rho, draw) cell of one trial sees identical noise, so curves are
     # paired: the noise of each stage is drawn once and serves every cell.
     # The H stage never reads the reflection phases, the only thing the draws
     # change, so one H estimate per rho serves every draw; the schedules share
-    # their combiners, so one sensed-noise solve serves every rho.
-    sensed_diags = [_sensing_diag(row[0]) for row in schedules]
+    # their chain count, so one sensed-noise solve serves every rho.
     noise_h = _sensed_noise(schedules[0][0], ch, substream(
         seed, "chest_tradeoff", trial, TAG_NOISE_HRIS))
     noise_g = _reflected_noise(schedules[0][0].n_slots, ch, substream(
@@ -465,9 +458,8 @@ def tradeoff_experiment(rho_grid, n_phase_draws: int, n_trials: int, seed: int,
     Returns one row per (rho, phase_draw) with mean NMSEs, linear and dB.
     """
     dims = dims or ChestDims()
-    _require_sensed_rank(math.ceil(dims.pilot_count / dims.n_users), dims.n_rf_chains,
-                         dims.n_atoms)
     rhos = tuple(float(r) for r in rho_grid)
+    _tradeoff_schedules(int(seed), rhos, int(n_phase_draws), dims)
     trial = partial(_tradeoff_trial, seed=int(seed), rhos=rhos, n_draws=int(n_phase_draws),
                     snr_db=float(snr_db), dims=dims)
     nmse_h, nmse_g = trial_means(map_trials(trial, n_trials, workers))
@@ -476,7 +468,13 @@ def tradeoff_experiment(rho_grid, n_phase_draws: int, n_trials: int, seed: int,
                        "nmse_G": nmse_g, "nmse_G_db": db(nmse_g)})
 
 
-_sweep_schedule = lru_cache(maxsize=64)(build_pilot_schedule)
+@lru_cache(maxsize=1)
+def _sweep_schedules(nr_grid: tuple, n_slots: int, rho: float, dims: ChestDims):
+    """One chain sweep's schedules and sensing diagonals; one entry, as ``_tradeoff_schedules``."""
+    schedules = tuple(build_pilot_schedule(dims.n_atoms, dims.n_users, n_rf,
+                                           n_slots * dims.n_users, rho)
+                      for n_rf in nr_grid)
+    return schedules, tuple(_sensing_diag(sched) for sched in schedules)
 
 
 def _sweep_trial(trial: int, *, seed: int, nr_grid: tuple, snrs_db: tuple, rho: float,
@@ -486,16 +484,16 @@ def _sweep_trial(trial: int, *, seed: int, nr_grid: tuple, snrs_db: tuple, rho: 
         dims.geom, dims.n_atoms, dims.n_users, dims.n_bs_antennas,
         substream(seed, "rf_chain_sweep", trial, TAG_CHANNEL),
         pathloss_model=dims.pathloss_model)
-    schedules = [_sweep_schedule(dims.n_atoms, dims.n_users, n_rf, pilot_count, rho)
-                 for n_rf in nr_grid]
+    schedules, sensed_diags = _sweep_schedules(nr_grid, n_slots, rho, dims)
     # Every cell of one trial sees identical noise, so curves are paired: the
     # noise of each stage and shape is drawn once and serves every SNR.  The
-    # schedules differ only in their combiners, so they share the reflected
+    # schedules differ only in their chain counts, so they share the reflected
     # observations and the G stage of all chain counts is one stacked solve.
+    # The SNR scales only the pilots, so every cell shares the true cascades.
     def noise_rng(tag):
         return substream(seed, "rf_chain_sweep", trial, tag)
 
-    sensed_diags = [_sensing_diag(sched) for sched in schedules]
+    truth = _cascades(ch0.H, ch0.G)
     noise_h = [_sensed_noise(sched, ch0, noise_rng(TAG_NOISE_HRIS)) for sched in schedules]
     noise_g = _reflected_noise(n_slots, ch0, noise_rng(TAG_NOISE_BS))
     if baseline:
@@ -505,12 +503,12 @@ def _sweep_trial(trial: int, *, seed: int, nr_grid: tuple, snrs_db: tuple, rho: 
     for s, snr_db in enumerate(snrs_db):
         ch = replace(ch0, tx_power=10.0 ** (snr_db / 10.0))
         if baseline:
-            base[s] = cascaded_nmse(_estimate_baseline(ch, noise_base), ch)
+            base[s] = nmse(_estimate_baseline(truth, ch, noise_base), truth)
         h_hats = [_estimate_H(ch, diag, noise) for diag, noise in zip(sensed_diags, noise_h)]
         g_hats = _estimate_G(schedules[0], ch, h_hats,
                              _contract_reflected(schedules[0], ch, noise_g))
         for i, (h_hat, g_hat) in enumerate(zip(h_hats, g_hats)):
-            casc[i, s] = cascaded_nmse(_cascades(h_hat, g_hat), ch)
+            casc[i, s] = nmse(_cascades(h_hat, g_hat), truth)
     return casc, base
 
 
@@ -534,7 +532,7 @@ def rf_chain_sweep(n_rf_grid, snr_db_list, n_trials: int, seed: int,
         raise ValueError("n_slots must be a positive count")
     nr_grid = tuple(int(n) for n in n_rf_grid)
     snrs_db = tuple(float(s) for s in snr_db_list)
-    _require_sensed_rank(n_slots, min(nr_grid), dims.n_atoms)
+    _sweep_schedules(nr_grid, n_slots, float(rho), dims)
     baseline = n_slots >= dims.n_atoms
     trial = partial(_sweep_trial, seed=int(seed), nr_grid=nr_grid, snrs_db=snrs_db,
                     rho=float(rho), n_slots=n_slots, dims=dims, baseline=baseline)

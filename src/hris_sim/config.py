@@ -224,8 +224,8 @@ def _build(path: str, cls, **values):
 def _check_rf_chains(n_rf: int, full: str, channel: dict, tree: dict) -> None:
     """Reject a receive-chain count outside [1, channel.n_atoms].
 
-    That is the range ``hris.combiner_schedule`` builds combiners for; a run
-    outside it would fail in its first trial instead.  ``full`` is the path
+    That is the range ``chest.build_pilot_schedule`` accepts; a run outside
+    it would fail with a bare ValueError instead.  ``full`` is the path
     of the count, a key or a list entry of one; when ``tree`` does not set
     that key the count is the schema default, and the message says so and
     names the key to set.

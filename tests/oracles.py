@@ -3,7 +3,9 @@
 Everything here is written the dumb way on purpose: explicit loops, explicit
 pseudoinverses, finite differences.  None of it imports computational helpers
 from the package under test, so agreement between the two routes checks the
-maths, not the plumbing.
+maths, not the plumbing.  The one exception is ``hris.combiner_schedule``,
+which expands a pilot schedule's chain count into its cycled DFT combiner
+rows; test_hris checks those rows against the DFT matrix itself.
 """
 
 import cmath
@@ -12,6 +14,8 @@ import math
 
 import numpy as np
 from scipy.linalg import dft, solve_triangular
+
+from hris_sim.hris import combiner_schedule
 
 
 def element_positions_loops(n_h, n_v, spacing_m):
@@ -223,6 +227,11 @@ def baseline_two_unknowns(patterns, observations):
 # baseline) and Cholesky on the Hadamard Gram (base-station stage).
 
 
+def schedule_combiners(sched):
+    """The (slots, chains, atoms) cycled DFT combiners a pilot schedule senses with."""
+    return combiner_schedule(sched.rho.shape[1], sched.n_rf_chains, sched.n_slots)
+
+
 def _complex_normal_by_hand(rng, shape, var):
     scale = np.sqrt(var / 2.0)
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
@@ -233,9 +242,9 @@ def _sensed_per_slot(sched, ch, rng):
     amp = math.sqrt(ch.tx_power)
     incident = ch.H @ (amp * sched.pilots)
     decorr = []
-    for t in range(sched.combiners.shape[0]):
+    for t, combiner in enumerate(schedule_combiners(sched)):
         sensed = np.sqrt(1.0 - sched.rho[t]) * np.exp(1j * sched.sense_phase[t])
-        block = (sched.combiners[t] * sensed) @ incident
+        block = (combiner * sensed) @ incident
         if ch.noise_var_hris > 0.0:
             block = block + _complex_normal_by_hand(rng, block.shape, ch.noise_var_hris)
         decorr.append(block @ np.conj(sched.pilots.T) / (sched.pilots.shape[0] * amp))
@@ -245,7 +254,7 @@ def _sensed_per_slot(sched, ch, rng):
 def estimate_h_per_slot(sched, ch, rng):
     """Sensed-stage H estimate over the schedule arrays, slot by slot, by lstsq."""
     stacked_y, sensed = _sensed_per_slot(sched, ch, rng)
-    sh_hat = np.linalg.lstsq(np.vstack(list(sched.combiners)), stacked_y, rcond=None)[0]
+    sh_hat = np.linalg.lstsq(np.vstack(schedule_combiners(sched)), stacked_y, rcond=None)[0]
     return sh_hat / sensed[:, None]
 
 
@@ -273,12 +282,12 @@ def estimate_h_per_slot_dft(sched, ch, rng):
     n_users = sched.pilots.shape[0]
     if ch.noise_var_hris == 0.0:
         return ch.H.copy()
+    n_slots, n_atoms = sched.rho.shape
     decorr = []
-    for t in range(sched.combiners.shape[0]):
-        noise = _complex_normal_by_hand(rng, (sched.combiners.shape[1], n_users),
-                                        ch.noise_var_hris)
+    for t in range(n_slots):
+        noise = _complex_normal_by_hand(rng, (sched.n_rf_chains, n_users), ch.noise_var_hris)
         decorr.append(noise @ np.conj(sched.pilots.T) / n_users)
-    solved = _dft_solve_loops(np.vstack(decorr), sched.combiners.shape[2])
+    solved = _dft_solve_loops(np.vstack(decorr), n_atoms)
     sensed = np.sqrt(1.0 - sched.rho[0]) * np.exp(1j * sched.sense_phase[0])
     return ch.H + solved / (math.sqrt(ch.tx_power) * sensed)[:, None]
 
@@ -287,7 +296,7 @@ def _reflected_per_slot(sched, ch, h_hat, rng):
     """Reflection gains (slots, N), observed blocks and regressors R_t H_hat X per slot."""
     pilot_block = math.sqrt(ch.tx_power) * sched.pilots
     refl, blocks, regressors = [], [], []
-    for t in range(sched.combiners.shape[0]):
+    for t in range(sched.n_slots):
         refl.append(np.sqrt(sched.rho[t]) * np.exp(1j * sched.reflect_phase[t]))
         block = (ch.G * refl[t]) @ (ch.H @ pilot_block)
         if ch.noise_var_bs > 0.0:

@@ -14,14 +14,14 @@ from scipy.linalg import dft
 from hris_sim.channels import (ChannelSet, LinkGeometry, cascaded_per_user,
                                draw_channels)
 from hris_sim import chest
-from hris_sim.chest import (ChestDims, _cached_schedule, _sweep_schedule, _sweep_trial,
+from hris_sim.chest import (ChestDims, _sweep_schedules, _sweep_trial, _tradeoff_schedules,
                             _tradeoff_trial, bs_estimate_G, build_pilot_schedule,
                             cascaded_ls_baseline, cascaded_nmse, hris_estimate_H, nmse,
                             rf_chain_sweep, run_two_sided, tradeoff_experiment)
 from hris_sim.errors import EstimationInfeasibleError, IdentifiabilityError
 from hris_sim.hris import combiner_schedule, reflection_gain
 from hris_sim.rng import (TAG_CHANNEL, TAG_NOISE_BASELINE, TAG_NOISE_BS, TAG_NOISE_HRIS,
-                          complex_normal_stack, substream)
+                          TAG_PHASES, complex_normal_stack, substream)
 
 import oracles
 
@@ -58,16 +58,17 @@ def test_schedule_bookkeeping():
     assert sched.pilot_count == 72
     np.testing.assert_allclose(np.conj(sched.pilots.T) @ sched.pilots,
                                8.0 * np.eye(8), atol=1e-10)
-    assert sched.combiners.shape == (9, 8, 64)
+    assert sched.n_rf_chains == 8
     for name in ("rho", "reflect_phase", "sense_phase"):
         assert getattr(sched, name).shape == (9, 64)
     np.testing.assert_allclose(sched.rho, 0.5)
     # Reflection phases must vary between slots so the base station sees
     # every atom move.
     assert not np.allclose(sched.reflect_phase[0], sched.reflect_phase[1])
-    for pilot_count, rho in ((0, 0.5), (70, 1.5), (70, -0.1)):
+    for n_rf, pilot_count, rho in ((8, 0, 0.5), (8, 70, 1.5), (8, 70, -0.1),
+                                   (0, 70, 0.5), (65, 70, 0.5)):
         with pytest.raises(ValueError):
-            build_pilot_schedule(64, 8, 8, pilot_count, rho)
+            build_pilot_schedule(64, 8, n_rf, pilot_count, rho)
 
 
 def test_sensed_stage_matches_pinv_oracle():
@@ -83,10 +84,10 @@ def test_sensed_stage_matches_pinv_oracle():
     amp = 1.5
     s_diag = math.sqrt(1.0 - rho) * np.exp(1j * sense_phase)
     x_block = amp * sched.pilots
-    combiners, blocks = [], []
-    for combiner in sched.combiners:
+    combiners = combiner_schedule(4, 2, 2)
+    blocks = []
+    for combiner in combiners:
         y_t = combiner @ (s_diag * (H @ x_block))
-        combiners.append(combiner)
         blocks.append(y_t @ np.conj(sched.pilots.T) / (1 * amp))
     h_oracle = oracles.estimate_sh_pinv(combiners, blocks) / s_diag
 
@@ -160,9 +161,11 @@ def _assert_stages_match_per_slot_oracle(sched, ch, trial):
 
 def test_stages_bit_exact_to_per_slot_oracle_fig5_shape():
     # 70 pilots over 8 users: 9 slots, random base phases as in the trade-off sweep.
-    for draw, rho in ((0, 0.2), (1, 0.7)):
-        sched = _cached_schedule(20260823, draw, rho, 64, 8, 8, 70)
-        assert sched.n_slots == 9
+    rhos = (0.2, 0.7)
+    schedules, _ = _tradeoff_schedules(20260823, rhos, 2, ChestDims())
+    for draw, rho in enumerate(rhos):
+        sched = schedules[draw][draw]  # cells (rho 0.2, draw 0) and (rho 0.7, draw 1)
+        assert sched.n_slots == 9 and sched.rho[0, 0] == rho
         ch = _channels(64, 8, 16, seed=draw, tx_power=1000.0)
         _assert_stages_match_per_slot_oracle(sched, ch, draw)
 
@@ -220,17 +223,21 @@ def test_h_stage_and_baseline_do_not_depend_on_blas_threads():
 
 def test_cached_schedules_are_read_only():
     """A caller cannot change the schedule the cache hands to the next caller."""
-    key = (1, 0, 0.5, 8, 2, 2, 8)
-    sched = _cached_schedule(*key)
+    dims = ChestDims(n_atoms=8, n_users=2, n_bs_antennas=4, n_rf_chains=2, pilot_count=8)
+    key = (1, (0.5,), 1, dims)
+    schedules, diags = _tradeoff_schedules(*key)
+    sched = schedules[0][0]
     with pytest.raises(ValueError, match="read-only"):
         sched.rho[1] = 0.9
+    with pytest.raises(ValueError, match="read-only"):
+        diags[0][1] = 0.0
     with pytest.raises(FrozenInstanceError):
         sched.rho = np.full_like(sched.rho, 0.9)
-    again = _cached_schedule(*key)
+    again = _tradeoff_schedules(*key)[0][0][0]
     assert again is sched
     np.testing.assert_array_equal(again.rho, 0.5)
-    swept = _sweep_schedule(8, 2, 2, 8, 0.5)
-    for name in ("pilots", "combiners", "rho", "reflect_phase", "sense_phase"):
+    (swept,), _ = _sweep_schedules((2,), 4, 0.5, dims)
+    for name in ("pilots", "rho", "reflect_phase", "sense_phase"):
         assert not getattr(swept, name).flags.writeable
 
 
@@ -252,7 +259,7 @@ def test_reflection_gains_cached_per_schedule_and_fresh_after_replace():
 
 def test_sweep_schedules_share_their_reflections():
     """The chain sweep observes the reflected pilots once for every chain count."""
-    schedules = [_sweep_schedule(64, 8, n_rf, 512, 0.5) for n_rf in (1, 2, 4, 8)]
+    schedules, _ = _sweep_schedules((1, 2, 4, 8), 64, 0.5, ChestDims())
     for sched in schedules[1:]:
         assert np.array_equal(sched.reflection_gains, schedules[0].reflection_gains)
 
@@ -260,7 +267,7 @@ def test_sweep_schedules_share_their_reflections():
 def test_stacked_g_solve_equals_one_cell_solves():
     """C cells sharing one set of reflected observations, solved in one stack, equal C calls."""
     ch = _channels(64, 8, 16, seed=6, tx_power=10.0)
-    schedules = [_sweep_schedule(64, 8, n_rf, 512, 0.5) for n_rf in (1, 2, 4, 8)]
+    schedules, _ = _sweep_schedules((1, 2, 4, 8), 64, 0.5, ChestDims())
 
     def rng(tag, cell=0):
         return substream(7, "unit_test", cell, tag)
@@ -317,6 +324,22 @@ def test_tradeoff_trial_draws_each_noise_once(monkeypatch):
     assert calls == [(9, 8, 8), (9, 16, 8)]
 
 
+def test_tradeoff_trials_build_and_check_each_schedule_once(monkeypatch):
+    """Trials of one sweep share its schedules and checked sensing diagonals, whatever the grid."""
+    counts = {"build_pilot_schedule": 0, "_sensing_diag": 0}
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(chest, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(chest, name, counted)
+    dims = ChestDims(n_atoms=8, n_users=2, n_bs_antennas=4, n_rf_chains=2, pilot_count=8)
+    rhos = tuple(round(0.04 * i, 2) for i in range(1, 23))  # 22 rhos x 3 draws = 66 cells
+    for trial in range(3):
+        _tradeoff_trial(trial, seed=424242, rhos=rhos, n_draws=3, snr_db=30.0, dims=dims)
+    assert counts == {"build_pilot_schedule": 66, "_sensing_diag": 22}
+
+
 # Per-slot oracle pairs: the closed forms the package must match bit for bit,
 # and the lstsq solves it must match within LSTSQ_RTOL.
 CLOSED_FORM = (oracles.estimate_h_per_slot_dft, oracles.estimate_g_per_slot_cholesky,
@@ -334,8 +357,10 @@ def _tradeoff_trial_by_oracle(seed, trial, rhos, n_draws, dims, solvers):
     nmse_g = np.empty_like(nmse_h)
     for i, rho in enumerate(rhos):
         for j in range(n_draws):
-            sched = _cached_schedule(seed, j, rho, dims.n_atoms, dims.n_users,
-                                     dims.n_rf_chains, dims.pilot_count)
+            base = substream(seed, "chest_tradeoff", j, TAG_PHASES).uniform(
+                0.0, 2.0 * np.pi, size=dims.n_atoms)
+            sched = build_pilot_schedule(dims.n_atoms, dims.n_users, dims.n_rf_chains,
+                                         dims.pilot_count, rho, base_reflect_phase=base)
             h_hat = estimate_h(sched, ch, substream(seed, "chest_tradeoff", trial,
                                                     TAG_NOISE_HRIS))
             g_hat = estimate_g(sched, ch, h_hat,
@@ -408,6 +433,11 @@ def test_short_budget_sensing_rank_error():
     ch = _channels(64, 8, 16, noise_var_hris=0.0, noise_var_bs=0.0)
     with pytest.raises(IdentifiabilityError, match="rank 56"):
         hris_estimate_H(sched, ch, np.random.default_rng(0))
+    # Two slots of four chains stack only 8 cycled DFT rows: rank 8.
+    short = build_pilot_schedule(16, 2, 4, 4, 0.5)
+    with pytest.raises(IdentifiabilityError, match="rank 8 < 16"):
+        hris_estimate_H(short, _channels(16, 2, 4, noise_var_hris=0.1),
+                        np.random.default_rng(0))
 
 
 def test_zero_reflection_leaves_g_unidentifiable():
@@ -445,28 +475,6 @@ def test_vanishing_atom_fails_the_gram_pivot_floor():
     expected[:, 5] /= 1e-6
     np.testing.assert_allclose(bs_estimate_G(sched, ch, h_hat, np.random.default_rng(1)),
                                expected, rtol=1e-6)
-
-
-def test_non_dft_combiners_are_refused():
-    """The H stage solves only the cycled DFT combiners; other schedules get a typed error."""
-    sched = build_pilot_schedule(16, 2, 4, 8, 0.5)
-    ch = _channels(16, 2, 4, noise_var_hris=0.1)
-
-    def estimate(combiners):
-        return hris_estimate_H(replace(sched, combiners=combiners), ch, np.random.default_rng(0))
-
-    # An equal copy of the built combiners is the same schedule, with the same bits.
-    assert np.array_equal(estimate(np.array(sched.combiners)),
-                          hris_estimate_H(sched, ch, np.random.default_rng(0)))
-    for other in (combiner_schedule(16, 4, 4, kind="random_phase", seed=3),
-                  sched.combiners[::-1],
-                  np.concatenate([sched.combiners[:2]] * 2)):
-        with pytest.raises(ValueError, match="not the cycled DFT rows"):
-            estimate(other)
-    # Two slots of four chains stack only 8 cycled DFT rows: rank 8.
-    short = build_pilot_schedule(16, 2, 4, 4, 0.5)
-    with pytest.raises(IdentifiabilityError, match="rank 8 < 16"):
-        hris_estimate_H(short, ch, np.random.default_rng(0))
 
 
 def test_baseline_matches_two_unknown_oracle():
