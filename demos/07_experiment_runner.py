@@ -49,8 +49,8 @@ with tempfile.TemporaryDirectory() as tmp:
 print(f"\nbundled presets: {sorted(PRESETS)}")
 fig6 = preset_config("fig6")
 print(f"preset 'fig6': {fig6.experiment} over chains "
-      f"{list(fig6.rf_sweep.n_rf_grid)}, {fig6.n_trials} trials, "
-      f"{fig6.chest_dims.pilot_count} pilots")
+      f"{list(fig6.params['n_rf_grid'])}, {fig6.n_trials} trials, "
+      f"{fig6.params['dims'].pilot_count} pilots")
 
 # ---------------------------------------------------------------------------
 # The same runs from a shell

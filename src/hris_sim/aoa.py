@@ -50,7 +50,6 @@ class AoaScenario:
     true_direction: Direction
     combiner: np.ndarray
     pilot: np.ndarray
-    tx_power: float = 1.0
 
     def __post_init__(self):
         self.combiner = np.asarray(self.combiner, dtype=complex)
@@ -67,18 +66,16 @@ class AoaScenario:
             raise ValueError("pilot length must equal the number of snapshots")
         if np.max(np.abs(np.abs(self.pilot) - 1.0)) > _UNIT_TOL:
             raise ValueError("pilot symbols must have unit magnitude")
-        if self.tx_power <= 0.0:
-            raise ValueError("tx_power must be positive")
 
     @property
     def noise_var(self) -> float:
-        return _noise_var(self.snr_db, self.tx_power)
+        return _noise_var(self.snr_db)
 
 
-def _noise_var(snr_db: float, tx_power: float = 1.0) -> float:
+def _noise_var(snr_db: float) -> float:
     if np.isinf(snr_db):
         return 0.0
-    return tx_power * 10.0 ** (-snr_db / 10.0)
+    return 10.0 ** (-snr_db / 10.0)
 
 
 @dataclass(frozen=True)
@@ -133,8 +130,8 @@ def _response(sc: AoaScenario, direction: Direction) -> np.ndarray:
 
 
 def noiseless_snapshots(sc: AoaScenario) -> np.ndarray:
-    """Mean of the snapshot vector: g_t(theta*) * s_t * sqrt(tx_power)."""
-    return _response(sc, sc.true_direction) * sc.pilot * math.sqrt(sc.tx_power)
+    """Mean of the snapshot vector at unit transmit power: g_t(theta*) * s_t."""
+    return _response(sc, sc.true_direction) * sc.pilot
 
 
 def simulate_snapshots(sc: AoaScenario, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -264,9 +261,9 @@ def ml_estimate(y: np.ndarray, sc: AoaScenario, grid: AoaGrid | None = None) -> 
 def _projected_fisher(sc: AoaScenario) -> float:
     """Projected Fisher term Pperp(1) of the elevation, with the amplitude as nuisance.
 
-    For mean mu_t = alpha * sqrt(P) * g_t(theta) * s_t the Fisher information
-    of theta after removing the (Re alpha, Im alpha) block is
-    (2 P / sigma^2) * Pperp with
+    For mean mu_t = alpha * g_t(theta) * s_t (unit transmit power) the Fisher
+    information of theta after removing the (Re alpha, Im alpha) block is
+    (2 / sigma^2) * Pperp with
     Pperp = sum|g'_t s_t|^2 - |sum g'_t conj(g_t) |s_t|^2|^2 / sum|g_t s_t|^2,
     evaluated at the true direction.  It does not depend on the snr, and g
     and g' scale with sqrt(f), so Pperp(f) = f * Pperp(1): this returns the
@@ -290,14 +287,14 @@ def _projected_fisher(sc: AoaScenario) -> float:
     return pperp
 
 
-def _crlb(noise_var, tx_power: float, fraction, pperp: float):
-    """Elevation error variance bound sigma^2 / (2 P f Pperp(1)); see _projected_fisher."""
-    return noise_var / (2.0 * tx_power * (fraction * pperp))
+def _crlb(noise_var, fraction, pperp: float):
+    """Elevation error variance bound sigma^2 / (2 f Pperp(1)); see _projected_fisher."""
+    return noise_var / (2.0 * (fraction * pperp))
 
 
 def crlb_elevation(sc: AoaScenario) -> float:
     """Elevation error variance bound of ``sc``; see _crlb."""
-    return _crlb(sc.noise_var, sc.tx_power, sc.sensed_fraction, _projected_fisher(sc))
+    return _crlb(sc.noise_var, sc.sensed_fraction, _projected_fisher(sc))
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +341,7 @@ def _sweep_trial(trial: int, *, seed: int, sides: tuple, fractions: tuple,
                        template, grid, table)
         sq_err[i] = ((est - theta) ** 2).reshape(shape)
         pperp = _projected_fisher(replace(template, true_direction=direction))
-        bound[i] = _crlb(noise_var, template.tx_power, np.array(fractions)[:, None], pperp)
+        bound[i] = _crlb(noise_var, np.array(fractions)[:, None], pperp)
     return sq_err, bound
 
 
@@ -378,5 +375,5 @@ def rmse_experiment(n_list, sensed_fractions, n_snapshots: int, snr_db_grid,
     # bound averaged over the same truth draws the errors were measured on.
     return sweep_rows(
         {"N": [int(n) for n in n_list], "sensed_fraction": fractions, "snr_db": snrs_db},
-        {"rmse_rad": rmse, "rmse_deg": np.degrees(rmse), "crlb_rad": np.sqrt(bound)},
-        n_trials=int(n_trials))
+        {"n_trials": int(n_trials), "rmse_rad": rmse, "rmse_deg": np.degrees(rmse),
+         "crlb_rad": np.sqrt(bound)})

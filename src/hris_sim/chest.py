@@ -402,6 +402,14 @@ class ChestDims:
     geom: LinkGeometry = LinkGeometry()
 
 
+def trial_channels(seed: int, experiment: str, trial: int, dims: ChestDims,
+                   tx_power: float = 1.0) -> ChannelSet:
+    """The channel draw of one trial of a chest sweep, from its own substream."""
+    return draw_channels(dims.geom, dims.n_atoms, dims.n_users, dims.n_bs_antennas,
+                         substream(seed, experiment, trial, TAG_CHANNEL),
+                         tx_power=tx_power, pathloss_model=dims.pathloss_model)
+
+
 @lru_cache(maxsize=1)
 def _tradeoff_schedules(seed: int, rhos: tuple, n_draws: int, dims: ChestDims):
     """The (rho, draw) schedules of one trade-off sweep and each rho's sensing diagonal.
@@ -422,11 +430,7 @@ def _tradeoff_schedules(seed: int, rhos: tuple, n_draws: int, dims: ChestDims):
 
 def _tradeoff_trial(trial: int, *, seed: int, rhos: tuple, n_draws: int, snr_db: float,
                     dims: ChestDims):
-    ch = draw_channels(
-        dims.geom, dims.n_atoms, dims.n_users, dims.n_bs_antennas,
-        substream(seed, "chest_tradeoff", trial, TAG_CHANNEL),
-        tx_power=10.0 ** (snr_db / 10.0),
-        pathloss_model=dims.pathloss_model)
+    ch = trial_channels(seed, "chest_tradeoff", trial, dims, tx_power=10.0 ** (snr_db / 10.0))
     nmse_h = np.empty((len(rhos), n_draws))
     nmse_g = np.empty_like(nmse_h)
     schedules, sensed_diags = _tradeoff_schedules(seed, rhos, n_draws, dims)
@@ -480,10 +484,7 @@ def _sweep_schedules(nr_grid: tuple, n_slots: int, rho: float, dims: ChestDims):
 def _sweep_trial(trial: int, *, seed: int, nr_grid: tuple, snrs_db: tuple, rho: float,
                  n_slots: int, dims: ChestDims, baseline: bool):
     pilot_count = n_slots * dims.n_users
-    ch0 = draw_channels(
-        dims.geom, dims.n_atoms, dims.n_users, dims.n_bs_antennas,
-        substream(seed, "rf_chain_sweep", trial, TAG_CHANNEL),
-        pathloss_model=dims.pathloss_model)
+    ch0 = trial_channels(seed, "rf_chain_sweep", trial, dims)
     schedules, sensed_diags = _sweep_schedules(nr_grid, n_slots, rho, dims)
     # Every cell of one trial sees identical noise, so curves are paired: the
     # noise of each stage and shape is drawn once and serves every SNR.  The
@@ -540,5 +541,5 @@ def rf_chain_sweep(n_rf_grid, snr_db_list, n_trials: int, seed: int,
     base = np.broadcast_to(base, casc.shape)
     return sweep_rows({"n_rf": nr_grid, "snr_db": snrs_db},
                       {"nmse_cascaded": casc, "nmse_cascaded_db": db(casc),
-                       "nmse_baseline": base, "nmse_baseline_db": db(base)},
-                      baseline_status="ok" if baseline else "infeasible")
+                       "nmse_baseline": base, "nmse_baseline_db": db(base),
+                       "baseline_status": "ok" if baseline else "infeasible"})

@@ -7,8 +7,10 @@ rejected, types are checked and missing keys filled in, with every message
 giving the full dotted path.  The tree must carry the schema version it was
 written for.  Model defaults (surface size, link geometry, search grid) are
 read off their dataclasses; experiment defaults live in the tables alone.
-``EXPERIMENTS`` holds everything that differs between experiments, so
-nothing else in the package branches on an experiment's name.
+An experiment's sections parse straight into its driver's keyword arguments,
+``ExperimentConfig.params``.  ``EXPERIMENTS`` holds everything that differs
+between experiments, so nothing else in the package branches on an
+experiment's name.
 """
 
 from __future__ import annotations
@@ -30,44 +32,13 @@ from .errors import ConfigError
 CONFIG_VERSION = 1
 
 
-@dataclass(frozen=True)
-class AoaParams:
-    n_list: tuple
-    sensed_fractions: tuple
-    n_snapshots: int
-    snr_db_grid: tuple
-    spacing_m: float
-    wavelength_m: float
-    azimuth_rad: float
-    grid: AoaGrid
-
-
-@dataclass(frozen=True)
-class TradeoffParams:
-    rho_grid: tuple
-    n_phase_draws: int
-    snr_db: float
-
-
-@dataclass(frozen=True)
-class RfSweepParams:
-    n_rf_grid: tuple
-    snr_db_list: tuple
-    rho: float
-    n_slots: int | None = None
-
-
-@dataclass(frozen=True)
-class BeamParams:
-    steer_deg: float
-    azimuth_deg: float
-    n_points: int
-    span_deg: float
-
-
 @dataclass
 class ExperimentConfig:
-    """Fully validated run description."""
+    """Fully validated run description.
+
+    ``params`` holds the experiment driver's keyword arguments other than the
+    trial count, seed and worker count; ``raw`` the tree it was read from.
+    """
 
     experiment: str
     seed: int
@@ -75,12 +46,7 @@ class ExperimentConfig:
     workers: int
     output_dir: str
     dump_channels: bool
-    array: PlanarArray | None = None
-    aoa: AoaParams | None = None
-    chest_dims: ChestDims | None = None
-    tradeoff: TradeoffParams | None = None
-    rf_sweep: RfSweepParams | None = None
-    beam: BeamParams | None = None
+    params: dict
     raw: dict = field(default_factory=dict)
 
 
@@ -251,9 +217,8 @@ def _chest_dims(channel: dict, n_rf_chains: int, pilot_count: int) -> ChestDims:
                      geom=geom)
 
 
-# Section keys are the field names of the params dataclasses, and these the
-# keyword arguments of the experiment drivers; only the AoA angles change
-# name, as they are configured in degrees.
+# Section keys are the drivers' keywords, except the AoA angles, which are
+# configured in degrees.
 
 
 def _parse_aoa(values: dict, tree: dict) -> dict:
@@ -263,15 +228,14 @@ def _parse_aoa(values: dict, tree: dict) -> dict:
     aoa["grid"] = _build("aoa.grid", AoaGrid, lo_rad=math.radians(grid["lo_deg"]),
                          hi_rad=math.radians(grid["hi_deg"]), n_points=grid["n_points"],
                          refine_iters=grid["refine_iters"])
-    return {"aoa": AoaParams(**aoa)}
+    return aoa
 
 
 def _parse_tradeoff(values: dict, tree: dict) -> dict:
     tradeoff, channel = dict(values["tradeoff"]), values["channel"]
     n_rf_chains, pilot_count = tradeoff.pop("n_rf_chains"), tradeoff.pop("pilot_count")
     _check_rf_chains(n_rf_chains, "tradeoff.n_rf_chains", channel, tree)
-    return {"tradeoff": TradeoffParams(**tradeoff),
-            "chest_dims": _chest_dims(channel, n_rf_chains, pilot_count)}
+    return {**tradeoff, "dims": _chest_dims(channel, n_rf_chains, pilot_count)}
 
 
 def _parse_rf_sweep(values: dict, tree: dict) -> dict:
@@ -279,34 +243,33 @@ def _parse_rf_sweep(values: dict, tree: dict) -> dict:
     for i, n_rf in enumerate(sweep["n_rf_grid"]):
         _check_rf_chains(n_rf, f"rf_sweep.n_rf_grid[{i}]", channel, tree)
     n_slots = channel["n_atoms"] if sweep["n_slots"] is None else sweep["n_slots"]
-    return {"rf_sweep": RfSweepParams(**sweep),
-            "chest_dims": _chest_dims(channel, max(sweep["n_rf_grid"]),
-                                      n_slots * channel["n_users"])}
+    return {**sweep, "dims": _chest_dims(channel, max(sweep["n_rf_grid"]),
+                                         n_slots * channel["n_users"])}
 
 
 def _parse_beampattern(values: dict, tree: dict) -> dict:
     if values["array"] is None:
         raise ConfigError("beampattern runs need an 'array' section")
     return {"array": _build("array", PlanarArray, **values["array"]),
-            "beam": BeamParams(**values["beampattern"])}
+            **values["beampattern"]}
 
 
 # --- derived metadata -------------------------------------------------------
 
 
 def _aoa_info(cfg: ExperimentConfig) -> dict:
-    p = cfg.aoa
+    p, grid = cfg.params, cfg.params["grid"]
     return {
         "snapshot_noise": "tx_power = 1, noise_var = 10**(-snr_db/10)",
-        "search_grid_points": p.grid.n_points,
-        "search_grid_deg": [math.degrees(p.grid.lo_rad), math.degrees(p.grid.hi_rad)],
-        "wavelength_m": p.wavelength_m,
-        "spacing_m": p.spacing_m,
+        "search_grid_points": grid.n_points,
+        "search_grid_deg": [math.degrees(grid.lo_rad), math.degrees(grid.hi_rad)],
+        "wavelength_m": p["wavelength_m"],
+        "spacing_m": p["spacing_m"],
     }
 
 
 def _chest_info(cfg: ExperimentConfig, min_chains: int) -> dict:
-    d = cfg.chest_dims
+    d = cfg.params["dims"]
     n_slots = math.ceil(d.pilot_count / d.n_users)
     info = {
         "pilot_count": d.pilot_count,
@@ -332,57 +295,43 @@ class Experiment:
     """What one experiment adds to the common keys, and how it runs.
 
     ``sections`` maps each section the experiment takes to its schema entry;
-    ``parse(values, tree)`` builds the ExperimentConfig fields from the values
-    read (``tree`` is the raw tree, which tells a given value from a default);
-    ``run(cfg, seed, workers)`` returns its CSV rows; ``derived(cfg)`` the
+    ``parse(values, tree)`` turns the values read into ``ExperimentConfig.params``
+    (``tree`` is the raw tree, which tells a given value from a default);
+    ``run(n_trials=, seed=, workers=, **params)`` is the driver, which returns
+    the CSV rows, whose keys are the header; ``derived(cfg)`` gives the
     "derived" block of metadata.json.
     """
 
     sections: dict
     default_trials: int
     csv_name: str
-    columns: tuple
     parse: Callable[[dict, dict], dict]
-    run: Callable[[ExperimentConfig, int, int], list]
+    run: Callable[..., list]
     derived: Callable[[ExperimentConfig], dict]
 
 
 EXPERIMENTS = {
     "aoa_rmse": Experiment(
         sections={"aoa": _Field(_AOA, {})}, default_trials=500,
-        csv_name="aoa_rmse.csv",
-        columns=("N", "sensed_fraction", "snr_db", "n_trials", "rmse_rad", "rmse_deg",
-                 "crlb_rad"),
-        parse=_parse_aoa,
-        run=lambda cfg, seed, workers: rmse_experiment(
-            n_trials=cfg.n_trials, seed=seed, workers=workers, **vars(cfg.aoa)),
+        csv_name="aoa_rmse.csv", parse=_parse_aoa, run=rmse_experiment,
         derived=_aoa_info),
     "chest_tradeoff": Experiment(
         sections={"channel": _Field(_CHANNEL, {}), "tradeoff": _Field(_TRADEOFF, {})},
-        default_trials=200, csv_name="tradeoff.csv",
-        columns=("rho", "phase_draw", "nmse_H", "nmse_H_db", "nmse_G", "nmse_G_db"),
-        parse=_parse_tradeoff,
-        run=lambda cfg, seed, workers: tradeoff_experiment(
-            n_trials=cfg.n_trials, seed=seed, workers=workers, dims=cfg.chest_dims,
-            **vars(cfg.tradeoff)),
-        derived=lambda cfg: _chest_info(cfg, cfg.chest_dims.n_rf_chains)),
+        default_trials=200, csv_name="tradeoff.csv", parse=_parse_tradeoff,
+        run=tradeoff_experiment,
+        derived=lambda cfg: _chest_info(cfg, cfg.params["dims"].n_rf_chains)),
     "rf_chain_sweep": Experiment(
         sections={"channel": _Field(_CHANNEL, {}), "rf_sweep": _Field(_RF_SWEEP, {})},
-        default_trials=200, csv_name="rfsweep.csv",
-        columns=("n_rf", "snr_db", "nmse_cascaded", "nmse_cascaded_db", "nmse_baseline",
-                 "nmse_baseline_db", "baseline_status"),
-        parse=_parse_rf_sweep,
-        run=lambda cfg, seed, workers: rf_chain_sweep(
-            n_trials=cfg.n_trials, seed=seed, workers=workers, dims=cfg.chest_dims,
-            **vars(cfg.rf_sweep)),
-        derived=lambda cfg: _chest_info(cfg, min(cfg.rf_sweep.n_rf_grid))),
+        default_trials=200, csv_name="rfsweep.csv", parse=_parse_rf_sweep,
+        run=rf_chain_sweep,
+        derived=lambda cfg: _chest_info(cfg, min(cfg.params["n_rf_grid"]))),
     "beampattern": Experiment(
         sections={"array": _Field(_ARRAY, None), "beampattern": _Field(_BEAM, {})},
-        default_trials=1, csv_name="beampattern.csv", columns=("angle_deg", "gain_db"),
-        parse=_parse_beampattern,
-        run=lambda cfg, seed, workers: emit_beampattern(cfg.array, **vars(cfg.beam)),
-        derived=lambda cfg: {"n_elements": cfg.array.n_elements,
-                             "steer_deg": cfg.beam.steer_deg}),
+        default_trials=1, csv_name="beampattern.csv", parse=_parse_beampattern,
+        # The pattern cut is deterministic and takes no trials, seed or workers.
+        run=lambda n_trials, seed, workers, **params: emit_beampattern(**params),
+        derived=lambda cfg: {"n_elements": cfg.params["array"].n_elements,
+                             "steer_deg": cfg.params["steer_deg"]}),
 }
 
 
@@ -431,7 +380,7 @@ def parse_config_tree(tree: dict, source: str = "config") -> ExperimentConfig:
         int, spec.default_trials, _COUNT), **spec.sections}, "")
     return ExperimentConfig(
         **{key: values[key] for key in ("experiment", "n_trials", *_COMMON)},
-        raw=deepcopy(tree), **spec.parse(values, tree))
+        params=spec.parse(values, tree), raw=deepcopy(tree))
 
 
 def load_config(path) -> ExperimentConfig:

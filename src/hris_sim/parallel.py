@@ -37,25 +37,26 @@ def db(values) -> np.ndarray:
     return np.reshape(np.array(flat, dtype=float), np.shape(values))
 
 
-def sweep_rows(axes: dict, columns: dict, **constants) -> list[dict]:
+def sweep_rows(axes: dict, columns: dict) -> list[dict]:
     """One result row per cell of the grid spanned by ``axes``, in C order.
 
-    ``axes`` maps each axis column to its values, outermost first; every
-    array in ``columns`` must have one entry per grid cell; ``constants``
-    repeat in every row.
+    ``axes`` maps each axis column to its values, outermost first; ``columns``
+    maps each further column to an array with one entry per grid cell, or to
+    a scalar that repeats in every row.  A row's keys, axes then columns, are
+    the CSV header.
     """
     shape = tuple(len(values) for values in axes.values())
     for name, values in columns.items():
-        if np.shape(values) != shape:
+        if np.ndim(values) and np.shape(values) != shape:
             raise AssertionError(
                 f"column {name!r} has shape {np.shape(values)}, expected the full "
                 f"parameter grid {shape}")
     axes = {name: np.asarray(values).tolist() for name, values in axes.items()}
-    flat = {name: np.ravel(values).tolist() for name, values in columns.items()}
+    flat = {name: np.broadcast_to(values, shape).ravel().tolist()
+            for name, values in columns.items()}
     rows = []
     for i, idx in enumerate(np.ndindex(shape)):
         row = {name: values[j] for (name, values), j in zip(axes.items(), idx)}
         row.update((name, values[i]) for name, values in flat.items())
-        row.update(constants)
         rows.append(row)
     return rows

@@ -22,9 +22,10 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .channels import draw_channels, save_matrix
+from .channels import save_matrix
+from .chest import trial_channels
 from .config import EXPERIMENTS, ExperimentConfig
-from .rng import TAG_CHANNEL, substream
+from .rng import TAG_CHANNEL
 from .version import __version__
 
 
@@ -68,18 +69,17 @@ def run(cfg: ExperimentConfig, out_dir=None, seed: int | None = None,
     out.mkdir(parents=True, exist_ok=True)
 
     start = time.perf_counter()
-    rows = spec.run(cfg, seed, workers)
+    rows = spec.run(n_trials=cfg.n_trials, seed=seed, workers=workers, **cfg.params)
     duration = time.perf_counter() - start
 
     csv_path = out / spec.csv_name
-    write_csv(csv_path, rows, spec.columns)
+    columns = list(rows[0])
+    write_csv(csv_path, rows, columns)
     paths = {"csv": str(csv_path)}
 
-    if cfg.dump_channels and cfg.chest_dims is not None:
-        d = cfg.chest_dims
-        ch = draw_channels(d.geom, d.n_atoms, d.n_users, d.n_bs_antennas,
-                           substream(seed, cfg.experiment, 0, TAG_CHANNEL),
-                           pathloss_model=d.pathloss_model)
+    dims = cfg.params.get("dims")
+    if cfg.dump_channels and dims is not None:
+        ch = trial_channels(seed, cfg.experiment, 0, dims)
         for name, matrix in (("H", ch.H), ("G", ch.G)):
             dump_path = out / f"channels_{name}.bin"
             save_matrix(dump_path, matrix, seed=seed, stream_id=TAG_CHANNEL)
@@ -96,7 +96,7 @@ def run(cfg: ExperimentConfig, out_dir=None, seed: int | None = None,
         "rng": {"bit_generator": "Philox",
                 "key_layout": "(seed, experiment_id, substream_tag, trial)"},
         "outputs": {"csv": csv_path.name, "rows": len(rows)},
-        "results_sha256": results_digest(rows, spec.columns),
+        "results_sha256": results_digest(rows, columns),
         "duration_s": duration,
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
                         "scipy": scipy.__version__, "cpu_count": os.cpu_count(),

@@ -100,7 +100,7 @@ def crlb_fd_fim(sc, step=1e-6):
     arr = sc.array
     el0 = sc.true_direction.elevation_rad
     az = sc.true_direction.azimuth_rad
-    alpha0 = complex(math.sqrt(sc.tx_power), 0.0)
+    alpha0 = complex(1.0, 0.0)  # unit transmit power
 
     def mean(el, re_a, im_a):
         return (re_a + 1j * im_a) * snapshot_mean_loops(

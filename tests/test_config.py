@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from hris_sim.config import (CONFIG_VERSION, PRESETS, load_config,
+from hris_sim.config import (CONFIG_VERSION, EXPERIMENTS, PRESETS, load_config,
                              parse_config_tree, preset_config)
 from hris_sim.errors import ConfigError
 
@@ -88,9 +88,9 @@ def test_aoa_section_validation():
     with pytest.raises(ConfigError, match="invalid 'aoa.grid'"):
         parse_config_tree(tree)
     cfg = parse_config_tree(_aoa_tree())
-    assert cfg.aoa.n_snapshots == 64
-    assert cfg.aoa.snr_db_grid == tuple(float(s) for s in range(-10, 31, 5))
-    assert cfg.aoa.grid.n_points == 721
+    assert cfg.params["n_snapshots"] == 64
+    assert cfg.params["snr_db_grid"] == tuple(float(s) for s in range(-10, 31, 5))
+    assert cfg.params["grid"].n_points == 721
 
 
 def test_aoa_grid_degrees_to_radians():
@@ -98,9 +98,9 @@ def test_aoa_grid_degrees_to_radians():
     tree["aoa"]["grid"] = {"lo_deg": 5.0, "hi_deg": 60.0, "n_points": 111,
                            "refine_iters": 10}
     cfg = parse_config_tree(tree)
-    assert cfg.aoa.grid.lo_rad == pytest.approx(math.radians(5.0))
-    assert cfg.aoa.grid.hi_rad == pytest.approx(math.radians(60.0))
-    assert cfg.aoa.grid.n_points == 111
+    assert cfg.params["grid"].lo_rad == pytest.approx(math.radians(5.0))
+    assert cfg.params["grid"].hi_rad == pytest.approx(math.radians(60.0))
+    assert cfg.params["grid"].n_points == 111
 
 
 def test_tradeoff_section_and_dims_wiring():
@@ -109,10 +109,10 @@ def test_tradeoff_section_and_dims_wiring():
             "tradeoff": {"rho_grid": [0.3, 0.6], "n_rf_chains": 4,
                          "pilot_count": 20}}
     cfg = parse_config_tree(tree)
-    assert cfg.tradeoff.rho_grid == (0.3, 0.6)
-    assert cfg.chest_dims.n_atoms == 16
-    assert cfg.chest_dims.n_rf_chains == 4
-    assert cfg.chest_dims.pilot_count == 20
+    assert cfg.params["rho_grid"] == (0.3, 0.6)
+    assert cfg.params["dims"].n_atoms == 16
+    assert cfg.params["dims"].n_rf_chains == 4
+    assert cfg.params["dims"].pilot_count == 20
     tree["tradeoff"]["rho_grid"] = [0.0]
     with pytest.raises(ConfigError, match="strictly in"):
         parse_config_tree(tree)
@@ -146,7 +146,7 @@ def test_default_receive_chains_beyond_the_atoms_name_the_key_to_set(experiment,
         parse_config_tree(tree)
     section, name = key.split(".")
     tree[section] = {name: 4 if name == "n_rf_chains" else [1, 2, 4]}
-    assert parse_config_tree(tree).chest_dims.n_rf_chains == 4
+    assert parse_config_tree(tree).params["dims"].n_rf_chains == 4
 
 
 _MINIMAL = {
@@ -210,18 +210,38 @@ def test_defaults_parse_like_the_same_values_given(experiment):
     assert repr(replace(full, raw={})) == repr(replace(minimal, raw={}))
 
 
+def test_rf_sweep_derived_block():
+    """metadata.json's derived block of a chain sweep, with and without ``n_slots``."""
+    tree = {"version": 1, "experiment": "rf_chain_sweep",
+            "channel": {"n_atoms": 16, "n_users": 2, "n_bs_antennas": 4},
+            "rf_sweep": {"n_rf_grid": [4, 1]}}
+    derived = EXPERIMENTS["rf_chain_sweep"].derived
+    info = derived(parse_config_tree(tree))
+    # Default slot schedule: one slot per atom.
+    assert (info["n_slots"], info["pilot_count"]) == (16, 16 * 2)
+    assert info["h_stage_identifiable"] is True
+    assert info["baseline_identifiable"] is True
+    tree["rf_sweep"]["n_slots"] = 8
+    info = derived(parse_config_tree(tree))
+    assert (info["n_slots"], info["pilot_count"]) == (8, 8 * 2)
+    # 8 slots give 4 chains 32 sensed rows for 16 atoms, but 1 chain only 8:
+    # the smallest chain count decides.
+    assert info["h_stage_identifiable"] is False
+    assert info["baseline_identifiable"] is False
+
+
 def test_rf_sweep_slot_count_wiring():
     tree = {"version": 1, "experiment": "rf_chain_sweep",
             "channel": {"n_atoms": 16, "n_users": 4, "n_bs_antennas": 8},
             "rf_sweep": {"n_rf_grid": [1, 2], "snr_db_list": [0.0]}}
     cfg = parse_config_tree(tree)
     # Default slot schedule: one slot per atom.
-    assert cfg.rf_sweep.n_slots is None
-    assert cfg.chest_dims.pilot_count == 16 * 4
-    assert cfg.chest_dims.n_rf_chains == 2
+    assert cfg.params["n_slots"] is None
+    assert cfg.params["dims"].pilot_count == 16 * 4
+    assert cfg.params["dims"].n_rf_chains == 2
     tree["rf_sweep"]["n_slots"] = 5
     cfg = parse_config_tree(tree)
-    assert cfg.chest_dims.pilot_count == 5 * 4
+    assert cfg.params["dims"].pilot_count == 5 * 4
     tree["rf_sweep"]["n_slots"] = 0
     with pytest.raises(ConfigError, match="n_slots"):
         parse_config_tree(tree)
@@ -267,9 +287,9 @@ def test_beampattern_section_validation():
         parse_config_tree(tree)
     cfg = parse_config_tree(dict(base, array={"n_h": 12, "n_v": 12},
                                  beampattern={"steer_deg": 20.0}))
-    assert cfg.array.n_elements == 144
-    assert cfg.beam.steer_deg == 20.0
-    assert cfg.beam.n_points == 1441
+    assert cfg.params["array"].n_elements == 144
+    assert cfg.params["steer_deg"] == 20.0
+    assert cfg.params["n_points"] == 1441
 
 
 def test_presets_all_parse():
@@ -279,14 +299,14 @@ def test_presets_all_parse():
     fig4 = preset_config("fig4")
     assert fig4.experiment == "aoa_rmse"
     assert fig4.n_trials == 500
-    assert fig4.aoa.n_list == (144, 400)
-    assert fig4.aoa.sensed_fractions == (0.2, 0.8)
+    assert fig4.params["n_list"] == (144, 400)
+    assert fig4.params["sensed_fractions"] == (0.2, 0.8)
     fig5 = preset_config("fig5")
-    assert fig5.chest_dims.pilot_count == 70
-    assert fig5.chest_dims.pathloss_model == "none"
+    assert fig5.params["dims"].pilot_count == 70
+    assert fig5.params["dims"].pathloss_model == "none"
     fig6 = preset_config("fig6")
-    assert fig6.rf_sweep.n_rf_grid == (1, 2, 4, 8)
-    assert fig6.chest_dims.pilot_count == 64 * 8
+    assert fig6.params["n_rf_grid"] == (1, 2, 4, 8)
+    assert fig6.params["dims"].pilot_count == 64 * 8
     with pytest.raises(ConfigError, match="unknown preset"):
         preset_config("fig99")
 

@@ -12,6 +12,7 @@ import pytest
 from hris_sim.arrays import PlanarArray, emit_beampattern
 from hris_sim.channels import draw_channels, load_matrix
 from hris_sim.config import parse_config_tree
+from hris_sim.parallel import sweep_rows
 from hris_sim.rng import TAG_CHANNEL, substream
 from hris_sim.runner import run, write_csv
 
@@ -159,7 +160,7 @@ def test_run_chest_dumps_channels(tmp_path):
     assert matrix.shape == (8, 2)
     assert info["seed"] == 9 and info["stream_id"] == TAG_CHANNEL
     # The dump must hold the same draw the experiment's trial-0 stream yields.
-    ch = draw_channels(cfg.chest_dims.geom, 8, 2, 4,
+    ch = draw_channels(cfg.params["dims"].geom, 8, 2, 4,
                        substream(9, "chest_tradeoff", 0, TAG_CHANNEL),
                        pathloss_model="none")
     np.testing.assert_allclose(matrix, ch.H.astype(np.complex64), rtol=1e-6)
@@ -180,6 +181,26 @@ def test_run_checks_row_count(tmp_path, monkeypatch):
                         lambda fn, n, workers: [(np.ones((1, 1, 1)), np.ones((1, 1, 1)))] * n)
     with pytest.raises(AssertionError, match="expected the full parameter grid"):
         run(cfg, out_dir=tmp_path)
+
+
+_GRID = {"a": [1, 2], "b": [0.5, 1.5, 2.5]}
+
+
+def test_sweep_rows_key_order_and_scalar_columns():
+    """Row keys are the axes, then the columns, in order; a scalar repeats in every row."""
+    rows = sweep_rows(_GRID, {"x": np.arange(6.0).reshape(2, 3), "n": 7, "tag": "ok"})
+    assert [list(row) for row in rows] == [["a", "b", "x", "n", "tag"]] * 6
+    assert [(row["a"], row["b"], row["x"]) for row in rows] == [
+        (1, 0.5, 0.0), (1, 1.5, 1.0), (1, 2.5, 2.0), (2, 0.5, 3.0), (2, 1.5, 4.0), (2, 2.5, 5.0)]
+    assert all(type(row["n"]) is int and row["n"] == 7 for row in rows)
+    assert all(type(row["tag"]) is str and row["tag"] == "ok" for row in rows)
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 2), (2, 3, 1), (1, 3)])
+def test_sweep_rows_rejects_a_misshaped_column(shape):
+    """An array column must span the grid exactly, even where it would broadcast."""
+    with pytest.raises(AssertionError, match="expected the full parameter grid"):
+        sweep_rows(_GRID, {"x": np.zeros(shape)})
 
 
 @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
