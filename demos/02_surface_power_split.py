@@ -5,8 +5,11 @@ Run:  python3 demos/02_surface_power_split.py
 """
 
 import numpy as np
+from scipy.linalg import dft
 
-from hris_sim.hris import combiner_schedule, reflection_gain, sensing_gain
+from hris_sim.aoa import snapshot_scenario
+from hris_sim.arrays import Direction, PlanarArray
+from hris_sim.hris import reflection_gain, sensing_gain
 from hris_sim.rng import complex_normal, substream
 
 # ---------------------------------------------------------------------------
@@ -14,7 +17,7 @@ from hris_sim.rng import complex_normal, substream
 # ---------------------------------------------------------------------------
 n_atoms, n_rf = 8, 2
 rho = np.full(n_atoms, 0.3)
-combiner = combiner_schedule(n_atoms, n_rf, n_slots=1, kind="dft")[0]
+combiner = dft(n_atoms)[:n_rf]                # first two DFT rows, one per chain
 reflected = reflection_gain(rho, np.pi / 4)   # sqrt(rho) e^{j phi} per atom
 sensed = sensing_gain(rho, 0.0)               # sqrt(1 - rho) e^{j psi} per atom
 
@@ -48,17 +51,27 @@ print(f"per-chain noise variance {np.mean(np.abs(samples) ** 2):.4f} "
       f"(configured 0.25, whatever the number of atoms combined)")
 
 # ---------------------------------------------------------------------------
-# Slotted combiner schedules
+# Slotted combiners: each estimator builds its own
 # ---------------------------------------------------------------------------
-slots = combiner_schedule(n_atoms, n_rf, n_slots=n_atoms // n_rf, kind="dft")
-stacked = np.vstack(slots)
+# Channel estimation cycles DFT rows: slot t combines with rows
+# t*n_rf .. t*n_rf + n_rf - 1 (mod n_atoms), which chest solves in closed form.
+n_slots = n_atoms // n_rf
+stacked = dft(n_atoms)[np.arange(n_slots * n_rf) % n_atoms]
 gram = np.conj(stacked.T) @ stacked
-print(f"\nDFT schedule: {len(slots)} slots x {n_rf} chains stack to a "
+print(f"\nDFT schedule: {n_slots} slots x {n_rf} chains stack to a "
       f"{stacked.shape} matrix")
 print(f"  orthogonal columns (Q^H Q = N I): "
       f"{np.allclose(gram, n_atoms * np.eye(n_atoms))}")
 
-random_rows = combiner_schedule(n_atoms, 1, n_slots=4, kind="random_phase", seed=7)
-again = combiner_schedule(n_atoms, 1, n_slots=4, kind="random_phase", seed=7)
-print(f"random-phase schedule is reproducible from its seed: "
-      f"{all(np.array_equal(a, b) for a, b in zip(random_rows, again))}")
+# Angle estimation probes with one random-phase row per snapshot instead.
+surface = PlanarArray(4, 2, 0.004, 0.0157)   # the same 8 atoms as a 4 x 2 lattice
+
+
+def probes(seed):
+    return snapshot_scenario(surface, 0.7, 4, 20.0, Direction(0.3, 0.0),
+                             schedule_seed=seed).combiner
+
+
+print(f"random-phase probes {probes(7).shape}: same seed, same rows "
+      f"{np.array_equal(probes(7), probes(7))}; another seed, other rows "
+      f"{not np.allclose(probes(7), probes(8))}")

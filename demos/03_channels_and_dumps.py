@@ -46,10 +46,10 @@ print(f"normalised mode mean |H|^2 {np.mean(np.abs(normalised.H) ** 2):.3f} "
 rho, reflect_phase = np.full(16, 0.5), np.zeros(16)
 effective = cascade(ch.H, ch.G, rho, reflect_phase)
 print(f"\ncascade G diag(.) H -> {effective.shape} (antennas x terminals)")
-a_0 = cascaded_per_user(ch.H, ch.G, user=0)
+per_user = cascaded_per_user(ch.H, ch.G)   # A_k = G diag(h_k), one per terminal
 refl = reflection_gain(rho, reflect_phase)
-print(f"per-user form reproduces it: "
-      f"{np.allclose(a_0 @ refl, effective[:, 0])}")
+print(f"per-user cascades {per_user.shape} (terminals x antennas x atoms) "
+      f"reproduce it: {np.allclose(per_user @ refl, effective.T)}")
 
 # ---------------------------------------------------------------------------
 # Checksummed binary dumps

@@ -15,7 +15,7 @@ from hris_sim.chest import ChestDims, rf_chain_sweep
 # reflective baseline estimates all per-user cascades directly at the same
 # pilot budget - it is exactly determined there, so noise hits it hard.
 rows = rf_chain_sweep(n_rf_grid=[1, 2, 4, 8], snr_db_list=[0.0, 10.0],
-                      n_trials=40, seed=5, rho=0.5, dims=ChestDims())
+                      n_trials=40, seed=5, rho=0.5, n_slots=64, dims=ChestDims())
 
 print("cascaded NMSE (dB), 64 atoms, 8 terminals, 512 pilots, 40 trials:")
 print("  chains   0 dB snr    10 dB snr   reflective baseline (0 dB)")
@@ -33,7 +33,7 @@ print("\nreads: the hybrid surface beats the baseline once it has enough chains\
 # ---------------------------------------------------------------------------
 # Shrinking the slot budget flags the baseline instead of silently failing
 # ---------------------------------------------------------------------------
-dims = ChestDims(n_atoms=8, n_users=2, n_bs_antennas=4, n_rf_chains=2)
-short = rf_chain_sweep([2], [0.0], n_trials=5, seed=5, rho=0.5, dims=dims, n_slots=4)
+dims = ChestDims(n_atoms=8, n_users=2, n_bs_antennas=4)
+short = rf_chain_sweep([2], [0.0], n_trials=5, seed=5, rho=0.5, n_slots=4, dims=dims)
 print(f"\nwith only 4 slots for 8 atoms the baseline column reports: "
       f"'{short[0]['baseline_status']}'")

@@ -50,7 +50,7 @@ print(f"\nbundled presets: {sorted(PRESETS)}")
 fig6 = preset_config("fig6")
 print(f"preset 'fig6': {fig6.experiment} over chains "
       f"{list(fig6.params['n_rf_grid'])}, {fig6.n_trials} trials, "
-      f"{fig6.params['dims'].pilot_count} pilots")
+      f"{fig6.params['n_slots']} slots (n_slots not set: one per atom)")
 
 # ---------------------------------------------------------------------------
 # The same runs from a shell

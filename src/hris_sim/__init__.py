@@ -31,7 +31,7 @@ from .config import (ExperimentConfig, load_config, parse_config_tree,
                      preset_config)
 from .errors import (ConfigError, EstimationInfeasibleError, HrisSimError,
                      IdentifiabilityError, InfeasibleError)
-from .hris import combiner_schedule, reflection_gain, sensing_gain
+from .hris import reflection_gain, sensing_gain
 from .rng import complex_normal, substream
 from .runner import run
 from .version import __version__
@@ -42,13 +42,12 @@ __all__ = [
     "HrisSimError", "IdentifiabilityError", "InfeasibleError", "LinkGeometry",
     "PilotSchedule", "PlanarArray", "array_factor", "bs_estimate_G",
     "build_pilot_schedule", "cascade", "cascaded_ls_baseline",
-    "cascaded_per_user", "combiner_schedule", "complex_normal",
-    "crlb_elevation", "draw_channels", "emit_beampattern",
-    "hris_estimate_H", "load_config", "load_matrix", "ml_estimate", "nmse",
-    "parse_config_tree", "pathloss", "plane_direction", "preset_config",
-    "reflection_gain", "rf_chain_sweep", "rmse_experiment", "run",
-    "run_two_sided", "save_matrix", "sensing_gain", "simulate_snapshots",
-    "snapshot_scenario", "steered_weights", "steering_vector", "substream",
-    "tradeoff_experiment",
+    "cascaded_per_user", "complex_normal", "crlb_elevation", "draw_channels",
+    "emit_beampattern", "hris_estimate_H", "load_config", "load_matrix",
+    "ml_estimate", "nmse", "parse_config_tree", "pathloss", "plane_direction",
+    "preset_config", "reflection_gain", "rf_chain_sweep", "rmse_experiment",
+    "run", "run_two_sided", "save_matrix", "sensing_gain",
+    "simulate_snapshots", "snapshot_scenario", "steered_weights",
+    "steering_vector", "substream", "tradeoff_experiment",
     "__version__",
 ]

@@ -17,7 +17,6 @@ import numpy as np
 
 from .arrays import Direction, PlanarArray, steering_elevation_gradient, steering_grid, steering_vector
 from .errors import EstimationInfeasibleError
-from .hris import combiner_schedule
 from .parallel import map_trials, sweep_rows, trial_means
 from .rng import TAG_NOISE_HRIS, TAG_TRUTH, complex_normal, substream
 
@@ -105,8 +104,9 @@ def snapshot_scenario(array: PlanarArray, sensed_fraction: float, n_snapshots: i
                       schedule_seed: int = 0) -> AoaScenario:
     """Standard scenario: one random-phase combining row per snapshot, all-ones pilots.
 
-    The random-phase schedule has a dense spatial spectrum, so every snapshot
-    carries angle information at every direction.  Single-row DFT combiners
+    The phases are i.i.d. uniform, drawn from ``schedule_seed`` alone.  Such
+    rows have a dense spatial spectrum, so every snapshot carries angle
+    information at every direction.  Single-row DFT combiners
     would make poor probes on a planar lattice: for a source in the
     azimuth-zero cut the vertical phase progression of most DFT rows sums to
     zero, leaving only every n_v-th row with any response.
@@ -117,8 +117,8 @@ def snapshot_scenario(array: PlanarArray, sensed_fraction: float, n_snapshots: i
         n_snapshots=n_snapshots,
         snr_db=snr_db,
         true_direction=true_direction,
-        combiner=combiner_schedule(array.n_elements, 1, n_snapshots,
-                                   kind="random_phase", seed=schedule_seed)[:, 0],
+        combiner=np.exp(1j * np.random.default_rng(schedule_seed).uniform(
+            0.0, 2.0 * np.pi, size=(n_snapshots, array.n_elements))),
         pilot=np.ones(n_snapshots, dtype=complex),
     )
 

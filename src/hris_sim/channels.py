@@ -117,17 +117,15 @@ def cascade(H: np.ndarray, G: np.ndarray, rho, reflect_phase) -> np.ndarray:
     return (G * gain) @ H
 
 
-def cascaded_per_user(H: np.ndarray, G: np.ndarray, user: int) -> np.ndarray:
-    """Per-user cascade matrix A_k = G @ diag(h_k), shape (n_bs_antennas, n_atoms).
+def cascaded_per_user(H: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Per-user cascades A_k = G diag(h_k), stacked as (n_users, n_bs_antennas, n_atoms).
 
-    Multiplying A_k with a reflection coefficient vector gives that user's
-    effective channel, so A_k is the object cascaded estimators recover.
+    Multiplying A_k with a reflection coefficient vector gives user k's
+    effective channel, so A_k is the object cascaded estimators recover.  The
+    stack is C-ordered: ``np.linalg.norm`` sums in memory order, and a stack
+    built from a list of the K matrices is C-ordered too.
     """
-    H = np.asarray(H)
-    G = np.asarray(G)
-    if not 0 <= user < H.shape[1]:
-        raise IndexError(f"user index {user} out of range for {H.shape[1]} users")
-    return G * H[:, user]
+    return np.multiply(G, H.T[:, None, :], order="C")
 
 
 def save_matrix(path, matrix: np.ndarray, seed: int = 0, stream_id: int = 0) -> None:

@@ -45,7 +45,7 @@ from functools import cached_property, lru_cache, partial
 import numpy as np
 from scipy.linalg import cho_solve, dft
 
-from .channels import ChannelSet, LinkGeometry, draw_channels
+from .channels import ChannelSet, LinkGeometry, cascaded_per_user, draw_channels
 from .errors import EstimationInfeasibleError, IdentifiabilityError
 from .hris import reflection_gain, sensing_gain
 from .parallel import db, map_trials, sweep_rows, trial_means
@@ -61,7 +61,7 @@ class PilotSchedule:
     X^H X = n_users * I; slot t transmits sqrt(tx_power) * X while the surface
     applies the per-atom rows ``rho[t]``, ``reflect_phase[t]`` and
     ``sense_phase[t]`` and combines onto ``n_rf_chains`` chains with the cycled
-    DFT rows the H stage solves (``hris.combiner_schedule``).  Schedules are
+    DFT rows the H stage solves (see the module docstring).  Schedules are
     shared through caches, so they are frozen and ``build_pilot_schedule``
     hands out read-only arrays; derive a variant with ``dataclasses.replace``.
     """
@@ -328,21 +328,12 @@ def run_two_sided(sched: PilotSchedule, ch: ChannelSet,
     return h_hat, bs_estimate_G(sched, ch, h_hat, rng_bs)
 
 
-def _cascades(H: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Per-user cascades A_k = G diag(h_k) stacked into one (K, M, N) array.
-
-    The stack is C-ordered: ``np.linalg.norm`` sums in memory order, and a
-    stack built from a list of the K matrices is C-ordered too.
-    """
-    return np.multiply(G, H.T[:, None, :], order="C")
-
-
 def cascaded_nmse(estimates, ch: ChannelSet) -> float:
     """NMSE over all users of per-user cascade estimates, A_k = G diag(h_k) for user k.
 
     ``estimates`` is a C-ordered (K, M, N) stack or a list of the K (M, N) matrices.
     """
-    return nmse(estimates, _cascades(ch.H, ch.G))
+    return nmse(estimates, cascaded_per_user(ch.H, ch.G))
 
 
 def _baseline_noise(ch: ChannelSet, pilot_count: int, rng: np.random.Generator):
@@ -368,7 +359,7 @@ def _baseline_noise(ch: ChannelSet, pilot_count: int, rng: np.random.Generator):
 
 
 def _estimate_baseline(truth: np.ndarray, ch: ChannelSet, solved_noise) -> np.ndarray:
-    """A_k + solved_noise_k / amp for every user, ``truth`` = ``_cascades(ch.H, ch.G)``."""
+    """A_k + solved_noise_k / amp for every user, truth = ``cascaded_per_user(ch.H, ch.G)``."""
     return truth + solved_noise / math.sqrt(ch.tx_power)
 
 
@@ -384,7 +375,8 @@ def cascaded_ls_baseline(ch: ChannelSet, pilot_count: int, rng: np.random.Genera
     alone: A_k + pinv(Phi) N_k / amp.  Returns the C-ordered (n_users, M,
     n_atoms) stack of per-user estimates.
     """
-    return _estimate_baseline(_cascades(ch.H, ch.G), ch, _baseline_noise(ch, pilot_count, rng))
+    return _estimate_baseline(cascaded_per_user(ch.H, ch.G), ch,
+                              _baseline_noise(ch, pilot_count, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -393,11 +385,11 @@ def cascaded_ls_baseline(ch: ChannelSet, pilot_count: int, rng: np.random.Genera
 
 @dataclass(frozen=True)
 class ChestDims:
+    """The channel of a chest sweep; its schedule shape is given to the driver."""
+
     n_atoms: int = 64
     n_users: int = 8
     n_bs_antennas: int = 16
-    n_rf_chains: int = 8
-    pilot_count: int = 70
     pathloss_model: str = "none"
     geom: LinkGeometry = LinkGeometry()
 
@@ -411,7 +403,8 @@ def trial_channels(seed: int, experiment: str, trial: int, dims: ChestDims,
 
 
 @lru_cache(maxsize=1)
-def _tradeoff_schedules(seed: int, rhos: tuple, n_draws: int, dims: ChestDims):
+def _tradeoff_schedules(seed: int, rhos: tuple, n_draws: int, n_rf_chains: int,
+                        pilot_count: int, dims: ChestDims):
     """The (rho, draw) schedules of one trade-off sweep and each rho's sensing diagonal.
 
     One entry, the current sweep's: its driver builds it, and so runs the H
@@ -421,19 +414,20 @@ def _tradeoff_schedules(seed: int, rhos: tuple, n_draws: int, dims: ChestDims):
     bases = [substream(seed, "chest_tradeoff", j, TAG_PHASES).uniform(
         0.0, 2.0 * np.pi, size=dims.n_atoms) for j in range(n_draws)]
     schedules = tuple(
-        tuple(build_pilot_schedule(dims.n_atoms, dims.n_users, dims.n_rf_chains,
-                                   dims.pilot_count, rho, base_reflect_phase=base)
+        tuple(build_pilot_schedule(dims.n_atoms, dims.n_users, n_rf_chains,
+                                   pilot_count, rho, base_reflect_phase=base)
               for base in bases)
         for rho in rhos)
     return schedules, tuple(_sensing_diag(row[0]) for row in schedules)
 
 
 def _tradeoff_trial(trial: int, *, seed: int, rhos: tuple, n_draws: int, snr_db: float,
-                    dims: ChestDims):
+                    n_rf_chains: int, pilot_count: int, dims: ChestDims):
     ch = trial_channels(seed, "chest_tradeoff", trial, dims, tx_power=10.0 ** (snr_db / 10.0))
     nmse_h = np.empty((len(rhos), n_draws))
     nmse_g = np.empty_like(nmse_h)
-    schedules, sensed_diags = _tradeoff_schedules(seed, rhos, n_draws, dims)
+    schedules, sensed_diags = _tradeoff_schedules(seed, rhos, n_draws, n_rf_chains,
+                                                  pilot_count, dims)
     # Every (rho, draw) cell of one trial sees identical noise, so curves are
     # paired: the noise of each stage is drawn once and serves every cell.
     # The H stage never reads the reflection phases, the only thing the draws
@@ -453,21 +447,23 @@ def _tradeoff_trial(trial: int, *, seed: int, rhos: tuple, n_draws: int, snr_db:
 
 
 def tradeoff_experiment(rho_grid, n_phase_draws: int, n_trials: int, seed: int,
-                        workers: int = 1, *, snr_db: float,
-                        dims: ChestDims | None = None) -> list[dict]:
+                        workers: int = 1, *, snr_db: float, n_rf_chains: int,
+                        pilot_count: int, dims: ChestDims | None = None) -> list[dict]:
     """Sweep the power split: estimation quality of both stages versus rho.
 
     For every rho and every random per-atom reflection phase configuration
-    the two-sided estimator runs over ``n_trials`` paired channel draws.
+    the two-sided estimator runs over ``n_trials`` paired channel draws, on
+    schedules of ``n_rf_chains`` sensing chains and a ``pilot_count`` budget.
     Returns one row per (rho, phase_draw) with mean NMSEs, linear and dB.
     """
     dims = dims or ChestDims()
     rhos = tuple(float(r) for r in rho_grid)
-    _tradeoff_schedules(int(seed), rhos, int(n_phase_draws), dims)
-    trial = partial(_tradeoff_trial, seed=int(seed), rhos=rhos, n_draws=int(n_phase_draws),
-                    snr_db=float(snr_db), dims=dims)
+    seed, n_draws = int(seed), int(n_phase_draws)
+    _tradeoff_schedules(seed, rhos, n_draws, n_rf_chains, pilot_count, dims)
+    trial = partial(_tradeoff_trial, seed=seed, rhos=rhos, n_draws=n_draws, snr_db=float(snr_db),
+                    n_rf_chains=n_rf_chains, pilot_count=pilot_count, dims=dims)
     nmse_h, nmse_g = trial_means(map_trials(trial, n_trials, workers))
-    return sweep_rows({"rho": rhos, "phase_draw": range(int(n_phase_draws))},
+    return sweep_rows({"rho": rhos, "phase_draw": range(n_draws)},
                       {"nmse_H": nmse_h, "nmse_H_db": db(nmse_h),
                        "nmse_G": nmse_g, "nmse_G_db": db(nmse_g)})
 
@@ -494,7 +490,7 @@ def _sweep_trial(trial: int, *, seed: int, nr_grid: tuple, snrs_db: tuple, rho: 
     def noise_rng(tag):
         return substream(seed, "rf_chain_sweep", trial, tag)
 
-    truth = _cascades(ch0.H, ch0.G)
+    truth = cascaded_per_user(ch0.H, ch0.G)
     noise_h = [_sensed_noise(sched, ch0, noise_rng(TAG_NOISE_HRIS)) for sched in schedules]
     noise_g = _reflected_noise(n_slots, ch0, noise_rng(TAG_NOISE_BS))
     if baseline:
@@ -509,18 +505,17 @@ def _sweep_trial(trial: int, *, seed: int, nr_grid: tuple, snrs_db: tuple, rho: 
         g_hats = _estimate_G(schedules[0], ch, h_hats,
                              _contract_reflected(schedules[0], ch, noise_g))
         for i, (h_hat, g_hat) in enumerate(zip(h_hats, g_hats)):
-            casc[i, s] = nmse(_cascades(h_hat, g_hat), truth)
+            casc[i, s] = nmse(cascaded_per_user(h_hat, g_hat), truth)
     return casc, base
 
 
 def rf_chain_sweep(n_rf_grid, snr_db_list, n_trials: int, seed: int,
-                   workers: int = 1, *, rho: float,
-                   dims: ChestDims | None = None,
-                   n_slots: int | None = None) -> list[dict]:
+                   workers: int = 1, *, rho: float, n_slots: int,
+                   dims: ChestDims | None = None) -> list[dict]:
     """Cascaded estimation quality versus the number of surface receive chains.
 
-    The slot schedule is held fixed (``n_slots`` defaults to the atom count,
-    keeping the sensing stage identifiable down to a single chain) while
+    The slot schedule is held fixed at ``n_slots`` slots (one per atom keeps
+    the sensing stage identifiable down to a single chain) while
     n_rf_chains varies, so every extra chain contributes additional sensed
     rows per slot and the cascaded error improves accordingly.  The purely
     reflective baseline runs at the same pilot budget where identifiable,
@@ -528,9 +523,7 @@ def rf_chain_sweep(n_rf_grid, snr_db_list, n_trials: int, seed: int,
     have full rank); otherwise its column is flagged infeasible.
     """
     dims = dims or ChestDims()
-    n_slots = int(n_slots) if n_slots is not None else dims.n_atoms
-    if n_slots < 1:
-        raise ValueError("n_slots must be a positive count")
+    n_slots = int(n_slots)
     nr_grid = tuple(int(n) for n in n_rf_grid)
     snrs_db = tuple(float(s) for s in snr_db_list)
     _sweep_schedules(nr_grid, n_slots, float(rho), dims)

@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .config import (EXPERIMENTS, PRESETS, load_config, parse_config_tree,
-                     parse_workers, preset_config)
+                     parse_seed, parse_workers, preset_config)
 from .errors import ConfigError, InfeasibleError
 from .runner import run
 
@@ -73,8 +73,9 @@ def main(argv=None) -> int:
                 if given:
                     tree[name] = given
             cfg = parse_config_tree(tree, source="command line")
+        seed = None if args.seed is None else parse_seed(args.seed, "--seed")
         workers = None if args.workers is None else parse_workers(args.workers, "--workers")
-        paths = run(cfg, out_dir=args.out, seed=args.seed, workers=workers)
+        paths = run(cfg, out_dir=args.out, seed=seed, workers=workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -8,9 +8,10 @@ giving the full dotted path.  The tree must carry the schema version it was
 written for.  Model defaults (surface size, link geometry, search grid) are
 read off their dataclasses; experiment defaults live in the tables alone.
 An experiment's sections parse straight into its driver's keyword arguments,
-``ExperimentConfig.params``.  ``EXPERIMENTS`` holds everything that differs
-between experiments, so nothing else in the package branches on an
-experiment's name.
+``ExperimentConfig.params``; a chest sweep's schedule shape (chains, pilot
+budget, slots) stays in those keywords, next to the channel's ``ChestDims``.
+``EXPERIMENTS`` holds everything that differs between experiments, so
+nothing else in the package branches on an experiment's name.
 """
 
 from __future__ import annotations
@@ -113,8 +114,8 @@ _TRADEOFF = {
     "rho_grid": _Field([float], tuple(round(0.1 * i, 1) for i in range(1, 10)), _SPLIT),
     "n_phase_draws": _Field(int, 3, _COUNT),
     "snr_db": _Field(float, 30.0),
-    "n_rf_chains": _Field(int, ChestDims.n_rf_chains),
-    "pilot_count": _Field(int, ChestDims.pilot_count, _COUNT),
+    "n_rf_chains": _Field(int, 8),
+    "pilot_count": _Field(int, 70, _COUNT),
 }
 
 _RF_SWEEP = {
@@ -207,14 +208,13 @@ def _check_rf_chains(n_rf: int, full: str, channel: dict, tree: dict) -> None:
     raise ConfigError(f"'{full}' must lie in {bound}, got {n_rf}")
 
 
-def _chest_dims(channel: dict, n_rf_chains: int, pilot_count: int) -> ChestDims:
+def _chest_dims(channel: dict) -> ChestDims:
     geom = _build("channel", LinkGeometry, cell_radius_m=channel["cell_radius_m"],
                   hris_bs_distance_m=channel["hris_bs_distance_m"],
                   carrier_hz=channel["carrier_hz"])
     return ChestDims(n_atoms=channel["n_atoms"], n_users=channel["n_users"],
-                     n_bs_antennas=channel["n_bs_antennas"], n_rf_chains=n_rf_chains,
-                     pilot_count=pilot_count, pathloss_model=channel["pathloss"],
-                     geom=geom)
+                     n_bs_antennas=channel["n_bs_antennas"],
+                     pathloss_model=channel["pathloss"], geom=geom)
 
 
 # Section keys are the drivers' keywords, except the AoA angles, which are
@@ -232,10 +232,9 @@ def _parse_aoa(values: dict, tree: dict) -> dict:
 
 
 def _parse_tradeoff(values: dict, tree: dict) -> dict:
-    tradeoff, channel = dict(values["tradeoff"]), values["channel"]
-    n_rf_chains, pilot_count = tradeoff.pop("n_rf_chains"), tradeoff.pop("pilot_count")
-    _check_rf_chains(n_rf_chains, "tradeoff.n_rf_chains", channel, tree)
-    return {**tradeoff, "dims": _chest_dims(channel, n_rf_chains, pilot_count)}
+    tradeoff, channel = values["tradeoff"], values["channel"]
+    _check_rf_chains(tradeoff["n_rf_chains"], "tradeoff.n_rf_chains", channel, tree)
+    return {**tradeoff, "dims": _chest_dims(channel)}
 
 
 def _parse_rf_sweep(values: dict, tree: dict) -> dict:
@@ -243,8 +242,7 @@ def _parse_rf_sweep(values: dict, tree: dict) -> dict:
     for i, n_rf in enumerate(sweep["n_rf_grid"]):
         _check_rf_chains(n_rf, f"rf_sweep.n_rf_grid[{i}]", channel, tree)
     n_slots = channel["n_atoms"] if sweep["n_slots"] is None else sweep["n_slots"]
-    return {**sweep, "dims": _chest_dims(channel, max(sweep["n_rf_grid"]),
-                                         n_slots * channel["n_users"])}
+    return {**sweep, "n_slots": n_slots, "dims": _chest_dims(channel)}
 
 
 def _parse_beampattern(values: dict, tree: dict) -> dict:
@@ -268,16 +266,16 @@ def _aoa_info(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _chest_info(cfg: ExperimentConfig, min_chains: int) -> dict:
+def _chest_info(cfg: ExperimentConfig, pilot_count: int, min_chains: int) -> dict:
     d = cfg.params["dims"]
-    n_slots = math.ceil(d.pilot_count / d.n_users)
+    n_slots = math.ceil(pilot_count / d.n_users)
     info = {
-        "pilot_count": d.pilot_count,
+        "pilot_count": pilot_count,
         "n_slots": n_slots,
         "pilot_symbols_used": n_slots * d.n_users,
         "h_stage_identifiable": n_slots * min_chains >= d.n_atoms,
         "g_stage_equations": n_slots * d.n_users,
-        "baseline_identifiable": d.pilot_count // d.n_users >= d.n_atoms,
+        "baseline_identifiable": pilot_count // d.n_users >= d.n_atoms,
         "noise_model": "unit noise variance; tx_power = 10**(snr_db/10)",
         "pathloss_model": d.pathloss_model,
     }
@@ -319,12 +317,15 @@ EXPERIMENTS = {
         sections={"channel": _Field(_CHANNEL, {}), "tradeoff": _Field(_TRADEOFF, {})},
         default_trials=200, csv_name="tradeoff.csv", parse=_parse_tradeoff,
         run=tradeoff_experiment,
-        derived=lambda cfg: _chest_info(cfg, cfg.params["dims"].n_rf_chains)),
+        derived=lambda cfg: _chest_info(cfg, cfg.params["pilot_count"],
+                                        cfg.params["n_rf_chains"])),
     "rf_chain_sweep": Experiment(
         sections={"channel": _Field(_CHANNEL, {}), "rf_sweep": _Field(_RF_SWEEP, {})},
         default_trials=200, csv_name="rfsweep.csv", parse=_parse_rf_sweep,
         run=rf_chain_sweep,
-        derived=lambda cfg: _chest_info(cfg, min(cfg.params["n_rf_grid"]))),
+        derived=lambda cfg: _chest_info(
+            cfg, cfg.params["n_slots"] * cfg.params["dims"].n_users,
+            min(cfg.params["n_rf_grid"]))),
     "beampattern": Experiment(
         sections={"array": _Field(_ARRAY, None), "beampattern": _Field(_BEAM, {})},
         default_trials=1, csv_name="beampattern.csv", parse=_parse_beampattern,
@@ -336,6 +337,14 @@ EXPERIMENTS = {
 
 
 # --- top level --------------------------------------------------------------
+
+
+def parse_seed(raw, name: str = "seed") -> int:
+    """A seed: an integer in [0, 2**64), the range of the substream key and the dump header."""
+    seed = _convert(int, raw, name)
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"'{name}' must lie in [0, 2**64), got {seed}")
+    return seed
 
 
 def parse_workers(raw, name: str = "workers") -> int:
@@ -363,7 +372,7 @@ _HEAD = {
 }
 # The other keys every experiment takes; n_trials defaults per experiment.
 _COMMON = {
-    "seed": _Field(int, 0),
+    "seed": _Field(parse_seed, 0),
     "workers": _Field(parse_workers, 1),
     "output_dir": _Field(str, "results"),
     "dump_channels": _Field(bool, False),

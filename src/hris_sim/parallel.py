@@ -15,7 +15,9 @@ import numpy as np
 
 def map_trials(fn, n_trials: int, workers: int = 1) -> list:
     """Evaluate fn(0..n_trials-1), in order, optionally on a process pool."""
-    if workers is None or workers <= 1 or n_trials <= 1:
+    # At most one worker per trial: a fork pool starts all its workers on the first submit.
+    workers = min(workers or 1, n_trials)
+    if workers <= 1:
         return [fn(t) for t in range(n_trials)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, n_trials // (workers * 4))

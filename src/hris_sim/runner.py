@@ -24,7 +24,7 @@ import scipy
 
 from .channels import save_matrix
 from .chest import trial_channels
-from .config import EXPERIMENTS, ExperimentConfig
+from .config import EXPERIMENTS, ExperimentConfig, parse_seed
 from .rng import TAG_CHANNEL
 from .version import __version__
 
@@ -60,9 +60,10 @@ def run(cfg: ExperimentConfig, out_dir=None, seed: int | None = None,
     """Execute one configured experiment; returns the paths written.
 
     ``seed`` and ``workers`` override the configured values for this run
-    only; ``cfg`` is left as it was given.
+    only; ``cfg`` is left as it was given.  A seed override is checked like
+    the configured seed, before any trial runs.
     """
-    seed = cfg.seed if seed is None else int(seed)
+    seed = cfg.seed if seed is None else parse_seed(int(seed))
     workers = cfg.workers if workers is None else int(workers)
     spec = EXPERIMENTS[cfg.experiment]
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)

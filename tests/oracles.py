@@ -3,9 +3,7 @@
 Everything here is written the dumb way on purpose: explicit loops, explicit
 pseudoinverses, finite differences.  None of it imports computational helpers
 from the package under test, so agreement between the two routes checks the
-maths, not the plumbing.  The one exception is ``hris.combiner_schedule``,
-which expands a pilot schedule's chain count into its cycled DFT combiner
-rows; test_hris checks those rows against the DFT matrix itself.
+maths, not the plumbing.
 """
 
 import cmath
@@ -14,8 +12,6 @@ import math
 
 import numpy as np
 from scipy.linalg import dft, solve_triangular
-
-from hris_sim.hris import combiner_schedule
 
 
 def element_positions_loops(n_h, n_v, spacing_m):
@@ -228,8 +224,14 @@ def baseline_two_unknowns(patterns, observations):
 
 
 def schedule_combiners(sched):
-    """The (slots, chains, atoms) cycled DFT combiners a pilot schedule senses with."""
-    return combiner_schedule(sched.rho.shape[1], sched.n_rf_chains, sched.n_slots)
+    """The (slots, chains, atoms) cycled DFT combiners a pilot schedule senses with.
+
+    Slot t combines with rows t*R .. t*R + R - 1 (mod N) of the N-point DFT
+    matrix, R the schedule's chain count.
+    """
+    n_slots, n_atoms = sched.rho.shape
+    rows = np.arange(n_slots * sched.n_rf_chains) % n_atoms
+    return dft(n_atoms)[rows].reshape(n_slots, sched.n_rf_chains, n_atoms)
 
 
 def _complex_normal_by_hand(rng, shape, var):

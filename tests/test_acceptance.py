@@ -80,8 +80,8 @@ def test_criterion_3(capsys):
     """Power-split sweep: G improves >=3 dB over [0.1, 0.5], H loses >=3 dB to 0.9."""
     t0 = time.perf_counter()
     rho_grid = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
-    rows = tradeoff_experiment(rho_grid, 3, 200, seed=SEED, snr_db=30.0,
-                               dims=ChestDims())
+    rows = tradeoff_experiment(rho_grid, 3, 200, seed=SEED, snr_db=30.0, n_rf_chains=8,
+                               pilot_count=70, dims=ChestDims())
     # Average the phase draws per rho, then read the curves in dB.
     curve_h, curve_g = {}, {}
     for rho in rho_grid:
@@ -109,7 +109,7 @@ def test_criterion_4(capsys):
     t0 = time.perf_counter()
     nr_grid = [1, 2, 4, 8]
     snrs = [0.0, 10.0]
-    rows = rf_chain_sweep(nr_grid, snrs, 200, seed=SEED, rho=0.5,
+    rows = rf_chain_sweep(nr_grid, snrs, 200, seed=SEED, rho=0.5, n_slots=64,
                           dims=ChestDims())
     cell = {(r["n_rf"], r["snr_db"]): r["nmse_cascaded"] for r in rows}
     monotone = all(cell[(b, s)] <= cell[(a, s)] + 1e-15
@@ -196,13 +196,12 @@ def test_criterion_7(capsys):
                             **AOA_SWEEP)
     aoa_3 = rmse_experiment([16], [0.4, 0.8], 16, [0.0, 15.0], 6, seed=SEED,
                             workers=3, **AOA_SWEEP)
-    dims = ChestDims(n_atoms=8, n_users=2, n_bs_antennas=4, n_rf_chains=2,
-                     pilot_count=8)
-    trade_1 = tradeoff_experiment([0.3, 0.7], 2, 5, seed=SEED, snr_db=30.0, dims=dims)
-    trade_2 = tradeoff_experiment([0.3, 0.7], 2, 5, seed=SEED, snr_db=30.0, dims=dims,
-                                  workers=2)
-    sweep_1 = rf_chain_sweep([1, 2], [0.0], 5, seed=SEED, rho=0.5, dims=dims)
-    sweep_2 = rf_chain_sweep([1, 2], [0.0], 5, seed=SEED, rho=0.5, dims=dims,
+    dims = ChestDims(n_atoms=8, n_users=2, n_bs_antennas=4)
+    shape = dict(snr_db=30.0, n_rf_chains=2, pilot_count=8, dims=dims)
+    trade_1 = tradeoff_experiment([0.3, 0.7], 2, 5, seed=SEED, **shape)
+    trade_2 = tradeoff_experiment([0.3, 0.7], 2, 5, seed=SEED, workers=2, **shape)
+    sweep_1 = rf_chain_sweep([1, 2], [0.0], 5, seed=SEED, rho=0.5, n_slots=8, dims=dims)
+    sweep_2 = rf_chain_sweep([1, 2], [0.0], 5, seed=SEED, rho=0.5, n_slots=8, dims=dims,
                              workers=2)
     deterministic = (aoa_1 == aoa_3) and (trade_1 == trade_2) and (sweep_1 == sweep_2)
     elapsed = time.perf_counter() - t0

@@ -42,6 +42,24 @@ def test_scenario_validation():
                     combiner=sc.combiner, pilot=2.0 * sc.pilot)
 
 
+
+def test_snapshot_combiner_follows_schedule_seed():
+    """One unit-modulus probe row per snapshot, i.i.d. uniform phases from schedule_seed alone."""
+    def rows(seed, **kw):
+        args = {"sensed_fraction": 0.5, "n_snapshots": 6, "snr_db": 10.0,
+                "true_direction": Direction(0.3, 0.0), **kw}
+        return snapshot_scenario(ARR, schedule_seed=seed, **args).combiner
+
+    probes = rows(9)
+    assert probes.shape == (6, 64)
+    np.testing.assert_allclose(np.abs(probes), 1.0, atol=1e-12)
+    np.testing.assert_array_equal(probes, np.exp(1j * np.random.default_rng(9).uniform(
+        0.0, 2.0 * np.pi, size=(6, 64))))
+    np.testing.assert_array_equal(rows(9, sensed_fraction=0.9, snr_db=math.inf,
+                                       true_direction=Direction(0.7, 0.2)), probes)
+    assert not np.allclose(rows(10), probes)
+    np.testing.assert_array_equal(_scenario(0.4, n_snapshots=6).combiner, rows(0))
+
 def test_noise_variance_convention():
     sc = _scenario(0.4, snr_db=10.0)
     assert sc.noise_var == pytest.approx(0.1)

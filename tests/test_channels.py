@@ -108,10 +108,12 @@ def test_cascaded_per_user_definition():
     rng = np.random.default_rng(2)
     H = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
     G = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
-    a1 = cascaded_per_user(H, G, 1)
-    np.testing.assert_allclose(a1, G @ np.diag(H[:, 1]), atol=1e-12)
+    stack = cascaded_per_user(H, G)
+    assert stack.shape == (3, 2, 4) and stack.flags.c_contiguous
+    for k in range(3):
+        np.testing.assert_allclose(stack[k], G @ np.diag(H[:, k]), atol=1e-12)
     with pytest.raises(IndexError):
-        cascaded_per_user(H, G, 3)
+        stack[3]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from hris_sim.chest import (ChestDims, _sweep_schedules, _sweep_trial, _tradeoff
                             cascaded_ls_baseline, cascaded_nmse, hris_estimate_H, nmse,
                             rf_chain_sweep, run_two_sided, tradeoff_experiment)
 from hris_sim.errors import EstimationInfeasibleError, IdentifiabilityError
-from hris_sim.hris import combiner_schedule, reflection_gain
+from hris_sim.hris import reflection_gain
 from hris_sim.rng import (TAG_CHANNEL, TAG_NOISE_BASELINE, TAG_NOISE_BS, TAG_NOISE_HRIS,
                           TAG_PHASES, complex_normal_stack, substream)
 
@@ -84,7 +84,7 @@ def test_sensed_stage_matches_pinv_oracle():
     amp = 1.5
     s_diag = math.sqrt(1.0 - rho) * np.exp(1j * sense_phase)
     x_block = amp * sched.pilots
-    combiners = combiner_schedule(4, 2, 2)
+    combiners = oracles.schedule_combiners(sched)
     blocks = []
     for combiner in combiners:
         y_t = combiner @ (s_diag * (H @ x_block))
@@ -96,6 +96,21 @@ def test_sensed_stage_matches_pinv_oracle():
     np.testing.assert_allclose(h_hat, H, atol=1e-9)
     assert h_hat.shape == (4, 1)
 
+
+
+@pytest.mark.parametrize("n_atoms, n_rf, n_slots", [
+    (4, 2, 2), (4, 2, 3), (12, 5, 3), (16, 3, 6), (64, 8, 8), (64, 8, 9)])
+def test_dft_lstsq_matches_pinv_of_cycled_rows(n_atoms, n_rf, n_slots):
+    """The H stage's closed form equals pinv of the stacked cycled DFT combiner rows.
+
+    The shapes cover the square stack Q = F, full rank at the minimum slot
+    count ceil(N / R), and rows that wrap past N.
+    """
+    q = np.vstack(oracles.schedule_combiners(build_pilot_schedule(n_atoms, 1, n_rf, n_slots, 0.5)))
+    assert q.shape == (n_slots * n_rf, n_atoms) and np.linalg.matrix_rank(q) == n_atoms
+    rng = np.random.default_rng(n_atoms + n_slots)
+    rows = rng.standard_normal((len(q), 3)) + 1j * rng.standard_normal((len(q), 3))
+    _assert_near_lstsq(chest._dft_lstsq(rows, n_atoms), np.linalg.pinv(q) @ rows)
 
 def test_per_slot_sensing_diagonal_rejected():
     """Dividing by slot 0's diagonal would return a wrong H; the estimator refuses."""
@@ -138,8 +153,7 @@ def test_two_sided_noise_free_exact():
         sched, ch, np.random.default_rng(0), np.random.default_rng(1))
     assert np.linalg.norm(h_hat - ch.H) / np.linalg.norm(ch.H) < 1e-9
     assert np.linalg.norm(g_hat - ch.G) / np.linalg.norm(ch.G) < 1e-9
-    composed = [cascaded_per_user(h_hat, g_hat, k) for k in range(8)]
-    assert cascaded_nmse(composed, ch) < 1e-18
+    assert cascaded_nmse(cascaded_per_user(h_hat, g_hat), ch) < 1e-18
 
 
 def _assert_stages_match_per_slot_oracle(sched, ch, trial):
@@ -162,7 +176,7 @@ def _assert_stages_match_per_slot_oracle(sched, ch, trial):
 def test_stages_bit_exact_to_per_slot_oracle_fig5_shape():
     # 70 pilots over 8 users: 9 slots, random base phases as in the trade-off sweep.
     rhos = (0.2, 0.7)
-    schedules, _ = _tradeoff_schedules(20260823, rhos, 2, ChestDims())
+    schedules, _ = _tradeoff_schedules(20260823, rhos, 2, 8, 70, ChestDims())
     for draw, rho in enumerate(rhos):
         sched = schedules[draw][draw]  # cells (rho 0.2, draw 0) and (rho 0.7, draw 1)
         assert sched.n_slots == 9 and sched.rho[0, 0] == rho
@@ -223,8 +237,8 @@ def test_h_stage_and_baseline_do_not_depend_on_blas_threads():
 
 def test_cached_schedules_are_read_only():
     """A caller cannot change the schedule the cache hands to the next caller."""
-    dims = ChestDims(n_atoms=8, n_users=2, n_bs_antennas=4, n_rf_chains=2, pilot_count=8)
-    key = (1, (0.5,), 1, dims)
+    dims = ChestDims(n_atoms=8, n_users=2, n_bs_antennas=4)
+    key = (1, (0.5,), 1, 2, 8, dims)
     schedules, diags = _tradeoff_schedules(*key)
     sched = schedules[0][0]
     with pytest.raises(ValueError, match="read-only"):
@@ -320,7 +334,7 @@ def test_tradeoff_trial_draws_each_noise_once(monkeypatch):
     """A fig5 trial draws one H-stage and one G-stage noise for all 27 cells."""
     calls = _count_noise_draws(monkeypatch)
     _tradeoff_trial(0, seed=3, rhos=tuple(round(0.1 * i, 1) for i in range(1, 10)),
-                    n_draws=3, snr_db=30.0, dims=ChestDims())
+                    n_draws=3, snr_db=30.0, n_rf_chains=8, pilot_count=70, dims=ChestDims())
     assert calls == [(9, 8, 8), (9, 16, 8)]
 
 
@@ -333,10 +347,11 @@ def test_tradeoff_trials_build_and_check_each_schedule_once(monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(chest, name, counted)
-    dims = ChestDims(n_atoms=8, n_users=2, n_bs_antennas=4, n_rf_chains=2, pilot_count=8)
+    dims = ChestDims(n_atoms=8, n_users=2, n_bs_antennas=4)
     rhos = tuple(round(0.04 * i, 2) for i in range(1, 23))  # 22 rhos x 3 draws = 66 cells
     for trial in range(3):
-        _tradeoff_trial(trial, seed=424242, rhos=rhos, n_draws=3, snr_db=30.0, dims=dims)
+        _tradeoff_trial(trial, seed=424242, rhos=rhos, n_draws=3, snr_db=30.0, n_rf_chains=2,
+                        pilot_count=8, dims=dims)
     assert counts == {"build_pilot_schedule": 66, "_sensing_diag": 22}
 
 
@@ -347,7 +362,8 @@ CLOSED_FORM = (oracles.estimate_h_per_slot_dft, oracles.estimate_g_per_slot_chol
 LSTSQ = (oracles.estimate_h_per_slot, oracles.estimate_g_per_slot, oracles.baseline_per_slot)
 
 
-def _tradeoff_trial_by_oracle(seed, trial, rhos, n_draws, dims, solvers):
+def _tradeoff_trial_by_oracle(seed, trial, rhos, n_draws, n_rf_chains, pilot_count, dims,
+                              solvers):
     """One fig5-shaped trial from the per-slot oracles, every cell solved from scratch."""
     estimate_h, estimate_g, _ = solvers
     ch = draw_channels(dims.geom, dims.n_atoms, dims.n_users, dims.n_bs_antennas,
@@ -359,8 +375,8 @@ def _tradeoff_trial_by_oracle(seed, trial, rhos, n_draws, dims, solvers):
         for j in range(n_draws):
             base = substream(seed, "chest_tradeoff", j, TAG_PHASES).uniform(
                 0.0, 2.0 * np.pi, size=dims.n_atoms)
-            sched = build_pilot_schedule(dims.n_atoms, dims.n_users, dims.n_rf_chains,
-                                         dims.pilot_count, rho, base_reflect_phase=base)
+            sched = build_pilot_schedule(dims.n_atoms, dims.n_users, n_rf_chains,
+                                         pilot_count, rho, base_reflect_phase=base)
             h_hat = estimate_h(sched, ch, substream(seed, "chest_tradeoff", trial,
                                                     TAG_NOISE_HRIS))
             g_hat = estimate_g(sched, ch, h_hat,
@@ -374,9 +390,10 @@ def test_tradeoff_trial_bit_exact_to_per_slot_oracle():
     """One fig5-shaped trial equals the per-slot oracles run cell by cell."""
     seed, trial, rhos, n_draws, dims = 20260823, 3, (0.2, 0.7), 2, ChestDims()
     got = _tradeoff_trial(trial, seed=seed, rhos=rhos, n_draws=n_draws, snr_db=30.0,
-                          dims=dims)
-    exact = _tradeoff_trial_by_oracle(seed, trial, rhos, n_draws, dims, CLOSED_FORM)
-    near = _tradeoff_trial_by_oracle(seed, trial, rhos, n_draws, dims, LSTSQ)
+                          n_rf_chains=8, pilot_count=70, dims=dims)
+    args = (seed, trial, rhos, n_draws, 8, 70, dims)
+    exact = _tradeoff_trial_by_oracle(*args, CLOSED_FORM)
+    near = _tradeoff_trial_by_oracle(*args, LSTSQ)
     for value, expected, reference in zip(got, exact, near):
         assert np.array_equal(value, expected)
         np.testing.assert_allclose(value, reference, rtol=LSTSQ_RTOL, atol=0.0)
@@ -403,7 +420,7 @@ def _sweep_trial_by_oracle(seed, trial, nr_grid, snrs_db, n_slots, dims, solvers
             g_hat = estimate_g(sched, ch, h_hat,
                                substream(seed, "rf_chain_sweep", trial, TAG_NOISE_BS))
             casc[i, s] = cascaded_nmse(
-                [cascaded_per_user(h_hat, g_hat, k) for k in range(dims.n_users)], ch)
+                [g_hat * h_hat[:, k] for k in range(dims.n_users)], ch)  # G diag(h_k)
     return casc, base
 
 
@@ -490,7 +507,7 @@ def test_baseline_matches_two_unknown_oracle():
     estimates = cascaded_ls_baseline(ch, 2, np.random.default_rng(0))
     assert len(estimates) == 1
     np.testing.assert_allclose(estimates[0].ravel(), a_oracle, atol=1e-10)
-    np.testing.assert_allclose(estimates[0], cascaded_per_user(H, G, 0), atol=1e-10)
+    np.testing.assert_allclose(estimates[0], cascaded_per_user(H, G)[0], atol=1e-10)
     assert cascaded_nmse(estimates, ch) < 1e-20
 
 
@@ -516,7 +533,7 @@ def test_cascaded_nmse_composes_per_user():
     ch = _channels(4, 2, 3, seed=2, noise_var_hris=0.0, noise_var_bs=0.0)
 
     def composed(g):
-        return [cascaded_per_user(ch.H, g, k) for k in range(2)]
+        return list(cascaded_per_user(ch.H, g))
 
     # Perfect estimates give zero; doubling G gives a known ratio via direct sums.
     assert cascaded_nmse(composed(ch.G), ch) == 0.0
@@ -524,10 +541,10 @@ def test_cascaded_nmse_composes_per_user():
 
 
 def test_tradeoff_experiment_rows_pairing_and_workers():
-    dims = ChestDims(n_atoms=8, n_users=2, n_bs_antennas=4, n_rf_chains=2,
-                     pilot_count=8)
+    shape = dict(snr_db=30.0, n_rf_chains=2, pilot_count=8,
+                 dims=ChestDims(n_atoms=8, n_users=2, n_bs_antennas=4))
     rho_grid = [0.05, 0.5, 0.95]
-    rows = tradeoff_experiment(rho_grid, 2, 3, seed=5, snr_db=30.0, dims=dims)
+    rows = tradeoff_experiment(rho_grid, 2, 3, seed=5, **shape)
     assert len(rows) == 6
     assert [set(r) for r in rows] == [
         {"rho", "phase_draw", "nmse_H", "nmse_H_db", "nmse_G", "nmse_G_db"}] * 6
@@ -539,14 +556,13 @@ def test_tradeoff_experiment_rows_pairing_and_workers():
         # made about the upper half of the G curve.)
         assert by_cell[(0.95, draw)]["nmse_H"] > by_cell[(0.05, draw)]["nmse_H"]
         assert by_cell[(0.05, draw)]["nmse_G"] > by_cell[(0.5, draw)]["nmse_G"]
-    rows3 = tradeoff_experiment(rho_grid, 2, 3, seed=5, snr_db=30.0, dims=dims,
-                                workers=3)
+    rows3 = tradeoff_experiment(rho_grid, 2, 3, seed=5, workers=3, **shape)
     assert rows == rows3
 
 
 def test_rf_chain_sweep_rows_and_orderings():
-    dims = ChestDims(n_atoms=8, n_users=2, n_bs_antennas=4, n_rf_chains=2)
-    rows = rf_chain_sweep([1, 2, 4], [0.0, 10.0], 4, seed=13, rho=0.5, dims=dims)
+    dims = ChestDims(n_atoms=8, n_users=2, n_bs_antennas=4)
+    rows = rf_chain_sweep([1, 2, 4], [0.0, 10.0], 4, seed=13, rho=0.5, n_slots=8, dims=dims)
     assert len(rows) == 6
     by_cell = {(r["n_rf"], r["snr_db"]): r for r in rows}
     for snr in (0.0, 10.0):
@@ -561,12 +577,14 @@ def test_rf_chain_sweep_rows_and_orderings():
 
 
 def test_rf_chain_sweep_short_schedule_flags_baseline():
-    dims = ChestDims(n_atoms=8, n_users=2, n_bs_antennas=4, n_rf_chains=2)
+    dims = ChestDims(n_atoms=8, n_users=2, n_bs_antennas=4)
     rows = rf_chain_sweep([2], [0.0], 2, seed=1, rho=0.5, dims=dims, n_slots=4)
     assert all(r["baseline_status"] == "infeasible" for r in rows)
     assert all(math.isnan(r["nmse_baseline"]) for r in rows)
     with pytest.raises(ValueError):
         rf_chain_sweep([2], [0.0], 2, seed=1, rho=0.5, dims=dims, n_slots=0)
+    with pytest.raises(TypeError, match="n_slots"):  # the caller sets the slot count
+        rf_chain_sweep([2], [0.0], 2, seed=1, rho=0.5, dims=dims)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -576,16 +594,17 @@ def test_unidentifiable_h_stage_raises_before_any_trial(monkeypatch, workers):
         raise AssertionError("map_trials ran on an unidentifiable sweep")
 
     monkeypatch.setattr(chest, "map_trials", no_trials)
-    dims = ChestDims(n_atoms=8, n_users=2, n_bs_antennas=4, n_rf_chains=1, pilot_count=8)
+    dims = ChestDims(n_atoms=8, n_users=2, n_bs_antennas=4)
     with pytest.raises(IdentifiabilityError, match="rank 4 < 8"):
         rf_chain_sweep([1, 2], [0.0], 4, seed=1, rho=0.5, dims=dims, n_slots=4,
                        workers=workers)
     with pytest.raises(IdentifiabilityError, match="rank 4 < 8"):
-        tradeoff_experiment([0.5], 1, 4, seed=1, snr_db=30.0, dims=dims, workers=workers)
+        tradeoff_experiment([0.5], 1, 4, seed=1, snr_db=30.0, n_rf_chains=1, pilot_count=8,
+                            dims=dims, workers=workers)
 
 
 def test_rf_chain_sweep_worker_invariance():
-    dims = ChestDims(n_atoms=8, n_users=2, n_bs_antennas=4, n_rf_chains=2)
-    rows1 = rf_chain_sweep([1, 2], [5.0], 4, seed=21, rho=0.5, dims=dims, workers=1)
-    rows2 = rf_chain_sweep([1, 2], [5.0], 4, seed=21, rho=0.5, dims=dims, workers=2)
+    dims = ChestDims(n_atoms=8, n_users=2, n_bs_antennas=4)
+    rows1 = rf_chain_sweep([1, 2], [5.0], 4, seed=21, rho=0.5, n_slots=8, dims=dims, workers=1)
+    rows2 = rf_chain_sweep([1, 2], [5.0], 4, seed=21, rho=0.5, n_slots=8, dims=dims, workers=2)
     assert rows1 == rows2

@@ -117,6 +117,29 @@ def test_seed_override_recorded(tmp_path):
     assert meta["seed"] == 77
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_seed_flag_outside_64_bits_exits_two(tmp_path, capsys, seed):
+    cfg = _write_tiny_aoa(tmp_path)
+    assert main(["run", str(cfg), "--seed", seed, "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: '--seed' must lie in [0, 2**64), got {seed}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_seed_checked_before_any_trial(tmp_path, capsys):
+    """A seed outside 64 bits used to run every trial, then fail writing the channel dumps."""
+    cfg = tmp_path / "dumps.yaml"
+    body = ("version: 1\nexperiment: rf_chain_sweep\nn_trials: 1\ndump_channels: true\n"
+            "channel: {n_atoms: 4, n_users: 2, n_bs_antennas: 2}\n"
+            "rf_sweep: {n_rf_grid: [1], snr_db_list: [0.0]}\n")
+    cfg.write_text(body + "seed: -1\n", encoding="utf-8")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "config error: 'seed' must lie in [0, 2**64), got -1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    cfg.write_text(body + f"seed: {2 ** 64 - 1}\n", encoding="utf-8")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o/channels_G.bin").exists()
+
+
 def test_beampattern_subcommand(tmp_path):
     out = tmp_path / "beam"
     assert main(["beampattern", "--n-h", "12", "--n-v", "12",

@@ -66,6 +66,18 @@ def test_explicit_null_is_a_type_error():
         parse_config_tree(tree)
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_seed_outside_64_bits_rejected(seed):
+    """The substream key and the dump header hold a seed in [0, 2**64); -1 would alias 2**64 - 1."""
+    with pytest.raises(ConfigError, match=rf"'seed' must lie in \[0, 2\*\*64\), got {seed}$"):
+        parse_config_tree(_aoa_tree(seed=seed))
+
+
+def test_seed_range_ends_accepted():
+    assert parse_config_tree(_aoa_tree(seed=0)).seed == 0
+    assert parse_config_tree(_aoa_tree(seed=2 ** 64 - 1)).seed == 2 ** 64 - 1
+
+
 def test_workers_accepts_auto_and_positive_ints():
     assert parse_config_tree(_aoa_tree(workers=3)).workers == 3
     assert parse_config_tree(_aoa_tree(workers="auto")).workers >= 1
@@ -111,8 +123,7 @@ def test_tradeoff_section_and_dims_wiring():
     cfg = parse_config_tree(tree)
     assert cfg.params["rho_grid"] == (0.3, 0.6)
     assert cfg.params["dims"].n_atoms == 16
-    assert cfg.params["dims"].n_rf_chains == 4
-    assert cfg.params["dims"].pilot_count == 20
+    assert (cfg.params["n_rf_chains"], cfg.params["pilot_count"]) == (4, 20)
     tree["tradeoff"]["rho_grid"] = [0.0]
     with pytest.raises(ConfigError, match="strictly in"):
         parse_config_tree(tree)
@@ -145,8 +156,8 @@ def test_default_receive_chains_beyond_the_atoms_name_the_key_to_set(experiment,
     with pytest.raises(ConfigError, match=message):
         parse_config_tree(tree)
     section, name = key.split(".")
-    tree[section] = {name: 4 if name == "n_rf_chains" else [1, 2, 4]}
-    assert parse_config_tree(tree).params["dims"].n_rf_chains == 4
+    tree[section] = {name: 4 if name == "n_rf_chains" else (1, 2, 4)}
+    assert parse_config_tree(tree).params[name] == tree[section][name]
 
 
 _MINIMAL = {
@@ -235,13 +246,11 @@ def test_rf_sweep_slot_count_wiring():
             "channel": {"n_atoms": 16, "n_users": 4, "n_bs_antennas": 8},
             "rf_sweep": {"n_rf_grid": [1, 2], "snr_db_list": [0.0]}}
     cfg = parse_config_tree(tree)
-    # Default slot schedule: one slot per atom.
-    assert cfg.params["n_slots"] is None
-    assert cfg.params["dims"].pilot_count == 16 * 4
-    assert cfg.params["dims"].n_rf_chains == 2
+    # Default slot schedule: one slot per atom, resolved for the driver.
+    assert cfg.params["n_slots"] == 16
     tree["rf_sweep"]["n_slots"] = 5
     cfg = parse_config_tree(tree)
-    assert cfg.params["dims"].pilot_count == 5 * 4
+    assert cfg.params["n_slots"] == 5
     tree["rf_sweep"]["n_slots"] = 0
     with pytest.raises(ConfigError, match="n_slots"):
         parse_config_tree(tree)
@@ -302,11 +311,11 @@ def test_presets_all_parse():
     assert fig4.params["n_list"] == (144, 400)
     assert fig4.params["sensed_fractions"] == (0.2, 0.8)
     fig5 = preset_config("fig5")
-    assert fig5.params["dims"].pilot_count == 70
+    assert fig5.params["pilot_count"] == 70
     assert fig5.params["dims"].pathloss_model == "none"
     fig6 = preset_config("fig6")
     assert fig6.params["n_rf_grid"] == (1, 2, 4, 8)
-    assert fig6.params["dims"].pilot_count == 64 * 8
+    assert fig6.params["n_slots"] == 64
     with pytest.raises(ConfigError, match="unknown preset"):
         preset_config("fig99")
 

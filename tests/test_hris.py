@@ -1,13 +1,12 @@
-"""Surface model: power splitting, sensing path, combiner schedules."""
+"""Surface model: power splitting and the sensing path."""
 
 import math
 
 import numpy as np
-import pytest
 
 from hris_sim.channels import ChannelSet
 from hris_sim.chest import build_pilot_schedule, hris_estimate_H
-from hris_sim.hris import combiner_schedule, reflection_gain, sensing_gain
+from hris_sim.hris import reflection_gain, sensing_gain
 from hris_sim.rng import substream
 
 
@@ -50,49 +49,3 @@ def test_reflect_scales_amplitudes():
     np.testing.assert_allclose(reflection_gain(np.full(4, 0.25), math.pi / 2.0),
                                0.5j * np.ones(4), atol=1e-15)
 
-
-def test_dft_schedule_small_stacks_to_full_dft():
-    from scipy.linalg import dft
-    slots = combiner_schedule(4, 2, 2, kind="dft")
-    assert slots.shape == (2, 2, 4)
-    stacked = np.vstack(slots)
-    np.testing.assert_allclose(stacked, dft(4), atol=1e-12)
-
-
-def test_dft_schedule_condition_number_one():
-    slots = combiner_schedule(64, 8, 8, kind="dft")
-    stacked = np.vstack(slots)
-    s = np.linalg.svd(stacked, compute_uv=False)
-    assert s[0] / s[-1] == pytest.approx(1.0, rel=1e-10)
-
-
-def test_dft_schedule_wraps_rows_beyond_n():
-    slots = combiner_schedule(4, 2, 3, kind="dft")
-    np.testing.assert_allclose(slots[2][0], slots[0][0], atol=1e-12)
-
-
-def test_random_phase_schedule_is_deterministic_and_unit_modulus():
-    a = combiner_schedule(16, 2, 3, kind="random_phase", seed=9)
-    b = combiner_schedule(16, 2, 3, kind="random_phase", seed=9)
-    c = combiner_schedule(16, 2, 3, kind="random_phase", seed=10)
-    for sa, sb in zip(a, b):
-        np.testing.assert_array_equal(sa, sb)
-    assert not np.allclose(a[0], c[0])
-    for slot in a:
-        np.testing.assert_allclose(np.abs(slot), 1.0, atol=1e-12)
-
-
-def test_schedule_rejects_bad_counts():
-    with pytest.raises(ValueError):
-        combiner_schedule(4, 5, 1)
-    with pytest.raises(ValueError):
-        combiner_schedule(4, 1, 0)
-    with pytest.raises(ValueError):
-        combiner_schedule(4, 1, 1, kind="nope")
-
-
-def test_stacked_dft_schedule_full_rank_at_minimum_slots():
-    for n, n_rf in [(12, 5), (16, 3), (64, 8)]:
-        n_slots = math.ceil(n / n_rf)
-        stacked = np.vstack(combiner_schedule(n, n_rf, n_slots, kind="dft"))
-        assert np.linalg.matrix_rank(stacked) == n

@@ -12,6 +12,8 @@ import pytest
 from hris_sim.arrays import PlanarArray, emit_beampattern
 from hris_sim.channels import draw_channels, load_matrix
 from hris_sim.config import parse_config_tree
+from hris_sim.errors import ConfigError
+from hris_sim import parallel
 from hris_sim.parallel import sweep_rows
 from hris_sim.rng import TAG_CHANNEL, substream
 from hris_sim.runner import run, write_csv
@@ -173,6 +175,17 @@ def test_run_chest_dumps_channels(tmp_path):
     assert meta["derived"]["baseline_identifiable"] is False
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_run_seed_override_checked_before_any_trial(tmp_path, seed):
+    """An override outside 64 bits used to run every trial, then fail writing the dumps."""
+    tree = {"version": 1, "experiment": "rf_chain_sweep", "n_trials": 1, "dump_channels": True,
+            "channel": {"n_atoms": 4, "n_users": 2, "n_bs_antennas": 2},
+            "rf_sweep": {"n_rf_grid": [1], "snr_db_list": [0.0]}}
+    with pytest.raises(ConfigError, match=rf"'seed' must lie in \[0, 2\*\*64\), got {seed}$"):
+        run(parse_config_tree(tree), out_dir=tmp_path / "o", seed=seed)
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_checks_row_count(tmp_path, monkeypatch):
     import hris_sim.aoa as aoa_mod
     cfg = parse_config_tree(_tiny_aoa_tree())
@@ -181,6 +194,34 @@ def test_run_checks_row_count(tmp_path, monkeypatch):
                         lambda fn, n, workers: [(np.ones((1, 1, 1)), np.ones((1, 1, 1)))] * n)
     with pytest.raises(AssertionError, match="expected the full parameter grid"):
         run(cfg, out_dir=tmp_path)
+
+
+def test_map_trials_pool_never_outnumbers_the_trials(monkeypatch):
+    """A fork pool starts all its workers on the first submit, so it gets one per trial at most."""
+    pools = []
+
+    class RecordingPool:
+        """Records the pool size asked for and maps in-process: no worker starts."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
+    assert parallel.map_trials(str, 3, workers=100_000) == ["0", "1", "2"]
+    assert parallel.map_trials(str, 40, workers=4) == [str(t) for t in range(40)]
+    assert parallel.map_trials(str, 1, workers=64) == ["0"]
+    assert parallel.map_trials(str, 0, workers=64) == []
+    assert parallel.map_trials(str, 5, workers=None) == [str(t) for t in range(5)]
+    assert pools == [3, 4]
 
 
 _GRID = {"a": [1, 2], "b": [0.5, 1.5, 2.5]}
