@@ -2,15 +2,16 @@
 
 A single transmitter sends known unit-magnitude pilots; the surface couples a
 fraction ``sensed_fraction`` of each atom's signal into one receive chain
-through a per-snapshot analog combining vector.  Elevation is recovered by a
-maximum-likelihood search that concentrates out the unknown complex path
-amplitude, and is benchmarked against the matching Cramer-Rao bound.
+through a per-snapshot analog combining vector, into which the pilots are
+folded.  Elevation is recovered by a maximum-likelihood search that
+concentrates out the unknown complex path amplitude, and is benchmarked
+against the matching Cramer-Rao bound.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
@@ -21,6 +22,7 @@ from .parallel import map_trials, sweep_rows, trial_means
 from .rng import TAG_NOISE_HRIS, TAG_TRUTH, complex_normal, substream
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_REFINE_ITERS = 48
 _UNIT_TOL = 1e-9
 
 # Truth draws for the Monte Carlo sweep stay inside the search interval with a
@@ -36,35 +38,33 @@ _TRUTH_HI_FRAC = 0.60
 class AoaScenario:
     """Snapshot model parameters for one estimation run.
 
-    ``combiner`` holds one unit-modulus combining row per snapshot, shape
-    (n_snapshots, n_atoms); ``pilot`` the known unit-magnitude symbols.  The
+    ``combiner`` holds one unit-modulus combining row q_t per snapshot, shape
+    (n_snapshots, n_atoms).  Known unit-modulus pilots s_t are folded into the
+    rows: the scenario with rows q_t * conj(s_t) receives exactly what the
+    pilots would give, so the snapshot mean is sqrt(f) * q_t^H a(theta).  The
     transmit power is fixed at 1 and ``snr_db`` sets the per-snapshot noise
     variance to 10**(-snr_db/10); ``snr_db=inf`` gives a noiseless run.
     """
 
     array: PlanarArray
     sensed_fraction: float
-    n_snapshots: int
     snr_db: float
     true_direction: Direction
     combiner: np.ndarray
-    pilot: np.ndarray
 
     def __post_init__(self):
         self.combiner = np.asarray(self.combiner, dtype=complex)
-        self.pilot = np.asarray(self.pilot, dtype=complex)
         n = self.array.n_elements
         if not 0.0 < self.sensed_fraction <= 1.0:
             raise ValueError("sensed_fraction must lie in (0, 1]")
-        if self.combiner.shape != (self.n_snapshots, n):
-            raise ValueError(
-                f"combiner must have shape ({self.n_snapshots}, {n}), got {self.combiner.shape}")
+        if self.combiner.ndim != 2 or self.combiner.shape[1] != n or not len(self.combiner):
+            raise ValueError(f"combiner must have shape (T >= 1, {n}), got {self.combiner.shape}")
         if np.max(np.abs(np.abs(self.combiner) - 1.0)) > _UNIT_TOL:
             raise ValueError("combiner entries must have unit magnitude")
-        if self.pilot.shape != (self.n_snapshots,):
-            raise ValueError("pilot length must equal the number of snapshots")
-        if np.max(np.abs(np.abs(self.pilot) - 1.0)) > _UNIT_TOL:
-            raise ValueError("pilot symbols must have unit magnitude")
+
+    @property
+    def n_snapshots(self) -> int:
+        return self.combiner.shape[0]
 
     @property
     def noise_var(self) -> float:
@@ -72,37 +72,42 @@ class AoaScenario:
 
 
 def _noise_var(snr_db: float) -> float:
-    if np.isinf(snr_db):
+    if snr_db == math.inf:
         return 0.0
+    if not math.isfinite(snr_db):
+        raise ValueError(f"snr_db must be finite or +inf, got {snr_db}")
     return 10.0 ** (-snr_db / 10.0)
 
 
 @dataclass(frozen=True)
 class AoaGrid:
-    """Coarse search grid plus golden-section refinement depth."""
+    """Coarse search grid; each argmax is refined by ``_REFINE_ITERS`` golden-section steps."""
 
     lo_rad: float = 0.0
     hi_rad: float = math.radians(89.75)
     n_points: int = 721
-    refine_iters: int = 48
 
     def __post_init__(self):
         if not 0.0 <= self.lo_rad < self.hi_rad < math.pi / 2.0:
             raise ValueError("grid must satisfy 0 <= lo < hi < pi/2")
         if self.n_points < 2:
             raise ValueError("grid needs at least two points")
-        if self.refine_iters < 0:
-            raise ValueError("refine_iters must be non-negative")
 
     @property
     def points(self) -> np.ndarray:
         return np.linspace(self.lo_rad, self.hi_rad, self.n_points)
 
 
+def _probe_rows(n_snapshots: int, n_atoms: int, seed: int) -> np.ndarray:
+    """One combining row per snapshot, i.i.d. uniform phases drawn from ``seed`` alone."""
+    return np.exp(1j * np.random.default_rng(seed).uniform(
+        0.0, 2.0 * np.pi, size=(n_snapshots, n_atoms)))
+
+
 def snapshot_scenario(array: PlanarArray, sensed_fraction: float, n_snapshots: int,
                       snr_db: float, true_direction: Direction,
                       schedule_seed: int = 0) -> AoaScenario:
-    """Standard scenario: one random-phase combining row per snapshot, all-ones pilots.
+    """Standard scenario: one random-phase combining row per snapshot (all-ones pilots).
 
     The phases are i.i.d. uniform, drawn from ``schedule_seed`` alone.  Such
     rows have a dense spatial spectrum, so every snapshot carries angle
@@ -111,27 +116,15 @@ def snapshot_scenario(array: PlanarArray, sensed_fraction: float, n_snapshots: i
     azimuth-zero cut the vertical phase progression of most DFT rows sums to
     zero, leaving only every n_v-th row with any response.
     """
-    return AoaScenario(
-        array=array,
-        sensed_fraction=sensed_fraction,
-        n_snapshots=n_snapshots,
-        snr_db=snr_db,
-        true_direction=true_direction,
-        combiner=np.exp(1j * np.random.default_rng(schedule_seed).uniform(
-            0.0, 2.0 * np.pi, size=(n_snapshots, array.n_elements))),
-        pilot=np.ones(n_snapshots, dtype=complex),
-    )
-
-
-def _response(sc: AoaScenario, direction: Direction) -> np.ndarray:
-    """Per-snapshot gain g_t = sqrt(f) * q_t^H a(direction)."""
-    a = steering_vector(sc.array, direction)
-    return math.sqrt(sc.sensed_fraction) * (np.conj(sc.combiner) @ a)
+    return AoaScenario(array=array, sensed_fraction=sensed_fraction, snr_db=snr_db,
+                       true_direction=true_direction,
+                       combiner=_probe_rows(n_snapshots, array.n_elements, schedule_seed))
 
 
 def noiseless_snapshots(sc: AoaScenario) -> np.ndarray:
-    """Mean of the snapshot vector at unit transmit power: g_t(theta*) * s_t."""
-    return _response(sc, sc.true_direction) * sc.pilot
+    """Mean of the snapshot vector at unit transmit power: sqrt(f) * q_t^H a(theta*)."""
+    a = steering_vector(sc.array, sc.true_direction)
+    return math.sqrt(sc.sensed_fraction) * (np.conj(sc.combiner) @ a)
 
 
 def simulate_snapshots(sc: AoaScenario, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -145,36 +138,33 @@ def simulate_snapshots(sc: AoaScenario, rng: np.random.Generator | None = None) 
     return y
 
 
-def grid_response(sc: AoaScenario, grid: AoaGrid) -> np.ndarray:
-    """Precompute q_t^H a(theta) over the whole grid, shape (T, n_points).
-
-    The sqrt(sensed_fraction) factor is deliberately left out: it cancels in
-    the location of the concentrated criterion's maximum, and leaving it out
-    lets one precomputed table serve every sensed fraction.
-    """
-    mat = steering_grid(sc.array, grid.points, sc.true_direction.azimuth_rad)
-    return np.conj(sc.combiner) @ mat
-
-
 @dataclass(frozen=True)
 class _ScanTable:
-    """What the estimator reads for one (array, combiner, pilots, azimuth, grid).
+    """What the estimator reads for one (array, combiner, azimuth, grid).
 
     None of it depends on the snapshots, so the Monte Carlo sweep builds it
-    once per worker and array size.  ``conj_signal`` is conj(b)^T with
-    b = q_t^H a(theta) * s_t over the grid (sqrt(sensed_fraction) left out),
-    shape (n_points, T); ``energy`` is sum_t |b_t|^2 per grid point.
+    once per worker and array size.  Pilots are folded into the combining
+    rows (see ``AoaScenario``); the azimuth is wrapped as ``Direction`` wraps
+    it.  ``conj_signal`` is conj(b)^T with b = q_t^H a(theta) over ``points``,
+    shape (n_points, T), and ``energy`` is sum_t |b_t|^2 per point.  b leaves
+    out sqrt(sensed_fraction): it cancels in the location of the criterion's
+    maximum, so one table serves every sensed fraction.
     """
 
+    array: PlanarArray
+    azimuth_rad: float
+    points: np.ndarray
     conj_combiner: np.ndarray
     conj_signal: np.ndarray
     energy: np.ndarray
 
 
-def _scan_table(sc: AoaScenario, grid: AoaGrid) -> _ScanTable:
-    """Build the table of ``sc`` from ``grid_response(sc, grid)``."""
-    b = grid_response(sc, grid) * sc.pilot[:, None]
-    return _ScanTable(np.conj(sc.combiner), np.conj(b).T,
+def _scan_table(array: PlanarArray, combiner: np.ndarray, azimuth_rad: float,
+                grid: AoaGrid) -> _ScanTable:
+    azimuth_rad = float(np.mod(azimuth_rad, 2.0 * np.pi))
+    points = grid.points
+    b = np.conj(combiner) @ steering_grid(array, points, azimuth_rad)
+    return _ScanTable(array, azimuth_rad, points, np.conj(combiner), np.conj(b).T,
                       np.sum(np.abs(b) ** 2, axis=0))
 
 
@@ -185,7 +175,7 @@ def _concentrated(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 def _criterion_rows(theta: np.ndarray, ys: np.ndarray, root_f: np.ndarray,
-                    sc: AoaScenario, table: _ScanTable) -> np.ndarray:
+                    table: _ScanTable) -> np.ndarray:
     """Concentrated likelihood of row r of ``ys`` at elevation theta[r].
 
     Every product below runs per row (one gemv, one dot), exactly as the
@@ -193,39 +183,37 @@ def _criterion_rows(theta: np.ndarray, ys: np.ndarray, root_f: np.ndarray,
     reordered sum (einsum, one gemm over all rows) changes late golden-section
     comparisons and moves estimates by about 1e-8 rad.
     """
-    a = steering_grid(sc.array, theta, sc.true_direction.azimuth_rad)
+    a = steering_grid(table.array, theta, table.azimuth_rad)
     g = np.matmul(table.conj_combiner, a.T[:, :, None])[..., 0]
-    b = root_f[:, None] * g * sc.pilot
+    b = root_f[:, None] * g
     num = np.abs(np.matmul(np.conj(b)[:, None, :], ys[:, :, None])[:, 0, 0]) ** 2
     return _concentrated(num, np.sum(np.abs(b) ** 2, axis=1))
 
 
-def _ml_rows(ys: np.ndarray, root_f: np.ndarray, sc: AoaScenario, grid: AoaGrid,
-             table: _ScanTable) -> np.ndarray:
+def _ml_rows(ys: np.ndarray, root_f: np.ndarray, table: _ScanTable) -> np.ndarray:
     """Grid argmax plus golden-section refinement for stacked snapshot rows.
 
     ``ys`` has one snapshot vector per row, shape (R, T); row r was sensed at
-    fraction root_f[r]**2.  All rows share the combiner, pilots and azimuth
-    of ``sc`` and are refined in lockstep, one batched criterion evaluation
-    per golden-section iteration.
+    fraction root_f[r]**2.  All rows share the table and are refined in
+    lockstep, one batched criterion evaluation per golden-section iteration.
     """
     crit = _concentrated(np.abs(np.matmul(table.conj_signal, ys[:, :, None])[..., 0]) ** 2,
                          table.energy)
     if not np.all(np.any(np.isfinite(crit), axis=1)):
         raise EstimationInfeasibleError(
             "combined response is zero everywhere on the search grid")
-    points = grid.points
+    points = table.points
     i0 = np.argmax(crit, axis=1)
     lo = points[np.maximum(i0 - 1, 0)]
-    hi = points[np.minimum(i0 + 1, grid.n_points - 1)]
+    hi = points[np.minimum(i0 + 1, len(points) - 1)]
 
     def f(theta):
-        return _criterion_rows(theta, ys, root_f, sc, table)
+        return _criterion_rows(theta, ys, root_f, table)
 
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     f1, f2 = f(x1), f(x2)
-    for _ in range(grid.refine_iters):
+    for _ in range(_REFINE_ITERS):
         up = f1 < f2
         lo = np.where(up, x1, lo)
         hi = np.where(up, hi, x2)
@@ -247,7 +235,7 @@ def ml_estimate(y: np.ndarray, sc: AoaScenario, grid: AoaGrid | None = None) -> 
     ----------
     y : complex snapshot vector.
     sc : scenario the snapshots were produced under (true elevation unused,
-        only the azimuth plane, combiner, pilots and sensed fraction matter).
+        only the azimuth plane, combiner and sensed fraction matter).
     grid : search grid; defaults to AoaGrid().
     """
     grid = grid or AoaGrid()
@@ -255,31 +243,30 @@ def ml_estimate(y: np.ndarray, sc: AoaScenario, grid: AoaGrid | None = None) -> 
     if y.shape != (sc.n_snapshots,):
         raise ValueError("snapshot vector length does not match the scenario")
     root_f = np.array([math.sqrt(sc.sensed_fraction)])
-    return float(_ml_rows(y[None, :], root_f, sc, grid, _scan_table(sc, grid))[0])
+    table = _scan_table(sc.array, sc.combiner, sc.true_direction.azimuth_rad, grid)
+    return float(_ml_rows(y[None, :], root_f, table)[0])
 
 
-def _projected_fisher(sc: AoaScenario) -> float:
+def _projected_fisher(array: PlanarArray, conj_combiner: np.ndarray,
+                      direction: Direction) -> float:
     """Projected Fisher term Pperp(1) of the elevation, with the amplitude as nuisance.
 
-    For mean mu_t = alpha * g_t(theta) * s_t (unit transmit power) the Fisher
-    information of theta after removing the (Re alpha, Im alpha) block is
-    (2 / sigma^2) * Pperp with
-    Pperp = sum|g'_t s_t|^2 - |sum g'_t conj(g_t) |s_t|^2|^2 / sum|g_t s_t|^2,
-    evaluated at the true direction.  It does not depend on the snr, and g
-    and g' scale with sqrt(f), so Pperp(f) = f * Pperp(1): this returns the
-    term at sensed fraction 1, whatever ``sc.sensed_fraction`` is.
+    For mean mu_t = alpha * g_t(theta) (unit transmit power, pilots folded
+    into the combining rows, g_t = q_t^H a) the Fisher information of theta
+    after removing the (Re alpha, Im alpha) block is (2 / sigma^2) * Pperp with
+    Pperp = sum|g'_t|^2 - |sum g'_t conj(g_t)|^2 / sum|g_t|^2,
+    evaluated at ``direction``.  It does not depend on the snr, and g and g'
+    scale with sqrt(f), so Pperp(f) = f * Pperp(1): this returns the term at
+    sensed fraction 1.
     """
-    d = sc.true_direction
-    g = np.conj(sc.combiner) @ steering_vector(sc.array, d)
-    g_dot = np.conj(sc.combiner) @ steering_elevation_gradient(sc.array, d)
-    bs = g * sc.pilot
-    bds = g_dot * sc.pilot
-    den = float(np.sum(np.abs(bs) ** 2))
-    total = float(np.sum(np.abs(bds) ** 2))
+    g = conj_combiner @ steering_vector(array, direction)
+    g_dot = conj_combiner @ steering_elevation_gradient(array, direction)
+    den = float(np.sum(np.abs(g) ** 2))
+    total = float(np.sum(np.abs(g_dot) ** 2))
     if total <= 0.0 or den <= 0.0:
         raise EstimationInfeasibleError(
             "response does not change with elevation; bound undefined")
-    pperp = total - abs(np.sum(bds * np.conj(bs))) ** 2 / den
+    pperp = total - abs(np.sum(g_dot * np.conj(g))) ** 2 / den
     if pperp <= 1e-12 * total:
         raise EstimationInfeasibleError(
             "projected Fisher information is zero; elevation unidentifiable "
@@ -294,7 +281,8 @@ def _crlb(noise_var, fraction, pperp: float):
 
 def crlb_elevation(sc: AoaScenario) -> float:
     """Elevation error variance bound of ``sc``; see _crlb."""
-    return _crlb(sc.noise_var, sc.sensed_fraction, _projected_fisher(sc))
+    return _crlb(sc.noise_var, sc.sensed_fraction,
+                 _projected_fisher(sc.array, np.conj(sc.combiner), sc.true_direction))
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +292,9 @@ def crlb_elevation(sc: AoaScenario) -> float:
 @lru_cache(maxsize=8)
 def _cell_tables(side: int, n_snapshots: int, spacing_m: float, wavelength_m: float,
                  azimuth_rad: float, grid: AoaGrid):
-    """Per-array precomputation shared by all trials in a worker process."""
+    """The scan table of one array, shared by all trials in a worker process."""
     arr = PlanarArray(side, side, spacing_m, wavelength_m)
-    template = snapshot_scenario(arr, 1.0, n_snapshots, np.inf,
-                                 Direction(0.0, azimuth_rad))
-    return template, _scan_table(template, grid)
+    return _scan_table(arr, _probe_rows(n_snapshots, arr.n_elements, 0), azimuth_rad, grid)
 
 
 def _sweep_trial(trial: int, *, seed: int, sides: tuple, fractions: tuple,
@@ -333,14 +319,12 @@ def _sweep_trial(trial: int, *, seed: int, sides: tuple, fractions: tuple,
     noise_var = np.array([_noise_var(s) for s in snrs_db])
     direction = Direction(theta, azimuth_rad)
     for i, side in enumerate(sides):
-        template, table = _cell_tables(side, n_snapshots, spacing_m, wavelength_m,
-                                       azimuth_rad, grid)
-        base = np.conj(template.combiner) @ steering_vector(template.array, direction)
+        table = _cell_tables(side, n_snapshots, spacing_m, wavelength_m, azimuth_rad, grid)
+        base = table.conj_combiner @ steering_vector(table.array, direction)
         ys = root_f[:, None, None] * base + np.sqrt(noise_var)[:, None] * noise_unit
-        est = _ml_rows(ys.reshape(-1, n_snapshots), np.repeat(root_f, shape[1]),
-                       template, grid, table)
+        est = _ml_rows(ys.reshape(-1, n_snapshots), np.repeat(root_f, shape[1]), table)
         sq_err[i] = ((est - theta) ** 2).reshape(shape)
-        pperp = _projected_fisher(replace(template, true_direction=direction))
+        pperp = _projected_fisher(table.array, table.conj_combiner, direction)
         bound[i] = _crlb(noise_var, np.array(fractions)[:, None], pperp)
     return sq_err, bound
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from copy import deepcopy
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -93,7 +94,6 @@ _AOA = {
         "lo_deg": _Field(float, math.degrees(AoaGrid.lo_rad)),
         "hi_deg": _Field(float, math.degrees(AoaGrid.hi_rad)),
         "n_points": _Field(int, AoaGrid.n_points),
-        "refine_iters": _Field(int, AoaGrid.refine_iters),
     }, {}),
 }
 
@@ -146,6 +146,9 @@ def _convert(kind, value, full: str):
     if (isinstance(value, bool) != (kind is bool)
             or not isinstance(value, (int, float) if kind is float else kind)):
         raise ConfigError(f"'{full}' must be {_NOUNS[kind]}, got {value!r}")
+    # Also refuses an integer too large for a float, which float() cannot convert.
+    if kind is float and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"'{full}' must be finite, got {value!r}")
     return kind(value)
 
 
@@ -226,8 +229,7 @@ def _parse_aoa(values: dict, tree: dict) -> dict:
     grid = aoa.pop("grid")
     aoa["azimuth_rad"] = math.radians(aoa.pop("azimuth_deg"))
     aoa["grid"] = _build("aoa.grid", AoaGrid, lo_rad=math.radians(grid["lo_deg"]),
-                         hi_rad=math.radians(grid["hi_deg"]), n_points=grid["n_points"],
-                         refine_iters=grid["refine_iters"])
+                         hi_rad=math.radians(grid["hi_deg"]), n_points=grid["n_points"])
     return aoa
 
 

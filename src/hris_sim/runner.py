@@ -24,7 +24,7 @@ import scipy
 
 from .channels import save_matrix
 from .chest import trial_channels
-from .config import EXPERIMENTS, ExperimentConfig, parse_seed
+from .config import EXPERIMENTS, ExperimentConfig, parse_seed, parse_workers
 from .rng import TAG_CHANNEL
 from .version import __version__
 
@@ -60,11 +60,11 @@ def run(cfg: ExperimentConfig, out_dir=None, seed: int | None = None,
     """Execute one configured experiment; returns the paths written.
 
     ``seed`` and ``workers`` override the configured values for this run
-    only; ``cfg`` is left as it was given.  A seed override is checked like
-    the configured seed, before any trial runs.
+    only; ``cfg`` is left as it was given.  Overrides are checked like the
+    configured values, before any trial runs.
     """
     seed = cfg.seed if seed is None else parse_seed(int(seed))
-    workers = cfg.workers if workers is None else int(workers)
+    workers = cfg.workers if workers is None else parse_workers(workers, "workers")
     spec = EXPERIMENTS[cfg.experiment]
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)

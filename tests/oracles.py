@@ -69,9 +69,8 @@ def cascade_loops(H, G, rho, reflect_phase):
 
 
 def snapshot_mean_loops(n_h, n_v, spacing_m, wavelength_m, elevation_rad,
-                        azimuth_rad, sensed_fraction, combiner, pilot,
-                        amplitude):
-    """Mean snapshot vector mu_t = amplitude * sqrt(f) * q_t^H a * s_t."""
+                        azimuth_rad, sensed_fraction, combiner, amplitude):
+    """Mean snapshot vector mu_t = amplitude * sqrt(f) * q_t^H a (pilots folded into q_t)."""
     a = steering_vector_loops(n_h, n_v, spacing_m, wavelength_m,
                               elevation_rad, azimuth_rad)
     root_f = math.sqrt(sensed_fraction)
@@ -80,7 +79,7 @@ def snapshot_mean_loops(n_h, n_v, spacing_m, wavelength_m, elevation_rad,
         g_t = 0.0 + 0.0j
         for n in range(combiner.shape[1]):
             g_t += combiner[t, n].conjugate() * a[n]
-        mu.append(amplitude * root_f * g_t * pilot[t])
+        mu.append(amplitude * root_f * g_t)
     return np.array(mu)
 
 
@@ -101,8 +100,7 @@ def crlb_fd_fim(sc, step=1e-6):
     def mean(el, re_a, im_a):
         return (re_a + 1j * im_a) * snapshot_mean_loops(
             arr.n_h, arr.n_v, arr.spacing_m, arr.wavelength_m, el, az,
-            sc.sensed_fraction, np.asarray(sc.combiner), np.asarray(sc.pilot),
-            1.0)
+            sc.sensed_fraction, np.asarray(sc.combiner), 1.0)
 
     params = [el0, alpha0.real, alpha0.imag]
     jac_cols = []
@@ -127,7 +125,7 @@ def _positions(n_h, n_v, spacing_m):
 
 
 def concentrated_criterion_scalar(theta, y, sc):
-    """|b^H y|^2 / ||b||^2 at one elevation, b_t = sqrt(f) * q_t^H a(theta) * s_t.
+    """|b^H y|^2 / ||b||^2 at one elevation, b_t = sqrt(f) * q_t^H a(theta).
 
     One steering vector, one gemv and one vdot per call, in the operation
     order of the package: the steering vector is the Kronecker product
@@ -143,7 +141,7 @@ def concentrated_criterion_scalar(theta, y, sc):
     a_x = np.exp(1j * (kpos[:arr.n_h, 0] * (se * np.cos(az))))
     a_y = np.exp(1j * (kpos[::arr.n_h, 1] * (se * np.sin(az))))
     a = np.outer(a_y, a_x).ravel()
-    b = math.sqrt(sc.sensed_fraction) * (np.conj(sc.combiner) @ a) * sc.pilot
+    b = math.sqrt(sc.sensed_fraction) * (np.conj(sc.combiner) @ a)
     den = float(np.sum(np.abs(b) ** 2))
     if den <= 0.0:
         return -np.inf

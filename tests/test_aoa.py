@@ -1,6 +1,7 @@
 """Elevation estimation: ML criterion, bound, and the Monte Carlo sweep."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,15 +33,11 @@ def test_scenario_validation():
     with pytest.raises(ValueError):
         _scenario(0.4, fraction=1.0001)
     sc = _scenario(0.4)
-    with pytest.raises(ValueError):
-        AoaScenario(array=ARR, sensed_fraction=0.5, n_snapshots=32, snr_db=10.0,
-                    true_direction=Direction(0.4, 0.0),
-                    combiner=2.0 * sc.combiner, pilot=sc.pilot)
-    with pytest.raises(ValueError):
-        AoaScenario(array=ARR, sensed_fraction=0.5, n_snapshots=32, snr_db=10.0,
-                    true_direction=Direction(0.4, 0.0),
-                    combiner=sc.combiner, pilot=2.0 * sc.pilot)
-
+    assert sc.n_snapshots == 32
+    for combiner in (2.0 * sc.combiner, sc.combiner[:, :-1], sc.combiner[0], sc.combiner[:0]):
+        with pytest.raises(ValueError):
+            AoaScenario(array=ARR, sensed_fraction=0.5, snr_db=10.0,
+                        true_direction=Direction(0.4, 0.0), combiner=combiner)
 
 
 def test_snapshot_combiner_follows_schedule_seed():
@@ -65,6 +62,13 @@ def test_noise_variance_convention():
     assert sc.noise_var == pytest.approx(0.1)
     sc.snr_db = math.inf
     assert sc.noise_var == 0.0
+
+
+@pytest.mark.parametrize("snr_db", [-math.inf, math.nan])
+def test_noise_var_rejects_nan_and_minus_inf(snr_db):
+    """Only +inf is noiseless; -inf used to pass as noiseless too."""
+    with pytest.raises(ValueError, match="snr_db must be finite or \\+inf"):
+        aoa._noise_var(snr_db)
 
 
 def test_grid_validation():
@@ -135,10 +139,9 @@ def test_degenerate_response_raises():
     vector is identically [1, 1] and a [1, -1] combining row nulls it.
     """
     column = PlanarArray(1, 2, 0.004, 0.0157)
-    sc = AoaScenario(array=column, sensed_fraction=0.5, n_snapshots=2,
-                     snr_db=20.0, true_direction=Direction(0.4, 0.0),
-                     combiner=np.array([[1.0, -1.0], [1.0, -1.0]], dtype=complex),
-                     pilot=np.ones(2, dtype=complex))
+    sc = AoaScenario(array=column, sensed_fraction=0.5, snr_db=20.0,
+                     true_direction=Direction(0.4, 0.0),
+                     combiner=np.array([[1.0, -1.0], [1.0, -1.0]], dtype=complex))
     with pytest.raises(EstimationInfeasibleError):
         ml_estimate(np.ones(2, dtype=complex), sc)
 
@@ -146,12 +149,9 @@ def test_degenerate_response_raises():
 def test_degenerate_response_raises_on_sweep_path(monkeypatch):
     """The stacked-rows estimator the sweep calls raises for the same column."""
     column = PlanarArray(1, 2, 0.004, 0.0157)
-    template = AoaScenario(array=column, sensed_fraction=1.0, n_snapshots=2,
-                           snr_db=math.inf, true_direction=Direction(0.0, 0.0),
-                           combiner=np.array([[1.0, -1.0], [1.0, -1.0]], dtype=complex),
-                           pilot=np.ones(2, dtype=complex))
+    combiner = np.array([[1.0, -1.0], [1.0, -1.0]], dtype=complex)
     monkeypatch.setattr(aoa, "_cell_tables", lambda side, n_snapshots, *rest: (
-        template, aoa._scan_table(template, rest[-1])))
+        aoa._scan_table(column, combiner, 0.0, rest[-1])))
     with pytest.raises(EstimationInfeasibleError):
         rmse_experiment([4], [0.3, 0.9], 2, [0.0, 10.0, 20.0], 1, seed=0, **SWEEP)
 
@@ -159,10 +159,9 @@ def test_degenerate_response_raises_on_sweep_path(monkeypatch):
 def test_bound_undefined_without_elevation_dependence():
     """Same 1 x 2 column, all-ones combiner: response never moves with elevation."""
     column = PlanarArray(1, 2, 0.004, 0.0157)
-    sc = AoaScenario(array=column, sensed_fraction=0.5, n_snapshots=2,
-                     snr_db=20.0, true_direction=Direction(0.4, 0.0),
-                     combiner=np.ones((2, 2), dtype=complex),
-                     pilot=np.ones(2, dtype=complex))
+    sc = AoaScenario(array=column, sensed_fraction=0.5, snr_db=20.0,
+                     true_direction=Direction(0.4, 0.0),
+                     combiner=np.ones((2, 2), dtype=complex))
     with pytest.raises(EstimationInfeasibleError):
         crlb_elevation(sc)
 
@@ -186,11 +185,9 @@ def test_bound_matches_fd_fisher_oracle():
 
 def test_bound_halves_when_schedule_repeats():
     sc = _scenario(0.5, n_snapshots=24, snr_db=10.0)
-    doubled = AoaScenario(
-        array=ARR, sensed_fraction=0.5, n_snapshots=48, snr_db=10.0,
-        true_direction=sc.true_direction,
-        combiner=np.vstack([sc.combiner, sc.combiner]),
-        pilot=np.concatenate([sc.pilot, sc.pilot]))
+    doubled = AoaScenario(array=ARR, sensed_fraction=0.5, snr_db=10.0,
+                          true_direction=sc.true_direction,
+                          combiner=np.vstack([sc.combiner, sc.combiner]))
     assert crlb_elevation(sc) / crlb_elevation(doubled) == pytest.approx(2.0, rel=1e-12)
 
 
@@ -212,7 +209,6 @@ def test_bound_infeasible_for_single_snapshot():
 
 def test_gradient_route_matches_fd_of_response():
     """Analytic response derivative behind the bound vs a plain finite difference."""
-    from hris_sim.aoa import _response
     from hris_sim.arrays import steering_elevation_gradient
 
     sc = _scenario(0.8, azimuth=1.0)
@@ -220,8 +216,12 @@ def test_gradient_route_matches_fd_of_response():
     g_dot = math.sqrt(sc.sensed_fraction) * (
         np.conj(sc.combiner) @ steering_elevation_gradient(sc.array, d))
     h = 1e-6
-    fd = (_response(sc, Direction(d.elevation_rad + h, d.azimuth_rad))
-          - _response(sc, Direction(d.elevation_rad - h, d.azimuth_rad))) / (2 * h)
+
+    def response(elevation_rad):
+        return noiseless_snapshots(replace(sc, true_direction=Direction(elevation_rad,
+                                                                        d.azimuth_rad)))
+
+    fd = (response(d.elevation_rad + h) - response(d.elevation_rad - h)) / (2 * h)
     np.testing.assert_allclose(g_dot, fd, rtol=1e-5, atol=1e-6)
 
 
@@ -273,16 +273,15 @@ def _stacked_rows(side, n_rows, azimuth, seed, truths=None, grid=None, snr_db=No
     ys, scs = [], []
     for r, theta in enumerate(truths):
         sc = AoaScenario(array=arr, sensed_fraction=float(rng.choice([0.2, 0.5, 0.8])),
-                         n_snapshots=64,
                          snr_db=float(rng.uniform(-10.0, 30.0)) if snr_db is None else snr_db,
                          true_direction=Direction(float(theta), azimuth),
-                         combiner=template.combiner, pilot=template.pilot)
+                         combiner=template.combiner)
         ys.append(simulate_snapshots(sc, substream(seed, "unit_test", r, 1)))
         scs.append(sc)
     root_f = np.sqrt([sc.sensed_fraction for sc in scs])
-    est = aoa._ml_rows(np.array(ys), root_f, template, grid,
-                       aoa._scan_table(template, grid))
-    expected = np.array([oracles.ml_elevation_scalar(y, sc, grid.points, grid.refine_iters)
+    est = aoa._ml_rows(np.array(ys), root_f,
+                       aoa._scan_table(arr, template.combiner, azimuth, grid))
+    expected = np.array([oracles.ml_elevation_scalar(y, sc, grid.points, aoa._REFINE_ITERS)
                          for y, sc in zip(ys, scs)])
     return est, expected
 
@@ -337,9 +336,20 @@ def test_sweep_trial_matches_per_cell_estimates_and_bounds():
         for j, fraction in enumerate(fractions):
             for k, snr_db in enumerate(snrs):
                 sc = AoaScenario(array=template.array, sensed_fraction=fraction,
-                                 n_snapshots=32, snr_db=snr_db,
-                                 true_direction=Direction(theta, 0.4),
-                                 combiner=template.combiner, pilot=template.pilot)
+                                 snr_db=snr_db, true_direction=Direction(theta, 0.4),
+                                 combiner=template.combiner)
                 y = noiseless_snapshots(sc) + math.sqrt(sc.noise_var) * noise
                 assert sq_err[i, j, k] == (ml_estimate(y, sc, grid) - theta) ** 2
                 assert bound[i, j, k] == crlb_elevation(sc)
+
+
+@pytest.mark.parametrize("azimuth_rad", [-math.pi / 6.0, 2.0 * math.pi + 0.4])
+def test_sweep_trial_depends_on_the_wrapped_azimuth_only(azimuth_rad):
+    """A negative azimuth, or one of 2*pi and above, runs the trial of its wrapped value."""
+    kwargs = dict(seed=5, sides=(4, 6), fractions=(0.3, 0.9), snrs_db=(0.0, 20.0),
+                  n_snapshots=16, spacing_m=0.004, wavelength_m=0.0157, grid=AoaGrid())
+    given = aoa._sweep_trial(1, azimuth_rad=azimuth_rad, **kwargs)
+    wrapped = aoa._sweep_trial(1, azimuth_rad=float(np.mod(azimuth_rad, 2.0 * math.pi)),
+                               **kwargs)
+    for a, b in zip(given, wrapped):
+        assert np.array_equal(a, b)

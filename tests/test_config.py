@@ -107,12 +107,15 @@ def test_aoa_section_validation():
 
 def test_aoa_grid_degrees_to_radians():
     tree = _aoa_tree()
-    tree["aoa"]["grid"] = {"lo_deg": 5.0, "hi_deg": 60.0, "n_points": 111,
-                           "refine_iters": 10}
+    tree["aoa"]["grid"] = {"lo_deg": 5.0, "hi_deg": 60.0, "n_points": 111}
     cfg = parse_config_tree(tree)
     assert cfg.params["grid"].lo_rad == pytest.approx(math.radians(5.0))
     assert cfg.params["grid"].hi_rad == pytest.approx(math.radians(60.0))
     assert cfg.params["grid"].n_points == 111
+    # The refinement depth is fixed in the estimator, not configured.
+    tree["aoa"]["grid"]["refine_iters"] = 48
+    with pytest.raises(ConfigError, match="unknown key 'aoa.grid.refine_iters'"):
+        parse_config_tree(tree)
 
 
 def test_tradeoff_section_and_dims_wiring():
@@ -186,6 +189,31 @@ def test_counts_below_one_rejected_with_dotted_path(experiment, section, key, va
         parse_config_tree(tree)
 
 
+@pytest.mark.parametrize("experiment,section,key,value,full", [
+    ("aoa_rmse", "aoa", "snr_db_grid", [-math.inf, 0.0, math.inf], "aoa.snr_db_grid[0]"),
+    ("aoa_rmse", "aoa", "snr_db_grid", [0.0, math.inf], "aoa.snr_db_grid[1]"),
+    ("aoa_rmse", "aoa", "snr_db_grid", [math.nan], "aoa.snr_db_grid[0]"),
+    ("aoa_rmse", "aoa", "azimuth_deg", math.inf, "aoa.azimuth_deg"),
+    ("chest_tradeoff", "tradeoff", "snr_db", math.inf, "tradeoff.snr_db"),
+    ("rf_chain_sweep", "rf_sweep", "snr_db_list", [-math.inf], "rf_sweep.snr_db_list[0]"),
+    ("beampattern", "beampattern", "azimuth_deg", math.nan, "beampattern.azimuth_deg"),
+])
+def test_non_finite_numbers_rejected_with_dotted_path(experiment, section, key, value, full):
+    """An infinite snr used to pass as noiseless or break a solve; a nan azimuth gave empty gains."""
+    tree = {"version": 1, "experiment": experiment, **deepcopy(_MINIMAL[experiment])}
+    tree.setdefault(section, {})[key] = value
+    with pytest.raises(ConfigError, match=rf"^'{re.escape(full)}' must be finite, got "):
+        parse_config_tree(tree)
+
+
+def test_integer_beyond_the_float_range_rejected():
+    """float() of such an integer used to raise a bare OverflowError (exit 1)."""
+    tree = _aoa_tree()
+    tree["aoa"]["snr_db_grid"] = [0, 10 ** 400]
+    with pytest.raises(ConfigError, match=r"^'aoa\.snr_db_grid\[1\]' must be finite, got 1000"):
+        parse_config_tree(tree)
+
+
 _CHANNEL_DEFAULTS = {"cell_radius_m": 10.0, "hris_bs_distance_m": 50.0,
                      "carrier_hz": 19.0e9, "pathloss": "none", "n_atoms": 64,
                      "n_users": 8, "n_bs_antennas": 16}
@@ -197,7 +225,7 @@ _SPELLED_OUT = {
         "n_list": [16], "sensed_fractions": [0.5], "n_snapshots": 64,
         "snr_db_grid": [-10, -5, 0, 5, 10, 15, 20, 25, 30], **_LATTICE_DEFAULTS,
         "azimuth_deg": 0.0,
-        "grid": {"lo_deg": 0.0, "hi_deg": 89.75, "n_points": 721, "refine_iters": 48}}},
+        "grid": {"lo_deg": 0.0, "hi_deg": 89.75, "n_points": 721}}},
     "chest_tradeoff": {"n_trials": 200, "channel": _CHANNEL_DEFAULTS, "tradeoff": {
         "rho_grid": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9], "n_phase_draws": 3,
         "snr_db": 30.0, "n_rf_chains": 8, "pilot_count": 70}},

@@ -186,6 +186,21 @@ def test_run_seed_override_checked_before_any_trial(tmp_path, seed):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("workers", [0, -4])
+def test_run_workers_override_checked_before_any_trial(tmp_path, workers):
+    """A count below 1 used to run serially and be written to metadata.json as given."""
+    with pytest.raises(ConfigError, match=rf"^'workers' must be a positive integer or "
+                                          rf"'auto', got {workers}$"):
+        run(parse_config_tree(_tiny_aoa_tree()), out_dir=tmp_path / "o", workers=workers)
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_workers_override_accepts_auto(tmp_path):
+    """'auto' is the CPU count, as in the config; it used to raise a bare ValueError."""
+    paths = run(parse_config_tree(_tiny_aoa_tree()), out_dir=tmp_path, workers="auto")
+    assert json.loads(Path(paths["metadata"]).read_text())["workers"] == (os.cpu_count() or 1)
+
+
 def test_run_checks_row_count(tmp_path, monkeypatch):
     import hris_sim.aoa as aoa_mod
     cfg = parse_config_tree(_tiny_aoa_tree())
