@@ -34,6 +34,14 @@ per shape and reuses it, observes the reflected pilots once per reflection
 schedule and SNR, and factors the Gram matrices of all cells that share
 those observations in one stacked Cholesky.  Each noise array is solved once
 per trial and shape; a cell then only scales and adds.
+
+The power-split sweep's draws differ by a diagonal unitary similarity: draw
+j at rho reflects sqrt(rho) F D_j (F the cycled DFT pattern, D_j =
+diag(exp(j base_j))), so its Gram is D_j^H Gram_rho D_j and D_j V = rho P_j +
+sqrt(rho) P_N, with P_j and P_N draw j's unit-amplitude signal and the noise
+summed against conj(F).  By linearity one solve of Gram_rho against P_0 ..
+P_N serves every draw: a fig5 trial runs 9 Cholesky factorisations, 9 solves
+and 4 contractions (3 draws and the noise) instead of 27 of each.
 """
 
 from __future__ import annotations
@@ -263,11 +271,13 @@ def _estimate_G(sched: PilotSchedule, ch: ChannelSet, h_hats,
                 contracted: np.ndarray) -> list[np.ndarray]:
     """One G estimate per forwarded H estimate, all from one set of reflected observations.
 
-    ``contracted`` is ``_contract_reflected`` of ``sched``; every H estimate
-    is one cell with its own normal equations.  The Grams of all cells are
-    factored in one stacked Cholesky.  Each cell's two triangular solves are
-    one ``cho_solve``: scipy's batched ``solve_triangular`` loops over a
-    stack in Python and is slower than one call per cell.
+    ``contracted`` (N, C, K) holds right-hand sides summed over slots against
+    the reflections, C = M for ``_contract_reflected`` of ``sched``; each
+    estimate is (C, N).  Every H estimate is one cell with its own normal
+    equations.  The Grams of all cells are factored in one stacked Cholesky.
+    Each cell's two triangular solves are one ``cho_solve``: scipy's batched
+    ``solve_triangular`` loops over a stack in Python and is slower than one
+    call per cell.
     """
     refl = sched.reflection_gains  # (slots, N)
     n_slots, n_atoms = refl.shape
@@ -405,20 +415,21 @@ def trial_channels(seed: int, experiment: str, trial: int, dims: ChestDims,
 @lru_cache(maxsize=1)
 def _tradeoff_schedules(seed: int, rhos: tuple, n_draws: int, n_rf_chains: int,
                         pilot_count: int, dims: ChestDims):
-    """The (rho, draw) schedules of one trade-off sweep and each rho's sensing diagonal.
+    """One trade-off sweep's per-rho schedules, their sensing diagonals, F and the draws' D_j.
 
     One entry, the current sweep's: its driver builds it, and so runs the H
     stage's checks, before any trial; every trial (and fork worker) looks it
-    up.  Draw j's base reflection phases are keyed by the draw only.
+    up.  The schedules hold base phase 0, reflecting sqrt(rho) F; D_j comes
+    from base phases keyed by the draw only (see the module docstring).
     """
-    bases = [substream(seed, "chest_tradeoff", j, TAG_PHASES).uniform(
-        0.0, 2.0 * np.pi, size=dims.n_atoms) for j in range(n_draws)]
-    schedules = tuple(
-        tuple(build_pilot_schedule(dims.n_atoms, dims.n_users, n_rf_chains,
-                                   pilot_count, rho, base_reflect_phase=base)
-              for base in bases)
-        for rho in rhos)
-    return schedules, tuple(_sensing_diag(row[0]) for row in schedules)
+    schedules = tuple(build_pilot_schedule(dims.n_atoms, dims.n_users, n_rf_chains,
+                                           pilot_count, rho) for rho in rhos)
+    pattern = np.exp(1j * schedules[0].reflect_phase)
+    rotations = np.exp(1j * np.array([substream(seed, "chest_tradeoff", j, TAG_PHASES).uniform(
+        0.0, 2.0 * np.pi, size=dims.n_atoms) for j in range(n_draws)]))
+    for array in (pattern, rotations):
+        array.setflags(write=False)
+    return schedules, tuple(_sensing_diag(sched) for sched in schedules), pattern, rotations
 
 
 def _tradeoff_trial(trial: int, *, seed: int, rhos: tuple, n_draws: int, snr_db: float,
@@ -426,23 +437,32 @@ def _tradeoff_trial(trial: int, *, seed: int, rhos: tuple, n_draws: int, snr_db:
     ch = trial_channels(seed, "chest_tradeoff", trial, dims, tx_power=10.0 ** (snr_db / 10.0))
     nmse_h = np.empty((len(rhos), n_draws))
     nmse_g = np.empty_like(nmse_h)
-    schedules, sensed_diags = _tradeoff_schedules(seed, rhos, n_draws, n_rf_chains,
-                                                  pilot_count, dims)
+    schedules, sensed_diags, pattern, rotations = _tradeoff_schedules(
+        seed, rhos, n_draws, n_rf_chains, pilot_count, dims)
     # Every (rho, draw) cell of one trial sees identical noise, so curves are
     # paired: the noise of each stage is drawn once and serves every cell.
     # The H stage never reads the reflection phases, the only thing the draws
     # change, so one H estimate per rho serves every draw; the schedules share
     # their chain count, so one sensed-noise solve serves every rho.
-    noise_h = _sensed_noise(schedules[0][0], ch, substream(
+    noise_h = _sensed_noise(schedules[0], ch, substream(
         seed, "chest_tradeoff", trial, TAG_NOISE_HRIS))
-    noise_g = _reflected_noise(schedules[0][0].n_slots, ch, substream(
+    noise_g = _reflected_noise(schedules[0].n_slots, ch, substream(
         seed, "chest_tradeoff", trial, TAG_NOISE_BS))
-    for i, (row, sensed_diag) in enumerate(zip(schedules, sensed_diags)):
+    pilot_block = math.sqrt(ch.tx_power) * schedules[0].pilots
+    hx = ch.H @ pilot_block
+    # Atom n's rows j*M .. j*M + M - 1 hold P_j[n], its last M rows P_N[n].
+    signals = [(ch.G * (pattern * d)[:, None, :]) @ hx for d in rotations]
+    blocks = np.stack(signals + [noise_g], axis=1)
+    contracted = (np.conj(pattern).T @ blocks.reshape(len(pattern), -1)).reshape(
+        dims.n_atoms, -1, dims.n_users)
+    for i, (rho, sched, sensed_diag) in enumerate(zip(rhos, schedules, sensed_diags)):
         h_hat = _estimate_H(ch, sensed_diag, noise_h)
         nmse_h[i, :] = nmse(h_hat, ch.H)
-        for j, sched in enumerate(row):
-            (g_hat,) = _estimate_G(sched, ch, [h_hat], _contract_reflected(sched, ch, noise_g))
-            nmse_g[i, j] = nmse(g_hat, ch.G)
+        # sched reflects sqrt(rho) F, so _estimate_G solves Gram_rho against
+        # P_0 .. P_N; with X_j its blocks, draw j's G is (rho X_j + sqrt(rho) X_N) D_j^H.
+        x = _estimate_G(sched, ch, [h_hat], contracted)[0].reshape(n_draws + 1, -1, dims.n_atoms)
+        g_hats = np.conj(rotations)[:, None, :] * (rho * x[:n_draws] + math.sqrt(rho) * x[n_draws])
+        nmse_g[i, :] = [nmse(g_hat, ch.G) for g_hat in g_hats]
     return nmse_h, nmse_g
 
 

@@ -332,6 +332,48 @@ def estimate_g_per_slot_cholesky(sched, ch, h_hat, rng):
     return solve_triangular(lower, half, lower=True, trans="C").T
 
 
+def estimate_g_per_slot_rotated(sched, bases, ch, h_hat, rng):
+    """Reflected-stage G estimates of every phase draw at one rho, from one Cholesky factor.
+
+    ``sched`` holds base phase 0, so its slot t reflects R[t] = sqrt(rho) F[t]
+    with F the draw-free DFT pattern; draw j reflects R[t] D_j, with
+    D_j = diag(exp(j bases[j])).  Its Gram is then D_j^H Gram D_j for
+    Gram = (conj(W) W^T) * (R^H R), W = H_hat X, and its normal equations
+    read Gram (D_j G^T) = sum_k conj(W[n, k]) (rho P_j + sqrt(rho) P_N)[n, m, k],
+    where P_j sums draw j's unit-amplitude signal blocks against conj(F) slot
+    by slot, and P_N the noise blocks of the one noise draw all draws share.
+    So Gram is solved once against the pilot sums of P_0 .. P_N, side by side,
+    by two triangular solves with its lower factor; with X_j and X_N the
+    solved blocks, draw j's G^T is conj(D_j) (rho X_j + sqrt(rho) X_N).
+    """
+    n_slots = sched.rho.shape[0]
+    rho = float(sched.rho[0, 0])
+    pilot_block = math.sqrt(ch.tx_power) * sched.pilots
+    incident = ch.H @ pilot_block
+    pattern = np.array([np.exp(1j * sched.reflect_phase[t]) for t in range(n_slots)])
+    refl = np.array([np.sqrt(sched.rho[t]) * np.exp(1j * sched.reflect_phase[t])
+                     for t in range(n_slots)])
+    w = h_hat @ pilot_block
+
+    def pilot_sum(blocks):
+        y = np.stack(blocks)
+        v = (np.conj(pattern).T @ y.reshape(n_slots, -1)).reshape(-1, *y.shape[1:])
+        return (v @ np.conj(w)[:, :, None])[:, :, 0]
+
+    rotations = [np.exp(1j * base) for base in bases]
+    sums = [pilot_sum([(ch.G * (pattern[t] * d)) @ incident for t in range(n_slots)])
+            for d in rotations]
+    shape = (ch.G.shape[0], incident.shape[1])
+    sums.append(pilot_sum([_complex_normal_by_hand(rng, shape, ch.noise_var_bs)
+                           if ch.noise_var_bs > 0.0 else np.zeros(shape, dtype=complex)
+                           for t in range(n_slots)]))
+    lower = np.linalg.cholesky((np.conj(w) @ w.T) * (np.conj(refl).T @ refl))
+    half = solve_triangular(lower, np.hstack(sums), lower=True)
+    solved = np.hsplit(solve_triangular(lower, half, lower=True, trans="C"), len(sums))
+    return [(np.conj(d)[:, None] * (rho * x + math.sqrt(rho) * solved[-1])).T
+            for d, x in zip(rotations, solved)]
+
+
 def _baseline_per_slot(ch, pilot_count, rng):
     """Reflective-baseline patterns (slots, N) and decorrelated blocks (slots, M, K)."""
     n_atoms, n_users = ch.H.shape

@@ -124,16 +124,25 @@ def _tiny_sweep_tree():
             "rf_sweep": {"n_rf_grid": [1, 2], "snr_db_list": [0.0, 10.0]}}
 
 
-def _digest_and_csv(out_dir, **kwargs):
-    paths = run(parse_config_tree(_tiny_sweep_tree()), out_dir=out_dir, **kwargs)
+def _tiny_tradeoff_tree():
+    return {"version": 1, "experiment": "chest_tradeoff", "seed": 9, "n_trials": 6,
+            "channel": {"n_atoms": 8, "n_users": 2, "n_bs_antennas": 4},
+            "tradeoff": {"rho_grid": [0.2, 0.5, 0.8], "n_phase_draws": 2,
+                         "n_rf_chains": 2, "pilot_count": 8}}
+
+
+def _digest_and_csv(out_dir, tree=_tiny_sweep_tree, **kwargs):
+    paths = run(parse_config_tree(tree()), out_dir=out_dir, **kwargs)
     meta = json.loads(Path(paths["metadata"]).read_text())
     return meta["results_sha256"], Path(paths["csv"]).read_bytes()
 
 
-def test_results_digest_is_worker_invariant(tmp_path):
-    digest, csv_bytes = _digest_and_csv(tmp_path / "w1", workers=1)
+@pytest.mark.parametrize("tree", [_tiny_sweep_tree, _tiny_tradeoff_tree],
+                         ids=["rf_chain_sweep", "chest_tradeoff"])
+def test_results_digest_is_worker_invariant(tmp_path, tree):
+    digest, csv_bytes = _digest_and_csv(tmp_path / "w1", tree, workers=1)
     assert len(digest) == 64
-    assert _digest_and_csv(tmp_path / "w2", workers=2) == (digest, csv_bytes)
+    assert _digest_and_csv(tmp_path / "w2", tree, workers=2) == (digest, csv_bytes)
 
 
 def test_results_digest_sees_what_the_csv_cannot(tmp_path, monkeypatch):
