@@ -19,12 +19,20 @@ index r, Q^H Q = F^H diag(c) F, so pinv(Q) y is the inverse DFT of the means
 of y's rows grouped by index, exact whenever every c_r >= 1.  Both stages are
 linear in their noise, so an estimate is the truth plus that solve of the
 noise alone, scaled by the cell's pilot amplitude and sensing gain.
-The base-station stage solves its N x N normal equations by Cholesky, with
-the Gram matrix built from the Hadamard structure of its stacked regressors.
-Its right-hand side is factored the same way: Z^H Y sums conj(R[t, n] W[n, k])
-Y_t[m, k] over slots t and pilot columns k, so the slot sum
-V = conj(R)^T Y depends only on the reflections and the observations, and
-each forwarded H estimate adds only the sum over k with its own W = H_hat X.
+In general the base-station stage solves its N x N normal equations by
+Cholesky, the module's one LAPACK routine, with the Gram matrix built from
+the Hadamard structure of its stacked regressors.  Its right-hand side is
+factored the same way: Z^H Y sums conj(R[t, n] W[n, k]) Y_t[m, k] over slots
+t and pilot columns k, so the slot sum V = conj(R)^T Y depends only on the
+reflections and the observations, and each forwarded H estimate adds only
+the sum over k with its own W = H_hat X.
+
+Over whole DFT cycles at base phase 0 (n_slots a multiple of N, as in the
+chain sweep's default n_slots = N), R^H R = rho n_slots I: every Gram is
+diagonal, rho n_slots P K ||h_hat_n||^2 with P the transmit power, and
+G_hat[:, n] = ((h_hat_n^H h_n) G[:, n] + sum_k conj(H_hat[n, k]) N[k, :, n]
+/ sqrt(rho P)) / ||h_hat_n||^2, with N the baseline's DFT solve of the
+reflected noise: such a chain sweep runs no LAPACK routine.
 
 Each estimator is split into observe and solve steps that take their noise
 as an argument; the public functions draw it from the generator they are
@@ -32,8 +40,9 @@ given and run one cell.  A Monte Carlo trial pairs its cells: every cell of a
 trial sees the same noise substream, so the trial draws each noise array once
 per shape and reuses it, observes the reflected pilots once per reflection
 schedule and SNR, and factors the Gram matrices of all cells that share
-those observations in one stacked Cholesky.  Each noise array is solved once
-per trial and shape; a cell then only scales and adds.
+those observations in one stacked Cholesky (none over whole cycles).  Each
+noise array is solved once per trial and shape; a cell then only scales and
+adds.
 
 The power-split sweep's draws differ by a diagonal unitary similarity: draw
 j at rho reflects sqrt(rho) F D_j (F the cycled DFT pattern, D_j =
@@ -138,13 +147,17 @@ def _cholesky(grams: np.ndarray):
     return lower, (pivots.min(axis=1) / pivots.max(axis=1)) ** 2
 
 
-def nmse(estimate: np.ndarray, truth: np.ndarray) -> float:
-    """Squared Frobenius error over squared Frobenius norm of the truth."""
-    err = np.linalg.norm(estimate - truth) ** 2
+def _scorer(truth: np.ndarray):
+    """``nmse`` against one truth, whose squared norm is taken once for every estimate scored."""
     ref = np.linalg.norm(truth) ** 2
     if ref == 0.0:
         raise ValueError("truth matrix is identically zero")
-    return float(err / ref)
+    return lambda estimate: float(np.linalg.norm(estimate - truth) ** 2 / ref)
+
+
+def nmse(estimate: np.ndarray, truth: np.ndarray) -> float:
+    """Squared Frobenius error over squared Frobenius norm of the truth."""
+    return _scorer(truth)(estimate)
 
 
 def build_pilot_schedule(n_atoms: int, n_users: int, n_rf_chains: int,
@@ -267,6 +280,30 @@ def _contract_reflected(sched: PilotSchedule, ch: ChannelSet,
     return (np.conj(refl).T @ blocks.reshape(n_slots, m * k)).reshape(-1, m, k)
 
 
+def _check_pivots(sched: PilotSchedule, h_hats, ratios) -> None:
+    """Raise IdentifiabilityError at the first G-stage cell whose squared pivot ratio is too low.
+
+    lstsq's default rcond drops singular values below max(M, N) * eps of the
+    largest, M = n_slots * n_users rows of the stacked regressors.  The Gram
+    holds squared singular values, so the same rcond bounds its squared pivot
+    ratio; rounding while forming the Gram is of that order, so a
+    rank-deficient system cannot pass unnoticed.
+    """
+    refl = sched.reflection_gains
+    n_slots, n_atoms = refl.shape
+    floor = max(n_slots * sched.n_users, n_atoms) * np.finfo(float).eps
+    for h_hat, ratio in zip(h_hats, ratios):
+        if not ratio >= floor:
+            # Row t*K + k of the stacked regressors R_t W holds slot t, pilot column k.
+            stacked_z = (refl[:, :, None] * (h_hat @ sched.pilots)).transpose(0, 2, 1)
+            raise IdentifiabilityError(
+                f"stacked reflection regressors rank "
+                f"{np.linalg.matrix_rank(stacked_z.reshape(-1, n_atoms))} of "
+                f"{n_atoms} atoms over {n_slots} slots, squared Gram pivot ratio "
+                f"{ratio:.1e} < {floor:.1e}; G is not identifiable (need n_slots * n_users "
+                f">= n_atoms and a non-degenerate reflection pattern, rho > 0)")
+
+
 def _estimate_G(sched: PilotSchedule, ch: ChannelSet, h_hats,
                 contracted: np.ndarray) -> list[np.ndarray]:
     """One G estimate per forwarded H estimate, all from one set of reflected observations.
@@ -280,30 +317,31 @@ def _estimate_G(sched: PilotSchedule, ch: ChannelSet, h_hats,
     call per cell.
     """
     refl = sched.reflection_gains  # (slots, N)
-    n_slots, n_atoms = refl.shape
     pilot_block = math.sqrt(ch.tx_power) * sched.pilots
     ws = [h_hat @ pilot_block for h_hat in h_hats]
     slot_gram = np.conj(refl).T @ refl
     lower, ratios = _cholesky(np.stack([(np.conj(w) @ w.T) * slot_gram for w in ws]))
-    # lstsq's default rcond drops singular values below max(M, N) * eps of the
-    # largest, M = n_slots * n_users rows of the stacked regressors.  The Gram
-    # holds squared singular values, so the same rcond bounds its squared
-    # pivot ratio; rounding while forming the Gram is of that order, so a
-    # rank-deficient system cannot pass unnoticed.
-    floor = max(n_slots * sched.n_users, n_atoms) * np.finfo(float).eps
-    for w, ratio in zip(ws, ratios):
-        if not ratio >= floor:
-            # Row t*K + k of the stacked regressors holds slot t, pilot column k.
-            stacked_z = (refl[:, :, None] * w).transpose(0, 2, 1)
-            raise IdentifiabilityError(
-                f"stacked reflection regressors rank "
-                f"{np.linalg.matrix_rank(stacked_z.reshape(-1, n_atoms))} of "
-                f"{n_atoms} atoms over {n_slots} slots, squared Gram pivot ratio "
-                f"{ratio:.1e} < {floor:.1e}; G is not identifiable (need n_slots * n_users "
-                f">= n_atoms and a non-degenerate reflection pattern, rho > 0)")
+    _check_pivots(sched, h_hats, ratios)
     # Z^H Y[n, m] = sum_k conj(W[n, k]) V[n, m, k].
     return [cho_solve((factor, True), (contracted @ np.conj(w)[:, :, None])[:, :, 0]).T
             for factor, w in zip(lower, ws)]
+
+
+def _estimate_G_whole_cycles(sched: PilotSchedule, ch: ChannelSet, h_hats,
+                             solved_noise) -> np.ndarray:
+    """``_estimate_G`` as a (C, M, N) stack, in closed form for base phase 0 over whole DFT cycles.
+
+    ``solved_noise`` is the (K, M, N) ``_baseline_noise`` of the slots; see
+    the module docstring.
+    """
+    rho = float(sched.rho[0, 0])
+    conj_h = np.conj(h_hats)  # (C, N, K)
+    norms = np.sum(conj_h * h_hats, axis=2).real
+    # The Gram is diagonal, rho n_slots P K ||h_hat_n||^2: its squared pivot ratio is 0 at rho = 0.
+    _check_pivots(sched, h_hats, norms.min(axis=1) / norms.max(axis=1) if rho > 0.0 else [0.0])
+    noise = np.sum(conj_h.transpose(0, 2, 1)[:, :, None, :] * solved_noise, axis=1)
+    return (np.sum(conj_h * ch.H, axis=2)[:, None, :] * ch.G
+            + noise / math.sqrt(rho * ch.tx_power)) / norms[:, None, :]
 
 
 def bs_estimate_G(sched: PilotSchedule, ch: ChannelSet, h_hat: np.ndarray,
@@ -349,6 +387,7 @@ def cascaded_nmse(estimates, ch: ChannelSet) -> float:
 def _baseline_noise(ch: ChannelSet, pilot_count: int, rng: np.random.Generator):
     """pinv(Phi) N_k X^H / K of every user k, drawn and solved alone, as (K, M, N) (0 if none).
 
+    Phi holds the baseline's patterns, or a whole-cycle G stage's reflections.
     Raises IdentifiabilityError when the budget gives fewer slots than atoms.
     """
     n_atoms, n_users = ch.H.shape
@@ -455,14 +494,15 @@ def _tradeoff_trial(trial: int, *, seed: int, rhos: tuple, n_draws: int, snr_db:
     blocks = np.stack(signals + [noise_g], axis=1)
     contracted = (np.conj(pattern).T @ blocks.reshape(len(pattern), -1)).reshape(
         dims.n_atoms, -1, dims.n_users)
+    score_h, score_g = _scorer(ch.H), _scorer(ch.G)
     for i, (rho, sched, sensed_diag) in enumerate(zip(rhos, schedules, sensed_diags)):
         h_hat = _estimate_H(ch, sensed_diag, noise_h)
-        nmse_h[i, :] = nmse(h_hat, ch.H)
+        nmse_h[i, :] = score_h(h_hat)
         # sched reflects sqrt(rho) F, so _estimate_G solves Gram_rho against
         # P_0 .. P_N; with X_j its blocks, draw j's G is (rho X_j + sqrt(rho) X_N) D_j^H.
         x = _estimate_G(sched, ch, [h_hat], contracted)[0].reshape(n_draws + 1, -1, dims.n_atoms)
         g_hats = np.conj(rotations)[:, None, :] * (rho * x[:n_draws] + math.sqrt(rho) * x[n_draws])
-        nmse_g[i, :] = [nmse(g_hat, ch.G) for g_hat in g_hats]
+        nmse_g[i, :] = [score_g(g_hat) for g_hat in g_hats]
     return nmse_h, nmse_g
 
 
@@ -498,21 +538,24 @@ def _sweep_schedules(nr_grid: tuple, n_slots: int, rho: float, dims: ChestDims):
 
 
 def _sweep_trial(trial: int, *, seed: int, nr_grid: tuple, snrs_db: tuple, rho: float,
-                 n_slots: int, dims: ChestDims, baseline: bool):
+                 n_slots: int, dims: ChestDims, baseline: bool, whole_cycles: bool = False):
     pilot_count = n_slots * dims.n_users
     ch0 = trial_channels(seed, "rf_chain_sweep", trial, dims)
     schedules, sensed_diags = _sweep_schedules(nr_grid, n_slots, rho, dims)
     # Every cell of one trial sees identical noise, so curves are paired: the
     # noise of each stage and shape is drawn once and serves every SNR.  The
     # schedules differ only in their chain counts, so they share the reflected
-    # observations and the G stage of all chain counts is one stacked solve.
-    # The SNR scales only the pilots, so every cell shares the true cascades.
+    # observations and the G stage of all chain counts is one stacked solve,
+    # in closed form over ``whole_cycles``.  The SNR scales only the pilots,
+    # so every cell shares the true cascades.
     def noise_rng(tag):
         return substream(seed, "rf_chain_sweep", trial, tag)
 
     truth = cascaded_per_user(ch0.H, ch0.G)
+    score = _scorer(truth)
     noise_h = [_sensed_noise(sched, ch0, noise_rng(TAG_NOISE_HRIS)) for sched in schedules]
-    noise_g = _reflected_noise(n_slots, ch0, noise_rng(TAG_NOISE_BS))
+    noise_g = (_baseline_noise(ch0, pilot_count, noise_rng(TAG_NOISE_BS)) if whole_cycles
+               else _reflected_noise(n_slots, ch0, noise_rng(TAG_NOISE_BS)))
     if baseline:
         noise_base = _baseline_noise(ch0, pilot_count, noise_rng(TAG_NOISE_BASELINE))
     casc = np.empty((len(nr_grid), len(snrs_db)))
@@ -520,12 +563,15 @@ def _sweep_trial(trial: int, *, seed: int, nr_grid: tuple, snrs_db: tuple, rho: 
     for s, snr_db in enumerate(snrs_db):
         ch = replace(ch0, tx_power=10.0 ** (snr_db / 10.0))
         if baseline:
-            base[s] = nmse(_estimate_baseline(truth, ch, noise_base), truth)
+            base[s] = score(_estimate_baseline(truth, ch, noise_base))
         h_hats = [_estimate_H(ch, diag, noise) for diag, noise in zip(sensed_diags, noise_h)]
-        g_hats = _estimate_G(schedules[0], ch, h_hats,
-                             _contract_reflected(schedules[0], ch, noise_g))
+        if whole_cycles:
+            g_hats = _estimate_G_whole_cycles(schedules[0], ch, h_hats, noise_g)
+        else:
+            g_hats = _estimate_G(schedules[0], ch, h_hats,
+                                 _contract_reflected(schedules[0], ch, noise_g))
         for i, (h_hat, g_hat) in enumerate(zip(h_hats, g_hats)):
-            casc[i, s] = nmse(cascaded_per_user(h_hat, g_hat), truth)
+            casc[i, s] = score(cascaded_per_user(h_hat, g_hat))
     return casc, base
 
 
@@ -549,7 +595,8 @@ def rf_chain_sweep(n_rf_grid, snr_db_list, n_trials: int, seed: int,
     _sweep_schedules(nr_grid, n_slots, float(rho), dims)
     baseline = n_slots >= dims.n_atoms
     trial = partial(_sweep_trial, seed=int(seed), nr_grid=nr_grid, snrs_db=snrs_db,
-                    rho=float(rho), n_slots=n_slots, dims=dims, baseline=baseline)
+                    rho=float(rho), n_slots=n_slots, dims=dims, baseline=baseline,
+                    whole_cycles=n_slots % dims.n_atoms == 0)
     casc, base = trial_means(map_trials(trial, n_trials, workers))
     base = np.broadcast_to(base, casc.shape)
     return sweep_rows({"n_rf": nr_grid, "snr_db": snrs_db},

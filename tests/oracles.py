@@ -332,6 +332,39 @@ def estimate_g_per_slot_cholesky(sched, ch, h_hat, rng):
     return solve_triangular(lower, half, lower=True, trans="C").T
 
 
+def estimate_g_whole_cycles(sched, ch, h_hat, rng):
+    """Reflected-stage G estimate over whole DFT cycles, slot by slot, in closed form.
+
+    Slot t reflects R[t] = sqrt(rho) F[t mod N], base phase 0, over a multiple
+    of N slots, so R^H R = rho n_slots I.  The normal equations of atom n then
+    stand alone: their Gram is rho n_slots P K ||h_hat_n||^2, and the signal
+    part of their right-hand side rho n_slots P K (h_hat_n^H h_n) G[:, n], with
+    P the transmit power.  The noise part is, per user k, the DFT solve of the
+    decorrelated noise blocks N_t X^H / K, summed against conj(H_hat[n, k]).
+    Sums over users run in user order.
+    """
+    n_slots, n_atoms = sched.rho.shape
+    assert n_slots % n_atoms == 0 and not np.any(sched.reflect_phase[0])  # base phase 0
+    n_bs, n_users = ch.G.shape[0], sched.pilots.shape[0]
+    rho = float(sched.rho[0, 0])
+    decorr = []
+    for t in range(n_slots):
+        noise = (_complex_normal_by_hand(rng, (n_bs, n_users), ch.noise_var_bs)
+                 if ch.noise_var_bs > 0.0 else np.zeros((n_bs, n_users), dtype=complex))
+        decorr.append(noise @ np.conj(sched.pilots.T) / n_users)
+    stacked = np.stack(decorr)
+    solved = [_dft_solve_loops(stacked[:, :, k], n_atoms) for k in range(n_users)]  # (N, M) each
+    g_hat = np.empty_like(ch.G)
+    for n in range(n_atoms):
+        conj_h = np.conj(h_hat[n])
+        noise = conj_h[0] * solved[0][n]
+        for k in range(1, n_users):
+            noise = noise + conj_h[k] * solved[k][n]
+        g_hat[:, n] = ((np.sum(conj_h * ch.H[n]) * ch.G[:, n]
+                        + noise / math.sqrt(rho * ch.tx_power)) / np.sum(conj_h * h_hat[n]).real)
+    return g_hat
+
+
 def estimate_g_per_slot_rotated(sched, bases, ch, h_hat, rng):
     """Reflected-stage G estimates of every phase draw at one rho, from one Cholesky factor.
 

@@ -208,12 +208,14 @@ def test_stages_and_baseline_bit_exact_to_per_slot_oracle_fig6_shape():
 
 
 # sha256 over H-stage estimates at the fig5 shape and at both ends of the fig6
-# chain sweep, and over the fig6 baseline, all with noise on.
+# chain sweep, over the fig6 baseline, and over a whole fig6 trial on its
+# whole-cycle path, all with noise on.
 _ESTIMATE_DIGEST = """
 import hashlib
 import numpy as np
 from hris_sim.channels import LinkGeometry, draw_channels
-from hris_sim.chest import build_pilot_schedule, cascaded_ls_baseline, hris_estimate_H
+from hris_sim.chest import (ChestDims, _sweep_trial, build_pilot_schedule, cascaded_ls_baseline,
+                            hris_estimate_H)
 from hris_sim.rng import TAG_NOISE_BASELINE, TAG_NOISE_HRIS, substream
 ch = draw_channels(LinkGeometry(), 64, 8, 16, np.random.default_rng(4), pathloss_model="none")
 digest = hashlib.sha256()
@@ -222,12 +224,18 @@ for n_rf, pilot_count in ((8, 70), (1, 512), (8, 512)):
     rng = substream(7, "unit_test", n_rf, TAG_NOISE_HRIS)
     digest.update(hris_estimate_H(sched, ch, rng).tobytes())
 digest.update(cascaded_ls_baseline(ch, 512, substream(7, "unit_test", 0, TAG_NOISE_BASELINE)).tobytes())
+for result in _sweep_trial(1, seed=7, nr_grid=(1, 2, 4, 8), snrs_db=(0.0, 10.0), rho=0.5,
+                           n_slots=64, dims=ChestDims(), baseline=True, whole_cycles=True):
+    digest.update(result.tobytes())
 print(digest.hexdigest())
 """
 
 
 def test_h_stage_and_baseline_do_not_depend_on_blas_threads():
-    """The same estimate bits with one and two BLAS threads (set before numpy loads)."""
+    """The same estimate bits with one and two BLAS threads (set before numpy loads).
+
+    The digest covers the whole fig6 trial, whose whole-cycle G stage calls no LAPACK routine.
+    """
     src = str(Path(__file__).resolve().parents[1] / "src")
     digests = []
     for threads in ("1", "2"):
@@ -316,6 +324,19 @@ def test_stacked_g_solve_names_the_degenerate_cell(scale, rank):
         chest._estimate_G(sched, ch, [ch.H, degenerate, ch.H], contracted)
 
 
+@pytest.mark.parametrize("scale, rank", [(0.0, 7), (1e-9, 8)])
+def test_whole_cycle_g_solve_names_the_degenerate_cell(scale, rank):
+    """The closed form's diagonal Gram meets the same pivot floor and message as Cholesky."""
+    sched = build_pilot_schedule(8, 2, 2, 16, 0.5)  # 8 slots: one DFT cycle
+    ch = _channels(8, 2, 4, noise_var_hris=0.0, noise_var_bs=0.0)
+    degenerate = ch.H.copy()
+    degenerate[5] *= scale
+    good = chest._estimate_G_whole_cycles(sched, ch, [ch.H, ch.H], 0.0)
+    assert all(nmse(g_hat, ch.G) < 1e-20 for g_hat in good)
+    with pytest.raises(IdentifiabilityError, match=rf"regressors rank {rank} of 8 "):
+        chest._estimate_G_whole_cycles(sched, ch, [ch.H, degenerate, ch.H], 0.0)
+
+
 def _count_noise_draws(monkeypatch):
     calls = []
 
@@ -362,8 +383,7 @@ def test_tradeoff_trials_build_and_check_each_schedule_once(monkeypatch):
     assert counts == {"build_pilot_schedule": 22, "_sensing_diag": 22}
 
 
-def test_tradeoff_trial_factors_and_solves_once_per_rho(monkeypatch):
-    """A fig5 trial of 9 rhos x 3 draws runs 9 Cholesky factorisations and 9 cho_solves."""
+def _count_g_solves(monkeypatch):
     counts = {"cholesky": 0, "cho_solve": 0}
 
     def counter(name, fn):
@@ -374,9 +394,39 @@ def test_tradeoff_trial_factors_and_solves_once_per_rho(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "cholesky", counter("cholesky", np.linalg.cholesky))
     monkeypatch.setattr(chest, "cho_solve", counter("cho_solve", chest.cho_solve))
+    return counts
+
+
+def test_tradeoff_trial_factors_and_solves_once_per_rho(monkeypatch):
+    """A fig5 trial of 9 rhos x 3 draws runs 9 Cholesky factorisations and 9 cho_solves."""
+    counts = _count_g_solves(monkeypatch)
     _tradeoff_trial(0, seed=3, rhos=FIG5_RHOS, n_draws=3, snr_db=30.0, n_rf_chains=8,
                     pilot_count=70, dims=ChestDims())
     assert counts == {"cholesky": 9, "cho_solve": 9}
+
+
+@pytest.mark.parametrize("whole_cycles, n_cholesky, n_cho_solve", [(True, 0, 0), (False, 2, 8)])
+def test_whole_cycle_sweep_trial_factors_nothing(monkeypatch, whole_cycles, n_cholesky,
+                                                 n_cho_solve):
+    """A fig6 trial (4 chain counts, 2 SNRs) over whole cycles runs no Cholesky and no cho_solve.
+
+    The general path factors one stack of Grams per SNR and solves each cell
+    alone; both paths draw the same noise arrays.
+    """
+    counts = _count_g_solves(monkeypatch)
+    draws = _count_noise_draws(monkeypatch)
+    _sweep_trial(0, seed=3, nr_grid=(1, 2, 4, 8), snrs_db=(0.0, 10.0), rho=0.5, n_slots=64,
+                 dims=ChestDims(), baseline=True, whole_cycles=whole_cycles)
+    assert counts == {"cholesky": n_cholesky, "cho_solve": n_cho_solve}
+    assert sorted(draws) == sorted([(64, 1, 8), (64, 2, 8), (64, 4, 8), (64, 8, 8),
+                                    (64, 16, 8), (64, 16, 8)])
+
+
+@pytest.mark.parametrize("n_slots", [64, 72])
+def test_rf_chain_sweep_refuses_rho_zero(n_slots):
+    """rho = 0 reflects nothing: on and off whole cycles the G stage names rank 0 of 64."""
+    with pytest.raises(IdentifiabilityError, match="rank 0 of 64"):
+        rf_chain_sweep([1, 8], [0.0], 1, seed=1, rho=0.0, n_slots=n_slots)
 
 
 def test_tradeoff_experiment_refuses_rho_zero():
@@ -386,10 +436,13 @@ def test_tradeoff_experiment_refuses_rho_zero():
                             pilot_count=70)
 
 
-# Per-slot oracle pairs: the closed forms the package must match bit for bit,
-# and the lstsq solves it must match within LSTSQ_RTOL.
-CLOSED_FORM = (oracles.estimate_h_per_slot_dft, oracles.estimate_g_per_slot_cholesky,
-               oracles.baseline_per_slot_dft)
+# Per-slot oracle triples: the closed forms the package must match bit for bit
+# (over whole DFT cycles, and off them), and the lstsq solves it must match
+# within LSTSQ_RTOL.
+WHOLE_CYCLES = (oracles.estimate_h_per_slot_dft, oracles.estimate_g_whole_cycles,
+                oracles.baseline_per_slot_dft)
+CHOLESKY = (oracles.estimate_h_per_slot_dft, oracles.estimate_g_per_slot_cholesky,
+            oracles.baseline_per_slot_dft)
 LSTSQ = (oracles.estimate_h_per_slot, oracles.estimate_g_per_slot, oracles.baseline_per_slot)
 
 
@@ -480,18 +533,28 @@ def _sweep_trial_by_oracle(seed, trial, nr_grid, snrs_db, n_slots, dims, solvers
     return casc, base
 
 
-def test_sweep_trial_bit_exact_to_per_slot_oracle():
-    """One fig6-shaped trial, baseline on, equals the per-slot oracles cell by cell."""
+def _assert_sweep_trial_matches_oracles(n_slots, closed_form):
+    """A fig6-shaped trial, baseline on, on the path its driver picks for ``n_slots``."""
     seed, trial, nr_grid, snrs_db, dims = 20260823, 2, (1, 8), (0.0, 10.0), ChestDims()
-    n_slots = dims.n_atoms
     got = _sweep_trial(trial, seed=seed, nr_grid=nr_grid, snrs_db=snrs_db, rho=0.5,
-                       n_slots=n_slots, dims=dims, baseline=True)
+                       n_slots=n_slots, dims=dims, baseline=True,
+                       whole_cycles=n_slots % dims.n_atoms == 0)
     args = (seed, trial, nr_grid, snrs_db, n_slots, dims)
-    exact = _sweep_trial_by_oracle(*args, CLOSED_FORM)
+    exact = _sweep_trial_by_oracle(*args, closed_form)
     near = _sweep_trial_by_oracle(*args, LSTSQ)
     for value, expected, reference in zip(got, exact, near):
         assert np.array_equal(value, expected)
         np.testing.assert_allclose(value, reference, rtol=LSTSQ_RTOL, atol=0.0)
+
+
+def test_sweep_trial_bit_exact_to_per_slot_oracle():
+    """One fig6-shaped trial over 64 slots equals the whole-cycle per-slot oracles cell by cell."""
+    _assert_sweep_trial_matches_oracles(64, WHOLE_CYCLES)
+
+
+def test_sweep_trial_off_whole_cycles_bit_exact_to_cholesky_oracle():
+    """72 slots over 64 atoms are no whole cycles: the Cholesky path, bit for bit."""
+    _assert_sweep_trial_matches_oracles(72, CHOLESKY)
 
 
 def test_rho_one_leaves_sensing_infeasible():

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from hris_sim.arrays import Direction, PlanarArray, steering_vector
 from hris_sim.channels import ChannelSet, cascade
-from hris_sim.chest import bs_estimate_G, build_pilot_schedule, hris_estimate_H
+from hris_sim.chest import (_baseline_noise, _contract_reflected, _estimate_G,
+                            _estimate_G_whole_cycles, _reflected_noise, bs_estimate_G,
+                            build_pilot_schedule, hris_estimate_H)
 from hris_sim.hris import reflection_gain, sensing_gain
 
 import oracles
@@ -122,6 +124,37 @@ def test_per_slot_schedules_g_stage_matches_lstsq_and_h_stage_refuses(case):
     assert np.linalg.norm(g_hat - reference) <= LSTSQ_RTOL * np.linalg.norm(reference)
     with pytest.raises(ValueError, match="changes from slot to slot"):
         hris_estimate_H(sched, ch, np.random.default_rng(seed))
+
+
+@st.composite
+def whole_cycle_cases(draw):
+    """A base-phase-0 schedule of 1 to 3 whole DFT cycles, a noisy channel and H estimate."""
+    n = draw(st.integers(1, 16))
+    n_users = draw(st.integers(1, 4))
+    n_slots = n * draw(st.integers(1, 3))
+    sched = build_pilot_schedule(n, n_users, draw(st.integers(1, n)), n_slots * n_users,
+                                 draw(st.floats(0.05, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def normal(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    H = normal((n, n_users))
+    ch = ChannelSet(H=H, G=normal((3, n)), noise_var_hris=0.1, noise_var_bs=0.1,
+                    tx_power=draw(st.floats(0.1, 1000.0)))
+    return sched, ch, H + 0.1 * normal(H.shape), draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(**_SETTINGS)
+@given(whole_cycle_cases())
+def test_whole_cycle_g_stage_matches_the_general_solve(case):
+    """Over whole cycles the closed-form G stage equals the Cholesky solve on the same noise."""
+    sched, ch, h_hat, seed = case
+    closed = _estimate_G_whole_cycles(
+        sched, ch, [h_hat], _baseline_noise(ch, sched.pilot_count, np.random.default_rng(seed)))
+    noise = _reflected_noise(sched.n_slots, ch, np.random.default_rng(seed))
+    (general,) = _estimate_G(sched, ch, [h_hat], _contract_reflected(sched, ch, noise))
+    assert np.linalg.norm(closed[0] - general) <= LSTSQ_RTOL * np.linalg.norm(general)
 
 
 @settings(**_SETTINGS)
