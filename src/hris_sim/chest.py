@@ -19,20 +19,14 @@ index r, Q^H Q = F^H diag(c) F, so pinv(Q) y is the inverse DFT of the means
 of y's rows grouped by index, exact whenever every c_r >= 1.  Both stages are
 linear in their noise, so an estimate is the truth plus that solve of the
 noise alone, scaled by the cell's pilot amplitude and sensing gain.
-In general the base-station stage solves its N x N normal equations by
-Cholesky, the module's one LAPACK routine, with the Gram matrix built from
-the Hadamard structure of its stacked regressors.  Its right-hand side is
-factored the same way: Z^H Y sums conj(R[t, n] W[n, k]) Y_t[m, k] over slots
-t and pilot columns k, so the slot sum V = conj(R)^T Y depends only on the
-reflections and the observations, and each forwarded H estimate adds only
-the sum over k with its own W = H_hat X.
-
-Over whole DFT cycles at base phase 0 (n_slots a multiple of N, as in the
-chain sweep's default n_slots = N), R^H R = rho n_slots I: every Gram is
-diagonal, rho n_slots P K ||h_hat_n||^2 with P the transmit power, and
-G_hat[:, n] = ((h_hat_n^H h_n) G[:, n] + sum_k conj(H_hat[n, k]) N[k, :, n]
-/ sqrt(rho P)) / ||h_hat_n||^2, with N the baseline's DFT solve of the
-reflected noise: such a chain sweep runs no LAPACK routine.
+The base-station stage solves its N x N normal equations by Cholesky, with
+the Gram matrix built from the Hadamard structure of its stacked regressors.
+Its right-hand side is factored the same way: Z^H Y sums conj(R[t, n] W[n, k])
+Y_t[m, k] over slots t and pilot columns k, so the slot sum
+V = conj(R)^T Y depends only on the reflections and the observations, and
+each forwarded H estimate adds only the sum over k with its own W = H_hat X.
+With n_slots a multiple of N at base phase 0 (the chain sweep's default),
+R^H R = rho n_slots I: every Gram is diagonal and no LAPACK routine runs.
 
 Each estimator is split into observe and solve steps that take their noise
 as an argument; the public functions draw it from the generator they are
@@ -40,9 +34,8 @@ given and run one cell.  A Monte Carlo trial pairs its cells: every cell of a
 trial sees the same noise substream, so the trial draws each noise array once
 per shape and reuses it, observes the reflected pilots once per reflection
 schedule and SNR, and factors the Gram matrices of all cells that share
-those observations in one stacked Cholesky (none over whole cycles).  Each
-noise array is solved once per trial and shape; a cell then only scales and
-adds.
+those observations in one stacked Cholesky.  Each noise array is solved once
+per trial and shape; a cell then only scales and adds.
 
 The power-split sweep's draws differ by a diagonal unitary similarity: draw
 j at rho reflects sqrt(rho) F D_j (F the cycled DFT pattern, D_j =
@@ -201,10 +194,6 @@ def _noise(rng: np.random.Generator, shape: tuple, var: float) -> np.ndarray | N
     return complex_normal_stack(rng, shape, var=var) if var > 0.0 else None
 
 
-def _observe(signal: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
-    return signal if noise is None else signal + noise
-
-
 def _sensed_noise(sched: PilotSchedule, ch: ChannelSet, rng: np.random.Generator):
     """pinv(Q) N X^H / K: the sensed noise of all slots, drawn and solved alone (0 if none)."""
     noise = _noise(rng, (sched.n_slots, sched.n_rf_chains, sched.n_users), ch.noise_var_hris)
@@ -262,8 +251,7 @@ def hris_estimate_H(sched: PilotSchedule, ch: ChannelSet, rng: np.random.Generat
     do not reach rank n_atoms and EstimationInfeasibleError when some atom
     senses nothing (rho = 1) so its row of H cannot be recovered.
     """
-    sensed_diag = _sensing_diag(sched)
-    return _estimate_H(ch, sensed_diag, _sensed_noise(sched, ch, rng))
+    return _estimate_H(ch, _sensing_diag(sched), _sensed_noise(sched, ch, rng))
 
 
 def _contract_reflected(sched: PilotSchedule, ch: ChannelSet,
@@ -274,8 +262,8 @@ def _contract_reflected(sched: PilotSchedule, ch: ChannelSet,
     part of the G stage's right-hand side shared by every forwarded H estimate.
     """
     refl = sched.reflection_gains  # (slots, N)
-    pilot_block = math.sqrt(ch.tx_power) * sched.pilots
-    blocks = _observe((ch.G * refl[:, None, :]) @ (ch.H @ pilot_block), noise)
+    signal = (ch.G * refl[:, None, :]) @ (ch.H @ (math.sqrt(ch.tx_power) * sched.pilots))
+    blocks = signal if noise is None else signal + noise
     n_slots, m, k = blocks.shape
     return (np.conj(refl).T @ blocks.reshape(n_slots, m * k)).reshape(-1, m, k)
 
@@ -283,19 +271,14 @@ def _contract_reflected(sched: PilotSchedule, ch: ChannelSet,
 def _check_pivots(sched: PilotSchedule, h_hats, ratios) -> None:
     """Raise IdentifiabilityError at the first G-stage cell whose squared pivot ratio is too low.
 
-    lstsq's default rcond drops singular values below max(M, N) * eps of the
-    largest, M = n_slots * n_users rows of the stacked regressors.  The Gram
-    holds squared singular values, so the same rcond bounds its squared pivot
-    ratio; rounding while forming the Gram is of that order, so a
-    rank-deficient system cannot pass unnoticed.
+    The Gram holds squared singular values: the floor is lstsq's rcond, max(n_slots K, N) eps.
     """
-    refl = sched.reflection_gains
-    n_slots, n_atoms = refl.shape
+    n_slots, n_atoms = sched.rho.shape
     floor = max(n_slots * sched.n_users, n_atoms) * np.finfo(float).eps
     for h_hat, ratio in zip(h_hats, ratios):
         if not ratio >= floor:
             # Row t*K + k of the stacked regressors R_t W holds slot t, pilot column k.
-            stacked_z = (refl[:, :, None] * (h_hat @ sched.pilots)).transpose(0, 2, 1)
+            stacked_z = (sched.reflection_gains[:, :, None] * (h_hat @ sched.pilots)).swapaxes(1, 2)
             raise IdentifiabilityError(
                 f"stacked reflection regressors rank "
                 f"{np.linalg.matrix_rank(stacked_z.reshape(-1, n_atoms))} of "
@@ -327,17 +310,11 @@ def _estimate_G(sched: PilotSchedule, ch: ChannelSet, h_hats,
             for factor, w in zip(lower, ws)]
 
 
-def _estimate_G_whole_cycles(sched: PilotSchedule, ch: ChannelSet, h_hats,
-                             solved_noise) -> np.ndarray:
-    """``_estimate_G`` as a (C, M, N) stack, in closed form for base phase 0 over whole DFT cycles.
-
-    ``solved_noise`` is the (K, M, N) ``_baseline_noise`` of the slots; see
-    the module docstring.
-    """
+def _estimate_G_whole_cycles(sched: PilotSchedule, ch: ChannelSet, h_hats, solved_noise):
+    """``_estimate_G`` as one (C, M, N) stack over whole DFT cycles, given ``_baseline_noise``."""
     rho = float(sched.rho[0, 0])
     conj_h = np.conj(h_hats)  # (C, N, K)
     norms = np.sum(conj_h * h_hats, axis=2).real
-    # The Gram is diagonal, rho n_slots P K ||h_hat_n||^2: its squared pivot ratio is 0 at rho = 0.
     _check_pivots(sched, h_hats, norms.min(axis=1) / norms.max(axis=1) if rho > 0.0 else [0.0])
     noise = np.sum(conj_h.transpose(0, 2, 1)[:, :, None, :] * solved_noise, axis=1)
     return (np.sum(conj_h * ch.H, axis=2)[:, None, :] * ch.G
@@ -387,7 +364,6 @@ def cascaded_nmse(estimates, ch: ChannelSet) -> float:
 def _baseline_noise(ch: ChannelSet, pilot_count: int, rng: np.random.Generator):
     """pinv(Phi) N_k X^H / K of every user k, drawn and solved alone, as (K, M, N) (0 if none).
 
-    Phi holds the baseline's patterns, or a whole-cycle G stage's reflections.
     Raises IdentifiabilityError when the budget gives fewer slots than atoms.
     """
     n_atoms, n_users = ch.H.shape
@@ -474,8 +450,7 @@ def _tradeoff_schedules(seed: int, rhos: tuple, n_draws: int, n_rf_chains: int,
 def _tradeoff_trial(trial: int, *, seed: int, rhos: tuple, n_draws: int, snr_db: float,
                     n_rf_chains: int, pilot_count: int, dims: ChestDims):
     ch = trial_channels(seed, "chest_tradeoff", trial, dims, tx_power=10.0 ** (snr_db / 10.0))
-    nmse_h = np.empty((len(rhos), n_draws))
-    nmse_g = np.empty_like(nmse_h)
+    nmse_h, nmse_g = np.empty((2, len(rhos), n_draws))
     schedules, sensed_diags, pattern, rotations = _tradeoff_schedules(
         seed, rhos, n_draws, n_rf_chains, pilot_count, dims)
     # Every (rho, draw) cell of one trial sees identical noise, so curves are
@@ -483,12 +458,10 @@ def _tradeoff_trial(trial: int, *, seed: int, rhos: tuple, n_draws: int, snr_db:
     # The H stage never reads the reflection phases, the only thing the draws
     # change, so one H estimate per rho serves every draw; the schedules share
     # their chain count, so one sensed-noise solve serves every rho.
-    noise_h = _sensed_noise(schedules[0], ch, substream(
-        seed, "chest_tradeoff", trial, TAG_NOISE_HRIS))
-    noise_g = _reflected_noise(schedules[0].n_slots, ch, substream(
-        seed, "chest_tradeoff", trial, TAG_NOISE_BS))
-    pilot_block = math.sqrt(ch.tx_power) * schedules[0].pilots
-    hx = ch.H @ pilot_block
+    noise_rng = partial(substream, seed, "chest_tradeoff", trial)
+    noise_h = _sensed_noise(schedules[0], ch, noise_rng(TAG_NOISE_HRIS))
+    noise_g = _reflected_noise(schedules[0].n_slots, ch, noise_rng(TAG_NOISE_BS))
+    hx = ch.H @ (math.sqrt(ch.tx_power) * schedules[0].pilots)
     # Atom n's rows j*M .. j*M + M - 1 hold P_j[n], its last M rows P_N[n].
     signals = [(ch.G * (pattern * d)[:, None, :]) @ hx for d in rotations]
     blocks = np.stack(signals + [noise_g], axis=1)
@@ -538,19 +511,17 @@ def _sweep_schedules(nr_grid: tuple, n_slots: int, rho: float, dims: ChestDims):
 
 
 def _sweep_trial(trial: int, *, seed: int, nr_grid: tuple, snrs_db: tuple, rho: float,
-                 n_slots: int, dims: ChestDims, baseline: bool, whole_cycles: bool = False):
+                 n_slots: int, dims: ChestDims, baseline: bool):
     pilot_count = n_slots * dims.n_users
+    whole_cycles = n_slots % dims.n_atoms == 0
     ch0 = trial_channels(seed, "rf_chain_sweep", trial, dims)
     schedules, sensed_diags = _sweep_schedules(nr_grid, n_slots, rho, dims)
     # Every cell of one trial sees identical noise, so curves are paired: the
     # noise of each stage and shape is drawn once and serves every SNR.  The
     # schedules differ only in their chain counts, so they share the reflected
-    # observations and the G stage of all chain counts is one stacked solve,
-    # in closed form over ``whole_cycles``.  The SNR scales only the pilots,
-    # so every cell shares the true cascades.
-    def noise_rng(tag):
-        return substream(seed, "rf_chain_sweep", trial, tag)
-
+    # observations and the G stage of all chain counts is one stacked solve.
+    # The SNR scales only the pilots, so every cell shares the true cascades.
+    noise_rng = partial(substream, seed, "rf_chain_sweep", trial)
     truth = cascaded_per_user(ch0.H, ch0.G)
     score = _scorer(truth)
     noise_h = [_sensed_noise(sched, ch0, noise_rng(TAG_NOISE_HRIS)) for sched in schedules]
@@ -565,11 +536,9 @@ def _sweep_trial(trial: int, *, seed: int, nr_grid: tuple, snrs_db: tuple, rho: 
         if baseline:
             base[s] = score(_estimate_baseline(truth, ch, noise_base))
         h_hats = [_estimate_H(ch, diag, noise) for diag, noise in zip(sensed_diags, noise_h)]
-        if whole_cycles:
-            g_hats = _estimate_G_whole_cycles(schedules[0], ch, h_hats, noise_g)
-        else:
-            g_hats = _estimate_G(schedules[0], ch, h_hats,
-                                 _contract_reflected(schedules[0], ch, noise_g))
+        g_hats = (_estimate_G_whole_cycles(schedules[0], ch, h_hats, noise_g) if whole_cycles
+                  else _estimate_G(schedules[0], ch, h_hats,
+                                   _contract_reflected(schedules[0], ch, noise_g)))
         for i, (h_hat, g_hat) in enumerate(zip(h_hats, g_hats)):
             casc[i, s] = score(cascaded_per_user(h_hat, g_hat))
     return casc, base
@@ -595,8 +564,7 @@ def rf_chain_sweep(n_rf_grid, snr_db_list, n_trials: int, seed: int,
     _sweep_schedules(nr_grid, n_slots, float(rho), dims)
     baseline = n_slots >= dims.n_atoms
     trial = partial(_sweep_trial, seed=int(seed), nr_grid=nr_grid, snrs_db=snrs_db,
-                    rho=float(rho), n_slots=n_slots, dims=dims, baseline=baseline,
-                    whole_cycles=n_slots % dims.n_atoms == 0)
+                    rho=float(rho), n_slots=n_slots, dims=dims, baseline=baseline)
     casc, base = trial_means(map_trials(trial, n_trials, workers))
     base = np.broadcast_to(base, casc.shape)
     return sweep_rows({"n_rf": nr_grid, "snr_db": snrs_db},

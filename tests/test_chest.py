@@ -225,7 +225,7 @@ for n_rf, pilot_count in ((8, 70), (1, 512), (8, 512)):
     digest.update(hris_estimate_H(sched, ch, rng).tobytes())
 digest.update(cascaded_ls_baseline(ch, 512, substream(7, "unit_test", 0, TAG_NOISE_BASELINE)).tobytes())
 for result in _sweep_trial(1, seed=7, nr_grid=(1, 2, 4, 8), snrs_db=(0.0, 10.0), rho=0.5,
-                           n_slots=64, dims=ChestDims(), baseline=True, whole_cycles=True):
+                           n_slots=64, dims=ChestDims(), baseline=True):
     digest.update(result.tobytes())
 print(digest.hexdigest())
 """
@@ -405,21 +405,20 @@ def test_tradeoff_trial_factors_and_solves_once_per_rho(monkeypatch):
     assert counts == {"cholesky": 9, "cho_solve": 9}
 
 
-@pytest.mark.parametrize("whole_cycles, n_cholesky, n_cho_solve", [(True, 0, 0), (False, 2, 8)])
-def test_whole_cycle_sweep_trial_factors_nothing(monkeypatch, whole_cycles, n_cholesky,
-                                                 n_cho_solve):
+@pytest.mark.parametrize("n_slots, n_cholesky, n_cho_solve", [(64, 0, 0), (72, 2, 8)])
+def test_whole_cycle_sweep_trial_factors_nothing(monkeypatch, n_slots, n_cholesky, n_cho_solve):
     """A fig6 trial (4 chain counts, 2 SNRs) over whole cycles runs no Cholesky and no cho_solve.
 
-    The general path factors one stack of Grams per SNR and solves each cell
-    alone; both paths draw the same noise arrays.
+    Off whole cycles (72 slots over 64 atoms) the general path factors one
+    stack of Grams per SNR and solves each cell alone; both paths draw the
+    same noise arrays.
     """
     counts = _count_g_solves(monkeypatch)
     draws = _count_noise_draws(monkeypatch)
-    _sweep_trial(0, seed=3, nr_grid=(1, 2, 4, 8), snrs_db=(0.0, 10.0), rho=0.5, n_slots=64,
-                 dims=ChestDims(), baseline=True, whole_cycles=whole_cycles)
+    _sweep_trial(0, seed=3, nr_grid=(1, 2, 4, 8), snrs_db=(0.0, 10.0), rho=0.5, n_slots=n_slots,
+                 dims=ChestDims(), baseline=True)
     assert counts == {"cholesky": n_cholesky, "cho_solve": n_cho_solve}
-    assert sorted(draws) == sorted([(64, 1, 8), (64, 2, 8), (64, 4, 8), (64, 8, 8),
-                                    (64, 16, 8), (64, 16, 8)])
+    assert sorted(draws) == sorted([(n_slots, n_rf, 8) for n_rf in (1, 2, 4, 8, 16, 16)])
 
 
 @pytest.mark.parametrize("n_slots", [64, 72])
@@ -534,11 +533,10 @@ def _sweep_trial_by_oracle(seed, trial, nr_grid, snrs_db, n_slots, dims, solvers
 
 
 def _assert_sweep_trial_matches_oracles(n_slots, closed_form):
-    """A fig6-shaped trial, baseline on, on the path its driver picks for ``n_slots``."""
+    """A fig6-shaped trial, baseline on, on the path ``_sweep_trial`` picks for ``n_slots``."""
     seed, trial, nr_grid, snrs_db, dims = 20260823, 2, (1, 8), (0.0, 10.0), ChestDims()
     got = _sweep_trial(trial, seed=seed, nr_grid=nr_grid, snrs_db=snrs_db, rho=0.5,
-                       n_slots=n_slots, dims=dims, baseline=True,
-                       whole_cycles=n_slots % dims.n_atoms == 0)
+                       n_slots=n_slots, dims=dims, baseline=True)
     args = (seed, trial, nr_grid, snrs_db, n_slots, dims)
     exact = _sweep_trial_by_oracle(*args, closed_form)
     near = _sweep_trial_by_oracle(*args, LSTSQ)
