@@ -27,6 +27,7 @@ V = conj(R)^T Y depends only on the reflections and the observations, and
 each forwarded H estimate adds only the sum over k with its own W = H_hat X.
 With n_slots a multiple of N at base phase 0 (the chain sweep's default),
 R^H R = rho n_slots I: every Gram is diagonal and no LAPACK routine runs.
+Only the Cholesky path (and the power-split driver) imports scipy.linalg.
 
 Each estimator is split into observe and solve steps that take their noise
 as an argument; the public functions draw it from the generator they are
@@ -53,7 +54,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, partial
 
 import numpy as np
-from scipy.linalg import cho_solve, dft
 
 from .channels import ChannelSet, LinkGeometry, cascaded_per_user, draw_channels
 from .errors import EstimationInfeasibleError, IdentifiabilityError
@@ -105,6 +105,11 @@ class PilotSchedule:
         gains = reflection_gain(self.rho, self.reflect_phase)
         gains.setflags(write=False)
         return gains
+
+
+def _dft(n: int) -> np.ndarray:
+    """The n-point DFT matrix, F[r, c] = exp(-2j pi r c / n), by scipy.linalg.dft's formula."""
+    return np.exp(-2j * np.pi * np.arange(n) / n).reshape(-1, 1) ** np.arange(n)
 
 
 def _dft_lstsq(rows: np.ndarray, n_atoms: int) -> np.ndarray:
@@ -175,7 +180,7 @@ def build_pilot_schedule(n_atoms: int, n_users: int, n_rf_chains: int,
     base = np.broadcast_to(np.asarray(base_reflect_phase, dtype=float), (n_atoms,))
     dft_phase = -2.0 * np.pi * np.arange(n_atoms) / n_atoms
     arrays = dict(
-        pilots=dft(n_users),
+        pilots=_dft(n_users),
         rho=np.full((n_slots, n_atoms), float(rho)),
         reflect_phase=base + (np.arange(n_slots) % n_atoms)[:, None] * dft_phase,
         sense_phase=np.full((n_slots, n_atoms), float(sense_phase)))
@@ -299,6 +304,8 @@ def _estimate_G(sched: PilotSchedule, ch: ChannelSet, h_hats,
     ``solve_triangular`` loops over a stack in Python and is slower than one
     call per cell.
     """
+    # Imported here so that runs without a Cholesky solve never load scipy.linalg.
+    from scipy.linalg import cho_solve
     refl = sched.reflection_gains  # (slots, N)
     pilot_block = math.sqrt(ch.tx_power) * sched.pilots
     ws = [h_hat @ pilot_block for h_hat in h_hats]
@@ -378,7 +385,7 @@ def _baseline_noise(ch: ChannelSet, pilot_count: int, rng: np.random.Generator):
     noise = _reflected_noise(n_slots, ch, rng)
     if noise is None:
         return 0.0
-    stacked = _decorrelate(noise, dft(n_users))  # stacked[:, :, k]: the noise of user k
+    stacked = _decorrelate(noise, _dft(n_users))  # stacked[:, :, k]: the noise of user k
     a_t = _dft_lstsq(stacked.reshape(n_slots, -1), n_atoms).reshape(n_atoms, -1, n_users)
     return np.ascontiguousarray(a_t.transpose(2, 1, 0))
 
@@ -495,6 +502,7 @@ def tradeoff_experiment(rho_grid, n_phase_draws: int, n_trials: int, seed: int,
     _tradeoff_schedules(seed, rhos, n_draws, n_rf_chains, pilot_count, dims)
     trial = partial(_tradeoff_trial, seed=seed, rhos=rhos, n_draws=n_draws, snr_db=float(snr_db),
                     n_rf_chains=n_rf_chains, pilot_count=pilot_count, dims=dims)
+    import scipy.linalg  # for _estimate_G; loaded mid-trial instead, later trials ran slower
     nmse_h, nmse_g = trial_means(map_trials(trial, n_trials, workers))
     return sweep_rows({"rho": rhos, "phase_draw": range(n_draws)},
                       {"nmse_H": nmse_h, "nmse_H_db": db(nmse_h),

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import dft
 
 from hris_sim.channels import (ChannelSet, LinkGeometry, cascaded_per_user,
@@ -100,6 +101,13 @@ def test_sensed_stage_matches_pinv_oracle():
     np.testing.assert_allclose(h_hat, H, atol=1e-9)
     assert h_hat.shape == (4, 1)
 
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 16, 64])
+def test_dft_matches_scipy_bit_for_bit(n):
+    """The package's DFT matrix, read by the pilots and the baseline noise, is scipy's to the bit."""
+    ours, scipys = chest._dft(n), dft(n)
+    assert ours.dtype == scipys.dtype and ours.shape == (n, n)
+    assert np.array_equal(ours.view(np.uint64), scipys.view(np.uint64))
 
 
 @pytest.mark.parametrize("n_atoms, n_rf, n_slots", [
@@ -393,7 +401,8 @@ def _count_g_solves(monkeypatch):
         return counted
 
     monkeypatch.setattr(np.linalg, "cholesky", counter("cholesky", np.linalg.cholesky))
-    monkeypatch.setattr(chest, "cho_solve", counter("cho_solve", chest.cho_solve))
+    # _estimate_G imports cho_solve from scipy.linalg on each call, so patch it there.
+    monkeypatch.setattr(scipy.linalg, "cho_solve", counter("cho_solve", scipy.linalg.cho_solve))
     return counts
 
 

@@ -290,6 +290,48 @@ def test_bench_workload_matches_reference_csv(tmp_path, workload):
             == workloads.reference_csv(workload).read_bytes())
 
 
+_SCIPY_LINALG_SCRIPT = """
+import copy, json, sys
+out, preload = sys.argv[1], sys.argv[2] == "1"
+if preload:
+    import scipy.linalg
+from hris_sim import config, runner
+
+def run(name, tree):
+    tree = dict(copy.deepcopy(config.PRESETS.get(name, {})), **tree)
+    paths = runner.run(config.parse_config_tree(tree), out_dir=f"{out}/{name}")
+    return json.loads(open(paths["metadata"]).read())["results_sha256"]
+
+if not preload:
+    run("fig4", {"n_trials": 1})
+    run("fig6", {"n_trials": 1})
+    run("beampattern", {"version": 1, "experiment": "beampattern",
+                        "array": {"n_h": 8, "n_v": 8}, "beampattern": {"n_points": 101}})
+    assert "scipy.linalg" not in sys.modules, "scipy.linalg loaded before any Cholesky solve"
+digest = run("fig5", {"n_trials": 1})
+assert "scipy.linalg" in sys.modules
+print(digest)
+"""
+
+
+def test_scipy_linalg_loads_only_for_a_cholesky_solve(tmp_path):
+    """fig4, whole-cycle fig6 and a pattern cut never load scipy.linalg; fig5 does.
+
+    The lazy import changes no bit: fig5's digest equals a run that loaded
+    scipy.linalg before hris_sim.  Each run needs a fresh interpreter.
+    """
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(workloads.SRC),
+                                                        os.environ.get("PYTHONPATH")])))
+    digests = []
+    for preload in ("0", "1"):
+        proc = subprocess.run([sys.executable, "-c", _SCIPY_LINALG_SCRIPT, str(tmp_path / preload),
+                               preload], env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
 def test_beampattern_run_row_count(tmp_path):
     tree = {"version": 1, "experiment": "beampattern",
             "array": {"n_h": 8, "n_v": 8},
