@@ -33,10 +33,10 @@ Each estimator is split into observe and solve steps that take their noise
 as an argument; the public functions draw it from the generator they are
 given and run one cell.  A Monte Carlo trial pairs its cells: every cell of a
 trial sees the same noise substream, so the trial draws each noise array once
-per shape and reuses it, observes the reflected pilots once per reflection
-schedule and SNR, and factors the Gram matrices of all cells that share
-those observations in one stacked Cholesky.  Each noise array is solved once
-per trial and shape; a cell then only scales and adds.
+per shape and reuses it, and observes the reflected pilots once per reflection
+schedule and SNR; every cell that shares those observations then factors and
+solves its own Gram.  Each noise array is solved once per trial and shape; a
+cell then only scales and adds.
 
 The power-split sweep's draws differ by a diagonal unitary similarity: draw
 j at rho reflects sqrt(rho) F D_j (F the cycled DFT pattern, D_j =
@@ -127,22 +127,17 @@ def _dft_lstsq(rows: np.ndarray, n_atoms: int) -> np.ndarray:
     return np.fft.ifft(sums / counts[:, None], axis=0)
 
 
-def _cholesky(grams: np.ndarray):
-    """Lower Cholesky factors of a (C, N, N) stack and each squared pivot ratio.
+def _cholesky(gram: np.ndarray):
+    """Lower Cholesky factor of one N x N Gram and its squared pivot ratio (min diag / max diag)^2.
 
-    The ratio is (min diag / max diag)^2 of a factor.  When some Gram is not
-    numerically positive definite the stacked factorisation fails as a whole:
-    the factors are then None and each Gram is factored alone to find the
-    ones that fail, whose ratio reads 0.
+    A Gram that is not numerically positive definite gives (None, 0.0).
     """
     try:
-        lower = np.linalg.cholesky(grams)
+        lower = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
-        if len(grams) == 1:
-            return None, np.zeros(1)
-        return None, np.concatenate([_cholesky(gram[None])[1] for gram in grams])
-    pivots = np.diagonal(lower, axis1=1, axis2=2).real
-    return lower, (pivots.min(axis=1) / pivots.max(axis=1)) ** 2
+        return None, 0.0
+    pivots = np.diagonal(lower).real
+    return lower, (pivots.min() / pivots.max()) ** 2
 
 
 def _scorer(truth: np.ndarray):
@@ -273,48 +268,41 @@ def _contract_reflected(sched: PilotSchedule, ch: ChannelSet,
     return (np.conj(refl).T @ blocks.reshape(n_slots, m * k)).reshape(-1, m, k)
 
 
-def _check_pivots(sched: PilotSchedule, h_hats, ratios) -> None:
-    """Raise IdentifiabilityError at the first G-stage cell whose squared pivot ratio is too low.
+def _check_pivots(sched: PilotSchedule, h_hat: np.ndarray, ratio: float) -> None:
+    """Raise IdentifiabilityError when a G-stage cell's squared pivot ratio is too low.
 
     The Gram holds squared singular values: the floor is lstsq's rcond, max(n_slots K, N) eps.
     """
     n_slots, n_atoms = sched.rho.shape
     floor = max(n_slots * sched.n_users, n_atoms) * np.finfo(float).eps
-    for h_hat, ratio in zip(h_hats, ratios):
-        if not ratio >= floor:
-            # Row t*K + k of the stacked regressors R_t W holds slot t, pilot column k.
-            stacked_z = (sched.reflection_gains[:, :, None] * (h_hat @ sched.pilots)).swapaxes(1, 2)
-            raise IdentifiabilityError(
-                f"stacked reflection regressors rank "
-                f"{np.linalg.matrix_rank(stacked_z.reshape(-1, n_atoms))} of "
-                f"{n_atoms} atoms over {n_slots} slots, squared Gram pivot ratio "
-                f"{ratio:.1e} < {floor:.1e}; G is not identifiable (need n_slots * n_users "
-                f">= n_atoms and a non-degenerate reflection pattern, rho > 0)")
+    if not ratio >= floor:
+        # Row t*K + k of the stacked regressors R_t W holds slot t, pilot column k.
+        stacked_z = (sched.reflection_gains[:, :, None] * (h_hat @ sched.pilots)).swapaxes(1, 2)
+        raise IdentifiabilityError(
+            f"stacked reflection regressors rank "
+            f"{np.linalg.matrix_rank(stacked_z.reshape(-1, n_atoms))} of "
+            f"{n_atoms} atoms over {n_slots} slots, squared Gram pivot ratio "
+            f"{ratio:.1e} < {floor:.1e}; G is not identifiable (need n_slots * n_users "
+            f">= n_atoms and a non-degenerate reflection pattern, rho > 0)")
 
 
-def _estimate_G(sched: PilotSchedule, ch: ChannelSet, h_hats,
-                contracted: np.ndarray) -> list[np.ndarray]:
-    """One G estimate per forwarded H estimate, all from one set of reflected observations.
+def _estimate_G(sched: PilotSchedule, ch: ChannelSet, h_hat: np.ndarray,
+                contracted: np.ndarray) -> np.ndarray:
+    """The (C, N) G estimate of one forwarded H estimate: one cell's normal equations.
 
     ``contracted`` (N, C, K) holds right-hand sides summed over slots against
-    the reflections, C = M for ``_contract_reflected`` of ``sched``; each
-    estimate is (C, N).  Every H estimate is one cell with its own normal
-    equations.  The Grams of all cells are factored in one stacked Cholesky.
-    Each cell's two triangular solves are one ``cho_solve``: scipy's batched
-    ``solve_triangular`` loops over a stack in Python and is slower than one
-    call per cell.
+    the reflections, C = M for ``_contract_reflected`` of ``sched``; cells
+    that share the observations share it.  One Cholesky factorisation, one
+    pivot check and one ``cho_solve`` (both triangular solves) finish the cell.
     """
     # Imported here so that runs without a Cholesky solve never load scipy.linalg.
     from scipy.linalg import cho_solve
     refl = sched.reflection_gains  # (slots, N)
-    pilot_block = math.sqrt(ch.tx_power) * sched.pilots
-    ws = [h_hat @ pilot_block for h_hat in h_hats]
-    slot_gram = np.conj(refl).T @ refl
-    lower, ratios = _cholesky(np.stack([(np.conj(w) @ w.T) * slot_gram for w in ws]))
-    _check_pivots(sched, h_hats, ratios)
+    w = h_hat @ (math.sqrt(ch.tx_power) * sched.pilots)
+    lower, ratio = _cholesky((np.conj(w) @ w.T) * (np.conj(refl).T @ refl))
+    _check_pivots(sched, h_hat, ratio)
     # Z^H Y[n, m] = sum_k conj(W[n, k]) V[n, m, k].
-    return [cho_solve((factor, True), (contracted @ np.conj(w)[:, :, None])[:, :, 0]).T
-            for factor, w in zip(lower, ws)]
+    return cho_solve((lower, True), (contracted @ np.conj(w)[:, :, None])[:, :, 0]).T
 
 
 def _estimate_G_whole_cycles(sched: PilotSchedule, ch: ChannelSet, h_hats, solved_noise):
@@ -322,7 +310,8 @@ def _estimate_G_whole_cycles(sched: PilotSchedule, ch: ChannelSet, h_hats, solve
     rho = float(sched.rho[0, 0])
     conj_h = np.conj(h_hats)  # (C, N, K)
     norms = np.sum(conj_h * h_hats, axis=2).real
-    _check_pivots(sched, h_hats, norms.min(axis=1) / norms.max(axis=1) if rho > 0.0 else [0.0])
+    for h_hat, norm in zip(h_hats, norms):  # cell c's Gram: rho n_slots P K diag(norms[c])
+        _check_pivots(sched, h_hat, norm.min() / norm.max() if rho > 0.0 else 0.0)
     noise = np.sum(conj_h.transpose(0, 2, 1)[:, :, None, :] * solved_noise, axis=1)
     return (np.sum(conj_h * ch.H, axis=2)[:, None, :] * ch.G
             + noise / math.sqrt(rho * ch.tx_power)) / norms[:, None, :]
@@ -347,7 +336,7 @@ def bs_estimate_G(sched: PilotSchedule, ch: ChannelSet, h_hat: np.ndarray,
     pattern repeated in every slot, or rho = 0).
     """
     noise = _reflected_noise(sched.n_slots, ch, rng)
-    return _estimate_G(sched, ch, [h_hat], _contract_reflected(sched, ch, noise))[0]
+    return _estimate_G(sched, ch, h_hat, _contract_reflected(sched, ch, noise))
 
 
 def run_two_sided(sched: PilotSchedule, ch: ChannelSet,
@@ -480,7 +469,7 @@ def _tradeoff_trial(trial: int, *, seed: int, rhos: tuple, n_draws: int, snr_db:
         nmse_h[i, :] = score_h(h_hat)
         # sched reflects sqrt(rho) F, so _estimate_G solves Gram_rho against
         # P_0 .. P_N; with X_j its blocks, draw j's G is (rho X_j + sqrt(rho) X_N) D_j^H.
-        x = _estimate_G(sched, ch, [h_hat], contracted)[0].reshape(n_draws + 1, -1, dims.n_atoms)
+        x = _estimate_G(sched, ch, h_hat, contracted).reshape(n_draws + 1, -1, dims.n_atoms)
         g_hats = np.conj(rotations)[:, None, :] * (rho * x[:n_draws] + math.sqrt(rho) * x[n_draws])
         nmse_g[i, :] = [score_g(g_hat) for g_hat in g_hats]
     return nmse_h, nmse_g
@@ -519,15 +508,16 @@ def _sweep_schedules(nr_grid: tuple, n_slots: int, rho: float, dims: ChestDims):
 
 
 def _sweep_trial(trial: int, *, seed: int, nr_grid: tuple, snrs_db: tuple, rho: float,
-                 n_slots: int, dims: ChestDims, baseline: bool):
+                 n_slots: int, dims: ChestDims):
     pilot_count = n_slots * dims.n_users
     whole_cycles = n_slots % dims.n_atoms == 0
+    baseline = n_slots >= dims.n_atoms
     ch0 = trial_channels(seed, "rf_chain_sweep", trial, dims)
     schedules, sensed_diags = _sweep_schedules(nr_grid, n_slots, rho, dims)
     # Every cell of one trial sees identical noise, so curves are paired: the
     # noise of each stage and shape is drawn once and serves every SNR.  The
     # schedules differ only in their chain counts, so they share the reflected
-    # observations and the G stage of all chain counts is one stacked solve.
+    # observations: off whole cycles, one contraction per SNR serves every chain count.
     # The SNR scales only the pilots, so every cell shares the true cascades.
     noise_rng = partial(substream, seed, "rf_chain_sweep", trial)
     truth = cascaded_per_user(ch0.H, ch0.G)
@@ -544,9 +534,11 @@ def _sweep_trial(trial: int, *, seed: int, nr_grid: tuple, snrs_db: tuple, rho: 
         if baseline:
             base[s] = score(_estimate_baseline(truth, ch, noise_base))
         h_hats = [_estimate_H(ch, diag, noise) for diag, noise in zip(sensed_diags, noise_h)]
-        g_hats = (_estimate_G_whole_cycles(schedules[0], ch, h_hats, noise_g) if whole_cycles
-                  else _estimate_G(schedules[0], ch, h_hats,
-                                   _contract_reflected(schedules[0], ch, noise_g)))
+        if whole_cycles:
+            g_hats = _estimate_G_whole_cycles(schedules[0], ch, h_hats, noise_g)
+        else:
+            contracted = _contract_reflected(schedules[0], ch, noise_g)
+            g_hats = [_estimate_G(schedules[0], ch, h_hat, contracted) for h_hat in h_hats]
         for i, (h_hat, g_hat) in enumerate(zip(h_hats, g_hats)):
             casc[i, s] = score(cascaded_per_user(h_hat, g_hat))
     return casc, base
@@ -570,12 +562,11 @@ def rf_chain_sweep(n_rf_grid, snr_db_list, n_trials: int, seed: int,
     nr_grid = tuple(int(n) for n in n_rf_grid)
     snrs_db = tuple(float(s) for s in snr_db_list)
     _sweep_schedules(nr_grid, n_slots, float(rho), dims)
-    baseline = n_slots >= dims.n_atoms
     trial = partial(_sweep_trial, seed=int(seed), nr_grid=nr_grid, snrs_db=snrs_db,
-                    rho=float(rho), n_slots=n_slots, dims=dims, baseline=baseline)
+                    rho=float(rho), n_slots=n_slots, dims=dims)
     casc, base = trial_means(map_trials(trial, n_trials, workers))
     base = np.broadcast_to(base, casc.shape)
     return sweep_rows({"n_rf": nr_grid, "snr_db": snrs_db},
                       {"nmse_cascaded": casc, "nmse_cascaded_db": db(casc),
                        "nmse_baseline": base, "nmse_baseline_db": db(base),
-                       "baseline_status": "ok" if baseline else "infeasible"})
+                       "baseline_status": "ok" if n_slots >= dims.n_atoms else "infeasible"})

@@ -389,6 +389,9 @@ def parse_config_tree(tree: dict, source: str = "config") -> ExperimentConfig:
     spec = EXPERIMENTS[head["experiment"]]
     values = _read(tree, {**_HEAD, **_COMMON, "n_trials": _Field(
         int, spec.default_trials, _COUNT), **spec.sections}, "")
+    if values["dump_channels"] and "channel" not in spec.sections:
+        raise ConfigError(f"'dump_channels' needs a channel draw; experiment "
+                          f"'{head['experiment']}' takes no 'channel' section")
     return ExperimentConfig(
         **{key: values[key] for key in ("experiment", "n_trials", *_COMMON)},
         params=spec.parse(values, tree), raw=deepcopy(tree))

@@ -63,7 +63,8 @@ def run(cfg: ExperimentConfig, out_dir=None, seed: int | None = None,
     only; ``cfg`` is left as it was given.  Overrides are checked like the
     configured values, before any trial runs.
     """
-    seed = cfg.seed if seed is None else parse_seed(int(seed))
+    seed = cfg.seed if seed is None else parse_seed(
+        int(seed) if isinstance(seed, np.integer) else seed)
     workers = cfg.workers if workers is None else parse_workers(workers, "workers")
     spec = EXPERIMENTS[cfg.experiment]
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
@@ -78,9 +79,8 @@ def run(cfg: ExperimentConfig, out_dir=None, seed: int | None = None,
     write_csv(csv_path, rows, columns)
     paths = {"csv": str(csv_path)}
 
-    dims = cfg.params.get("dims")
-    if cfg.dump_channels and dims is not None:
-        ch = trial_channels(seed, cfg.experiment, 0, dims)
+    if cfg.dump_channels:
+        ch = trial_channels(seed, cfg.experiment, 0, cfg.params["dims"])
         for name, matrix in (("H", ch.H), ("G", ch.G)):
             dump_path = out / f"channels_{name}.bin"
             save_matrix(dump_path, matrix, seed=seed, stream_id=TAG_CHANNEL)

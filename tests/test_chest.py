@@ -233,7 +233,7 @@ for n_rf, pilot_count in ((8, 70), (1, 512), (8, 512)):
     digest.update(hris_estimate_H(sched, ch, rng).tobytes())
 digest.update(cascaded_ls_baseline(ch, 512, substream(7, "unit_test", 0, TAG_NOISE_BASELINE)).tobytes())
 for result in _sweep_trial(1, seed=7, nr_grid=(1, 2, 4, 8), snrs_db=(0.0, 10.0), rho=0.5,
-                           n_slots=64, dims=ChestDims(), baseline=True):
+                           n_slots=64, dims=ChestDims()):
     digest.update(result.tobytes())
 print(digest.hexdigest())
 """
@@ -301,7 +301,7 @@ def test_sweep_schedules_share_their_reflections():
 
 
 def test_stacked_g_solve_equals_one_cell_solves():
-    """C cells sharing one set of reflected observations, solved in one stack, equal C calls."""
+    """C cells solved against one shared contraction of the reflected pilots equal C calls."""
     ch = _channels(64, 8, 16, seed=6, tx_power=10.0)
     schedules, _ = _sweep_schedules((1, 2, 4, 8), 64, 0.5, ChestDims())
 
@@ -311,25 +311,25 @@ def test_stacked_g_solve_equals_one_cell_solves():
     h_hats = [hris_estimate_H(sched, ch, rng(TAG_NOISE_HRIS, i))
               for i, sched in enumerate(schedules)]
     noise = chest._reflected_noise(64, ch, rng(TAG_NOISE_BS))
-    g_hats = chest._estimate_G(schedules[0], ch, h_hats,
-                               chest._contract_reflected(schedules[0], ch, noise))
-    assert len(g_hats) == 4
-    for sched, h_hat, g_hat in zip(schedules, h_hats, g_hats):
+    contracted = chest._contract_reflected(schedules[0], ch, noise)
+    for sched, h_hat in zip(schedules, h_hats):
+        g_hat = chest._estimate_G(schedules[0], ch, h_hat, contracted)
+        assert g_hat.shape == (16, 64)
         assert np.array_equal(g_hat, bs_estimate_G(sched, ch, h_hat, rng(TAG_NOISE_BS)))
 
 
 @pytest.mark.parametrize("scale, rank", [(0.0, 7), (1e-9, 8)])
 def test_stacked_g_solve_names_the_degenerate_cell(scale, rank):
-    """One degenerate cell fails the whole stack, with that cell's own rank in the message."""
+    """Cells share one contraction: good ones solve exactly, a degenerate one names its rank."""
     sched = build_pilot_schedule(8, 2, 2, 8, 0.5)
     ch = _channels(8, 2, 4, noise_var_hris=0.0, noise_var_bs=0.0)
     degenerate = ch.H.copy()
     degenerate[5] *= scale
     contracted = chest._contract_reflected(sched, ch, None)
-    good = chest._estimate_G(sched, ch, [ch.H, ch.H], contracted)
-    assert all(nmse(g_hat, ch.G) < 1e-20 for g_hat in good)
+    assert nmse(chest._estimate_G(sched, ch, ch.H, contracted), ch.G) < 1e-20
     with pytest.raises(IdentifiabilityError, match=rf"regressors rank {rank} of 8 "):
-        chest._estimate_G(sched, ch, [ch.H, degenerate, ch.H], contracted)
+        chest._estimate_G(sched, ch, degenerate, contracted)
+    assert nmse(chest._estimate_G(sched, ch, ch.H, contracted), ch.G) < 1e-20
 
 
 @pytest.mark.parametrize("scale, rank", [(0.0, 7), (1e-9, 8)])
@@ -360,7 +360,7 @@ def test_sweep_trial_draws_each_noise_once(monkeypatch):
     """A fig6 trial draws one G-stage, one baseline and one H-stage noise per chain count."""
     calls = _count_noise_draws(monkeypatch)
     _sweep_trial(0, seed=3, nr_grid=(1, 2, 4, 8), snrs_db=(0.0, 10.0), rho=0.5, n_slots=64,
-                 dims=ChestDims(), baseline=True)
+                 dims=ChestDims())
     assert sorted(calls) == sorted([(64, 1, 8), (64, 2, 8), (64, 4, 8), (64, 8, 8),
                                     (64, 16, 8), (64, 16, 8)])
 
@@ -414,18 +414,18 @@ def test_tradeoff_trial_factors_and_solves_once_per_rho(monkeypatch):
     assert counts == {"cholesky": 9, "cho_solve": 9}
 
 
-@pytest.mark.parametrize("n_slots, n_cholesky, n_cho_solve", [(64, 0, 0), (72, 2, 8)])
+@pytest.mark.parametrize("n_slots, n_cholesky, n_cho_solve", [(64, 0, 0), (72, 8, 8)])
 def test_whole_cycle_sweep_trial_factors_nothing(monkeypatch, n_slots, n_cholesky, n_cho_solve):
     """A fig6 trial (4 chain counts, 2 SNRs) over whole cycles runs no Cholesky and no cho_solve.
 
-    Off whole cycles (72 slots over 64 atoms) the general path factors one
-    stack of Grams per SNR and solves each cell alone; both paths draw the
+    Off whole cycles (72 slots over 64 atoms) the general path factors and
+    solves each cell alone, once per chain count and SNR; both paths draw the
     same noise arrays.
     """
     counts = _count_g_solves(monkeypatch)
     draws = _count_noise_draws(monkeypatch)
     _sweep_trial(0, seed=3, nr_grid=(1, 2, 4, 8), snrs_db=(0.0, 10.0), rho=0.5, n_slots=n_slots,
-                 dims=ChestDims(), baseline=True)
+                 dims=ChestDims())
     assert counts == {"cholesky": n_cholesky, "cho_solve": n_cho_solve}
     assert sorted(draws) == sorted([(n_slots, n_rf, 8) for n_rf in (1, 2, 4, 8, 16, 16)])
 
@@ -545,7 +545,7 @@ def _assert_sweep_trial_matches_oracles(n_slots, closed_form):
     """A fig6-shaped trial, baseline on, on the path ``_sweep_trial`` picks for ``n_slots``."""
     seed, trial, nr_grid, snrs_db, dims = 20260823, 2, (1, 8), (0.0, 10.0), ChestDims()
     got = _sweep_trial(trial, seed=seed, nr_grid=nr_grid, snrs_db=snrs_db, rho=0.5,
-                       n_slots=n_slots, dims=dims, baseline=True)
+                       n_slots=n_slots, dims=dims)
     args = (seed, trial, nr_grid, snrs_db, n_slots, dims)
     exact = _sweep_trial_by_oracle(*args, closed_form)
     near = _sweep_trial_by_oracle(*args, LSTSQ)

@@ -140,6 +140,15 @@ def test_config_seed_checked_before_any_trial(tmp_path, capsys):
     assert (tmp_path / "o/channels_G.bin").exists()
 
 
+def test_dump_channels_without_a_channel_exits_two(tmp_path, capsys):
+    """An angle sweep draws no channel to dump: refused before any trial, not silently skipped."""
+    cfg = _write_tiny_aoa(tmp_path)
+    cfg.write_text(cfg.read_text(encoding="utf-8") + "dump_channels: true\n", encoding="utf-8")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "config error: 'dump_channels' needs a channel" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_beampattern_subcommand(tmp_path):
     out = tmp_path / "beam"
     assert main(["beampattern", "--n-h", "12", "--n-v", "12",

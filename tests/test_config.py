@@ -78,6 +78,18 @@ def test_seed_range_ends_accepted():
     assert parse_config_tree(_aoa_tree(seed=2 ** 64 - 1)).seed == 2 ** 64 - 1
 
 
+@pytest.mark.parametrize("tree", [
+    _aoa_tree(),
+    {"version": 1, "experiment": "beampattern", "array": {"n_h": 4, "n_v": 4}}],
+    ids=["aoa_rmse", "beampattern"])
+def test_dump_channels_without_a_channel_rejected(tree):
+    """The dumps hold a channel draw; these experiments draw none and used to write nothing."""
+    assert not parse_config_tree(tree).dump_channels
+    with pytest.raises(ConfigError, match=rf"^'dump_channels' needs a channel draw; experiment "
+                                          rf"'{tree['experiment']}' takes no 'channel' section$"):
+        parse_config_tree(dict(tree, dump_channels=True))
+
+
 def test_workers_accepts_auto_and_positive_ints():
     assert parse_config_tree(_aoa_tree(workers=3)).workers == 3
     assert parse_config_tree(_aoa_tree(workers="auto")).workers >= 1

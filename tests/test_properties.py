@@ -153,7 +153,7 @@ def test_whole_cycle_g_stage_matches_the_general_solve(case):
     closed = _estimate_G_whole_cycles(
         sched, ch, [h_hat], _baseline_noise(ch, sched.pilot_count, np.random.default_rng(seed)))
     noise = _reflected_noise(sched.n_slots, ch, np.random.default_rng(seed))
-    (general,) = _estimate_G(sched, ch, [h_hat], _contract_reflected(sched, ch, noise))
+    general = _estimate_G(sched, ch, h_hat, _contract_reflected(sched, ch, noise))
     assert np.linalg.norm(closed[0] - general) <= LSTSQ_RTOL * np.linalg.norm(general)
 
 

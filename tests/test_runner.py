@@ -112,10 +112,14 @@ def test_run_seed_override_changes_results(tmp_path):
     cfg2 = parse_config_tree(_tiny_aoa_tree())
     run(cfg1, out_dir=tmp_path / "a", seed=1)
     run(cfg2, out_dir=tmp_path / "b", seed=2)
+    run(cfg2, out_dir=tmp_path / "c", seed=np.uint64(1))
     assert cfg1 == parse_config_tree(_tiny_aoa_tree())  # the run leaves cfg as given
     assert json.loads((tmp_path / "a/metadata.json").read_text())["seed"] == 1
+    assert json.loads((tmp_path / "c/metadata.json").read_text())["seed"] == 1
     assert ((tmp_path / "a/aoa_rmse.csv").read_bytes()
             != (tmp_path / "b/aoa_rmse.csv").read_bytes())
+    assert ((tmp_path / "a/aoa_rmse.csv").read_bytes()
+            == (tmp_path / "c/aoa_rmse.csv").read_bytes())
 
 
 def _tiny_sweep_tree():
@@ -184,13 +188,17 @@ def test_run_chest_dumps_channels(tmp_path):
     assert meta["derived"]["baseline_identifiable"] is False
 
 
-@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2.9, True])
 def test_run_seed_override_checked_before_any_trial(tmp_path, seed):
-    """An override outside 64 bits used to run every trial, then fail writing the dumps."""
+    """An override outside 64 bits used to run every trial, then fail writing the dumps.
+
+    A float or boolean override used to be truncated by int(): 2.9 ran seed 2, True seed 1.
+    """
     tree = {"version": 1, "experiment": "rf_chain_sweep", "n_trials": 1, "dump_channels": True,
             "channel": {"n_atoms": 4, "n_users": 2, "n_bs_antennas": 2},
             "rf_sweep": {"n_rf_grid": [1], "snr_db_list": [0.0]}}
-    with pytest.raises(ConfigError, match=rf"'seed' must lie in \[0, 2\*\*64\), got {seed}$"):
+    message = (r"must lie in \[0, 2\*\*64\)" if type(seed) is int else "must be an integer")
+    with pytest.raises(ConfigError, match=rf"^'seed' {message}, got {seed}$"):
         run(parse_config_tree(tree), out_dir=tmp_path / "o", seed=seed)
     assert not (tmp_path / "o").exists()
 
