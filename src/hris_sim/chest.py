@@ -32,11 +32,13 @@ Only the Cholesky path (and the power-split driver) imports scipy.linalg.
 Each estimator is split into observe and solve steps that take their noise
 as an argument; the public functions draw it from the generator they are
 given and run one cell.  A Monte Carlo trial pairs its cells: every cell of a
-trial sees the same noise substream, so the trial draws each noise array once
-per shape and reuses it, and observes the reflected pilots once per reflection
+trial sees the same noise substream, so the trial draws each stage's noise
+once and reuses it, and observes the reflected pilots once per reflection
 schedule and SNR; every cell that shares those observations then factors and
-solves its own Gram.  Each noise array is solved once per trial and shape; a
-cell then only scales and adds.
+solves its own Gram.  Schedules that differ only in chain count share one
+sensed draw, sized for the most chains: a noise stack consumes its stream in
+C order, so each takes the prefix it would draw alone.  Each noise array is
+solved once per trial and shape; a cell then only scales and adds.
 
 The power-split sweep's draws differ by a diagonal unitary similarity: draw
 j at rho reflects sqrt(rho) F D_j (F the cycled DFT pattern, D_j =
@@ -60,7 +62,7 @@ from .errors import EstimationInfeasibleError, IdentifiabilityError
 from .hris import reflection_gain, sensing_gain
 from .parallel import db, map_trials, sweep_rows, trial_means
 from .rng import (TAG_CHANNEL, TAG_NOISE_BASELINE, TAG_NOISE_BS, TAG_NOISE_HRIS,
-                  TAG_PHASES, complex_normal_stack, substream)
+                  TAG_PHASES, complex_normal_prefixes, complex_normal_stack, substream)
 
 
 @dataclass(frozen=True)
@@ -189,22 +191,24 @@ def _decorrelate(block: np.ndarray, pilots: np.ndarray) -> np.ndarray:
     return block @ np.conj(pilots.T) / pilots.shape[0]
 
 
-def _noise(rng: np.random.Generator, shape: tuple, var: float) -> np.ndarray | None:
-    """Receiver noise of one stacked observation, or None at zero variance (no draw)."""
-    return complex_normal_stack(rng, shape, var=var) if var > 0.0 else None
+def _sensed_noises(schedules, ch: ChannelSet, rng: np.random.Generator) -> list:
+    """pinv(Q) N X^H / K of each schedule: its sensed noise of all slots, solved alone (0 if none).
 
-
-def _sensed_noise(sched: PilotSchedule, ch: ChannelSet, rng: np.random.Generator):
-    """pinv(Q) N X^H / K: the sensed noise of all slots, drawn and solved alone (0 if none)."""
-    noise = _noise(rng, (sched.n_slots, sched.n_rf_chains, sched.n_users), ch.noise_var_hris)
-    if noise is None:
-        return 0.0
-    rows = _decorrelate(noise, sched.pilots).reshape(-1, sched.n_users)
-    return _dft_lstsq(rows, sched.rho.shape[1])
+    The schedules share their slots and pilots and may differ in chain count.
+    Each takes the noise it would draw alone from ``rng``, all from one draw.
+    """
+    if ch.noise_var_hris <= 0.0:
+        return [0.0] * len(schedules)
+    noises = complex_normal_prefixes(
+        rng, [(s.n_slots, s.n_rf_chains, s.n_users) for s in schedules], ch.noise_var_hris)
+    return [_dft_lstsq(_decorrelate(noise, s.pilots).reshape(-1, s.n_users), s.rho.shape[1])
+            for s, noise in zip(schedules, noises)]
 
 
 def _reflected_noise(n_slots: int, ch: ChannelSet, rng: np.random.Generator):
-    return _noise(rng, (n_slots, ch.G.shape[0], ch.H.shape[1]), ch.noise_var_bs)
+    """Receiver noise of the stacked reflected observations, or None at zero variance (no draw)."""
+    shape, var = (n_slots, ch.G.shape[0], ch.H.shape[1]), ch.noise_var_bs
+    return complex_normal_stack(rng, shape, var=var) if var > 0.0 else None
 
 
 def _sensing_diag(sched: PilotSchedule) -> np.ndarray:
@@ -232,7 +236,7 @@ def _sensing_diag(sched: PilotSchedule) -> np.ndarray:
 
 
 def _estimate_H(ch: ChannelSet, sensed_diag: np.ndarray, solved_noise) -> np.ndarray:
-    """H + solved_noise / (amp * s): one cell's H estimate from ``_sensed_noise``."""
+    """H + solved_noise / (amp * s): one cell's H estimate from ``_sensed_noises``."""
     return ch.H + solved_noise / (math.sqrt(ch.tx_power) * sensed_diag)[:, None]
 
 
@@ -251,7 +255,7 @@ def hris_estimate_H(sched: PilotSchedule, ch: ChannelSet, rng: np.random.Generat
     do not reach rank n_atoms and EstimationInfeasibleError when some atom
     senses nothing (rho = 1) so its row of H cannot be recovered.
     """
-    return _estimate_H(ch, _sensing_diag(sched), _sensed_noise(sched, ch, rng))
+    return _estimate_H(ch, _sensing_diag(sched), _sensed_noises([sched], ch, rng)[0])
 
 
 def _contract_reflected(sched: PilotSchedule, ch: ChannelSet,
@@ -278,9 +282,10 @@ def _check_pivots(sched: PilotSchedule, h_hat: np.ndarray, ratio: float) -> None
     if not ratio >= floor:
         # Row t*K + k of the stacked regressors R_t W holds slot t, pilot column k.
         stacked_z = (sched.reflection_gains[:, :, None] * (h_hat @ sched.pilots)).swapaxes(1, 2)
+        z = stacked_z.reshape(-1, n_atoms)
+        rank = np.linalg.matrix_rank(z) if np.isfinite(z).all() else "undefined (not finite)"
         raise IdentifiabilityError(
-            f"stacked reflection regressors rank "
-            f"{np.linalg.matrix_rank(stacked_z.reshape(-1, n_atoms))} of "
+            f"stacked reflection regressors rank {rank} of "
             f"{n_atoms} atoms over {n_slots} slots, squared Gram pivot ratio "
             f"{ratio:.1e} < {floor:.1e}; G is not identifiable (need n_slots * n_users "
             f">= n_atoms and a non-degenerate reflection pattern, rho > 0)")
@@ -293,7 +298,8 @@ def _estimate_G(sched: PilotSchedule, ch: ChannelSet, h_hat: np.ndarray,
     ``contracted`` (N, C, K) holds right-hand sides summed over slots against
     the reflections, C = M for ``_contract_reflected`` of ``sched``; cells
     that share the observations share it.  One Cholesky factorisation, one
-    pivot check and one ``cho_solve`` (both triangular solves) finish the cell.
+    pivot check (which a non-finite Gram fails) and one ``cho_solve`` (both
+    triangular solves, without scipy's finiteness scan) finish the cell.
     """
     # Imported here so that runs without a Cholesky solve never load scipy.linalg.
     from scipy.linalg import cho_solve
@@ -302,7 +308,8 @@ def _estimate_G(sched: PilotSchedule, ch: ChannelSet, h_hat: np.ndarray,
     lower, ratio = _cholesky((np.conj(w) @ w.T) * (np.conj(refl).T @ refl))
     _check_pivots(sched, h_hat, ratio)
     # Z^H Y[n, m] = sum_k conj(W[n, k]) V[n, m, k].
-    return cho_solve((lower, True), (contracted @ np.conj(w)[:, :, None])[:, :, 0]).T
+    return cho_solve((lower, True), (contracted @ np.conj(w)[:, :, None])[:, :, 0],
+                     check_finite=False).T
 
 
 def _estimate_G_whole_cycles(sched: PilotSchedule, ch: ChannelSet, h_hats, solved_noise):
@@ -357,6 +364,11 @@ def cascaded_nmse(estimates, ch: ChannelSet) -> float:
     return nmse(estimates, cascaded_per_user(ch.H, ch.G))
 
 
+def baseline_identifiable(pilot_count: int, n_users: int, n_atoms: int) -> bool:
+    """Whether the reflective baseline's budget gives a whole slot per atom (full-rank patterns)."""
+    return pilot_count // n_users >= n_atoms
+
+
 def _baseline_noise(ch: ChannelSet, pilot_count: int, rng: np.random.Generator):
     """pinv(Phi) N_k X^H / K of every user k, drawn and solved alone, as (K, M, N) (0 if none).
 
@@ -364,7 +376,7 @@ def _baseline_noise(ch: ChannelSet, pilot_count: int, rng: np.random.Generator):
     """
     n_atoms, n_users = ch.H.shape
     n_slots = pilot_count // n_users
-    if n_slots < n_atoms:
+    if not baseline_identifiable(pilot_count, n_users, n_atoms):
         m = ch.G.shape[0]
         raise IdentifiabilityError(
             f"cascaded least squares underdetermined at a {pilot_count}-pilot "
@@ -455,7 +467,7 @@ def _tradeoff_trial(trial: int, *, seed: int, rhos: tuple, n_draws: int, snr_db:
     # change, so one H estimate per rho serves every draw; the schedules share
     # their chain count, so one sensed-noise solve serves every rho.
     noise_rng = partial(substream, seed, "chest_tradeoff", trial)
-    noise_h = _sensed_noise(schedules[0], ch, noise_rng(TAG_NOISE_HRIS))
+    noise_h = _sensed_noises(schedules[:1], ch, noise_rng(TAG_NOISE_HRIS))[0]
     noise_g = _reflected_noise(schedules[0].n_slots, ch, noise_rng(TAG_NOISE_BS))
     hx = ch.H @ (math.sqrt(ch.tx_power) * schedules[0].pilots)
     # Atom n's rows j*M .. j*M + M - 1 hold P_j[n], its last M rows P_N[n].
@@ -511,18 +523,19 @@ def _sweep_trial(trial: int, *, seed: int, nr_grid: tuple, snrs_db: tuple, rho: 
                  n_slots: int, dims: ChestDims):
     pilot_count = n_slots * dims.n_users
     whole_cycles = n_slots % dims.n_atoms == 0
-    baseline = n_slots >= dims.n_atoms
+    baseline = baseline_identifiable(pilot_count, dims.n_users, dims.n_atoms)
     ch0 = trial_channels(seed, "rf_chain_sweep", trial, dims)
     schedules, sensed_diags = _sweep_schedules(nr_grid, n_slots, rho, dims)
     # Every cell of one trial sees identical noise, so curves are paired: the
-    # noise of each stage and shape is drawn once and serves every SNR.  The
-    # schedules differ only in their chain counts, so they share the reflected
-    # observations: off whole cycles, one contraction per SNR serves every chain count.
+    # noise of each stage is drawn once and serves every SNR.  The schedules
+    # differ only in their chain counts, so each takes its prefix of one sensed
+    # draw, and they share the reflected observations: off whole cycles, one
+    # contraction per SNR serves every chain count.
     # The SNR scales only the pilots, so every cell shares the true cascades.
     noise_rng = partial(substream, seed, "rf_chain_sweep", trial)
     truth = cascaded_per_user(ch0.H, ch0.G)
     score = _scorer(truth)
-    noise_h = [_sensed_noise(sched, ch0, noise_rng(TAG_NOISE_HRIS)) for sched in schedules]
+    noise_h = _sensed_noises(schedules, ch0, noise_rng(TAG_NOISE_HRIS))
     noise_g = (_baseline_noise(ch0, pilot_count, noise_rng(TAG_NOISE_BS)) if whole_cycles
                else _reflected_noise(n_slots, ch0, noise_rng(TAG_NOISE_BS)))
     if baseline:
@@ -565,8 +578,9 @@ def rf_chain_sweep(n_rf_grid, snr_db_list, n_trials: int, seed: int,
     trial = partial(_sweep_trial, seed=int(seed), nr_grid=nr_grid, snrs_db=snrs_db,
                     rho=float(rho), n_slots=n_slots, dims=dims)
     casc, base = trial_means(map_trials(trial, n_trials, workers))
+    feasible = baseline_identifiable(n_slots * dims.n_users, dims.n_users, dims.n_atoms)
     base = np.broadcast_to(base, casc.shape)
     return sweep_rows({"n_rf": nr_grid, "snr_db": snrs_db},
                       {"nmse_cascaded": casc, "nmse_cascaded_db": db(casc),
                        "nmse_baseline": base, "nmse_baseline_db": db(base),
-                       "baseline_status": "ok" if n_slots >= dims.n_atoms else "infeasible"})
+                       "baseline_status": "ok" if feasible else "infeasible"})

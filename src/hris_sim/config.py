@@ -23,12 +23,10 @@ from copy import deepcopy
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-import yaml
-
 from .aoa import AoaGrid, rmse_experiment
 from .arrays import PlanarArray, emit_beampattern
 from .channels import PATHLOSS_MODELS, LinkGeometry, pathloss
-from .chest import ChestDims, rf_chain_sweep, tradeoff_experiment
+from .chest import ChestDims, baseline_identifiable, rf_chain_sweep, tradeoff_experiment
 from .errors import ConfigError
 
 CONFIG_VERSION = 1
@@ -277,7 +275,7 @@ def _chest_info(cfg: ExperimentConfig, pilot_count: int, min_chains: int) -> dic
         "pilot_symbols_used": n_slots * d.n_users,
         "h_stage_identifiable": n_slots * min_chains >= d.n_atoms,
         "g_stage_equations": n_slots * d.n_users,
-        "baseline_identifiable": pilot_count // d.n_users >= d.n_atoms,
+        "baseline_identifiable": baseline_identifiable(pilot_count, d.n_users, d.n_atoms),
         "noise_model": "unit noise variance; tx_power = 10**(snr_db/10)",
         "pathloss_model": d.pathloss_model,
     }
@@ -399,6 +397,8 @@ def parse_config_tree(tree: dict, source: str = "config") -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     """Read and validate a YAML configuration file."""
+    import yaml  # here, not at module level: runs from a parsed tree never load PyYAML
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             tree = yaml.safe_load(fh)

@@ -8,6 +8,8 @@ regardless of how many worker processes participate in a run.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Experiment identifiers baked into stream keys.  Never renumber entries:
@@ -68,5 +70,17 @@ def complex_normal_stack(rng: np.random.Generator, shape: tuple, var: float = 1.
 
     The draws consume the stream in the order of those calls, so the values are equal.
     """
-    z = rng.standard_normal((shape[0], 2, *shape[1:]))
-    return np.sqrt(var / 2.0) * (z[:, 0] + 1j * z[:, 1])
+    return complex_normal_prefixes(rng, [shape], var)[0]
+
+
+def complex_normal_prefixes(rng: np.random.Generator, shapes, var: float = 1.0) -> list:
+    """``complex_normal_stack(rng, shape, var)`` for each of ``shapes``, all from one draw.
+
+    A stack consumes the stream in C order, so a smaller stack's normals are
+    a prefix of a larger one's: one draw sized for the largest serves them all.
+    """
+    sizes = [2 * math.prod(shape) for shape in shapes]
+    normals = rng.standard_normal(max(sizes))
+    return [np.sqrt(var / 2.0) * (z[:, 0] + 1j * z[:, 1])
+            for z in (normals[:size].reshape(shape[0], 2, *shape[1:])
+                      for size, shape in zip(sizes, shapes))]

@@ -22,7 +22,7 @@ from hris_sim.chest import (ChestDims, _sweep_schedules, _sweep_trial, _tradeoff
 from hris_sim.errors import EstimationInfeasibleError, IdentifiabilityError
 from hris_sim.hris import reflection_gain
 from hris_sim.rng import (TAG_CHANNEL, TAG_NOISE_BASELINE, TAG_NOISE_BS, TAG_NOISE_HRIS,
-                          TAG_PHASES, complex_normal_stack, substream)
+                          TAG_PHASES, complex_normal_prefixes, complex_normal_stack, substream)
 
 import oracles
 
@@ -332,6 +332,24 @@ def test_stacked_g_solve_names_the_degenerate_cell(scale, rank):
     assert nmse(chest._estimate_G(sched, ch, ch.H, contracted), ch.G) < 1e-20
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_gram_fails_the_pivot_check(bad):
+    """A non-finite H estimate gives a non-finite Gram: IdentifiabilityError on both G paths.
+
+    The Cholesky path then never reaches ``cho_solve``, which skips scipy's finiteness scan.
+    """
+    sched = build_pilot_schedule(8, 2, 2, 16, 0.5)  # 8 slots: one DFT cycle
+    ch = _channels(8, 2, 4, noise_var_hris=0.0, noise_var_bs=0.0)
+    h_hat = ch.H.copy()
+    h_hat[3, 1] = bad
+    contracted = chest._contract_reflected(sched, ch, None)
+    with np.errstate(invalid="ignore"):  # inf * 0 in the products
+        with pytest.raises(IdentifiabilityError, match="regressors rank undefined"):
+            chest._estimate_G(sched, ch, h_hat, contracted)
+        with pytest.raises(IdentifiabilityError, match="regressors rank undefined"):
+            chest._estimate_G_whole_cycles(sched, ch, [h_hat], 0.0)
+
+
 @pytest.mark.parametrize("scale, rank", [(0.0, 7), (1e-9, 8)])
 def test_whole_cycle_g_solve_names_the_degenerate_cell(scale, rank):
     """The closed form's diagonal Gram meets the same pivot floor and message as Cholesky."""
@@ -346,23 +364,62 @@ def test_whole_cycle_g_solve_names_the_degenerate_cell(scale, rank):
 
 
 def _count_noise_draws(monkeypatch):
+    """Record the shape of every noise draw; one draw serving several shapes gives its largest."""
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return complex_normal_stack(*args, **kwargs)
+    def counted_stack(rng, shape, *args, **kwargs):
+        calls.append(shape)
+        return complex_normal_stack(rng, shape, *args, **kwargs)
 
-    monkeypatch.setattr(chest, "complex_normal_stack", counted)
+    def counted_prefixes(rng, shapes, *args, **kwargs):
+        calls.append(max(shapes, key=math.prod))
+        return complex_normal_prefixes(rng, shapes, *args, **kwargs)
+
+    monkeypatch.setattr(chest, "complex_normal_stack", counted_stack)
+    monkeypatch.setattr(chest, "complex_normal_prefixes", counted_prefixes)
     return calls
 
 
 def test_sweep_trial_draws_each_noise_once(monkeypatch):
-    """A fig6 trial draws one G-stage, one baseline and one H-stage noise per chain count."""
+    """A fig6 trial draws one G-stage, one baseline and one H-stage noise, the last for 8 chains."""
     calls = _count_noise_draws(monkeypatch)
     _sweep_trial(0, seed=3, nr_grid=(1, 2, 4, 8), snrs_db=(0.0, 10.0), rho=0.5, n_slots=64,
                  dims=ChestDims())
-    assert sorted(calls) == sorted([(64, 1, 8), (64, 2, 8), (64, 4, 8), (64, 8, 8),
-                                    (64, 16, 8), (64, 16, 8)])
+    assert sorted(calls) == sorted([(64, 8, 8), (64, 16, 8), (64, 16, 8)])
+
+
+@pytest.mark.parametrize("nr_grid", [(1, 2, 4, 8), (8, 1, 4), (3,)])
+def test_sensed_noises_equal_own_stream_draws(nr_grid):
+    """Each chain count's share of the one sensed draw is the draw it makes alone, bit for bit.
+
+    The own-stream draw of one schedule is sized for exactly its chain count,
+    and the H estimate it gives equals the per-slot oracle's.
+    """
+    dims = ChestDims()
+    schedules, diags = _sweep_schedules(nr_grid, 64, 0.5, dims)
+    ch = replace(chest.trial_channels(11, "rf_chain_sweep", 1, dims), tx_power=10.0)
+
+    def rng():
+        return substream(11, "rf_chain_sweep", 1, TAG_NOISE_HRIS)
+
+    shared = chest._sensed_noises(schedules, ch, rng())
+    assert len(shared) == len(nr_grid)
+    for sched, diag, noise in zip(schedules, diags, shared):
+        assert np.array_equal(noise, chest._sensed_noises([sched], ch, rng())[0])
+        assert np.array_equal(chest._estimate_H(ch, diag, noise),
+                              oracles.estimate_h_per_slot_dft(sched, ch, rng()))
+
+
+def test_sensed_noises_draw_nothing_at_zero_noise():
+    schedules, _ = _sweep_schedules((1, 8), 64, 0.5, ChestDims())
+    ch = _channels(64, 8, 16, noise_var_hris=0.0)
+
+    def rng():
+        return substream(11, "rf_chain_sweep", 1, TAG_NOISE_HRIS)
+
+    used = rng()
+    assert chest._sensed_noises(schedules, ch, used) == [0.0, 0.0]
+    assert np.array_equal(used.standard_normal(4), rng().standard_normal(4))
 
 
 def test_tradeoff_trial_draws_each_noise_once(monkeypatch):
@@ -420,14 +477,14 @@ def test_whole_cycle_sweep_trial_factors_nothing(monkeypatch, n_slots, n_cholesk
 
     Off whole cycles (72 slots over 64 atoms) the general path factors and
     solves each cell alone, once per chain count and SNR; both paths draw the
-    same noise arrays.
+    same noise arrays, the sensed one once for the largest chain count.
     """
     counts = _count_g_solves(monkeypatch)
     draws = _count_noise_draws(monkeypatch)
     _sweep_trial(0, seed=3, nr_grid=(1, 2, 4, 8), snrs_db=(0.0, 10.0), rho=0.5, n_slots=n_slots,
                  dims=ChestDims())
     assert counts == {"cholesky": n_cholesky, "cho_solve": n_cho_solve}
-    assert sorted(draws) == sorted([(n_slots, n_rf, 8) for n_rf in (1, 2, 4, 8, 16, 16)])
+    assert sorted(draws) == sorted([(n_slots, n_rf, 8) for n_rf in (8, 16, 16)])
 
 
 @pytest.mark.parametrize("n_slots", [64, 72])

@@ -1,7 +1,9 @@
 """Result files: CSV formatting, beampattern emitter, end-to-end run()."""
 
+import copy
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,8 @@ import pytest
 
 from hris_sim.arrays import PlanarArray, emit_beampattern
 from hris_sim.channels import draw_channels, load_matrix
-from hris_sim.config import parse_config_tree
+from hris_sim import chest
+from hris_sim.config import PRESETS, parse_config_tree
 from hris_sim.errors import ConfigError
 from hris_sim import parallel
 from hris_sim.parallel import sweep_rows
@@ -91,7 +94,7 @@ def test_run_aoa_writes_csv_and_metadata(tmp_path):
     assert meta["derived"]["search_grid_points"] == 721
     assert meta["config"] == cfg.raw
     env = meta["environment"]
-    assert set(env) == {"python", "numpy", "scipy", "cpu_count", "blas_threads"}
+    assert set(env) == {"python", "numpy", "scipy", "cpu_count", "blas_threads", "malloc"}
     assert set(env["blas_threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                         "MKL_NUM_THREADS"}
     assert env["numpy"] == np.__version__
@@ -338,6 +341,65 @@ def test_scipy_linalg_loads_only_for_a_cholesky_solve(tmp_path):
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout.strip())
     assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
+_GLIBC = platform.libc_ver()[0] == "glibc"
+
+
+def test_run_records_the_malloc_setting(tmp_path):
+    """metadata.json names the malloc thresholds the run set: under glibc both, else null."""
+    run(parse_config_tree(_tiny_aoa_tree()), out_dir=tmp_path)
+    malloc = json.loads((tmp_path / "metadata.json").read_text())["environment"]["malloc"]
+    if _GLIBC:
+        assert malloc == {"M_TRIM_THRESHOLD": 64 << 20, "M_MMAP_THRESHOLD": 32 << 20}
+    else:
+        assert malloc is None or set(malloc) <= {"M_TRIM_THRESHOLD", "M_MMAP_THRESHOLD"}
+
+
+# Minor page faults a default-dims fig6 trial may take once the first trial has
+# grown the heap.  Under glibc's default dynamic thresholds each trial hands
+# about 1 MB back to the kernel and faults it in again: about 256 a trial.
+FIG6_FAULTS_PER_TRIAL = 32
+
+
+@pytest.mark.skipif(not _GLIBC, reason="the thresholds are glibc's mallopt settings")
+def test_chain_sweep_trials_keep_their_heap_mapped(tmp_path, monkeypatch):
+    """After its first trial, a 4-trial fig6 run takes few minor faults per trial (getrusage)."""
+    import resource
+
+    faults = []
+    map_trials = chest.map_trials
+
+    def counted_map_trials(fn, n_trials, workers=1):
+        def trial(t):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            result = fn(t)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            return result
+        return map_trials(trial, n_trials, workers)
+
+    monkeypatch.setattr(chest, "map_trials", counted_map_trials)
+    run(parse_config_tree(dict(copy.deepcopy(PRESETS["fig6"]), n_trials=4)), out_dir=tmp_path,
+        workers=1)
+    assert len(faults) == 4
+    assert sum(faults[1:]) / 3 < FIG6_FAULTS_PER_TRIAL, faults
+
+
+def test_tree_run_leaves_pyyaml_unloaded(tmp_path):
+    """Only load_config reads YAML: a run from a parsed tree never imports PyYAML."""
+    script = ("import sys\n"
+              "from hris_sim import config, runner\n"
+              "tree = {'version': 1, 'experiment': 'rf_chain_sweep', 'n_trials': 2,\n"
+              "        'channel': {'n_atoms': 8, 'n_users': 2, 'n_bs_antennas': 4},\n"
+              "        'rf_sweep': {'n_rf_grid': [1, 2], 'snr_db_list': [0.0]}}\n"
+              "runner.run(config.parse_config_tree(tree), out_dir=sys.argv[1])\n"
+              "print('yaml' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(workloads.SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_beampattern_run_row_count(tmp_path):
