@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -143,7 +143,7 @@ class _ScanTable:
     """What the estimator reads for one (array, combiner, azimuth, grid).
 
     None of it depends on the snapshots, so the Monte Carlo sweep builds it
-    once per worker and array size.  Pilots are folded into the combining
+    once per run and array size.  Pilots are folded into the combining
     rows (see ``AoaScenario``); the azimuth is wrapped as ``Direction`` wraps
     it.  ``conj_signal`` is conj(b)^T with b = q_t^H a(theta) over ``points``,
     shape (n_points, T), and ``energy`` is sum_t |b_t|^2 per point.  b leaves
@@ -289,23 +289,15 @@ def crlb_elevation(sc: AoaScenario) -> float:
 # Monte Carlo sweep
 
 
-@lru_cache(maxsize=8)
-def _cell_tables(side: int, n_snapshots: int, spacing_m: float, wavelength_m: float,
-                 azimuth_rad: float, grid: AoaGrid):
-    """The scan table of one array, shared by all trials in a worker process."""
-    arr = PlanarArray(side, side, spacing_m, wavelength_m)
-    return _scan_table(arr, _probe_rows(n_snapshots, arr.n_elements, 0), azimuth_rad, grid)
-
-
-def _sweep_trial(trial: int, *, seed: int, sides: tuple, fractions: tuple,
-                 snrs_db: tuple, n_snapshots: int, spacing_m: float,
-                 wavelength_m: float, azimuth_rad: float, grid: AoaGrid):
+def _sweep_trial(trial: int, *, setup: tuple, seed: int, fractions: tuple, snrs_db: tuple,
+                 grid: AoaGrid):
     """One trial: shared truth and unit-noise draws, every cell estimated on them.
 
-    The (fraction, snr) cells of one array are estimated together as the
-    stacked rows of one ``_ml_rows`` call; the bound's Fisher term is
-    computed once per array and scaled by each fraction.
+    ``setup`` holds one scan table per array.  Each array's (fraction, snr)
+    cells are the stacked rows of one ``_ml_rows`` call; the bound's Fisher
+    term is computed once per array and scaled by each fraction.
     """
+    n_snapshots = setup[0].conj_combiner.shape[0]
     rng_truth = substream(seed, "aoa_rmse", trial, TAG_TRUTH)
     theta = grid.lo_rad + (grid.hi_rad - grid.lo_rad) * float(
         rng_truth.uniform(_TRUTH_LO_FRAC, _TRUTH_HI_FRAC))
@@ -313,13 +305,12 @@ def _sweep_trial(trial: int, *, seed: int, sides: tuple, fractions: tuple,
         substream(seed, "aoa_rmse", trial, TAG_NOISE_HRIS), n_snapshots)
 
     shape = (len(fractions), len(snrs_db))
-    sq_err = np.empty((len(sides),) + shape)
+    sq_err = np.empty((len(setup),) + shape)
     bound = np.empty_like(sq_err)
     root_f = np.sqrt(fractions)
     noise_var = np.array([_noise_var(s) for s in snrs_db])
-    direction = Direction(theta, azimuth_rad)
-    for i, side in enumerate(sides):
-        table = _cell_tables(side, n_snapshots, spacing_m, wavelength_m, azimuth_rad, grid)
+    for i, table in enumerate(setup):
+        direction = Direction(theta, table.azimuth_rad)
         base = table.conj_combiner @ steering_vector(table.array, direction)
         ys = root_f[:, None, None] * base + np.sqrt(noise_var)[:, None] * noise_unit
         est = _ml_rows(ys.reshape(-1, n_snapshots), np.repeat(root_f, shape[1]), table)
@@ -341,18 +332,19 @@ def rmse_experiment(n_list, sensed_fractions, n_snapshots: int, snr_db_grid,
     are paired and directly comparable.  Returns one row dict per cell in
     (N, fraction, snr) nesting order with keys matching the CSV columns.
     """
-    sides = []
+    grid = grid or AoaGrid()
+    tables = []
     for n in n_list:
         side = math.isqrt(int(n))
         if side * side != int(n):
             raise ValueError(f"array size {n} is not a perfect square")
-        sides.append(side)
+        arr = PlanarArray(side, side, spacing_m, wavelength_m)
+        tables.append(_scan_table(arr, _probe_rows(int(n_snapshots), arr.n_elements, 0),
+                                  azimuth_rad, grid))
     fractions = tuple(float(f) for f in sensed_fractions)
     snrs_db = tuple(float(s) for s in snr_db_grid)
-    trial = partial(_sweep_trial, seed=int(seed), sides=tuple(sides), fractions=fractions,
-                    snrs_db=snrs_db, n_snapshots=int(n_snapshots), spacing_m=spacing_m,
-                    wavelength_m=wavelength_m, azimuth_rad=azimuth_rad,
-                    grid=grid or AoaGrid())
+    trial = partial(_sweep_trial, setup=tuple(tables), seed=int(seed), fractions=fractions,
+                    snrs_db=snrs_db, grid=grid)
     mse, bound = trial_means(map_trials(trial, n_trials, workers))
     rmse = np.sqrt(mse)
     # The bound column is reported on the RMSE scale: sqrt of the variance

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -73,8 +73,8 @@ class PilotSchedule:
     X^H X = n_users * I; slot t transmits sqrt(tx_power) * X while the surface
     applies the per-atom rows ``rho[t]``, ``reflect_phase[t]`` and
     ``sense_phase[t]`` and combines onto ``n_rf_chains`` chains with the cycled
-    DFT rows the H stage solves (see the module docstring).  Schedules are
-    shared through caches, so they are frozen and ``build_pilot_schedule``
+    DFT rows the H stage solves (see the module docstring).  Every trial of a
+    sweep shares its schedules, so they are frozen and ``build_pilot_schedule``
     hands out read-only arrays; derive a variant with ``dataclasses.replace``.
     """
 
@@ -435,15 +435,12 @@ def trial_channels(seed: int, experiment: str, trial: int, dims: ChestDims,
                          tx_power=tx_power, pathloss_model=dims.pathloss_model)
 
 
-@lru_cache(maxsize=1)
 def _tradeoff_schedules(seed: int, rhos: tuple, n_draws: int, n_rf_chains: int,
                         pilot_count: int, dims: ChestDims):
     """One trade-off sweep's per-rho schedules, their sensing diagonals, F and the draws' D_j.
 
-    One entry, the current sweep's: its driver builds it, and so runs the H
-    stage's checks, before any trial; every trial (and fork worker) looks it
-    up.  The schedules hold base phase 0, reflecting sqrt(rho) F; D_j comes
-    from base phases keyed by the draw only (see the module docstring).
+    The schedules hold base phase 0, reflecting sqrt(rho) F; D_j comes from
+    base phases keyed by the draw only (see the module docstring).
     """
     schedules = tuple(build_pilot_schedule(dims.n_atoms, dims.n_users, n_rf_chains,
                                            pilot_count, rho) for rho in rhos)
@@ -455,12 +452,12 @@ def _tradeoff_schedules(seed: int, rhos: tuple, n_draws: int, n_rf_chains: int,
     return schedules, tuple(_sensing_diag(sched) for sched in schedules), pattern, rotations
 
 
-def _tradeoff_trial(trial: int, *, seed: int, rhos: tuple, n_draws: int, snr_db: float,
-                    n_rf_chains: int, pilot_count: int, dims: ChestDims):
+def _tradeoff_trial(trial: int, *, setup: tuple, seed: int, rhos: tuple, snr_db: float,
+                    dims: ChestDims):
+    schedules, sensed_diags, pattern, rotations = setup
+    n_draws = len(rotations)
     ch = trial_channels(seed, "chest_tradeoff", trial, dims, tx_power=10.0 ** (snr_db / 10.0))
     nmse_h, nmse_g = np.empty((2, len(rhos), n_draws))
-    schedules, sensed_diags, pattern, rotations = _tradeoff_schedules(
-        seed, rhos, n_draws, n_rf_chains, pilot_count, dims)
     # Every (rho, draw) cell of one trial sees identical noise, so curves are
     # paired: the noise of each stage is drawn once and serves every cell.
     # The H stage never reads the reflection phases, the only thing the draws
@@ -500,9 +497,9 @@ def tradeoff_experiment(rho_grid, n_phase_draws: int, n_trials: int, seed: int,
     dims = dims or ChestDims()
     rhos = tuple(float(r) for r in rho_grid)
     seed, n_draws = int(seed), int(n_phase_draws)
-    _tradeoff_schedules(seed, rhos, n_draws, n_rf_chains, pilot_count, dims)
-    trial = partial(_tradeoff_trial, seed=seed, rhos=rhos, n_draws=n_draws, snr_db=float(snr_db),
-                    n_rf_chains=n_rf_chains, pilot_count=pilot_count, dims=dims)
+    setup = _tradeoff_schedules(seed, rhos, n_draws, n_rf_chains, pilot_count, dims)
+    trial = partial(_tradeoff_trial, setup=setup, seed=seed, rhos=rhos, snr_db=float(snr_db),
+                    dims=dims)
     import scipy.linalg  # for _estimate_G; loaded mid-trial instead, later trials ran slower
     nmse_h, nmse_g = trial_means(map_trials(trial, n_trials, workers))
     return sweep_rows({"rho": rhos, "phase_draw": range(n_draws)},
@@ -510,22 +507,20 @@ def tradeoff_experiment(rho_grid, n_phase_draws: int, n_trials: int, seed: int,
                        "nmse_G": nmse_g, "nmse_G_db": db(nmse_g)})
 
 
-@lru_cache(maxsize=1)
 def _sweep_schedules(nr_grid: tuple, n_slots: int, rho: float, dims: ChestDims):
-    """One chain sweep's schedules and sensing diagonals; one entry, as ``_tradeoff_schedules``."""
+    """One chain sweep's schedules, one per chain count, and their sensing diagonals."""
     schedules = tuple(build_pilot_schedule(dims.n_atoms, dims.n_users, n_rf,
                                            n_slots * dims.n_users, rho)
                       for n_rf in nr_grid)
     return schedules, tuple(_sensing_diag(sched) for sched in schedules)
 
 
-def _sweep_trial(trial: int, *, seed: int, nr_grid: tuple, snrs_db: tuple, rho: float,
-                 n_slots: int, dims: ChestDims):
-    pilot_count = n_slots * dims.n_users
+def _sweep_trial(trial: int, *, setup: tuple, seed: int, snrs_db: tuple, dims: ChestDims):
+    schedules, sensed_diags = setup
+    n_slots, pilot_count = schedules[0].n_slots, schedules[0].pilot_count
     whole_cycles = n_slots % dims.n_atoms == 0
     baseline = baseline_identifiable(pilot_count, dims.n_users, dims.n_atoms)
     ch0 = trial_channels(seed, "rf_chain_sweep", trial, dims)
-    schedules, sensed_diags = _sweep_schedules(nr_grid, n_slots, rho, dims)
     # Every cell of one trial sees identical noise, so curves are paired: the
     # noise of each stage is drawn once and serves every SNR.  The schedules
     # differ only in their chain counts, so each takes its prefix of one sensed
@@ -540,7 +535,7 @@ def _sweep_trial(trial: int, *, seed: int, nr_grid: tuple, snrs_db: tuple, rho: 
                else _reflected_noise(n_slots, ch0, noise_rng(TAG_NOISE_BS)))
     if baseline:
         noise_base = _baseline_noise(ch0, pilot_count, noise_rng(TAG_NOISE_BASELINE))
-    casc = np.empty((len(nr_grid), len(snrs_db)))
+    casc = np.empty((len(schedules), len(snrs_db)))
     base = np.full(len(snrs_db), np.nan)
     for s, snr_db in enumerate(snrs_db):
         ch = replace(ch0, tx_power=10.0 ** (snr_db / 10.0))
@@ -574,9 +569,8 @@ def rf_chain_sweep(n_rf_grid, snr_db_list, n_trials: int, seed: int,
     n_slots = int(n_slots)
     nr_grid = tuple(int(n) for n in n_rf_grid)
     snrs_db = tuple(float(s) for s in snr_db_list)
-    _sweep_schedules(nr_grid, n_slots, float(rho), dims)
-    trial = partial(_sweep_trial, seed=int(seed), nr_grid=nr_grid, snrs_db=snrs_db,
-                    rho=float(rho), n_slots=n_slots, dims=dims)
+    trial = partial(_sweep_trial, setup=_sweep_schedules(nr_grid, n_slots, float(rho), dims),
+                    seed=int(seed), snrs_db=snrs_db, dims=dims)
     casc, base = trial_means(map_trials(trial, n_trials, workers))
     feasible = baseline_identifiable(n_slots * dims.n_users, dims.n_users, dims.n_atoms)
     base = np.broadcast_to(base, casc.shape)

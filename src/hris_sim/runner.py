@@ -7,22 +7,20 @@ quantities, wall-clock duration and environment.  CSV contents depend only on
 are printed through one fixed format so repeated runs are byte-identical.
 The metadata's ``results_sha256`` covers the unrounded cells, last bits too.
 
-Before its first trial, a process fixes glibc's malloc thresholds (see
-``_keep_heap_mapped``), so the heap one trial frees stays mapped for the next
-and its fork workers inherit the setting; ``environment.malloc`` records it.
+Before its first trial a run fixes glibc's malloc thresholds, as each pool
+worker does itself (``parallel._keep_heap_mapped``), so the heap one trial
+frees stays mapped for the next; ``environment.malloc`` records them.
 """
 
 from __future__ import annotations
 
 import csv
-import ctypes
 import hashlib
 import json
 import math
 import os
 import platform
 import time
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +29,7 @@ import scipy
 from .channels import save_matrix
 from .chest import trial_channels
 from .config import EXPERIMENTS, ExperimentConfig, parse_seed, parse_workers
+from .parallel import _keep_heap_mapped
 from .rng import TAG_CHANNEL
 from .version import __version__
 
@@ -52,29 +51,6 @@ def write_csv(path, rows: list[dict], columns: list[str]) -> None:
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_format_cell(row[c]) for c in columns])
-
-
-# glibc's mallopt(3) parameter numbers and the values set: those its dynamic rule
-# reaches after freeing one 32 MiB block.
-_MALLOC_THRESHOLDS = {"M_TRIM_THRESHOLD": (-1, 64 << 20), "M_MMAP_THRESHOLD": (-3, 32 << 20)}
-
-
-@lru_cache(maxsize=1)
-def _keep_heap_mapped() -> dict | None:
-    """Fix glibc's malloc trim and mmap thresholds, once per process; returns those set.
-
-    Under the dynamic defaults a chain-sweep trial hands about 1 MB of heap back
-    to the kernel and faults it in again on the next, some 260 minor faults.
-    Fork workers inherit the setting.  None where the C library has no ``mallopt``.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return None
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    done = {name: value for name, (param, value) in _MALLOC_THRESHOLDS.items()
-            if mallopt(param, value) == 1}
-    return done or None
 
 
 def results_digest(rows: list[dict], columns: list[str]) -> str:

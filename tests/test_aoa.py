@@ -150,8 +150,9 @@ def test_degenerate_response_raises_on_sweep_path(monkeypatch):
     """The stacked-rows estimator the sweep calls raises for the same column."""
     column = PlanarArray(1, 2, 0.004, 0.0157)
     combiner = np.array([[1.0, -1.0], [1.0, -1.0]], dtype=complex)
-    monkeypatch.setattr(aoa, "_cell_tables", lambda side, n_snapshots, *rest: (
-        aoa._scan_table(column, combiner, 0.0, rest[-1])))
+    scan_table = aoa._scan_table
+    monkeypatch.setattr(aoa, "_scan_table", lambda array, rows, azimuth_rad, grid: (
+        scan_table(column, combiner, 0.0, grid)))
     with pytest.raises(EstimationInfeasibleError):
         rmse_experiment([4], [0.3, 0.9], 2, [0.0, 10.0, 20.0], 1, seed=0, **SWEEP)
 
@@ -250,6 +251,33 @@ def test_rmse_experiment_rejects_non_square_counts():
         rmse_experiment([10], [0.5], 8, [0.0], 2, seed=0, **SWEEP)
 
 
+def test_rmse_experiment_names_missing_trials():
+    """Zero trials used to fail unpacking an empty mean: 'not enough values to unpack'."""
+    with pytest.raises(ValueError, match="n_trials must be at least 1"):
+        rmse_experiment([16], [0.5], 8, [0.0], 0, seed=0, **SWEEP)
+
+
+def test_rmse_experiment_builds_each_scan_table_once(monkeypatch):
+    """One table per array size and run, however many sizes: 9 sizes, 3 trials, 9 builds.
+
+    A per-process cache of 8 tables used to evict every table of a 9-size
+    sweep before its next use, rebuilding all 9 in every trial.
+    """
+    calls = []
+    scan_table = aoa._scan_table
+
+    def counted(*args):
+        calls.append(args[0].n_elements)
+        return scan_table(*args)
+
+    monkeypatch.setattr(aoa, "_scan_table", counted)
+    sizes = [side * side for side in range(2, 11)]
+    rows = rmse_experiment(sizes, [0.5], 4, [10.0], 3, seed=1, grid=AoaGrid(n_points=31),
+                           **SWEEP)
+    assert len(rows) == 9
+    assert calls == sizes
+
+
 def test_higher_fraction_never_worse():
     rows = rmse_experiment([36], [0.2, 0.8], 32, [0.0, 10.0], 30, seed=11, **SWEEP)
     by_cell = {(r["sensed_fraction"], r["snr_db"]): r["rmse_rad"] for r in rows}
@@ -318,14 +346,20 @@ def test_truth_at_grid_edge_gives_one_sided_bracket(edge):
         truth, abs=1e-7)
 
 
+def _sweep_setup(sides, n_snapshots, azimuth_rad, grid):
+    """The scan tables rmse_experiment binds into its trials, one per array side."""
+    return tuple(aoa._scan_table(PlanarArray(side, side, 0.004, 0.0157),
+                                 aoa._probe_rows(n_snapshots, side * side, 0), azimuth_rad, grid)
+                 for side in sides)
+
+
 def test_sweep_trial_matches_per_cell_estimates_and_bounds():
     """One sweep trial equals estimating and bounding every cell on its own."""
     grid = AoaGrid()
     fractions, snrs = (0.3, 0.9), (-5.0, 10.0, math.inf)
     sides = (4, 6)
-    sq_err, bound = aoa._sweep_trial(2, seed=9, sides=sides, fractions=fractions,
-                                     snrs_db=snrs, n_snapshots=32, spacing_m=0.004,
-                                     wavelength_m=0.0157, azimuth_rad=0.4, grid=grid)
+    sq_err, bound = aoa._sweep_trial(2, setup=_sweep_setup(sides, 32, 0.4, grid), seed=9,
+                                     fractions=fractions, snrs_db=snrs, grid=grid)
     u = substream(9, "aoa_rmse", 2, TAG_TRUTH).uniform(aoa._TRUTH_LO_FRAC,
                                                        aoa._TRUTH_HI_FRAC)
     theta = grid.lo_rad + (grid.hi_rad - grid.lo_rad) * float(u)
@@ -346,10 +380,11 @@ def test_sweep_trial_matches_per_cell_estimates_and_bounds():
 @pytest.mark.parametrize("azimuth_rad", [-math.pi / 6.0, 2.0 * math.pi + 0.4])
 def test_sweep_trial_depends_on_the_wrapped_azimuth_only(azimuth_rad):
     """A negative azimuth, or one of 2*pi and above, runs the trial of its wrapped value."""
-    kwargs = dict(seed=5, sides=(4, 6), fractions=(0.3, 0.9), snrs_db=(0.0, 20.0),
-                  n_snapshots=16, spacing_m=0.004, wavelength_m=0.0157, grid=AoaGrid())
-    given = aoa._sweep_trial(1, azimuth_rad=azimuth_rad, **kwargs)
-    wrapped = aoa._sweep_trial(1, azimuth_rad=float(np.mod(azimuth_rad, 2.0 * math.pi)),
-                               **kwargs)
+    grid = AoaGrid()
+    kwargs = dict(seed=5, fractions=(0.3, 0.9), snrs_db=(0.0, 20.0), grid=grid)
+    given = aoa._sweep_trial(1, setup=_sweep_setup((4, 6), 16, azimuth_rad, grid), **kwargs)
+    wrapped = aoa._sweep_trial(
+        1, setup=_sweep_setup((4, 6), 16, float(np.mod(azimuth_rad, 2.0 * math.pi)), grid),
+        **kwargs)
     for a, b in zip(given, wrapped):
         assert np.array_equal(a, b)

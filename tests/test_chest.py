@@ -222,8 +222,8 @@ _ESTIMATE_DIGEST = """
 import hashlib
 import numpy as np
 from hris_sim.channels import LinkGeometry, draw_channels
-from hris_sim.chest import (ChestDims, _sweep_trial, build_pilot_schedule, cascaded_ls_baseline,
-                            hris_estimate_H)
+from hris_sim.chest import (ChestDims, _sweep_schedules, _sweep_trial, build_pilot_schedule,
+                            cascaded_ls_baseline, hris_estimate_H)
 from hris_sim.rng import TAG_NOISE_BASELINE, TAG_NOISE_HRIS, substream
 ch = draw_channels(LinkGeometry(), 64, 8, 16, np.random.default_rng(4), pathloss_model="none")
 digest = hashlib.sha256()
@@ -232,8 +232,8 @@ for n_rf, pilot_count in ((8, 70), (1, 512), (8, 512)):
     rng = substream(7, "unit_test", n_rf, TAG_NOISE_HRIS)
     digest.update(hris_estimate_H(sched, ch, rng).tobytes())
 digest.update(cascaded_ls_baseline(ch, 512, substream(7, "unit_test", 0, TAG_NOISE_BASELINE)).tobytes())
-for result in _sweep_trial(1, seed=7, nr_grid=(1, 2, 4, 8), snrs_db=(0.0, 10.0), rho=0.5,
-                           n_slots=64, dims=ChestDims()):
+for result in _sweep_trial(1, setup=_sweep_schedules((1, 2, 4, 8), 64, 0.5, ChestDims()),
+                           seed=7, snrs_db=(0.0, 10.0), dims=ChestDims()):
     digest.update(result.tobytes())
 print(digest.hexdigest())
 """
@@ -257,7 +257,7 @@ def test_h_stage_and_baseline_do_not_depend_on_blas_threads():
 
 
 def test_cached_schedules_are_read_only():
-    """A caller cannot change the schedule the cache hands to the next caller."""
+    """A trial cannot change the schedules every trial of its sweep shares."""
     dims = ChestDims(n_atoms=8, n_users=2, n_bs_antennas=4)
     key = (1, (0.5,), 1, 2, 8, dims)
     schedules, diags, pattern, rotations = _tradeoff_schedules(*key)
@@ -270,7 +270,6 @@ def test_cached_schedules_are_read_only():
     with pytest.raises(FrozenInstanceError):
         sched.rho = np.full_like(sched.rho, 0.9)
     again = _tradeoff_schedules(*key)[0][0]
-    assert again is sched
     np.testing.assert_array_equal(again.rho, 0.5)
     (swept,), _ = _sweep_schedules((2,), 4, 0.5, dims)
     for name in ("pilots", "rho", "reflect_phase", "sense_phase"):
@@ -382,9 +381,9 @@ def _count_noise_draws(monkeypatch):
 
 def test_sweep_trial_draws_each_noise_once(monkeypatch):
     """A fig6 trial draws one G-stage, one baseline and one H-stage noise, the last for 8 chains."""
+    setup = _sweep_schedules((1, 2, 4, 8), 64, 0.5, ChestDims())
     calls = _count_noise_draws(monkeypatch)
-    _sweep_trial(0, seed=3, nr_grid=(1, 2, 4, 8), snrs_db=(0.0, 10.0), rho=0.5, n_slots=64,
-                 dims=ChestDims())
+    _sweep_trial(0, setup=setup, seed=3, snrs_db=(0.0, 10.0), dims=ChestDims())
     assert sorted(calls) == sorted([(64, 8, 8), (64, 16, 8), (64, 16, 8)])
 
 
@@ -424,14 +423,14 @@ def test_sensed_noises_draw_nothing_at_zero_noise():
 
 def test_tradeoff_trial_draws_each_noise_once(monkeypatch):
     """A fig5 trial draws one H-stage and one G-stage noise for all 27 cells."""
+    setup = _tradeoff_schedules(3, FIG5_RHOS, 3, 8, 70, ChestDims())
     calls = _count_noise_draws(monkeypatch)
-    _tradeoff_trial(0, seed=3, rhos=FIG5_RHOS, n_draws=3, snr_db=30.0, n_rf_chains=8,
-                    pilot_count=70, dims=ChestDims())
+    _tradeoff_trial(0, setup=setup, seed=3, rhos=FIG5_RHOS, snr_db=30.0, dims=ChestDims())
     assert calls == [(9, 8, 8), (9, 16, 8)]
 
 
 def test_tradeoff_trials_build_and_check_each_schedule_once(monkeypatch):
-    """Trials of one sweep share its schedules and checked sensing diagonals, whatever the grid."""
+    """One run builds and checks each schedule once for all its trials, whatever the grid."""
     counts = {"build_pilot_schedule": 0, "_sensing_diag": 0}
     for name in counts:
         def counted(*args, _name=name, _fn=getattr(chest, name), **kwargs):
@@ -441,9 +440,8 @@ def test_tradeoff_trials_build_and_check_each_schedule_once(monkeypatch):
         monkeypatch.setattr(chest, name, counted)
     dims = ChestDims(n_atoms=8, n_users=2, n_bs_antennas=4)
     rhos = tuple(round(0.04 * i, 2) for i in range(1, 23))  # 22 rhos x 3 draws = 66 cells
-    for trial in range(3):
-        _tradeoff_trial(trial, seed=424242, rhos=rhos, n_draws=3, snr_db=30.0, n_rf_chains=2,
-                        pilot_count=8, dims=dims)
+    tradeoff_experiment(rhos, 3, 3, seed=424242, snr_db=30.0, n_rf_chains=2, pilot_count=8,
+                        dims=dims)
     # One schedule per rho: the draws only rotate its reflections.
     assert counts == {"build_pilot_schedule": 22, "_sensing_diag": 22}
 
@@ -465,9 +463,9 @@ def _count_g_solves(monkeypatch):
 
 def test_tradeoff_trial_factors_and_solves_once_per_rho(monkeypatch):
     """A fig5 trial of 9 rhos x 3 draws runs 9 Cholesky factorisations and 9 cho_solves."""
+    setup = _tradeoff_schedules(3, FIG5_RHOS, 3, 8, 70, ChestDims())
     counts = _count_g_solves(monkeypatch)
-    _tradeoff_trial(0, seed=3, rhos=FIG5_RHOS, n_draws=3, snr_db=30.0, n_rf_chains=8,
-                    pilot_count=70, dims=ChestDims())
+    _tradeoff_trial(0, setup=setup, seed=3, rhos=FIG5_RHOS, snr_db=30.0, dims=ChestDims())
     assert counts == {"cholesky": 9, "cho_solve": 9}
 
 
@@ -479,10 +477,10 @@ def test_whole_cycle_sweep_trial_factors_nothing(monkeypatch, n_slots, n_cholesk
     solves each cell alone, once per chain count and SNR; both paths draw the
     same noise arrays, the sensed one once for the largest chain count.
     """
+    setup = _sweep_schedules((1, 2, 4, 8), n_slots, 0.5, ChestDims())
     counts = _count_g_solves(monkeypatch)
     draws = _count_noise_draws(monkeypatch)
-    _sweep_trial(0, seed=3, nr_grid=(1, 2, 4, 8), snrs_db=(0.0, 10.0), rho=0.5, n_slots=n_slots,
-                 dims=ChestDims())
+    _sweep_trial(0, setup=setup, seed=3, snrs_db=(0.0, 10.0), dims=ChestDims())
     assert counts == {"cholesky": n_cholesky, "cho_solve": n_cho_solve}
     assert sorted(draws) == sorted([(n_slots, n_rf, 8) for n_rf in (8, 16, 16)])
 
@@ -551,8 +549,8 @@ def _tradeoff_trial_by_oracle(seed, trial, rhos, n_draws, n_rf_chains, pilot_cou
 
 def _assert_tradeoff_trial_matches_oracles(seed, trial, rhos, n_draws, dims):
     """A fig5-shaped trial: the rotated oracle's bits, lstsq's within LSTSQ_RTOL."""
-    got = _tradeoff_trial(trial, seed=seed, rhos=rhos, n_draws=n_draws, snr_db=30.0,
-                          n_rf_chains=8, pilot_count=70, dims=dims)
+    got = _tradeoff_trial(trial, setup=_tradeoff_schedules(seed, rhos, n_draws, 8, 70, dims),
+                          seed=seed, rhos=rhos, snr_db=30.0, dims=dims)
     args = (seed, trial, rhos, n_draws, 8, 70, dims)
     exact = _tradeoff_trial_by_oracle(*args, TRADEOFF_CLOSED_FORM)
     near = _tradeoff_trial_by_oracle(*args, TRADEOFF_LSTSQ)
@@ -601,8 +599,8 @@ def _sweep_trial_by_oracle(seed, trial, nr_grid, snrs_db, n_slots, dims, solvers
 def _assert_sweep_trial_matches_oracles(n_slots, closed_form):
     """A fig6-shaped trial, baseline on, on the path ``_sweep_trial`` picks for ``n_slots``."""
     seed, trial, nr_grid, snrs_db, dims = 20260823, 2, (1, 8), (0.0, 10.0), ChestDims()
-    got = _sweep_trial(trial, seed=seed, nr_grid=nr_grid, snrs_db=snrs_db, rho=0.5,
-                       n_slots=n_slots, dims=dims)
+    got = _sweep_trial(trial, setup=_sweep_schedules(nr_grid, n_slots, 0.5, dims), seed=seed,
+                       snrs_db=snrs_db, dims=dims)
     args = (seed, trial, nr_grid, snrs_db, n_slots, dims)
     exact = _sweep_trial_by_oracle(*args, closed_form)
     near = _sweep_trial_by_oracle(*args, LSTSQ)
@@ -783,6 +781,17 @@ def test_unidentifiable_h_stage_raises_before_any_trial(monkeypatch, workers):
                        workers=workers)
     with pytest.raises(IdentifiabilityError, match="rank 4 < 8"):
         tradeoff_experiment([0.5], 1, 4, seed=1, snr_db=30.0, n_rf_chains=1, pilot_count=8,
+                            dims=dims, workers=workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_chest_sweeps_name_missing_trials(workers):
+    """Zero trials used to fail unpacking an empty mean: 'not enough values to unpack'."""
+    dims = ChestDims(n_atoms=8, n_users=2, n_bs_antennas=4)
+    with pytest.raises(ValueError, match="n_trials must be at least 1"):
+        rf_chain_sweep([1, 2], [0.0], 0, seed=1, rho=0.5, dims=dims, n_slots=8, workers=workers)
+    with pytest.raises(ValueError, match="n_trials must be at least 1"):
+        tradeoff_experiment([0.5], 1, 0, seed=1, snr_db=30.0, n_rf_chains=2, pilot_count=8,
                             dims=dims, workers=workers)
 
 

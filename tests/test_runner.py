@@ -2,6 +2,7 @@
 
 import copy
 import json
+import multiprocessing
 import os
 import platform
 import subprocess
@@ -152,6 +153,56 @@ def test_results_digest_is_worker_invariant(tmp_path, tree):
     assert _digest_and_csv(tmp_path / "w2", tree, workers=2) == (digest, csv_bytes)
 
 
+_START_METHOD_SCRIPT = """
+import json, multiprocessing, sys
+from hris_sim import config, parallel, runner
+
+
+def heap_probe(trial):
+    # Whether this process fixed its heap thresholds before the trial, and what it set.
+    return parallel._keep_heap_mapped.cache_info().currsize, parallel._keep_heap_mapped()
+
+
+if __name__ == "__main__":
+    out, method, trees = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+    multiprocessing.set_start_method(method)
+    digests = {}
+    for tree in trees:
+        for workers in (1, 2):
+            paths = runner.run(config.parse_config_tree(tree), workers=workers,
+                               out_dir=f"{out}/{tree['experiment']}_w{workers}")
+            meta = json.load(open(paths["metadata"]))
+            digests.setdefault(tree["experiment"], []).append(meta["results_sha256"])
+    heap = parallel.map_trials(heap_probe, 2, 2)
+    print(json.dumps({"digests": digests, "heap": heap, "malloc": meta["environment"]["malloc"]}))
+"""
+
+
+@pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+def test_results_digest_does_not_depend_on_the_start_method(tmp_path, method):
+    """Tiny fig4, fig5 and fig6 trees give one digest at workers 1 and 2 under every start method.
+
+    Pool workers get the trial callable, set-up bound in, from the pool's
+    initializer, which also fixes their heap thresholds before their first
+    trial: a spawn or forkserver worker inherits neither from the parent.
+    """
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    trees = [_tiny_aoa_tree(), _tiny_tradeoff_tree(), _tiny_sweep_tree()]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(workloads.SRC), os.environ.get("PYTHONPATH")])))
+    script = tmp_path / "start_method.py"
+    script.write_text(_START_METHOD_SCRIPT)
+    proc = subprocess.run([sys.executable, str(script), str(tmp_path), method, json.dumps(trees)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert set(result["digests"]) == {"aoa_rmse", "chest_tradeoff", "rf_chain_sweep"}
+    for w1, w2 in result["digests"].values():
+        assert len(w1) == 64 and w1 == w2
+    assert result["heap"] == [[1, result["malloc"]]] * 2
+
+
 def test_results_digest_sees_what_the_csv_cannot(tmp_path, monkeypatch):
     """Summing the trials in reverse moves last bits only: the CSV stays, the digest moves."""
     import hris_sim.chest as chest_mod
@@ -236,10 +287,11 @@ def test_map_trials_pool_never_outnumbers_the_trials(monkeypatch):
     pools = []
 
     class RecordingPool:
-        """Records the pool size asked for and maps in-process: no worker starts."""
+        """Records the pool size asked for, starts its one "worker" in-process and maps there."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             pools.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -251,6 +303,7 @@ def test_map_trials_pool_never_outnumbers_the_trials(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(parallel, "_worker_trial", None)
     assert parallel.map_trials(str, 3, workers=100_000) == ["0", "1", "2"]
     assert parallel.map_trials(str, 40, workers=4) == [str(t) for t in range(40)]
     assert parallel.map_trials(str, 1, workers=64) == ["0"]
