@@ -19,15 +19,16 @@ index r, Q^H Q = F^H diag(c) F, so pinv(Q) y is the inverse DFT of the means
 of y's rows grouped by index, exact whenever every c_r >= 1.  Both stages are
 linear in their noise, so an estimate is the truth plus that solve of the
 noise alone, scaled by the cell's pilot amplitude and sensing gain.
-The base-station stage solves its N x N normal equations by Cholesky, with
-the Gram matrix built from the Hadamard structure of its stacked regressors.
+The base-station stage solves its N x N normal equations in one LAPACK zposv
+call (a Cholesky factorisation and both triangular solves), its Gram matrix
+built from the Hadamard structure of its stacked regressors.
 Its right-hand side is factored the same way: Z^H Y sums conj(R[t, n] W[n, k])
 Y_t[m, k] over slots t and pilot columns k, so the slot sum
 V = conj(R)^T Y depends only on the reflections and the observations, and
 each forwarded H estimate adds only the sum over k with its own W = H_hat X.
 With n_slots a multiple of N at base phase 0 (the chain sweep's default),
 R^H R = rho n_slots I: every Gram is diagonal and no LAPACK routine runs.
-Only the Cholesky path (and the power-split driver) imports scipy.linalg.
+Only that solve (and the power-split driver) imports scipy.linalg.
 
 Each estimator is split into observe and solve steps that take their noise
 as an argument; the public functions draw it from the generator they are
@@ -45,8 +46,8 @@ j at rho reflects sqrt(rho) F D_j (F the cycled DFT pattern, D_j =
 diag(exp(j base_j))), so its Gram is D_j^H Gram_rho D_j and D_j V = rho P_j +
 sqrt(rho) P_N, with P_j and P_N draw j's unit-amplitude signal and the noise
 summed against conj(F).  By linearity one solve of Gram_rho against P_0 ..
-P_N serves every draw: a fig5 trial runs 9 Cholesky factorisations, 9 solves
-and 4 contractions (3 draws and the noise) instead of 27 of each.
+P_N serves every draw: a fig5 trial runs 9 zposv calls and 4 contractions (3
+draws and the noise) instead of 27 of each.
 """
 
 from __future__ import annotations
@@ -108,6 +109,14 @@ class PilotSchedule:
         gains.setflags(write=False)
         return gains
 
+    @cached_property
+    def reflection_gram(self) -> np.ndarray:
+        """Read-only slot-domain Gram conj(R)^T R, computed once per schedule like R itself."""
+        refl = self.reflection_gains
+        gram = np.conj(refl).T @ refl
+        gram.setflags(write=False)
+        return gram
+
 
 def _dft(n: int) -> np.ndarray:
     """The n-point DFT matrix, F[r, c] = exp(-2j pi r c / n), by scipy.linalg.dft's formula."""
@@ -127,19 +136,6 @@ def _dft_lstsq(rows: np.ndarray, n_atoms: int) -> np.ndarray:
     counts = np.full(n_atoms, full)
     counts[:rem] += 1
     return np.fft.ifft(sums / counts[:, None], axis=0)
-
-
-def _cholesky(gram: np.ndarray):
-    """Lower Cholesky factor of one N x N Gram and its squared pivot ratio (min diag / max diag)^2.
-
-    A Gram that is not numerically positive definite gives (None, 0.0).
-    """
-    try:
-        lower = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        return None, 0.0
-    pivots = np.diagonal(lower).real
-    return lower, (pivots.min() / pivots.max()) ** 2
 
 
 def _scorer(truth: np.ndarray):
@@ -297,19 +293,19 @@ def _estimate_G(sched: PilotSchedule, ch: ChannelSet, h_hat: np.ndarray,
 
     ``contracted`` (N, C, K) holds right-hand sides summed over slots against
     the reflections, C = M for ``_contract_reflected`` of ``sched``; cells
-    that share the observations share it.  One Cholesky factorisation, one
-    pivot check (which a non-finite Gram fails) and one ``cho_solve`` (both
-    triangular solves, without scipy's finiteness scan) finish the cell.
+    that share the observations share it.  One LAPACK zposv call factors the
+    Gram and runs both triangular solves; the pivot check, which a Gram that
+    is not positive definite or not finite fails, reads the factor's diagonal.
     """
-    # Imported here so that runs without a Cholesky solve never load scipy.linalg.
-    from scipy.linalg import cho_solve
-    refl = sched.reflection_gains  # (slots, N)
+    # Imported here so that runs without a G-stage solve never load scipy.linalg.
+    from scipy.linalg.lapack import zposv
     w = h_hat @ (math.sqrt(ch.tx_power) * sched.pilots)
-    lower, ratio = _cholesky((np.conj(w) @ w.T) * (np.conj(refl).T @ refl))
-    _check_pivots(sched, h_hat, ratio)
     # Z^H Y[n, m] = sum_k conj(W[n, k]) V[n, m, k].
-    return cho_solve((lower, True), (contracted @ np.conj(w)[:, :, None])[:, :, 0],
-                     check_finite=False).T
+    lower, solved, info = zposv((np.conj(w) @ w.T) * sched.reflection_gram,
+                                (contracted @ np.conj(w)[:, :, None])[:, :, 0], lower=1)
+    pivots = np.diagonal(lower).real
+    _check_pivots(sched, h_hat, (pivots.min() / pivots.max()) ** 2 if info == 0 else 0.0)
+    return solved.T
 
 
 def _estimate_G_whole_cycles(sched: PilotSchedule, ch: ChannelSet, h_hats, solved_noise):
@@ -335,8 +331,8 @@ def bs_estimate_G(sched: PilotSchedule, ch: ChannelSet, h_hat: np.ndarray,
     matrix factors as (conj(W) W^T) * (R^H R), the element-wise product of the
     pilot-domain Gram of W = H_hat X and the slot-domain Gram of the (slots,
     N) reflection gains R; their right-hand side as the sum over pilot
-    columns of conj(W) times V = R^H Y.  Cholesky and two triangular solves
-    finish it.
+    columns of conj(W) times V = R^H Y.  One LAPACK zposv call, a Cholesky
+    factorisation and two triangular solves, finishes it.
 
     Raises IdentifiabilityError when the factorisation fails or its pivots
     say the stacked regressors do not reach rank n_atoms (too few slots, a

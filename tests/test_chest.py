@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
+import scipy.linalg.lapack
 from scipy.linalg import dft
 
 from hris_sim.channels import (ChannelSet, LinkGeometry, cascaded_per_user,
@@ -292,6 +292,21 @@ def test_reflection_gains_cached_per_schedule_and_fresh_after_replace():
     assert sched.reflection_gains is gains
 
 
+def test_reflection_gram_cached_per_schedule_and_fresh_after_replace():
+    """The slot-domain Gram is conj(R)^T R bit for bit, read-only, and kept per schedule."""
+    sched = build_pilot_schedule(8, 2, 2, 24, 0.5)  # 12 slots: off whole DFT cycles
+    gram = sched.reflection_gram
+    assert sched.reflection_gram is gram
+    assert not gram.flags.writeable
+    refl = sched.reflection_gains
+    assert np.array_equal(gram, np.conj(refl).T @ refl)
+    variant = replace(sched, rho=np.full_like(sched.rho, 0.25))
+    variant_refl = variant.reflection_gains
+    assert np.array_equal(variant.reflection_gram, np.conj(variant_refl).T @ variant_refl)
+    assert not np.array_equal(variant.reflection_gram, gram)
+    assert sched.reflection_gram is gram
+
+
 def test_sweep_schedules_share_their_reflections():
     """The chain sweep observes the reflected pilots once for every chain count."""
     schedules, _ = _sweep_schedules((1, 2, 4, 8), 64, 0.5, ChestDims())
@@ -335,7 +350,8 @@ def test_stacked_g_solve_names_the_degenerate_cell(scale, rank):
 def test_non_finite_gram_fails_the_pivot_check(bad):
     """A non-finite H estimate gives a non-finite Gram: IdentifiabilityError on both G paths.
 
-    The Cholesky path then never reaches ``cho_solve``, which skips scipy's finiteness scan.
+    The general path checks the pivots of ``zposv``'s factor before it returns
+    the solve, and no finiteness scan runs on the Gram or the right-hand side.
     """
     sched = build_pilot_schedule(8, 2, 2, 16, 0.5)  # 8 slots: one DFT cycle
     ch = _channels(8, 2, 4, noise_var_hris=0.0, noise_var_bs=0.0)
@@ -447,7 +463,7 @@ def test_tradeoff_trials_build_and_check_each_schedule_once(monkeypatch):
 
 
 def _count_g_solves(monkeypatch):
-    counts = {"cholesky": 0, "cho_solve": 0}
+    counts = {"zposv": 0, "cholesky": 0}
 
     def counter(name, fn):
         def counted(*args, **kwargs):
@@ -455,33 +471,34 @@ def _count_g_solves(monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
+    # _estimate_G imports zposv from scipy.linalg.lapack on each call, so patch it there.
+    monkeypatch.setattr(scipy.linalg.lapack, "zposv", counter("zposv", scipy.linalg.lapack.zposv))
     monkeypatch.setattr(np.linalg, "cholesky", counter("cholesky", np.linalg.cholesky))
-    # _estimate_G imports cho_solve from scipy.linalg on each call, so patch it there.
-    monkeypatch.setattr(scipy.linalg, "cho_solve", counter("cho_solve", scipy.linalg.cho_solve))
     return counts
 
 
 def test_tradeoff_trial_factors_and_solves_once_per_rho(monkeypatch):
-    """A fig5 trial of 9 rhos x 3 draws runs 9 Cholesky factorisations and 9 cho_solves."""
+    """A fig5 trial of 9 rhos x 3 draws factors and solves in 9 zposv calls, no numpy Cholesky."""
     setup = _tradeoff_schedules(3, FIG5_RHOS, 3, 8, 70, ChestDims())
     counts = _count_g_solves(monkeypatch)
     _tradeoff_trial(0, setup=setup, seed=3, rhos=FIG5_RHOS, snr_db=30.0, dims=ChestDims())
-    assert counts == {"cholesky": 9, "cho_solve": 9}
+    assert counts == {"zposv": 9, "cholesky": 0}
 
 
-@pytest.mark.parametrize("n_slots, n_cholesky, n_cho_solve", [(64, 0, 0), (72, 8, 8)])
-def test_whole_cycle_sweep_trial_factors_nothing(monkeypatch, n_slots, n_cholesky, n_cho_solve):
-    """A fig6 trial (4 chain counts, 2 SNRs) over whole cycles runs no Cholesky and no cho_solve.
+@pytest.mark.parametrize("n_slots, n_zposv", [(64, 0), (72, 8)])
+def test_whole_cycle_sweep_trial_factors_nothing(monkeypatch, n_slots, n_zposv):
+    """A fig6 trial (4 chain counts, 2 SNRs) over whole cycles calls no zposv and no Cholesky.
 
     Off whole cycles (72 slots over 64 atoms) the general path factors and
-    solves each cell alone, once per chain count and SNR; both paths draw the
-    same noise arrays, the sensed one once for the largest chain count.
+    solves each cell alone in one zposv call, once per chain count and SNR;
+    both paths draw the same noise arrays, the sensed one once for the
+    largest chain count.
     """
     setup = _sweep_schedules((1, 2, 4, 8), n_slots, 0.5, ChestDims())
     counts = _count_g_solves(monkeypatch)
     draws = _count_noise_draws(monkeypatch)
     _sweep_trial(0, setup=setup, seed=3, snrs_db=(0.0, 10.0), dims=ChestDims())
-    assert counts == {"cholesky": n_cholesky, "cho_solve": n_cho_solve}
+    assert counts == {"zposv": n_zposv, "cholesky": 0}
     assert sorted(draws) == sorted([(n_slots, n_rf, 8) for n_rf in (8, 16, 16)])
 
 
