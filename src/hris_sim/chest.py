@@ -28,7 +28,7 @@ V = conj(R)^T Y depends only on the reflections and the observations, and
 each forwarded H estimate adds only the sum over k with its own W = H_hat X.
 With n_slots a multiple of N at base phase 0 (the chain sweep's default),
 R^H R = rho n_slots I: every Gram is diagonal and no LAPACK routine runs.
-Only that solve (and the power-split driver) imports scipy.linalg.
+That solve's zposv comes from scipy's compiled LAPACK wrapper alone (``_lapack``).
 
 Each estimator is split into observe and solve steps that take their noise
 as an argument; the public functions draw it from the generator they are
@@ -54,7 +54,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_loader
+from pathlib import Path
 
 import numpy as np
 
@@ -287,6 +290,21 @@ def _check_pivots(sched: PilotSchedule, h_hat: np.ndarray, ratio: float) -> None
             f">= n_atoms and a non-degenerate reflection pattern, rho > 0)")
 
 
+@cache
+def _lapack():
+    """scipy's compiled LAPACK wrapper, where scipy.linalg.lapack gets zposv, loaded without
+    scipy/linalg/__init__.py, which would also load scipy's array-API layer and numpy.f2py."""
+    import scipy
+    folder = Path(scipy.__file__).parent / "linalg"
+    for path in (folder / f"_flapack{suffix}" for suffix in EXTENSION_SUFFIXES):
+        if path.is_file():
+            loader = ExtensionFileLoader("scipy.linalg._flapack", str(path))
+            module = module_from_spec(spec_from_loader(loader.name, loader))
+            loader.exec_module(module)
+            return module
+    raise ImportError(f"scipy's compiled LAPACK wrapper _flapack is not in {folder}")
+
+
 def _estimate_G(sched: PilotSchedule, ch: ChannelSet, h_hat: np.ndarray,
                 contracted: np.ndarray) -> np.ndarray:
     """The (C, N) G estimate of one forwarded H estimate: one cell's normal equations.
@@ -297,12 +315,10 @@ def _estimate_G(sched: PilotSchedule, ch: ChannelSet, h_hat: np.ndarray,
     Gram and runs both triangular solves; the pivot check, which a Gram that
     is not positive definite or not finite fails, reads the factor's diagonal.
     """
-    # Imported here so that runs without a G-stage solve never load scipy.linalg.
-    from scipy.linalg.lapack import zposv
     w = h_hat @ (math.sqrt(ch.tx_power) * sched.pilots)
     # Z^H Y[n, m] = sum_k conj(W[n, k]) V[n, m, k].
-    lower, solved, info = zposv((np.conj(w) @ w.T) * sched.reflection_gram,
-                                (contracted @ np.conj(w)[:, :, None])[:, :, 0], lower=1)
+    lower, solved, info = _lapack().zposv((np.conj(w) @ w.T) * sched.reflection_gram,
+                                          (contracted @ np.conj(w)[:, :, None])[:, :, 0], lower=1)
     pivots = np.diagonal(lower).real
     _check_pivots(sched, h_hat, (pivots.min() / pivots.max()) ** 2 if info == 0 else 0.0)
     return solved.T
@@ -496,7 +512,6 @@ def tradeoff_experiment(rho_grid, n_phase_draws: int, n_trials: int, seed: int,
     setup = _tradeoff_schedules(seed, rhos, n_draws, n_rf_chains, pilot_count, dims)
     trial = partial(_tradeoff_trial, setup=setup, seed=seed, rhos=rhos, snr_db=float(snr_db),
                     dims=dims)
-    import scipy.linalg  # for _estimate_G; loaded mid-trial instead, later trials ran slower
     nmse_h, nmse_g = trial_means(map_trials(trial, n_trials, workers))
     return sweep_rows({"rho": rhos, "phase_draw": range(n_draws)},
                       {"nmse_H": nmse_h, "nmse_H_db": db(nmse_h),

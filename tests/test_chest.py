@@ -9,7 +9,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg.lapack
 from scipy.linalg import dft
 
 from hris_sim.channels import (ChannelSet, LinkGeometry, cascaded_per_user,
@@ -471,8 +470,9 @@ def _count_g_solves(monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
-    # _estimate_G imports zposv from scipy.linalg.lapack on each call, so patch it there.
-    monkeypatch.setattr(scipy.linalg.lapack, "zposv", counter("zposv", scipy.linalg.lapack.zposv))
+    # _estimate_G looks zposv up on the loaded LAPACK wrapper on each call, so patch it there.
+    lapack = chest._lapack()
+    monkeypatch.setattr(lapack, "zposv", counter("zposv", lapack.zposv))
     monkeypatch.setattr(np.linalg, "cholesky", counter("cholesky", np.linalg.cholesky))
     return counts
 
@@ -500,6 +500,76 @@ def test_whole_cycle_sweep_trial_factors_nothing(monkeypatch, n_slots, n_zposv):
     _sweep_trial(0, setup=setup, seed=3, snrs_db=(0.0, 10.0), dims=ChestDims())
     assert counts == {"zposv": n_zposv, "cholesky": 0}
     assert sorted(draws) == sorted([(n_slots, n_rf, 8) for n_rf in (8, 16, 16)])
+
+
+# One positive-definite system and one singular Gram (a zero row and column,
+# as from an H estimate with a zero row), each solved by the loader's zposv and
+# by scipy.linalg.lapack's; prints one sha256 over both routines' outputs.
+_ZPOSV_SCRIPT = """
+import hashlib, sys
+import numpy as np
+scipy_first = sys.argv[1] == "1"
+if scipy_first:
+    import scipy.linalg.lapack
+from hris_sim import chest
+from hris_sim.errors import IdentifiabilityError
+lapack = chest._lapack()
+assert ("scipy.linalg" in sys.modules) == scipy_first
+import scipy.linalg.lapack
+rng = np.random.default_rng(25)
+z = rng.standard_normal((72, 64)) + 1j * rng.standard_normal((72, 64))
+y = rng.standard_normal((72, 16)) + 1j * rng.standard_normal((72, 16))
+gram, rhs = np.conj(z).T @ z, np.conj(z).T @ y
+singular = gram.copy()
+singular[5], singular[:, 5] = 0.0, 0.0
+digest = hashlib.sha256()
+for a in (gram, singular):
+    ours, theirs = (zposv(a.copy(), rhs.copy(), lower=1)
+                    for zposv in (lapack.zposv, scipy.linalg.lapack.zposv))
+    assert all(mine.tobytes() == scipys.tobytes()
+               for mine, scipys in zip(ours[:2], theirs[:2])) and ours[2] == theirs[2]
+    digest.update(ours[0].tobytes() + ours[1].tobytes() + str(ours[2]).encode())
+assert ours[2] > 0, ours[2]
+sched = chest.build_pilot_schedule(64, 8, 8, 576, 0.5)  # 72 slots: off whole cycles
+ch = chest.trial_channels(3, "unit_test", 0, chest.ChestDims())
+h_hat = ch.H.copy()
+h_hat[5] = 0.0
+try:
+    chest._estimate_G(sched, ch, h_hat, chest._contract_reflected(sched, ch, None))
+except IdentifiabilityError as exc:
+    assert "regressors rank 63 of 64" in str(exc), exc
+else:
+    raise AssertionError("a singular Gram passed the pivot check")
+print(digest.hexdigest())
+"""
+
+
+def test_lapack_loader_zposv_is_scipy_linalg_zposv():
+    """The loader's zposv gives scipy.linalg.lapack's bits, whichever loads first.
+
+    Without scipy.linalg preloaded the loader leaves it unloaded.  The
+    singular Gram returns info > 0, which the pivot check turns into an
+    IdentifiabilityError.  Each load order needs a fresh interpreter.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    digests = []
+    for scipy_first in ("0", "1"):
+        proc = subprocess.run([sys.executable, "-c", _ZPOSV_SCRIPT, scipy_first], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
+def test_lapack_loader_names_the_folder_it_searched(monkeypatch, tmp_path):
+    """Without scipy's compiled _flapack wrapper the loader raises ImportError naming its folder."""
+    import scipy
+    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
+    with pytest.raises(ImportError) as excinfo:
+        chest._lapack.__wrapped__()
+    assert str(tmp_path / "scipy" / "linalg") in str(excinfo.value)
 
 
 @pytest.mark.parametrize("n_slots", [64, 72])

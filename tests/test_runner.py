@@ -361,28 +361,31 @@ if preload:
     import scipy.linalg
 from hris_sim import config, runner
 
-def run(name, tree):
-    tree = dict(copy.deepcopy(config.PRESETS.get(name, {})), **tree)
+def run(name, preset, tree):
+    tree = dict(copy.deepcopy(config.PRESETS.get(preset, {})), **tree)
     paths = runner.run(config.parse_config_tree(tree), out_dir=f"{out}/{name}")
     return json.loads(open(paths["metadata"]).read())["results_sha256"]
 
 if not preload:
-    run("fig4", {"n_trials": 1})
-    run("fig6", {"n_trials": 1})
-    run("beampattern", {"version": 1, "experiment": "beampattern",
-                        "array": {"n_h": 8, "n_v": 8}, "beampattern": {"n_points": 101}})
-    assert "scipy.linalg" not in sys.modules, "scipy.linalg loaded before any Cholesky solve"
-digest = run("fig5", {"n_trials": 1})
-assert "scipy.linalg" in sys.modules
+    run("fig4", "fig4", {"n_trials": 1})
+    run("fig6", "fig6", {"n_trials": 1})
+    run("beampattern", None, {"version": 1, "experiment": "beampattern",
+                              "array": {"n_h": 8, "n_v": 8}, "beampattern": {"n_points": 101}})
+digest = run("fig5", "fig5", {"n_trials": 1})
+if not preload:
+    run("fig6_72", "fig6", {"n_trials": 1, "rf_sweep": dict(
+        config.PRESETS["fig6"]["rf_sweep"], n_rf_grid=[1, 8], n_slots=72)})
+    assert "scipy.linalg" not in sys.modules, "a run loaded scipy.linalg"
 print(digest)
 """
 
 
-def test_scipy_linalg_loads_only_for_a_cholesky_solve(tmp_path):
-    """fig4, whole-cycle fig6 and a pattern cut never load scipy.linalg; fig5 does.
+def test_runs_never_load_scipy_linalg(tmp_path):
+    """fig4, whole-cycle fig6, a pattern cut, fig5 and a 72-slot fig6 never load scipy.linalg.
 
-    The lazy import changes no bit: fig5's digest equals a run that loaded
-    scipy.linalg before hris_sim.  Each run needs a fresh interpreter.
+    The G stage's zposv comes from scipy's compiled LAPACK wrapper alone, and
+    changes no bit: fig5's digest equals a run that loaded scipy.linalg
+    before hris_sim.  Each run needs a fresh interpreter.
     """
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [str(workloads.SRC),
