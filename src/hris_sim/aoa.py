@@ -333,6 +333,9 @@ def rmse_experiment(n_list, sensed_fractions, n_snapshots: int, snr_db_grid,
     (N, fraction, snr) nesting order with keys matching the CSV columns.
     """
     grid = grid or AoaGrid()
+    fractions = tuple(float(f) for f in sensed_fractions)
+    if not all(0.0 < f <= 1.0 for f in fractions):
+        raise ValueError(f"sensed fractions must lie in (0, 1], got {fractions}")
     tables = []
     for n in n_list:
         side = math.isqrt(int(n))
@@ -341,7 +344,6 @@ def rmse_experiment(n_list, sensed_fractions, n_snapshots: int, snr_db_grid,
         arr = PlanarArray(side, side, spacing_m, wavelength_m)
         tables.append(_scan_table(arr, _probe_rows(int(n_snapshots), arr.n_elements, 0),
                                   azimuth_rad, grid))
-    fractions = tuple(float(f) for f in sensed_fractions)
     snrs_db = tuple(float(s) for s in snr_db_grid)
     trial = partial(_sweep_trial, setup=tuple(tables), seed=int(seed), fractions=fractions,
                     snrs_db=snrs_db, grid=grid)

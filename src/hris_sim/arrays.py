@@ -72,16 +72,19 @@ def unit_vector(direction: Direction) -> np.ndarray:
     return np.array([se * np.cos(az), se * np.sin(az), np.cos(el)])
 
 
-@lru_cache(maxsize=32)
+def _axis_coordinates(arr: PlanarArray) -> tuple[np.ndarray, np.ndarray]:
+    """x_ih (n_h,) and y_iv (n_v,): element coordinates in metres along each axis, centred."""
+    return ((np.arange(arr.n_h) - (arr.n_h - 1) / 2.0) * arr.spacing_m,
+            (np.arange(arr.n_v) - (arr.n_v - 1) / 2.0) * arr.spacing_m)
+
+
 def element_positions(arr: PlanarArray) -> np.ndarray:
     """(N, 3) element coordinates in metres, lattice centred on the origin.
 
     Elements are ordered row-major: index n = iv * n_h + ih, with ih moving
     along x and iv along y.
     """
-    ih = np.arange(arr.n_h) - (arr.n_h - 1) / 2.0
-    iv = np.arange(arr.n_v) - (arr.n_v - 1) / 2.0
-    xx, yy = np.meshgrid(ih * arr.spacing_m, iv * arr.spacing_m)
+    xx, yy = np.meshgrid(*_axis_coordinates(arr))
     pos = np.zeros((arr.n_elements, 3))
     pos[:, 0] = xx.ravel()
     pos[:, 1] = yy.ravel()
@@ -90,13 +93,8 @@ def element_positions(arr: PlanarArray) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _axis_wavenumbers(arr: PlanarArray) -> tuple[np.ndarray, np.ndarray]:
-    """k * x_ih (n_h,) and k * y_iv (n_v,): the lattice's per-axis phase slopes.
-
-    Read off ``k * element_positions(arr)``, so each entry is bit-for-bit the
-    product a full (N, 3) position table would give.
-    """
-    kpos = arr.wavenumber * element_positions(arr)
-    kx, ky = kpos[:arr.n_h, 0].copy(), kpos[::arr.n_h, 1].copy()
+    """Read-only k * x_ih (n_h,) and k * y_iv (n_v,): the lattice's per-axis phase slopes."""
+    kx, ky = (arr.wavenumber * coords for coords in _axis_coordinates(arr))
     kx.setflags(write=False)
     ky.setflags(write=False)
     return kx, ky
@@ -135,8 +133,8 @@ def steering_elevation_gradient(arr: PlanarArray, direction: Direction) -> np.nd
     da_n/d(el) = j * k * cos(el) * (x_n cos(az) + y_n sin(az)) * a_n.
     """
     el, az = direction.elevation_rad, direction.azimuth_rad
-    pos = element_positions(arr)
-    radial = pos[:, 0] * np.cos(az) + pos[:, 1] * np.sin(az)
+    x, y = _axis_coordinates(arr)
+    radial = (x * np.cos(az) + y[:, None] * np.sin(az)).ravel()
     return 1j * arr.wavenumber * np.cos(el) * radial * steering_vector(arr, direction)
 
 

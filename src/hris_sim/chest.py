@@ -26,7 +26,7 @@ Its right-hand side is factored the same way: Z^H Y sums conj(R[t, n] W[n, k])
 Y_t[m, k] over slots t and pilot columns k, so the slot sum
 V = conj(R)^T Y depends only on the reflections and the observations, and
 each forwarded H estimate adds only the sum over k with its own W = H_hat X.
-With n_slots a multiple of N at base phase 0 (the chain sweep's default),
+With n_slots a multiple of N (the chain sweep's default),
 R^H R = rho n_slots I: every Gram is diagonal and no LAPACK routine runs.
 That solve's zposv comes from scipy's compiled LAPACK wrapper alone (``_lapack``).
 
@@ -66,7 +66,7 @@ from .errors import EstimationInfeasibleError, IdentifiabilityError
 from .hris import reflection_gain, sensing_gain
 from .parallel import db, map_trials, sweep_rows, trial_means
 from .rng import (TAG_CHANNEL, TAG_NOISE_BASELINE, TAG_NOISE_BS, TAG_NOISE_HRIS,
-                  TAG_PHASES, complex_normal_prefixes, complex_normal_stack, substream)
+                  TAG_PHASES, complex_normal_prefixes, substream)
 
 
 @dataclass(frozen=True)
@@ -155,16 +155,15 @@ def nmse(estimate: np.ndarray, truth: np.ndarray) -> float:
 
 
 def build_pilot_schedule(n_atoms: int, n_users: int, n_rf_chains: int,
-                         pilot_count: int, rho: float,
-                         base_reflect_phase: np.ndarray | float = 0.0,
-                         sense_phase: float = 0.0) -> PilotSchedule:
+                         pilot_count: int, rho: float) -> PilotSchedule:
     """Assemble the slotted schedule for a given pilot budget.
 
     The budget is rounded up to whole slots: n_slots = ceil(pilot_count /
-    n_users), with ``n_rf_chains`` in [1, n_atoms] sensing chains; the
-    reflection pattern of slot t adds the phases of DFT row (t mod n_atoms)
-    on top of ``base_reflect_phase``, so reflected pilots vary across slots
-    (the base station stage needs that variation to see all atoms).
+    n_users), with ``n_rf_chains`` in [1, n_atoms] sensing chains and sense
+    phase 0; the reflection pattern of slot t takes the phases of DFT row
+    (t mod n_atoms), so reflected pilots vary across slots (the base station
+    stage needs that variation to see all atoms).  Other phases come from
+    ``dataclasses.replace``.
     """
     if pilot_count < 1:
         raise ValueError("pilot_count must be positive")
@@ -173,13 +172,12 @@ def build_pilot_schedule(n_atoms: int, n_users: int, n_rf_chains: int,
     if not 1 <= n_rf_chains <= n_atoms:
         raise ValueError("n_rf_chains must lie in [1, n_atoms]")
     n_slots = math.ceil(pilot_count / n_users)
-    base = np.broadcast_to(np.asarray(base_reflect_phase, dtype=float), (n_atoms,))
     dft_phase = -2.0 * np.pi * np.arange(n_atoms) / n_atoms
     arrays = dict(
         pilots=_dft(n_users),
         rho=np.full((n_slots, n_atoms), float(rho)),
-        reflect_phase=base + (np.arange(n_slots) % n_atoms)[:, None] * dft_phase,
-        sense_phase=np.full((n_slots, n_atoms), float(sense_phase)))
+        reflect_phase=(np.arange(n_slots) % n_atoms)[:, None] * dft_phase,
+        sense_phase=np.zeros((n_slots, n_atoms)))
     for array in arrays.values():
         array.setflags(write=False)
     return PilotSchedule(n_rf_chains=int(n_rf_chains), **arrays)
@@ -207,7 +205,7 @@ def _sensed_noises(schedules, ch: ChannelSet, rng: np.random.Generator) -> list:
 def _reflected_noise(n_slots: int, ch: ChannelSet, rng: np.random.Generator):
     """Receiver noise of the stacked reflected observations, or None at zero variance (no draw)."""
     shape, var = (n_slots, ch.G.shape[0], ch.H.shape[1]), ch.noise_var_bs
-    return complex_normal_stack(rng, shape, var=var) if var > 0.0 else None
+    return complex_normal_prefixes(rng, [shape], var)[0] if var > 0.0 else None
 
 
 def _sensing_diag(sched: PilotSchedule) -> np.ndarray:

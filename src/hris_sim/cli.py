@@ -37,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override the configured random seed")
         p.add_argument("--workers", default=None,
                        type=lambda raw: int(raw) if raw.isdecimal() else raw,
-                       help="worker process count or 'auto'")
+                       help="worker process count, or 'auto' for the CPUs this process may use")
         p.add_argument("--out", default=None, help="output directory")
 
     p_run = sub.add_parser("run", help="run an experiment from a config file")

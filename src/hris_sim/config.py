@@ -246,8 +246,6 @@ def _parse_rf_sweep(values: dict, tree: dict) -> dict:
 
 
 def _parse_beampattern(values: dict, tree: dict) -> dict:
-    if values["array"] is None:
-        raise ConfigError("beampattern runs need an 'array' section")
     return {"array": _build("array", PlanarArray, **values["array"]),
             **values["beampattern"]}
 
@@ -327,7 +325,7 @@ EXPERIMENTS = {
             cfg, cfg.params["n_slots"] * cfg.params["dims"].n_users,
             min(cfg.params["n_rf_grid"]))),
     "beampattern": Experiment(
-        sections={"array": _Field(_ARRAY, None), "beampattern": _Field(_BEAM, {})},
+        sections={"array": _Field(_ARRAY), "beampattern": _Field(_BEAM, {})},
         default_trials=1, csv_name="beampattern.csv", parse=_parse_beampattern,
         # The pattern cut is deterministic and takes no trials, seed or workers.
         run=lambda n_trials, seed, workers, **params: emit_beampattern(**params),
@@ -348,8 +346,14 @@ def parse_seed(raw, name: str = "seed") -> int:
 
 
 def parse_workers(raw, name: str = "workers") -> int:
-    """A worker count: a positive integer, or 'auto' for the CPU count."""
+    """A worker count: a positive integer, or 'auto' for the CPUs this process may run on.
+
+    That is its CPU affinity where the OS reports one, which a CPU mask (taskset,
+    a container's cpuset) can make smaller than the machine's CPU count.
+    """
     if raw == "auto":
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     if isinstance(raw, int) and not isinstance(raw, bool) and raw >= 1:
         return raw

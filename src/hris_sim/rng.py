@@ -34,24 +34,21 @@ _MASK32 = 0xFFFFFFFF
 _MASK16 = 0xFFFF
 
 
-def substream(seed: int, experiment: str | int, trial: int, tag: int = 0) -> np.random.Generator:
+def substream(seed: int, experiment: str, trial: int, tag: int = 0) -> np.random.Generator:
     """Return the generator for one (seed, experiment, trial, tag) tuple.
 
-    The 128-bit Philox key is ``[seed, experiment<<48 | tag<<32 | trial]``,
-    so distinct tuples map to distinct, statistically independent streams.
+    ``experiment`` is a key of ``EXPERIMENT_IDS``.  The 128-bit Philox key is
+    ``[seed, experiment id<<48 | tag<<32 | trial]``, so distinct tuples map to
+    distinct, statistically independent streams.
     """
-    exp_id = EXPERIMENT_IDS[experiment] if isinstance(experiment, str) else int(experiment)
+    exp_id = EXPERIMENT_IDS[experiment]
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed {seed} outside the 64-bit key field")
     if not 0 <= trial <= _MASK32:
         raise ValueError(f"trial index {trial} outside the 32-bit key field")
     if not 0 <= tag <= _MASK16:
         raise ValueError(f"substream tag {tag} outside the 16-bit key field")
-    if not 0 <= exp_id <= _MASK16:
-        raise ValueError(f"experiment id {exp_id} outside the 16-bit key field")
-    key = np.array(
-        [np.uint64(seed & 0xFFFFFFFFFFFFFFFF),
-         np.uint64((exp_id << 48) | (tag << 32) | trial)],
-        dtype=np.uint64,
-    )
+    key = np.array([seed, (exp_id << 48) | (tag << 32) | trial], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -65,19 +62,14 @@ def complex_normal(rng: np.random.Generator, shape, var: float = 1.0) -> np.ndar
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def complex_normal_stack(rng: np.random.Generator, shape: tuple, var: float = 1.0) -> np.ndarray:
-    """``shape[0]`` calls of ``complex_normal(rng, shape[1:], var)``, stacked.
-
-    The draws consume the stream in the order of those calls, so the values are equal.
-    """
-    return complex_normal_prefixes(rng, [shape], var)[0]
-
-
 def complex_normal_prefixes(rng: np.random.Generator, shapes, var: float = 1.0) -> list:
-    """``complex_normal_stack(rng, shape, var)`` for each of ``shapes``, all from one draw.
+    """One stack of ``complex_normal`` draws per entry of ``shapes``, all from one draw.
 
-    A stack consumes the stream in C order, so a smaller stack's normals are
-    a prefix of a larger one's: one draw sized for the largest serves them all.
+    The stack of ``shape`` is ``shape[0]`` calls of ``complex_normal(rng,
+    shape[1:], var)``.  Those calls consume the stream in C order, so a smaller
+    stack's normals are a prefix of a larger one's: one draw sized for the
+    largest serves them all.  ``complex_normal_prefixes(rng, [shape], var)[0]``
+    is a single stack.
     """
     sizes = [2 * math.prod(shape) for shape in shapes]
     normals = rng.standard_normal(max(sizes))

@@ -251,6 +251,20 @@ def test_rmse_experiment_rejects_non_square_counts():
         rmse_experiment([10], [0.5], 8, [0.0], 2, seed=0, **SWEEP)
 
 
+def test_rmse_experiment_checks_sensed_fractions(monkeypatch):
+    """A fraction outside (0, 1] is refused before any trial, as AoaScenario refuses it.
+
+    1.5 used to run and report an RMSE and a bound for a surface sensing 150 % of its power.
+    """
+    monkeypatch.setattr(aoa, "map_trials", lambda *args: pytest.fail("a trial ran"))
+    for bad in (0.0, 1.5):
+        with pytest.raises(ValueError, match=r"sensed fractions must lie in \(0, 1\]"):
+            rmse_experiment([16], [0.5, bad], 8, [0.0], 2, seed=0, **SWEEP)
+    monkeypatch.undo()
+    rows = rmse_experiment([16], [1.0], 8, [0.0], 2, seed=0, **SWEEP)
+    assert [row["sensed_fraction"] for row in rows] == [1.0]
+
+
 def test_rmse_experiment_names_missing_trials():
     """Zero trials used to fail unpacking an empty mean: 'not enough values to unpack'."""
     with pytest.raises(ValueError, match="n_trials must be at least 1"):

@@ -44,6 +44,29 @@ def test_element_positions_match_loop_oracle(arr):
     np.testing.assert_allclose(element_positions(arr), expected, atol=1e-15)
 
 
+def test_writing_element_positions_leaves_equal_arrays_unchanged():
+    """A write into element_positions' result leaves equal arrays built later unchanged.
+
+    It used to hand out its cached table, so a write moved their steering
+    vectors and elevation gradients, and with them the bound.
+    """
+    params = (5, 3, 0.0041, 0.0157)  # a lattice no other test builds
+    d = Direction(0.6, 0.9)
+    element_positions(PlanarArray(*params))[:] += 1.0
+    arr = PlanarArray(*params)
+    np.testing.assert_allclose(steering_vector(arr, d), oracles.steering_vector_loops(
+        *params, d.elevation_rad, d.azimuth_rad), atol=1e-12)
+    grad = steering_elevation_gradient(arr, d)
+    h = 1e-7
+    fd = (steering_vector(arr, Direction(d.elevation_rad + h, d.azimuth_rad))
+          - steering_vector(arr, Direction(d.elevation_rad - h, d.azimuth_rad))) / (2.0 * h)
+    np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-8)
+    element_positions(arr)[:] = 0.0
+    fresh = PlanarArray(*params)
+    assert np.array_equal(steering_vector(fresh, d), steering_vector(arr, d))
+    assert np.array_equal(steering_elevation_gradient(fresh, d), grad)
+
+
 def test_positions_are_centred(arr):
     pos = element_positions(arr)
     np.testing.assert_allclose(pos.mean(axis=0), 0.0, atol=1e-15)

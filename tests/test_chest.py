@@ -21,7 +21,7 @@ from hris_sim.chest import (ChestDims, _sweep_schedules, _sweep_trial, _tradeoff
 from hris_sim.errors import EstimationInfeasibleError, IdentifiabilityError
 from hris_sim.hris import reflection_gain
 from hris_sim.rng import (TAG_CHANNEL, TAG_NOISE_BASELINE, TAG_NOISE_BS, TAG_NOISE_HRIS,
-                          TAG_PHASES, complex_normal_prefixes, complex_normal_stack, substream)
+                          TAG_PHASES, complex_normal_prefixes, substream)
 
 import oracles
 
@@ -78,7 +78,8 @@ def test_schedule_bookkeeping():
 def test_sensed_stage_matches_pinv_oracle():
     """Package DFT-form H stage vs an explicit pseudoinverse on hand-built data."""
     rho, sense_phase = 0.3, 0.7
-    sched = build_pilot_schedule(4, 1, 2, 2, rho, sense_phase=sense_phase)
+    sched = build_pilot_schedule(4, 1, 2, 2, rho)
+    sched = replace(sched, sense_phase=np.full_like(sched.sense_phase, sense_phase))
     rng = np.random.default_rng(7)
     H = rng.normal(size=(4, 1)) + 1j * rng.normal(size=(4, 1))
     ch = ChannelSet(H=H, G=np.eye(4, dtype=complex), noise_var_hris=0.0,
@@ -190,7 +191,8 @@ def test_stages_bit_exact_to_per_slot_oracle_fig5_shape():
     for draw, rho in enumerate(rhos):  # cells (rho 0.2, draw 0) and (rho 0.7, draw 1)
         base = substream(20260823, "chest_tradeoff", draw, TAG_PHASES).uniform(
             0.0, 2.0 * np.pi, size=64)
-        sched = build_pilot_schedule(64, 8, 8, 70, rho, base_reflect_phase=base)
+        sched = build_pilot_schedule(64, 8, 8, 70, rho)
+        sched = replace(sched, reflect_phase=base + sched.reflect_phase)
         assert sched.n_slots == 9 and sched.rho[0, 0] == rho
         ch = _channels(64, 8, 16, seed=draw, tx_power=1000.0)
         _assert_stages_match_per_slot_oracle(sched, ch, draw)
@@ -381,15 +383,10 @@ def _count_noise_draws(monkeypatch):
     """Record the shape of every noise draw; one draw serving several shapes gives its largest."""
     calls = []
 
-    def counted_stack(rng, shape, *args, **kwargs):
-        calls.append(shape)
-        return complex_normal_stack(rng, shape, *args, **kwargs)
-
     def counted_prefixes(rng, shapes, *args, **kwargs):
         calls.append(max(shapes, key=math.prod))
         return complex_normal_prefixes(rng, shapes, *args, **kwargs)
 
-    monkeypatch.setattr(chest, "complex_normal_stack", counted_stack)
     monkeypatch.setattr(chest, "complex_normal_prefixes", counted_prefixes)
     return calls
 

@@ -317,7 +317,7 @@ def test_channel_section_validation():
 
 def test_beampattern_section_validation():
     base = {"version": 1, "experiment": "beampattern"}
-    with pytest.raises(ConfigError, match="need an 'array' section"):
+    with pytest.raises(ConfigError, match="missing required key 'array'"):
         parse_config_tree(dict(base))
     tree = dict(base, array={"n_h": 12, "n_v": 12},
                 beampattern={"span_deg": 120.0})

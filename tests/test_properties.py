@@ -51,9 +51,8 @@ def linear_cases(draw):
     n_rf = draw(st.integers(1, n))
     n_slots = max(-(-n // n_rf), -(-n // n_users)) + draw(st.integers(0, 2))
     rows = (n_slots, n)
-    sched = build_pilot_schedule(n, n_users, n_rf, n_slots * n_users, 0.5,
-                                 base_reflect_phase=draw(_vectors(_angle, n)))
-    sched = replace(sched,
+    sched = build_pilot_schedule(n, n_users, n_rf, n_slots * n_users, 0.5)
+    sched = replace(sched, reflect_phase=draw(_vectors(_angle, n)) + sched.reflect_phase,
                     rho=np.broadcast_to(draw(_vectors(st.floats(0.01, 0.99), n)), rows),
                     sense_phase=np.broadcast_to(draw(_vectors(_angle, n)), rows))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from hris_sim.rng import (EXPERIMENT_IDS, TAG_CHANNEL, TAG_NOISE_HRIS,
-                          complex_normal, complex_normal_stack, substream)
+from hris_sim.rng import (TAG_CHANNEL, TAG_NOISE_HRIS, complex_normal,
+                          complex_normal_prefixes, substream)
 
 
 def test_same_tuple_same_stream():
@@ -22,13 +22,14 @@ def test_distinct_tuples_distinct_streams():
         assert not np.allclose(base, other.standard_normal(8))
 
 
-def test_integer_experiment_id_accepted():
-    a = substream(0, "aoa_rmse", 0, 0).standard_normal(4)
-    b = substream(0, EXPERIMENT_IDS["aoa_rmse"], 0, 0).standard_normal(4)
-    np.testing.assert_array_equal(a, b)
-
-
 def test_key_field_ranges_enforced():
+    # A seed outside [0, 2**64) used to be masked: -1 drew the stream of
+    # 2**64 - 1, and 2**64 + 5 the stream of 5.
+    for seed in (-1, 2 ** 64, 2 ** 64 + 5):
+        with pytest.raises(ValueError, match="seed"):
+            substream(seed, "aoa_rmse", 0, 0)
+    top = substream(2 ** 64 - 1, "aoa_rmse", 0, 0).standard_normal(4)
+    assert not np.array_equal(top, substream(0, "aoa_rmse", 0, 0).standard_normal(4))
     with pytest.raises(ValueError):
         substream(0, "aoa_rmse", -1, 0)
     with pytest.raises(ValueError):
@@ -55,8 +56,8 @@ def test_complex_normal_shape():
 
 @pytest.mark.parametrize("n_slots", [1, 9, 64])
 def test_complex_normal_stack_equals_loop_of_draws(n_slots):
-    stacked = complex_normal_stack(substream(3, "unit_test", n_slots, 1), (n_slots, 8, 4),
-                                   var=0.3)
+    stacked = complex_normal_prefixes(substream(3, "unit_test", n_slots, 1), [(n_slots, 8, 4)],
+                                      var=0.3)[0]
     rng = substream(3, "unit_test", n_slots, 1)
     looped = np.stack([complex_normal(rng, (8, 4), var=0.3) for _ in range(n_slots)])
     assert np.array_equal(stacked, looped)

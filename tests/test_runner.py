@@ -267,9 +267,26 @@ def test_run_workers_override_checked_before_any_trial(tmp_path, workers):
 
 
 def test_run_workers_override_accepts_auto(tmp_path):
-    """'auto' is the CPU count, as in the config; it used to raise a bare ValueError."""
+    """'auto' counts the CPUs the process may run on, as in the config.
+
+    It used to raise a bare ValueError.
+    """
     paths = run(parse_config_tree(_tiny_aoa_tree()), out_dir=tmp_path, workers="auto")
-    assert json.loads(Path(paths["metadata"]).read_text())["workers"] == (os.cpu_count() or 1)
+    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
+    assert json.loads(Path(paths["metadata"]).read_text())["workers"] == usable
+
+
+def test_run_workers_auto_follows_cpu_affinity(tmp_path, monkeypatch):
+    """A process pinned to one CPU runs one worker, however many CPUs the machine has.
+
+    'auto' used to be os.cpu_count(), which starts two workers on one CPU
+    under ``taskset -c 0`` on a 2-CPU machine.
+    """
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    paths = run(parse_config_tree(_tiny_aoa_tree()), out_dir=tmp_path, workers="auto")
+    assert json.loads(Path(paths["metadata"]).read_text())["workers"] == 1
 
 
 def test_run_checks_row_count(tmp_path, monkeypatch):
