@@ -16,7 +16,8 @@ from functools import partial
 
 import numpy as np
 
-from .arrays import Direction, PlanarArray, steering_elevation_gradient, steering_grid, steering_vector
+from .arrays import (Direction, PlanarArray, grid_response, steering_elevation_gradient,
+                     steering_grid, steering_vector)
 from .errors import EstimationInfeasibleError
 from .parallel import map_trials, sweep_rows, trial_means
 from .rng import TAG_NOISE_HRIS, TAG_TRUTH, complex_normal, substream
@@ -148,7 +149,8 @@ class _ScanTable:
     it.  ``conj_signal`` is conj(b)^T with b = q_t^H a(theta) over ``points``,
     shape (n_points, T), and ``energy`` is sum_t |b_t|^2 per point.  b leaves
     out sqrt(sensed_fraction): it cancels in the location of the criterion's
-    maximum, so one table serves every sensed fraction.
+    maximum, so one table serves every sensed fraction.  b is built in blocks
+    of elevations, so set-up memory grows with T x n_points, not N x n_points.
     """
 
     array: PlanarArray
@@ -161,11 +163,14 @@ class _ScanTable:
 
 def _scan_table(array: PlanarArray, combiner: np.ndarray, azimuth_rad: float,
                 grid: AoaGrid) -> _ScanTable:
+    """b from ``grid_response``, conjugated in place into ``conj_signal`` after ``energy``."""
     azimuth_rad = float(np.mod(azimuth_rad, 2.0 * np.pi))
     points = grid.points
-    b = np.conj(combiner) @ steering_grid(array, points, azimuth_rad)
-    return _ScanTable(array, azimuth_rad, points, np.conj(combiner), np.conj(b).T,
-                      np.sum(np.abs(b) ** 2, axis=0))
+    conj_combiner = np.conj(combiner)
+    b = grid_response(array, conj_combiner, points, azimuth_rad)
+    magnitude = np.abs(b)
+    energy = np.sum(np.square(magnitude, out=magnitude), axis=0)
+    return _ScanTable(array, azimuth_rad, points, conj_combiner, np.conj(b, out=b).T, energy)
 
 
 def _concentrated(num: np.ndarray, den: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ from .parallel import sweep_rows
 
 TWO_PI = 2.0 * np.pi
 _GAIN_FLOOR_DB = -400.0
+_GRID_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -150,6 +151,25 @@ def steering_grid(arr: PlanarArray, elevations_rad: np.ndarray, azimuth_rad: flo
     return _phase_ramp(arr, u).T
 
 
+def grid_response(arr: PlanarArray, weights: np.ndarray, elevations_rad: np.ndarray,
+                  azimuth_rad: float = 0.0) -> np.ndarray:
+    """``weights @ steering_grid(arr, elevations_rad, azimuth_rad)`` for (N,) or (T, N) weights.
+
+    The steering vectors are built ``_GRID_BLOCK`` elevations at a time, so
+    memory grows with N x 64, not N x grid points.  Every bit is kept: 64 is
+    a whole number of BLAS column tiles, and a lone last elevation joins the
+    block before it, since numpy gives a one-column product to a
+    matrix-vector routine.
+    """
+    el = np.asarray(elevations_rad, dtype=float)
+    out = np.empty(np.shape(weights)[:-1] + el.shape, dtype=complex)
+    start = 0
+    for stop in (*range(_GRID_BLOCK, len(el) - 1, _GRID_BLOCK), len(el)):
+        out[..., start:stop] = weights @ steering_grid(arr, el[start:stop], azimuth_rad)
+        start = stop
+    return out
+
+
 def array_factor(arr: PlanarArray, weights: np.ndarray, direction: Direction) -> complex:
     """Far-field pattern value sum_n w_n * a_n(direction).
 
@@ -186,12 +206,13 @@ def emit_beampattern(array: PlanarArray, steer_deg: float, azimuth_deg: float,
 
     The cut runs over signed angles -span..span in the given azimuth plane
     (negative angles are the opposite half-plane).  Gains are in dB relative
-    to the pattern peak; exact nulls are floored at -400 dB.
+    to the pattern peak; exact nulls are floored at -400 dB.  ``grid_response``
+    builds the cut's steering vectors in blocks of elevations.
     """
     az = math.radians(azimuth_deg)
     weights = steered_weights(array, plane_direction(math.radians(steer_deg), az))
     angles = np.linspace(-span_deg, span_deg, n_points)
-    af = np.abs(weights @ steering_grid(array, np.radians(angles), az))
+    af = np.abs(grid_response(array, weights, np.radians(angles), az))
     peak = af.max()
     if peak <= 0.0:
         raise ValueError("pattern is identically zero")

@@ -345,16 +345,21 @@ def parse_seed(raw, name: str = "seed") -> int:
     return seed
 
 
-def parse_workers(raw, name: str = "workers") -> int:
-    """A worker count: a positive integer, or 'auto' for the CPUs this process may run on.
+def usable_cpus() -> int:
+    """The CPUs this process may run on.
 
     That is its CPU affinity where the OS reports one, which a CPU mask (taskset,
     a container's cpuset) can make smaller than the machine's CPU count.
     """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def parse_workers(raw, name: str = "workers") -> int:
+    """A worker count: a positive integer, or 'auto' for ``usable_cpus()``."""
     if raw == "auto":
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
+        return usable_cpus()
     if isinstance(raw, int) and not isinstance(raw, bool) and raw >= 1:
         return raw
     raise ConfigError(f"'{name}' must be a positive integer or 'auto', got {raw!r}")

@@ -28,7 +28,7 @@ import scipy
 
 from .channels import save_matrix
 from .chest import trial_channels
-from .config import EXPERIMENTS, ExperimentConfig, parse_seed, parse_workers
+from .config import EXPERIMENTS, ExperimentConfig, parse_seed, parse_workers, usable_cpus
 from .parallel import _keep_heap_mapped
 from .rng import TAG_CHANNEL
 from .version import __version__
@@ -106,7 +106,7 @@ def run(cfg: ExperimentConfig, out_dir=None, seed: int | None = None,
         "results_sha256": results_digest(rows, columns),
         "duration_s": duration,
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
-                        "scipy": scipy.__version__, "cpu_count": os.cpu_count(),
+                        "scipy": scipy.__version__, "cpu_count": usable_cpus(),
                         "blas_threads": {k: os.environ.get(k) for k in (
                             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
                         "malloc": malloc},

@@ -1,6 +1,7 @@
 """Elevation estimation: ML criterion, bound, and the Monte Carlo sweep."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from hris_sim import aoa
 from hris_sim.aoa import (AoaGrid, AoaScenario, crlb_elevation, ml_estimate,
                           noiseless_snapshots, rmse_experiment,
                           simulate_snapshots, snapshot_scenario)
-from hris_sim.arrays import Direction, PlanarArray
+from hris_sim.arrays import Direction, PlanarArray, steering_grid
 from hris_sim.errors import EstimationInfeasibleError
 from hris_sim.rng import TAG_NOISE_HRIS, TAG_TRUTH, complex_normal, substream
 
@@ -290,6 +291,41 @@ def test_rmse_experiment_builds_each_scan_table_once(monkeypatch):
                            **SWEEP)
     assert len(rows) == 9
     assert calls == sizes
+
+
+@pytest.mark.parametrize("n_points", [721, 129])
+def test_scan_table_equals_the_one_shot_build(n_points):
+    """The table built in blocks of elevations equals the whole-grid product bit for bit.
+
+    At 129 points the last elevation is one past two whole blocks.
+    """
+    arr = PlanarArray(12, 12, 0.004, 0.0157)
+    grid = AoaGrid(n_points=n_points)
+    combiner = aoa._probe_rows(64, arr.n_elements, 3)
+    table = aoa._scan_table(arr, combiner, 0.0, grid)
+    b = np.conj(combiner) @ steering_grid(arr, grid.points)
+    assert np.array_equal(table.conj_signal, np.conj(b).T)
+    assert np.array_equal(table.energy, np.sum(np.abs(b) ** 2, axis=0))
+
+
+def test_scan_table_never_holds_the_whole_steering_matrix():
+    """N = 1024 at 721 points: the build peaks below half of one N x 721 steering matrix.
+
+    The bound is 1024 * 721 * 16 B / 2 = 5.9 MB of numpy allocations, seen by
+    tracemalloc.  Building the whole (N, 721) matrix peaked at 13.9 MB;
+    blocks of 64 elevations peak at about 3.2 MB.
+    """
+    arr = PlanarArray(32, 32, 0.004, 0.0157)
+    grid = AoaGrid()
+    combiner = aoa._probe_rows(64, arr.n_elements, 0)
+    bound = arr.n_elements * grid.n_points * np.dtype(complex).itemsize / 2
+    tracemalloc.start()
+    try:
+        aoa._scan_table(arr, combiner, 0.0, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
 
 
 def test_higher_fraction_never_worse():

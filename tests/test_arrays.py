@@ -7,7 +7,7 @@ import pytest
 
 from hris_sim.aoa import AoaGrid
 from hris_sim.arrays import (Direction, PlanarArray, array_factor,
-                             element_positions, plane_direction,
+                             element_positions, grid_response, plane_direction,
                              steered_weights, steering_elevation_gradient,
                              steering_grid, steering_vector, unit_vector)
 
@@ -135,6 +135,38 @@ def test_steering_grid_signed_angles_mirror_half_plane(arr):
     grid = steering_grid(arr, np.array([-0.4, 0.4]), azimuth_rad=0.3)
     np.testing.assert_allclose(grid[:, 0], steering_vector(arr, plane_direction(-0.4, 0.3)),
                                atol=1e-12)
+
+
+@pytest.mark.parametrize("azimuth", [0.0, 0.7])
+@pytest.mark.parametrize("n_points", [1441, 721, 129, 65, 1])
+def test_grid_response_equals_one_product_for_1d_weights(n_points, azimuth):
+    """Blocks of 64 elevations give weights @ steering_grid bit for bit.
+
+    1441 and 721 points end in a partial block; 129 and 65 leave one point
+    past whole blocks, which joins the block before it.
+    """
+    arr = PlanarArray(12, 12, 0.004, 0.0157)
+    el = np.linspace(-1.5, 1.5, n_points)
+    weights = steered_weights(arr, Direction(0.4, azimuth))
+    got = grid_response(arr, weights, el, azimuth)
+    assert got.shape == (n_points,)
+    assert np.array_equal(got, weights @ steering_grid(arr, el, azimuth))
+
+
+@pytest.mark.parametrize("n_points", [721, 129])
+@pytest.mark.parametrize("side", [12, 20])
+def test_grid_response_equals_one_product_for_2d_weights(side, n_points):
+    """The fig4 preset's shapes (N = 144 and 400, T = 64 rows, 721 points) keep every bit.
+
+    At 129 points the last elevation is one past two whole blocks.
+    """
+    arr = PlanarArray(side, side, 0.004, 0.0157)
+    el = np.linspace(0.0, math.radians(89.75), n_points)
+    rng = np.random.default_rng(side)
+    weights = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (64, arr.n_elements)))
+    got = grid_response(arr, weights, el, 0.3)
+    assert got.shape == (64, n_points)
+    assert np.array_equal(got, weights @ steering_grid(arr, el, 0.3))
 
 
 def test_elevation_gradient_matches_finite_difference(arr):

@@ -289,6 +289,18 @@ def test_run_workers_auto_follows_cpu_affinity(tmp_path, monkeypatch):
     assert json.loads(Path(paths["metadata"]).read_text())["workers"] == 1
 
 
+def test_run_records_the_cpus_it_could_use(tmp_path, monkeypatch):
+    """environment.cpu_count is the CPU affinity, the count 'auto' uses.
+
+    It used to be os.cpu_count(), which wrote cpu_count 2 next to workers 1
+    for a run under ``taskset -c 0`` on a 2-CPU machine.
+    """
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    paths = run(parse_config_tree(_tiny_aoa_tree()), out_dir=tmp_path)
+    assert json.loads(Path(paths["metadata"]).read_text())["environment"]["cpu_count"] == 1
+
+
 def test_run_checks_row_count(tmp_path, monkeypatch):
     import hris_sim.aoa as aoa_mod
     cfg = parse_config_tree(_tiny_aoa_tree())
