@@ -8,8 +8,8 @@ Run:  python3 demos/05_two_sided_estimation.py
 import numpy as np
 
 from hris_sim.channels import LinkGeometry, draw_channels
-from hris_sim.chest import (ChestDims, build_pilot_schedule, hris_estimate_H,
-                            nmse, run_two_sided, tradeoff_experiment)
+from hris_sim.chest import (ChestDims, bs_estimate_G, build_pilot_schedule,
+                            hris_estimate_H, nmse, tradeoff_experiment)
 from hris_sim.errors import IdentifiabilityError
 from hris_sim.rng import substream
 
@@ -27,8 +27,8 @@ sched = build_pilot_schedule(n_atoms=64, n_users=8, n_rf_chains=8,
                              pilot_count=64, rho=0.5)
 ch = channels(tx_power=1.0)
 ch.noise_var_hris = ch.noise_var_bs = 0.0
-h_hat, g_hat = run_two_sided(sched, ch, substream(0, "unit_test", 0, 1),
-                             substream(0, "unit_test", 0, 2))
+h_hat = hris_estimate_H(sched, ch, substream(0, "unit_test", 0, 1))
+g_hat = bs_estimate_G(sched, ch, h_hat, substream(0, "unit_test", 0, 2))
 print(f"64 atoms, 8 terminals, 8 chains, {sched.pilot_count} pilots, no noise:")
 print(f"  relative error H {np.linalg.norm(h_hat - ch.H) / np.linalg.norm(ch.H):.2e}, "
       f"G {np.linalg.norm(g_hat - ch.G) / np.linalg.norm(ch.G):.2e}")

@@ -26,7 +26,7 @@ from .channels import (ChannelSet, LinkGeometry, cascade, cascaded_per_user,
                        draw_channels, load_matrix, pathloss, save_matrix)
 from .chest import (ChestDims, PilotSchedule, bs_estimate_G,
                     build_pilot_schedule, cascaded_ls_baseline, hris_estimate_H,
-                    nmse, rf_chain_sweep, run_two_sided, tradeoff_experiment)
+                    nmse, rf_chain_sweep, tradeoff_experiment)
 from .config import (ExperimentConfig, load_config, parse_config_tree,
                      preset_config)
 from .errors import (ConfigError, EstimationInfeasibleError, HrisSimError,
@@ -46,8 +46,7 @@ __all__ = [
     "emit_beampattern", "hris_estimate_H", "load_config", "load_matrix",
     "ml_estimate", "nmse", "parse_config_tree", "pathloss", "plane_direction",
     "preset_config", "reflection_gain", "rf_chain_sweep", "rmse_experiment",
-    "run", "run_two_sided", "save_matrix", "sensing_gain",
-    "simulate_snapshots", "snapshot_scenario", "steered_weights",
-    "steering_vector", "substream", "tradeoff_experiment",
-    "__version__",
+    "run", "save_matrix", "sensing_gain", "simulate_snapshots",
+    "snapshot_scenario", "steered_weights", "steering_vector", "substream",
+    "tradeoff_experiment", "__version__",
 ]

@@ -60,8 +60,8 @@ class AoaScenario:
             raise ValueError("sensed_fraction must lie in (0, 1]")
         if self.combiner.ndim != 2 or self.combiner.shape[1] != n or not len(self.combiner):
             raise ValueError(f"combiner must have shape (T >= 1, {n}), got {self.combiner.shape}")
-        if np.max(np.abs(np.abs(self.combiner) - 1.0)) > _UNIT_TOL:
-            raise ValueError("combiner entries must have unit magnitude")
+        if not np.max(np.abs(np.abs(self.combiner) - 1.0)) <= _UNIT_TOL:
+            raise ValueError("combiner entries must be finite with unit magnitude")
 
     @property
     def n_snapshots(self) -> int:

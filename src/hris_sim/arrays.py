@@ -37,10 +37,10 @@ class PlanarArray:
     def __post_init__(self):
         if self.n_h < 1 or self.n_v < 1:
             raise ValueError("element counts must be at least 1")
-        if self.spacing_m <= 0.0:
-            raise ValueError("element spacing must be positive")
-        if self.wavelength_m <= 0.0:
-            raise ValueError("wavelength must be positive")
+        if not 0.0 < self.spacing_m < math.inf:
+            raise ValueError("element spacing must be positive and finite")
+        if not 0.0 < self.wavelength_m < math.inf:
+            raise ValueError("wavelength must be positive and finite")
 
     @property
     def n_elements(self) -> int:
@@ -64,13 +64,6 @@ class Direction:
             raise ValueError(
                 f"elevation {self.elevation_rad!r} rad outside [0, pi/2)")
         object.__setattr__(self, "azimuth_rad", float(np.mod(self.azimuth_rad, TWO_PI)))
-
-
-def unit_vector(direction: Direction) -> np.ndarray:
-    """Cartesian unit vector for a direction (broadside -> (0, 0, 1))."""
-    el, az = direction.elevation_rad, direction.azimuth_rad
-    se = np.sin(el)
-    return np.array([se * np.cos(az), se * np.sin(az), np.cos(el)])
 
 
 def _axis_coordinates(arr: PlanarArray) -> tuple[np.ndarray, np.ndarray]:
@@ -123,8 +116,8 @@ def _phase_ramp(arr: PlanarArray, u: np.ndarray) -> np.ndarray:
 
 
 def steering_vector(arr: PlanarArray, direction: Direction) -> np.ndarray:
-    """Unit-modulus phase ramp a_n = exp(j * k * <p_n, u>) across the lattice."""
-    return _phase_ramp(arr, unit_vector(direction)[None, :])[0]
+    """Unit-modulus phase ramp a_n = exp(j * k * <p_n, u>): ``steering_grid``'s one-column case."""
+    return steering_grid(arr, [direction.elevation_rad], direction.azimuth_rad)[:, 0]
 
 
 def steering_elevation_gradient(arr: PlanarArray, direction: Direction) -> np.ndarray:

@@ -38,8 +38,9 @@ class LinkGeometry:
     carrier_hz: float = 19e9
 
     def __post_init__(self):
-        if min(self.cell_radius_m, self.hris_bs_distance_m, self.carrier_hz) <= 0.0:
-            raise ValueError("geometry lengths and carrier frequency must be positive")
+        if not all(0.0 < v < np.inf for v in (self.cell_radius_m, self.hris_bs_distance_m,
+                                               self.carrier_hz)):
+            raise ValueError("geometry lengths and carrier frequency must be positive and finite")
 
     @property
     def wavelength_m(self) -> float:

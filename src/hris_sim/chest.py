@@ -52,6 +52,7 @@ draws and the noise) instead of 27 of each.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, replace
 from functools import cache, cached_property, partial
@@ -289,9 +290,26 @@ def _check_pivots(sched: PilotSchedule, h_hat: np.ndarray, ratio: float) -> None
 
 
 @cache
+def _one_blas_thread() -> int | None:
+    """Set scipy's bundled OpenBLAS to one thread, process-wide, so zposv sums in one order.
+
+    Returns 1, or None, changing nothing, where scipy bundles no such library.
+    """
+    import scipy
+    for path in sorted(Path(scipy.__file__).parent.parent.glob("scipy.libs/libscipy_openblas*.so")):
+        set_threads = getattr(ctypes.CDLL(str(path)), "scipy_openblas_set_num_threads", None)
+        if set_threads is not None:
+            set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+            set_threads(1)
+            return 1
+    return None
+
+
+@cache
 def _lapack():
     """scipy's compiled LAPACK wrapper, where scipy.linalg.lapack gets zposv, loaded without
-    scipy/linalg/__init__.py, which would also load scipy's array-API layer and numpy.f2py."""
+    scipy/linalg/__init__.py, which would also load scipy's array-API layer and numpy.f2py.
+    Its OpenBLAS then runs on one thread (``_one_blas_thread``)."""
     import scipy
     folder = Path(scipy.__file__).parent / "linalg"
     for path in (folder / f"_flapack{suffix}" for suffix in EXTENSION_SUFFIXES):
@@ -299,6 +317,7 @@ def _lapack():
             loader = ExtensionFileLoader("scipy.linalg._flapack", str(path))
             module = module_from_spec(spec_from_loader(loader.name, loader))
             loader.exec_module(module)
+            _one_blas_thread()
             return module
     raise ImportError(f"scipy's compiled LAPACK wrapper _flapack is not in {folder}")
 
@@ -354,24 +373,6 @@ def bs_estimate_G(sched: PilotSchedule, ch: ChannelSet, h_hat: np.ndarray,
     """
     noise = _reflected_noise(sched.n_slots, ch, rng)
     return _estimate_G(sched, ch, h_hat, _contract_reflected(sched, ch, noise))
-
-
-def run_two_sided(sched: PilotSchedule, ch: ChannelSet,
-                  rng_hris: np.random.Generator, rng_bs: np.random.Generator):
-    """Both estimation stages: the surface's H estimate, then the base station's G.
-
-    Returns ``(h_hat, g_hat)``; the G stage uses the forwarded ``h_hat``.
-    """
-    h_hat = hris_estimate_H(sched, ch, rng_hris)
-    return h_hat, bs_estimate_G(sched, ch, h_hat, rng_bs)
-
-
-def cascaded_nmse(estimates, ch: ChannelSet) -> float:
-    """NMSE over all users of per-user cascade estimates, A_k = G diag(h_k) for user k.
-
-    ``estimates`` is a C-ordered (K, M, N) stack or a list of the K (M, N) matrices.
-    """
-    return nmse(estimates, cascaded_per_user(ch.H, ch.G))
 
 
 def baseline_identifiable(pilot_count: int, n_users: int, n_atoms: int) -> bool:
@@ -437,12 +438,11 @@ class ChestDims:
     geom: LinkGeometry = LinkGeometry()
 
 
-def trial_channels(seed: int, experiment: str, trial: int, dims: ChestDims,
-                   tx_power: float = 1.0) -> ChannelSet:
-    """The channel draw of one trial of a chest sweep, from its own substream."""
+def trial_channels(seed: int, experiment: str, trial: int, dims: ChestDims) -> ChannelSet:
+    """The channel draw of one trial of a chest sweep, from its own substream, at unit power."""
     return draw_channels(dims.geom, dims.n_atoms, dims.n_users, dims.n_bs_antennas,
                          substream(seed, experiment, trial, TAG_CHANNEL),
-                         tx_power=tx_power, pathloss_model=dims.pathloss_model)
+                         pathloss_model=dims.pathloss_model)
 
 
 def _tradeoff_schedules(seed: int, rhos: tuple, n_draws: int, n_rf_chains: int,
@@ -466,7 +466,8 @@ def _tradeoff_trial(trial: int, *, setup: tuple, seed: int, rhos: tuple, snr_db:
                     dims: ChestDims):
     schedules, sensed_diags, pattern, rotations = setup
     n_draws = len(rotations)
-    ch = trial_channels(seed, "chest_tradeoff", trial, dims, tx_power=10.0 ** (snr_db / 10.0))
+    ch = replace(trial_channels(seed, "chest_tradeoff", trial, dims),
+                 tx_power=10.0 ** (snr_db / 10.0))
     nmse_h, nmse_g = np.empty((2, len(rhos), n_draws))
     # Every (rho, draw) cell of one trial sees identical noise, so curves are
     # paired: the noise of each stage is drawn once and serves every cell.

@@ -11,7 +11,7 @@ import functools
 import math
 
 import numpy as np
-from scipy.linalg import dft, solve_triangular
+from scipy.linalg import cholesky, dft, solve_triangular
 
 
 def element_positions_loops(n_h, n_v, spacing_m):
@@ -218,7 +218,10 @@ def baseline_two_unknowns(patterns, observations):
 # simulated observations, and by the closed form the package uses, written out
 # from scratch so the package must match it bit for bit.  The closed forms are
 # the inverse DFT of group means applied to the noise alone (sensing stage and
-# baseline) and Cholesky on the Hadamard Gram (base-station stage).
+# baseline) and Cholesky on the Hadamard Gram (base-station stage).  Its
+# factor and triangular solves come from scipy's LAPACK, whose OpenBLAS the
+# package runs on one thread once it has solved a G stage; numpy's copy keeps
+# its default thread count, and a threaded factor differs in the last bits.
 
 
 def schedule_combiners(sched):
@@ -327,7 +330,7 @@ def estimate_g_per_slot_cholesky(sched, ch, h_hat, rng):
     w = h_hat @ (math.sqrt(ch.tx_power) * sched.pilots)
     y = np.stack(blocks)
     v = (np.conj(refl).T @ y.reshape(len(blocks), -1)).reshape(-1, *y.shape[1:])
-    lower = np.linalg.cholesky((np.conj(w) @ w.T) * (np.conj(refl).T @ refl))
+    lower = cholesky((np.conj(w) @ w.T) * (np.conj(refl).T @ refl), lower=True)
     half = solve_triangular(lower, (v @ np.conj(w)[:, :, None])[:, :, 0], lower=True)
     return solve_triangular(lower, half, lower=True, trans="C").T
 
@@ -400,7 +403,7 @@ def estimate_g_per_slot_rotated(sched, bases, ch, h_hat, rng):
     sums.append(pilot_sum([_complex_normal_by_hand(rng, shape, ch.noise_var_bs)
                            if ch.noise_var_bs > 0.0 else np.zeros(shape, dtype=complex)
                            for t in range(n_slots)]))
-    lower = np.linalg.cholesky((np.conj(w) @ w.T) * (np.conj(refl).T @ refl))
+    lower = cholesky((np.conj(w) @ w.T) * (np.conj(refl).T @ refl), lower=True)
     half = solve_triangular(lower, np.hstack(sums), lower=True)
     solved = np.hsplit(solve_triangular(lower, half, lower=True, trans="C"), len(sums))
     return [(np.conj(d)[:, None] * (rho * x + math.sqrt(rho) * solved[-1])).T
@@ -446,3 +449,56 @@ def baseline_per_slot_dft(ch, pilot_count, rng):
     stacked = np.stack(decorr)
     return [truth + _dft_solve_loops(stacked[:, :, k], n_atoms).T / amp
             for k, truth in enumerate(truths)]
+
+
+# ---------------------------------------------------------------------------
+# Closed-form error energies of the linear stages (Kay, Fundamentals of
+# Statistical Signal Processing: Estimation Theory, 1993, ch. 4).  Both
+# stages are the truth plus a fixed linear map of Gaussian noise, so their
+# expected squared Frobenius errors are exact traces, given the channel.
+
+
+def _dft_row_counts(n_rows, n_atoms):
+    """c_r: how many of ``n_rows`` stacked cycled DFT rows have index r."""
+    counts = np.zeros(n_atoms)
+    for i in range(n_rows):
+        counts[i % n_atoms] += 1
+    return counts
+
+
+def h_stage_error_covariance(sched, ch):
+    """C_H, the covariance of every column of the H stage's error H_hat - H.
+
+    The error is pinv(Q) N X^H / (K sqrt(P) s).  Undoing the pilots leaves
+    i.i.d. noise of variance sigma^2 / K; pinv(Q) of the cycled DFT rows takes
+    the mean of the c_r rows of index r, then F^H / N; S = sqrt(P) diag(s)
+    rescales each atom.  So C_H = S^-1 F^H diag(sigma^2 / (K c_r)) F S^-H / N^2.
+    """
+    n_slots, n_atoms = np.shape(sched.rho)
+    counts = _dft_row_counts(n_slots * sched.n_rf_chains, n_atoms)
+    s = [math.sqrt(ch.tx_power * (1.0 - rho)) * cmath.exp(1j * phase)
+         for rho, phase in zip(sched.rho[0], sched.sense_phase[0])]
+    s_inv = np.diag(1.0 / np.array(s))
+    f = dft(n_atoms)
+    middle = np.diag(ch.noise_var_hris / (sched.n_users * counts))
+    return s_inv @ np.conj(f.T) @ middle @ f @ np.conj(s_inv.T) / n_atoms ** 2
+
+
+def h_stage_error_energy(sched, ch):
+    """E ||H_hat - H||_F^2 = K tr(C_H): the K columns are independent, each of covariance C_H."""
+    return sched.n_users * np.trace(h_stage_error_covariance(sched, ch)).real
+
+
+def baseline_error_energy(ch, pilot_count):
+    """E sum_k ||A_k_hat - A_k||_F^2 of the reflective baseline.
+
+    User k's error is pinv(Phi) N_k / sqrt(P) over T = pilot_count // K
+    slots: every one of its M N entries has variance
+    sum_r sigma^2 / (K c_r P) / N^2 (the H stage's algebra with unit sensing
+    gains).  Over whole DFT cycles, c_r = T / N, the total is sigma^2 M N / (T P).
+    """
+    n_atoms, n_users = ch.H.shape
+    n_bs = ch.G.shape[0]
+    counts = _dft_row_counts(pilot_count // n_users, n_atoms)
+    entry_var = np.sum(ch.noise_var_bs / (n_users * counts * ch.tx_power)) / n_atoms ** 2
+    return n_users * n_bs * n_atoms * entry_var

@@ -41,6 +41,16 @@ def test_scenario_validation():
                         true_direction=Direction(0.4, 0.0), combiner=combiner)
 
 
+def test_scenario_rejects_non_finite_combiner():
+    """A NaN entry used to pass the unit-magnitude check, then surface in ml_estimate
+    as a response that is zero everywhere on the grid."""
+    combiner = _scenario(0.4).combiner.copy()
+    combiner[3, 5] = complex(math.nan, 0.0)
+    with pytest.raises(ValueError, match="finite with unit magnitude"):
+        AoaScenario(array=ARR, sensed_fraction=0.5, snr_db=10.0,
+                    true_direction=Direction(0.4, 0.0), combiner=combiner)
+
+
 def test_snapshot_combiner_follows_schedule_seed():
     """One unit-modulus probe row per snapshot, i.i.d. uniform phases from schedule_seed alone."""
     def rows(seed, **kw):

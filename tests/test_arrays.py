@@ -9,7 +9,7 @@ from hris_sim.aoa import AoaGrid
 from hris_sim.arrays import (Direction, PlanarArray, array_factor,
                              element_positions, grid_response, plane_direction,
                              steered_weights, steering_elevation_gradient,
-                             steering_grid, steering_vector, unit_vector)
+                             steering_grid, steering_vector)
 
 import oracles
 
@@ -26,6 +26,14 @@ def test_invalid_array_parameters_rejected():
         PlanarArray(4, 3, -0.004, 0.0157)
     with pytest.raises(ValueError):
         PlanarArray(4, 3, 0.004, 0.0)
+
+
+@pytest.mark.parametrize("spacing_m, wavelength_m", [
+    (math.nan, 0.0157), (math.inf, 0.0157), (0.004, math.nan), (0.004, math.inf)])
+def test_non_finite_array_lengths_rejected(spacing_m, wavelength_m):
+    """A NaN slips past a plain `<= 0` check, since every comparison with NaN is false."""
+    with pytest.raises(ValueError, match="positive and finite"):
+        PlanarArray(4, 3, spacing_m, wavelength_m)
 
 
 def test_direction_validation_and_wrapping():
@@ -205,12 +213,6 @@ def test_array_factor_matches_loop_sum(arr):
 def test_array_factor_rejects_wrong_length(arr):
     with pytest.raises(ValueError):
         array_factor(arr, np.ones(arr.n_elements + 1), Direction(0.1, 0.0))
-
-
-def test_unit_vector_is_unit_norm():
-    for el, az in [(0.0, 0.0), (0.7, 2.2), (1.5, 5.0)]:
-        u = unit_vector(Direction(el, az))
-        assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_plane_direction_signed_angles():

@@ -22,6 +22,14 @@ def test_geometry_defaults_and_validation():
         LinkGeometry(cell_radius_m=0.0)
 
 
+@pytest.mark.parametrize("field", ["cell_radius_m", "hris_bs_distance_m", "carrier_hz"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_geometry_rejects_non_finite_values(field, value):
+    """Infinities and NaN, which a plain `<= 0` check let through: NaN <= 0 is false."""
+    with pytest.raises(ValueError, match="positive and finite"):
+        LinkGeometry(**{field: value})
+
+
 def test_pathloss_against_hand_formula():
     lam = 0.0157
     for d in (1.0, 10.0, 50.0):

@@ -16,8 +16,9 @@ from hris_sim.channels import (ChannelSet, LinkGeometry, cascaded_per_user,
 from hris_sim import chest
 from hris_sim.chest import (ChestDims, _sweep_schedules, _sweep_trial, _tradeoff_schedules,
                             _tradeoff_trial, bs_estimate_G, build_pilot_schedule,
-                            cascaded_ls_baseline, cascaded_nmse, hris_estimate_H, nmse,
-                            rf_chain_sweep, run_two_sided, tradeoff_experiment)
+                            cascaded_ls_baseline, hris_estimate_H, nmse, rf_chain_sweep,
+                            tradeoff_experiment)
+from hris_sim.config import preset_config
 from hris_sim.errors import EstimationInfeasibleError, IdentifiabilityError
 from hris_sim.hris import reflection_gain
 from hris_sim.rng import (TAG_CHANNEL, TAG_NOISE_BASELINE, TAG_NOISE_BS, TAG_NOISE_HRIS,
@@ -161,11 +162,11 @@ def test_bs_stage_matches_normal_equations_oracle():
 def test_two_sided_noise_free_exact():
     sched = build_pilot_schedule(64, 8, 8, 64, 0.5)
     ch = _channels(64, 8, 16, seed=3, noise_var_hris=0.0, noise_var_bs=0.0)
-    h_hat, g_hat = run_two_sided(
-        sched, ch, np.random.default_rng(0), np.random.default_rng(1))
+    h_hat = hris_estimate_H(sched, ch, np.random.default_rng(0))
+    g_hat = bs_estimate_G(sched, ch, h_hat, np.random.default_rng(1))
     assert np.linalg.norm(h_hat - ch.H) / np.linalg.norm(ch.H) < 1e-9
     assert np.linalg.norm(g_hat - ch.G) / np.linalg.norm(ch.G) < 1e-9
-    assert cascaded_nmse(cascaded_per_user(h_hat, g_hat), ch) < 1e-18
+    assert nmse(cascaded_per_user(h_hat, g_hat), cascaded_per_user(ch.H, ch.G)) < 1e-18
 
 
 def _assert_stages_match_per_slot_oracle(sched, ch, trial):
@@ -661,13 +662,14 @@ def _sweep_trial_by_oracle(seed, trial, nr_grid, snrs_db, n_slots, dims, solvers
     ch0 = draw_channels(dims.geom, dims.n_atoms, dims.n_users, dims.n_bs_antennas,
                         substream(seed, "rf_chain_sweep", trial, TAG_CHANNEL),
                         pathloss_model=dims.pathloss_model)
+    truth = cascaded_per_user(ch0.H, ch0.G)
     casc = np.empty((len(nr_grid), len(snrs_db)))
     base = np.empty(len(snrs_db))
     for s, snr_db in enumerate(snrs_db):
         ch = replace(ch0, tx_power=10.0 ** (snr_db / 10.0))
-        base[s] = cascaded_nmse(baseline(
+        base[s] = nmse(baseline(
             ch, n_slots * dims.n_users,
-            substream(seed, "rf_chain_sweep", trial, TAG_NOISE_BASELINE)), ch)
+            substream(seed, "rf_chain_sweep", trial, TAG_NOISE_BASELINE)), truth)
         for i, n_rf in enumerate(nr_grid):
             sched = build_pilot_schedule(dims.n_atoms, dims.n_users, n_rf,
                                          n_slots * dims.n_users, 0.5)
@@ -675,8 +677,8 @@ def _sweep_trial_by_oracle(seed, trial, nr_grid, snrs_db, n_slots, dims, solvers
                                                     TAG_NOISE_HRIS))
             g_hat = estimate_g(sched, ch, h_hat,
                                substream(seed, "rf_chain_sweep", trial, TAG_NOISE_BS))
-            casc[i, s] = cascaded_nmse(
-                [g_hat * h_hat[:, k] for k in range(dims.n_users)], ch)  # G diag(h_k)
+            casc[i, s] = nmse(
+                [g_hat * h_hat[:, k] for k in range(dims.n_users)], truth)  # G diag(h_k)
     return casc, base
 
 
@@ -773,7 +775,7 @@ def test_baseline_matches_two_unknown_oracle():
     assert len(estimates) == 1
     np.testing.assert_allclose(estimates[0].ravel(), a_oracle, atol=1e-10)
     np.testing.assert_allclose(estimates[0], cascaded_per_user(H, G)[0], atol=1e-10)
-    assert cascaded_nmse(estimates, ch) < 1e-20
+    assert nmse(estimates, cascaded_per_user(H, G)) < 1e-20
 
 
 def test_baseline_underdetermined_error():
@@ -801,8 +803,9 @@ def test_cascaded_nmse_composes_per_user():
         return list(cascaded_per_user(ch.H, g))
 
     # Perfect estimates give zero; doubling G gives a known ratio via direct sums.
-    assert cascaded_nmse(composed(ch.G), ch) == 0.0
-    assert cascaded_nmse(composed(2.0 * ch.G), ch) == pytest.approx(1.0)
+    truth = cascaded_per_user(ch.H, ch.G)
+    assert nmse(composed(ch.G), truth) == 0.0
+    assert nmse(composed(2.0 * ch.G), truth) == pytest.approx(1.0)
 
 
 def test_tradeoff_experiment_rows_pairing_and_workers():
@@ -884,3 +887,81 @@ def test_rf_chain_sweep_worker_invariance():
     rows1 = rf_chain_sweep([1, 2], [5.0], 4, seed=21, rho=0.5, n_slots=8, dims=dims, workers=1)
     rows2 = rf_chain_sweep([1, 2], [5.0], 4, seed=21, rho=0.5, n_slots=8, dims=dims, workers=2)
     assert rows1 == rows2
+
+
+# Closed-form checks of the sweeps' trial means.  Each check runs a preset at
+# ORACLE_TRIALS trials and pairs every trial's NMSE with the prediction for
+# that trial's channel, so under a correct model the mean difference over its
+# standard error is standard normal; every cell must lie within ORACLE_Z.
+ORACLE_TRIALS = 200
+ORACLE_Z = 4.0
+
+
+def _recorded_sweep(monkeypatch, sweep, **kwargs):
+    """The rows of one sweep and the per-trial results it averaged."""
+    trials = []
+    map_trials = chest.map_trials
+
+    def recording(fn, n_trials, workers=1):
+        results = map_trials(fn, n_trials, workers)
+        trials.extend(results)
+        return results
+
+    monkeypatch.setattr(chest, "map_trials", recording)  # the sweeps' binding
+    return sweep(**kwargs), trials
+
+
+def _assert_within_z(means, measured, predicted):
+    """Each cell's trial mean within ORACLE_Z standard errors of the paired differences."""
+    diff = measured - predicted
+    np.testing.assert_array_equal(means, measured.mean(axis=0))
+    z = (means - predicted.mean(axis=0)) / (diff.std(axis=0, ddof=1) / math.sqrt(len(diff)))
+    assert np.all(np.abs(z) <= ORACLE_Z), z
+
+
+def test_tradeoff_nmse_h_matches_the_h_stage_closed_form(monkeypatch):
+    """fig5's nmse_H against K tr(C_H) / ||H||^2 (``oracles.h_stage_error_energy``).
+
+    200 trials of the fig5 preset, all 27 (rho, draw) cells within 4 standard errors.
+    """
+    cfg = preset_config("fig5")
+    params, dims = cfg.params, cfg.params["dims"]
+    rows, trials = _recorded_sweep(monkeypatch, tradeoff_experiment, n_trials=ORACLE_TRIALS,
+                                   seed=cfg.seed, **params)
+    power = 10.0 ** (params["snr_db"] / 10.0)
+    channels = [replace(chest.trial_channels(cfg.seed, "chest_tradeoff", t, dims), tx_power=power)
+                for t in range(ORACLE_TRIALS)]
+    energy = np.repeat([oracles.h_stage_error_energy(build_pilot_schedule(
+        dims.n_atoms, dims.n_users, params["n_rf_chains"], params["pilot_count"], rho),
+        channels[0]) for rho in params["rho_grid"]], params["n_phase_draws"])
+    predicted = np.array([energy / np.linalg.norm(ch.H) ** 2 for ch in channels])
+    measured = np.array([nmse_h.ravel() for nmse_h, _ in trials])
+    _assert_within_z(np.array([row["nmse_H"] for row in rows]), measured, predicted)
+
+
+def test_chain_sweep_baseline_matches_its_closed_form(monkeypatch):
+    """fig6's nmse_baseline against sigma^2 M N / (T P) / ||A||^2 (``oracles.baseline_error_energy``).
+
+    200 trials of the fig6 preset, both SNR cells within 4 standard errors.
+    """
+    cfg = preset_config("fig6")
+    params, dims = cfg.params, cfg.params["dims"]
+    rows, trials = _recorded_sweep(monkeypatch, rf_chain_sweep, n_trials=ORACLE_TRIALS,
+                                   seed=cfg.seed, **params)
+    pilot_count = params["n_slots"] * dims.n_users
+    ch = chest.trial_channels(cfg.seed, "rf_chain_sweep", 0, dims)
+    energy = np.array([oracles.baseline_error_energy(replace(ch, tx_power=10.0 ** (snr / 10.0)),
+                                                     pilot_count)
+                       for snr in params["snr_db_list"]])
+    # One slot per atom: whole DFT cycles, where the energy is sigma^2 M N / (T P).
+    n_slots = params["n_slots"]
+    np.testing.assert_allclose(energy, [
+        ch.noise_var_bs * dims.n_bs_antennas * dims.n_atoms / (n_slots * 10.0 ** (snr / 10.0))
+        for snr in params["snr_db_list"]], rtol=1e-12)
+    predicted = np.array([energy / np.linalg.norm(cascaded_per_user(ch.H, ch.G)) ** 2
+                          for ch in (chest.trial_channels(cfg.seed, "rf_chain_sweep", t, dims)
+                                     for t in range(ORACLE_TRIALS))])
+    measured = np.array([base for _, base in trials])
+    means = np.array([row["nmse_baseline"] for row in rows]).reshape(-1, len(energy))
+    for row_means in means:  # every chain count repeats the baseline column
+        _assert_within_z(row_means, measured, predicted)

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from hris_sim.arrays import PlanarArray, emit_beampattern
 from hris_sim.channels import draw_channels, load_matrix
@@ -95,7 +96,8 @@ def test_run_aoa_writes_csv_and_metadata(tmp_path):
     assert meta["derived"]["search_grid_points"] == 721
     assert meta["config"] == cfg.raw
     env = meta["environment"]
-    assert set(env) == {"python", "numpy", "scipy", "cpu_count", "blas_threads", "malloc"}
+    assert set(env) == {"python", "numpy", "scipy", "cpu_count", "blas_threads", "malloc",
+                        "scipy_blas_threads"}
     assert set(env["blas_threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                         "MKL_NUM_THREADS"}
     assert env["numpy"] == np.__version__
@@ -201,6 +203,61 @@ def test_results_digest_does_not_depend_on_the_start_method(tmp_path, method):
     for w1, w2 in result["digests"].values():
         assert len(w1) == 64 and w1 == w2
     assert result["heap"] == [[1, result["malloc"]]] * 2
+
+
+_BLAS_THREADS_SCRIPT = """
+import json, multiprocessing, sys
+from hris_sim import config, runner
+
+if __name__ == "__main__":
+    out, method, trees = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+    multiprocessing.set_start_method(method)
+    digests, pinned = [], []
+    for i, tree in enumerate(trees):
+        for workers in (1, 2):
+            paths = runner.run(config.parse_config_tree(tree), workers=workers,
+                               out_dir=f"{out}/{method}_{i}_w{workers}")
+            meta = json.load(open(paths["metadata"]))
+            digests.append(meta["results_sha256"])
+            pinned.append(meta["environment"]["scipy_blas_threads"])
+    print(json.dumps({"digests": digests, "pinned": pinned}))
+"""
+
+_BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_results_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """Without OPENBLAS_NUM_THREADS, fig5 and a 72-slot fig6 give their one-thread digests.
+
+    Both run zposv G-stage solves, and a threaded zposv sums in another order.
+    Every process that loads the LAPACK wrapper sets scipy's OpenBLAS to one
+    thread, so the digests equal a run with the variables set to 1, at workers
+    1 and 2 and under every start method, and metadata.json says so.
+    """
+    fig6_72 = copy.deepcopy(PRESETS["fig6"])
+    fig6_72.update(n_trials=8, rf_sweep=dict(fig6_72["rf_sweep"], n_slots=72))
+    trees = [workloads.config_tree(PRESETS, "split_tradeoff", workloads.DEFAULT_SEED), fig6_72]
+    script = tmp_path / "blas_threads.py"
+    script.write_text(_BLAS_THREADS_SCRIPT)
+    base = {k: v for k, v in os.environ.items() if k not in _BLAS_VARIABLES}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [str(workloads.SRC),
+                                                       os.environ.get("PYTHONPATH")]))
+
+    def digests(method, env):
+        proc = subprocess.run([sys.executable, str(script), str(tmp_path), method,
+                               json.dumps(trees)], env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    one_thread = digests("fork", dict(base, **dict.fromkeys(_BLAS_VARIABLES, "1")))
+    assert one_thread["digests"][0] == one_thread["digests"][1]
+    assert one_thread["digests"][2] == one_thread["digests"][3]
+    bundled = any((Path(scipy.__file__).parents[1] / "scipy.libs").glob("libscipy_openblas*.so"))
+    assert one_thread["pinned"] == [1 if bundled else None] * 4
+    for method in ("fork", "forkserver", "spawn"):
+        if method in multiprocessing.get_all_start_methods():
+            assert digests(method, base) == one_thread, method
 
 
 def test_results_digest_sees_what_the_csv_cannot(tmp_path, monkeypatch):
@@ -365,10 +422,11 @@ def test_sweep_rows_rejects_a_misshaped_column(shape):
 def test_bench_workload_matches_reference_csv(tmp_path, workload):
     """The benchmark's reference CSVs pin every sweep's output bytes.
 
-    They were written with single-threaded BLAS, and two BLAS threads change
-    the last printed digit of some fig5 cells.  The thread count can only be
-    set before numpy loads, so the run happens in a fresh interpreter with
-    the benchmark's settings.
+    They were written with single-threaded BLAS.  The run sets scipy's
+    OpenBLAS to one thread itself, so the digits no longer follow the thread
+    count (test_results_do_not_depend_on_the_blas_thread_count); it still
+    runs in a fresh interpreter with the benchmark's settings, which must be
+    in place before numpy loads, so that it sees what the benchmark sees.
     """
     script = ("import sys, workloads\n"
               "from hris_sim import config, runner\n"
