@@ -164,7 +164,7 @@ class _ScanTable:
 def _scan_table(array: PlanarArray, combiner: np.ndarray, azimuth_rad: float,
                 grid: AoaGrid) -> _ScanTable:
     """b from ``grid_response``, conjugated in place into ``conj_signal`` after ``energy``."""
-    azimuth_rad = float(np.mod(azimuth_rad, 2.0 * np.pi))
+    azimuth_rad = Direction(0.0, azimuth_rad).azimuth_rad
     points = grid.points
     conj_combiner = np.conj(combiner)
     b = grid_response(array, conj_combiner, points, azimuth_rad)

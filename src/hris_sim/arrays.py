@@ -54,7 +54,7 @@ class PlanarArray:
 
 @dataclass(frozen=True)
 class Direction:
-    """Propagation direction; elevation in [0, pi/2), azimuth wrapped to [0, 2*pi)."""
+    """Propagation direction; elevation in [0, pi/2), finite azimuth wrapped to [0, 2*pi)."""
 
     elevation_rad: float
     azimuth_rad: float = 0.0
@@ -63,6 +63,8 @@ class Direction:
         if not 0.0 <= self.elevation_rad < np.pi / 2.0:
             raise ValueError(
                 f"elevation {self.elevation_rad!r} rad outside [0, pi/2)")
+        if not np.isfinite(self.azimuth_rad):
+            raise ValueError(f"azimuth {self.azimuth_rad!r} rad is not finite")
         object.__setattr__(self, "azimuth_rad", float(np.mod(self.azimuth_rad, TWO_PI)))
 
 
@@ -94,11 +96,11 @@ def _axis_wavenumbers(arr: PlanarArray) -> tuple[np.ndarray, np.ndarray]:
     return kx, ky
 
 
-def _phase_ramp(arr: PlanarArray, u: np.ndarray) -> np.ndarray:
-    """exp(j * k * <p_n, u_m>) for unit vectors u of shape (M, 3), shape (M, N).
+def _phase_ramp(arr: PlanarArray, u_x: np.ndarray, u_y: np.ndarray) -> np.ndarray:
+    """exp(j * k * <p_n, u_m>), shape (M, N), from the in-plane cosines u_x, u_y (M,) of u_m.
 
-    The lattice sits at z = 0, so the phase of element (iv, ih) is
-    k * (x_ih * u_x + y_iv * u_y) and each row is the Kronecker product
+    The lattice sits at z = 0, so u_z never enters: the phase of element
+    (iv, ih) is k * (x_ih * u_x + y_iv * u_y) and each row is the Kronecker product
     a_y (x) a_x of a_x = exp(j k x u_x) (n_h entries) and a_y = exp(j k y u_y)
     (n_v entries): n_h + n_v complex exponentials per direction, not n_h * n_v.
     Every operation is element-wise, so a stacked call returns bit-for-bit
@@ -110,9 +112,9 @@ def _phase_ramp(arr: PlanarArray, u: np.ndarray) -> np.ndarray:
     differ by rounding, about 1e-15 per entry.
     """
     kx, ky = _axis_wavenumbers(arr)
-    a_x = np.exp(1j * (u[:, 0:1] * kx))
-    a_y = np.exp(1j * (u[:, 1:2] * ky))
-    return (a_y[:, :, None] * a_x[:, None, :]).reshape(len(u), arr.n_elements)
+    a_x = np.exp(1j * (u_x[:, None] * kx))
+    a_y = np.exp(1j * (u_y[:, None] * ky))
+    return (a_y[:, :, None] * a_x[:, None, :]).reshape(len(u_x), arr.n_elements)
 
 
 def steering_vector(arr: PlanarArray, direction: Direction) -> np.ndarray:
@@ -138,10 +140,8 @@ def steering_grid(arr: PlanarArray, elevations_rad: np.ndarray, azimuth_rad: flo
     Negative elevations are accepted and mirror into the opposite half-plane
     (the signed-angle convention of ``plane_direction``).
     """
-    el = np.asarray(elevations_rad, dtype=float)
-    se = np.sin(el)
-    u = np.stack([se * np.cos(azimuth_rad), se * np.sin(azimuth_rad), np.cos(el)], axis=-1)
-    return _phase_ramp(arr, u).T
+    se = np.sin(np.asarray(elevations_rad, dtype=float))
+    return _phase_ramp(arr, se * np.cos(azimuth_rad), se * np.sin(azimuth_rad)).T
 
 
 def grid_response(arr: PlanarArray, weights: np.ndarray, elevations_rad: np.ndarray,

@@ -56,8 +56,8 @@ import ctypes
 import math
 from dataclasses import dataclass, replace
 from functools import cache, cached_property, partial
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
-from importlib.util import module_from_spec, spec_from_loader
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 from pathlib import Path
 
 import numpy as np
@@ -290,36 +290,30 @@ def _check_pivots(sched: PilotSchedule, h_hat: np.ndarray, ratio: float) -> None
 
 
 @cache
-def _one_blas_thread() -> int | None:
-    """Set scipy's bundled OpenBLAS to one thread, process-wide, so zposv sums in one order.
-
-    Returns 1, or None, changing nothing, where scipy bundles no such library.
-    """
+def _scipy_openblas() -> str | None:
+    """The OpenBLAS that scipy bundles and ``_flapack`` loads, found by name only; None if none."""
     import scipy
-    for path in sorted(Path(scipy.__file__).parent.parent.glob("scipy.libs/libscipy_openblas*.so")):
-        set_threads = getattr(ctypes.CDLL(str(path)), "scipy_openblas_set_num_threads", None)
-        if set_threads is not None:
-            set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
-            set_threads(1)
-            return 1
-    return None
+    return next(map(str, sorted(Path(scipy.__file__).parents[1].glob(
+        "scipy.libs/libscipy_openblas*.so"))), None)
 
 
 @cache
 def _lapack():
     """scipy's compiled LAPACK wrapper, where scipy.linalg.lapack gets zposv, loaded without
     scipy/linalg/__init__.py, which would also load scipy's array-API layer and numpy.f2py.
-    Its OpenBLAS then runs on one thread (``_one_blas_thread``)."""
+    Its OpenBLAS (``_scipy_openblas``) is then set to one thread, process-wide, so zposv
+    sums in one order whatever the thread variables say."""
     import scipy
-    folder = Path(scipy.__file__).parent / "linalg"
-    for path in (folder / f"_flapack{suffix}" for suffix in EXTENSION_SUFFIXES):
-        if path.is_file():
-            loader = ExtensionFileLoader("scipy.linalg._flapack", str(path))
-            module = module_from_spec(spec_from_loader(loader.name, loader))
-            loader.exec_module(module)
-            _one_blas_thread()
-            return module
-    raise ImportError(f"scipy's compiled LAPACK wrapper _flapack is not in {folder}")
+    folder = str(Path(scipy.__file__).parent / "linalg")
+    spec = FileFinder(folder, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(
+        "scipy.linalg._flapack")
+    if spec is None:
+        raise ImportError(f"scipy's compiled LAPACK wrapper _flapack is not in {folder}")
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if (openblas := _scipy_openblas()) is not None:
+        ctypes.CDLL(openblas).scipy_openblas_set_num_threads(1)
+    return module
 
 
 def _estimate_G(sched: PilotSchedule, ch: ChannelSet, h_hat: np.ndarray,

@@ -9,11 +9,11 @@ The metadata's ``results_sha256`` covers the unrounded cells, last bits too.
 
 Before its first trial a run fixes glibc's malloc thresholds, as each pool
 worker does itself (``parallel._keep_heap_mapped``), so the heap one trial
-frees stays mapped for the next; ``environment.malloc`` records them.  It
-also sets scipy's OpenBLAS to one thread, as every process that loads the G
-stage's LAPACK wrapper does (``chest._one_blas_thread``), and
-``environment.scipy_blas_threads`` records that: 1, or null where scipy
-bundles no OpenBLAS and results may follow the thread count again.
+frees stays mapped for the next; ``environment.malloc`` records them.
+``environment.scipy_blas_threads`` is the thread count of every G-stage solve:
+1, set in each process as it loads the LAPACK wrapper (``chest._lapack``;
+runs with no G-stage solve map neither), or null where scipy bundles no
+OpenBLAS and results may follow the thread count again.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 import scipy
 
 from .channels import save_matrix
-from .chest import _one_blas_thread, trial_channels
+from .chest import _scipy_openblas, trial_channels
 from .config import EXPERIMENTS, ExperimentConfig, parse_seed, parse_workers, usable_cpus
 from .parallel import _keep_heap_mapped
 from .rng import TAG_CHANNEL
@@ -80,7 +80,6 @@ def run(cfg: ExperimentConfig, out_dir=None, seed: int | None = None,
     out.mkdir(parents=True, exist_ok=True)
 
     malloc = _keep_heap_mapped()
-    scipy_blas_threads = _one_blas_thread()
     start = time.perf_counter()
     rows = spec.run(n_trials=cfg.n_trials, seed=seed, workers=workers, **cfg.params)
     duration = time.perf_counter() - start
@@ -114,7 +113,8 @@ def run(cfg: ExperimentConfig, out_dir=None, seed: int | None = None,
                         "scipy": scipy.__version__, "cpu_count": usable_cpus(),
                         "blas_threads": {k: os.environ.get(k) for k in (
                             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
-                        "malloc": malloc, "scipy_blas_threads": scipy_blas_threads},
+                        "malloc": malloc,
+                        "scipy_blas_threads": None if _scipy_openblas() is None else 1},
     }
     meta_path = out / "metadata.json"
     with open(meta_path, "w", encoding="utf-8") as fh:

@@ -502,3 +502,35 @@ def baseline_error_energy(ch, pilot_count):
     counts = _dft_row_counts(pilot_count // n_users, n_atoms)
     entry_var = np.sum(ch.noise_var_bs / (n_users * counts * ch.tx_power)) / n_atoms ** 2
     return n_users * n_bs * n_atoms * entry_var
+
+
+def g_stage_error_terms(sched, ch):
+    """First-order E ||G_hat - G||_F^2 of the base-station stage, as its two terms.
+
+    With the true regressors Z0 = [R_t H X sqrt(P)]_t stacked over slots and
+    Z0+ = Z0^H (Z0 Z0^H)^-1, the estimate is G_hat - G ~ (N_b - G dZ) Z0+ to
+    first order in the forwarded error dZ = [R_t dH X sqrt(P)]_t.  The two
+    noises are independent, so the energy splits into the receiver-noise term
+    sigma_b^2 M tr((Z0 Z0^H)^-1) and the forwarded-H term
+    sum_{t,u} tr(B_t^T conj(B_u)) tr(G^H G R_t C_H R_u^H), with
+    B_t = X sqrt(P) (Z0+)_t, slot t's block of K rows, and C_H the H stage's
+    column covariance.  For a uniform split rho they scale as 1/rho and
+    1/(1 - rho).
+    """
+    n_slots, n_users = sched.rho.shape[0], sched.pilots.shape[0]
+    pilot_block = math.sqrt(ch.tx_power) * sched.pilots
+    refl = [np.sqrt(sched.rho[t]) * np.exp(1j * sched.reflect_phase[t]) for t in range(n_slots)]
+    z0 = np.hstack([r[:, None] * (ch.H @ pilot_block) for r in refl])
+    gram_inv = np.linalg.inv(z0 @ np.conj(z0.T))
+    z0_pinv = np.conj(z0.T) @ gram_inv
+    receiver = ch.noise_var_bs * ch.G.shape[0] * np.trace(gram_inv).real
+    blocks = [pilot_block @ z0_pinv[t * n_users:(t + 1) * n_users] for t in range(n_slots)]
+    ghg_t = (np.conj(ch.G.T) @ ch.G).T
+    c_h = h_stage_error_covariance(sched, ch)
+    forwarded = 0.0
+    for t in range(n_slots):
+        for u in range(n_slots):
+            # tr(G^H G R_t C_H R_u^H) = sum_{n,m} (G^H G)[m, n] r_t[n] C_H[n, m] conj(r_u[m])
+            middle = np.sum(ghg_t * (refl[t][:, None] * c_h * np.conj(refl[u])))
+            forwarded += np.sum(blocks[t] * np.conj(blocks[u])) * middle
+    return receiver, forwarded.real

@@ -276,6 +276,14 @@ def test_rmse_experiment_checks_sensed_fractions(monkeypatch):
     assert [row["sensed_fraction"] for row in rows] == [1.0]
 
 
+@pytest.mark.parametrize("azimuth", [math.nan, math.inf])
+def test_rmse_experiment_rejects_non_finite_azimuth(monkeypatch, azimuth):
+    """A NaN azimuth used to fail in the trials as a response zero everywhere on the grid."""
+    monkeypatch.setattr(aoa, "map_trials", lambda *args: pytest.fail("a trial ran"))
+    with pytest.raises(ValueError, match="azimuth .* not finite"):
+        rmse_experiment([16], [0.5], 8, [0.0], 2, seed=0, **dict(SWEEP, azimuth_rad=azimuth))
+
+
 def test_rmse_experiment_names_missing_trials():
     """Zero trials used to fail unpacking an empty mean: 'not enough values to unpack'."""
     with pytest.raises(ValueError, match="n_trials must be at least 1"):

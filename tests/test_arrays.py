@@ -46,6 +46,13 @@ def test_direction_validation_and_wrapping():
     assert d.azimuth_rad == pytest.approx(2.0 * math.pi - 1.0)
 
 
+@pytest.mark.parametrize("azimuth", [math.nan, math.inf, -math.inf])
+def test_direction_rejects_non_finite_azimuth(azimuth):
+    """np.mod wrapped a NaN or infinite azimuth to NaN, which the direction then kept."""
+    with pytest.raises(ValueError, match="azimuth .* not finite"):
+        Direction(0.3, azimuth)
+
+
 def test_element_positions_match_loop_oracle(arr):
     expected = np.array(oracles.element_positions_loops(
         arr.n_h, arr.n_v, arr.spacing_m))

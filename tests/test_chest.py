@@ -939,6 +939,44 @@ def test_tradeoff_nmse_h_matches_the_h_stage_closed_form(monkeypatch):
     _assert_within_z(np.array([row["nmse_H"] for row in rows]), measured, predicted)
 
 
+def test_tradeoff_nmse_g_matches_the_g_stage_first_order_model(monkeypatch):
+    """fig5's nmse_G against (a / rho + b / (1 - rho)) / ||G||^2 (``oracles.g_stage_error_terms``).
+
+    200 trials of the fig5 preset, all 27 (rho, draw) cells within 4 standard
+    errors, and each draw's predicted argmin over rho_grid is the Monte Carlo's.
+    """
+    cfg = preset_config("fig5")
+    params, dims = cfg.params, cfg.params["dims"]
+    rhos = np.array(params["rho_grid"])
+    rows, trials = _recorded_sweep(monkeypatch, tradeoff_experiment, n_trials=ORACLE_TRIALS,
+                                   seed=cfg.seed, **params)
+    power = 10.0 ** (params["snr_db"] / 10.0)
+    schedule = build_pilot_schedule(dims.n_atoms, dims.n_users, params["n_rf_chains"],
+                                    params["pilot_count"], 0.5)
+    # Draw j adds its per-atom base phases to every slot's reflection phases.
+    draws = [replace(schedule, reflect_phase=schedule.reflect_phase + substream(
+        cfg.seed, "chest_tradeoff", j, TAG_PHASES).uniform(0.0, 2.0 * np.pi, size=dims.n_atoms))
+        for j in range(params["n_phase_draws"])]
+    predicted = []
+    for t in range(ORACLE_TRIALS):
+        ch = replace(chest.trial_channels(cfg.seed, "chest_tradeoff", t, dims), tx_power=power)
+        # At rho = 0.5 the terms are 2a and 2b.
+        terms = np.array([oracles.g_stage_error_terms(sched, ch) for sched in draws]) / 2.0
+        predicted.append((terms[:, 0] / rhos[:, None] + terms[:, 1] / (1.0 - rhos[:, None]))
+                         / np.linalg.norm(ch.G) ** 2)
+        if t == 0:  # the split: at rho = 0.2 the terms are a / 0.2 and b / 0.8
+            np.testing.assert_allclose(oracles.g_stage_error_terms(
+                replace(draws[0], rho=np.full_like(draws[0].rho, 0.2)), ch),
+                terms[0] / [0.2, 0.8], rtol=1e-9)
+    predicted = np.array(predicted).reshape(ORACLE_TRIALS, -1)
+    measured = np.array([nmse_g.ravel() for _, nmse_g in trials])
+    means = np.array([row["nmse_G"] for row in rows])
+    _assert_within_z(means, measured, predicted)
+    shape = (len(rhos), params["n_phase_draws"])
+    np.testing.assert_array_equal(np.argmin(predicted.mean(axis=0).reshape(shape), axis=0),
+                                  np.argmin(means.reshape(shape), axis=0))
+
+
 def test_chain_sweep_baseline_matches_its_closed_form(monkeypatch):
     """fig6's nmse_baseline against sigma^2 M N / (T P) / ||A||^2 (``oracles.baseline_error_energy``).
 

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import multiprocessing
 import os
 import platform
@@ -53,6 +54,14 @@ def test_beampattern_peak_at_commanded_angle():
     assert gains.max() == 0.0
     assert abs(angles[int(np.argmax(gains))] - 25.0) <= step
     assert np.all(gains >= -400.0)
+
+
+@pytest.mark.parametrize("azimuth_deg", [math.nan, math.inf])
+def test_beampattern_rejects_non_finite_azimuth(azimuth_deg):
+    """A NaN azimuth used to give NaN gains, written as empty CSV cells."""
+    with pytest.raises(ValueError, match="azimuth .* not finite"):
+        emit_beampattern(ARR12, steer_deg=10.0, azimuth_deg=azimuth_deg, n_points=5,
+                         span_deg=90.0)
 
 
 def test_beampattern_broadside_cut_is_symmetric():
@@ -422,11 +431,12 @@ def test_sweep_rows_rejects_a_misshaped_column(shape):
 def test_bench_workload_matches_reference_csv(tmp_path, workload):
     """The benchmark's reference CSVs pin every sweep's output bytes.
 
-    They were written with single-threaded BLAS.  The run sets scipy's
-    OpenBLAS to one thread itself, so the digits no longer follow the thread
-    count (test_results_do_not_depend_on_the_blas_thread_count); it still
-    runs in a fresh interpreter with the benchmark's settings, which must be
-    in place before numpy loads, so that it sees what the benchmark sees.
+    They were written with single-threaded BLAS.  The G stage's LAPACK
+    loader sets scipy's OpenBLAS to one thread itself, so the digits no
+    longer follow the thread count
+    (test_results_do_not_depend_on_the_blas_thread_count); it still runs in a
+    fresh interpreter with the benchmark's settings, which must be in place
+    before numpy loads, so that it sees what the benchmark sees.
     """
     script = ("import sys, workloads\n"
               "from hris_sim import config, runner\n"
@@ -443,10 +453,14 @@ def test_bench_workload_matches_reference_csv(tmp_path, workload):
 
 _SCIPY_LINALG_SCRIPT = """
 import copy, json, sys
-out, preload = sys.argv[1], sys.argv[2] == "1"
+out, preload, openblas = sys.argv[1], sys.argv[2] == "1", sys.argv[3]
 if preload:
     import scipy.linalg
 from hris_sim import config, runner
+
+def mapped():
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        return openblas in fh.read()
 
 def run(name, preset, tree):
     tree = dict(copy.deepcopy(config.PRESETS.get(preset, {})), **tree)
@@ -458,8 +472,10 @@ if not preload:
     run("fig6", "fig6", {"n_trials": 1})
     run("beampattern", None, {"version": 1, "experiment": "beampattern",
                               "array": {"n_h": 8, "n_v": 8}, "beampattern": {"n_points": 101}})
+    assert not (openblas and mapped()), "a run with no G-stage solve mapped scipy's OpenBLAS"
 digest = run("fig5", "fig5", {"n_trials": 1})
 if not preload:
+    assert not openblas or mapped(), "the G-stage solve left scipy's OpenBLAS unmapped"
     run("fig6_72", "fig6", {"n_trials": 1, "rf_sweep": dict(
         config.PRESETS["fig6"]["rf_sweep"], n_rf_grid=[1, 8], n_slots=72)})
     assert "scipy.linalg" not in sys.modules, "a run loaded scipy.linalg"
@@ -472,15 +488,22 @@ def test_runs_never_load_scipy_linalg(tmp_path):
 
     The G stage's zposv comes from scipy's compiled LAPACK wrapper alone, and
     changes no bit: fig5's digest equals a run that loaded scipy.linalg
-    before hris_sim.  Each run needs a fresh interpreter.
+    before hris_sim.  Only the wrapper maps scipy's OpenBLAS: on Linux,
+    /proc/self/maps names it after fig5 and not after the runs before it.
+    Each run needs a fresh interpreter.
     """
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [str(workloads.SRC),
                                                         os.environ.get("PYTHONPATH")])))
+    # numpy.libs holds numpy's own libscipy_openblas64_, mapped by every run.
+    bundled = sorted((Path(scipy.__file__).parents[1] / "scipy.libs").glob(
+        "libscipy_openblas*.so"))
+    openblas = str(bundled[0]) if bundled and sys.platform.startswith("linux") else ""
     digests = []
     for preload in ("0", "1"):
         proc = subprocess.run([sys.executable, "-c", _SCIPY_LINALG_SCRIPT, str(tmp_path / preload),
-                               preload], env=env, capture_output=True, text=True, timeout=300)
+                               preload, openblas], env=env, capture_output=True, text=True,
+                              timeout=300)
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout.strip())
     assert len(digests[0]) == 64 and digests[0] == digests[1]
