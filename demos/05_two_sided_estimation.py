@@ -5,19 +5,15 @@ power-split trade-off between them.
 Run:  python3 demos/05_two_sided_estimation.py
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from hris_sim.channels import LinkGeometry, draw_channels
 from hris_sim.chest import (ChestDims, bs_estimate_G, build_pilot_schedule,
-                            hris_estimate_H, nmse, tradeoff_experiment)
+                            hris_estimate_H, tradeoff_experiment)
 from hris_sim.errors import IdentifiabilityError
 from hris_sim.rng import substream
-
-
-def channels(tx_power, seed=3):
-    return draw_channels(LinkGeometry(), 64, 8, 16,
-                         substream(seed, "unit_test", 0, 0),
-                         tx_power=tx_power, pathloss_model="none")
 
 
 # ---------------------------------------------------------------------------
@@ -25,8 +21,9 @@ def channels(tx_power, seed=3):
 # ---------------------------------------------------------------------------
 sched = build_pilot_schedule(n_atoms=64, n_users=8, n_rf_chains=8,
                              pilot_count=64, rho=0.5)
-ch = channels(tx_power=1.0)
-ch.noise_var_hris = ch.noise_var_bs = 0.0
+ch = replace(draw_channels(LinkGeometry(), 64, 8, 16, substream(3, "unit_test", 0, 0),
+                           pathloss_model="none"),
+             noise_var_hris=0.0, noise_var_bs=0.0)
 h_hat = hris_estimate_H(sched, ch, substream(0, "unit_test", 0, 1))
 g_hat = bs_estimate_G(sched, ch, h_hat, substream(0, "unit_test", 0, 2))
 print(f"64 atoms, 8 terminals, 8 chains, {sched.pilot_count} pilots, no noise:")

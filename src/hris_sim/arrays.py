@@ -1,9 +1,10 @@
 """Planar array geometry, steering vectors, array factors and pattern cuts.
 
 The surface is a rectangular lattice of elements in the x-y plane with its
-broadside along +z.  Directions are given as (elevation, azimuth), where
-elevation is measured from broadside (+z) and azimuth rotates the projection
-of the direction in the x-y plane, counted from +x towards +y.
+broadside along +z, ordered row-major: element n = iv * n_h + ih, with ih
+moving along x and iv along y.  Directions are given as (elevation, azimuth),
+where elevation is measured from broadside (+z) and azimuth rotates the
+projection of the direction in the x-y plane, counted from +x towards +y.
 
 Because the lattice sits at z = 0 and is separable in x and y, every steering
 vector is a Kronecker product a = a_y (x) a_x of one phase ramp per axis; see
@@ -72,19 +73,6 @@ def _axis_coordinates(arr: PlanarArray) -> tuple[np.ndarray, np.ndarray]:
     """x_ih (n_h,) and y_iv (n_v,): element coordinates in metres along each axis, centred."""
     return ((np.arange(arr.n_h) - (arr.n_h - 1) / 2.0) * arr.spacing_m,
             (np.arange(arr.n_v) - (arr.n_v - 1) / 2.0) * arr.spacing_m)
-
-
-def element_positions(arr: PlanarArray) -> np.ndarray:
-    """(N, 3) element coordinates in metres, lattice centred on the origin.
-
-    Elements are ordered row-major: index n = iv * n_h + ih, with ih moving
-    along x and iv along y.
-    """
-    xx, yy = np.meshgrid(*_axis_coordinates(arr))
-    pos = np.zeros((arr.n_elements, 3))
-    pos[:, 0] = xx.ravel()
-    pos[:, 1] = yy.ravel()
-    return pos
 
 
 @lru_cache(maxsize=32)

@@ -47,13 +47,14 @@ class LinkGeometry:
         return SPEED_OF_LIGHT / self.carrier_hz
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChannelSet:
     """One draw of the two-hop channels plus the power/noise bookkeeping.
 
     H is (n_atoms, n_users): terminals to surface.  G is (n_bs_antennas,
     n_atoms): surface to base station.  Noise variances apply per receive
-    chain (surface side) and per antenna (base-station side).
+    chain (surface side) and per antenna (base-station side); a zero variance
+    is noise-free.  Variants come from ``dataclasses.replace``.
     """
 
     H: np.ndarray
@@ -61,6 +62,12 @@ class ChannelSet:
     noise_var_hris: float = 1.0
     noise_var_bs: float = 1.0
     tx_power: float = 1.0
+
+    def __post_init__(self):
+        if not (0.0 <= self.noise_var_hris < np.inf and 0.0 <= self.noise_var_bs < np.inf):
+            raise ValueError("noise variances must be non-negative and finite")
+        if not 0.0 < self.tx_power < np.inf:
+            raise ValueError("transmit power must be positive and finite")
 
 
 def pathloss(distance_m, wavelength_m: float):
@@ -72,10 +79,8 @@ def pathloss(distance_m, wavelength_m: float):
 
 
 def draw_channels(geom: LinkGeometry, n_atoms: int, n_users: int, n_bs_antennas: int,
-                  rng: np.random.Generator, *, tx_power: float = 1.0,
-                  noise_var_hris: float = 1.0, noise_var_bs: float = 1.0,
-                  pathloss_model: str = "free_space") -> ChannelSet:
-    """Draw one Rayleigh channel realisation.
+                  rng: np.random.Generator, *, pathloss_model: str) -> ChannelSet:
+    """Draw one Rayleigh channel realisation, at unit transmit power and noise.
 
     Terminal positions are uniform over the cell disc; each column of H is
     scaled by sqrt(pathloss) of that terminal's distance to the surface,
@@ -101,8 +106,7 @@ def draw_channels(geom: LinkGeometry, n_atoms: int, n_users: int, n_bs_antennas:
 
     H = complex_normal(rng, (n_atoms, n_users)) * np.sqrt(gain_h)
     G = complex_normal(rng, (n_bs_antennas, n_atoms)) * np.sqrt(gain_g)
-    return ChannelSet(H=H, G=G, noise_var_hris=noise_var_hris,
-                      noise_var_bs=noise_var_bs, tx_power=tx_power)
+    return ChannelSet(H=H, G=G)
 
 
 def cascade(H: np.ndarray, G: np.ndarray, rho, reflect_phase) -> np.ndarray:

@@ -10,6 +10,7 @@ measured values.  Each check also enforces its wall-clock budget.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,9 +36,9 @@ def _report(capsys, number, ok, detail):
 
 
 def _noise_free_channels(seed=1):
-    return draw_channels(LinkGeometry(), 64, 8, 16, np.random.default_rng(seed),
-                         noise_var_hris=0.0, noise_var_bs=0.0,
-                         pathloss_model="none")
+    return replace(draw_channels(LinkGeometry(), 64, 8, 16, np.random.default_rng(seed),
+                                 pathloss_model="none"),
+                   noise_var_hris=0.0, noise_var_bs=0.0)
 
 
 def test_criterion_1(capsys):

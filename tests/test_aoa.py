@@ -353,6 +353,31 @@ def test_higher_fraction_never_worse():
         assert by_cell[(0.8, snr)] <= by_cell[(0.2, snr)]
 
 
+def test_ml_leaves_the_bound_below_a_threshold_snr(capsys):
+    """The threshold region: near the bound above it, outliers below it.
+
+    N = 16, sensed fraction 0.2, 16 snapshots, SNR -20 .. 10 dB in 2.5 dB
+    steps, 400 trials at seed 7.  Bounds, fixed before the first run:
+    - rmse/crlb lies within [0.85, 1.15] at every SNR from 0 dB up;
+    - the largest ratio is at least 1.2, at an SNR of -5 dB or less, where
+      grid-scan outliers take over from the local error the bound describes;
+    - at -20 dB the ratio is below that peak: the bounded search interval
+      caps the RMSE while the bound keeps growing.
+    The reported threshold is the highest SNR whose ratio exceeds 1.15.
+    """
+    snrs = np.arange(-20.0, 10.0 + 1.25, 2.5)
+    rows = rmse_experiment([16], [0.2], 16, snrs, 400, seed=7, **SWEEP)
+    ratio = np.array([r["rmse_rad"] / r["crlb_rad"] for r in rows])
+    above = ratio > 1.15
+    threshold = f"{snrs[above].max():g} dB" if above.any() else "nowhere"
+    with capsys.disabled():
+        print(f"\nthreshold region, N=16: rmse/crlb > 1.15 from {threshold} down; "
+              + ", ".join(f"{s:g} dB: {q:.3f}" for s, q in zip(snrs, ratio)))
+    assert np.all((ratio[snrs >= 0.0] >= 0.85) & (ratio[snrs >= 0.0] <= 1.15))
+    assert ratio.max() >= 1.2 and snrs[ratio.argmax()] <= -5.0
+    assert ratio[0] < ratio.max()
+
+
 # ---------------------------------------------------------------------------
 # Stacked-rows estimator against the scalar golden-section oracle
 

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from hris_sim.aoa import AoaGrid
-from hris_sim.arrays import (Direction, PlanarArray, array_factor,
-                             element_positions, grid_response, plane_direction,
-                             steered_weights, steering_elevation_gradient,
-                             steering_grid, steering_vector)
+from hris_sim.arrays import (Direction, PlanarArray, array_factor, grid_response,
+                             plane_direction, steered_weights,
+                             steering_elevation_gradient, steering_grid,
+                             steering_vector)
 
 import oracles
 
@@ -53,40 +53,6 @@ def test_direction_rejects_non_finite_azimuth(azimuth):
         Direction(0.3, azimuth)
 
 
-def test_element_positions_match_loop_oracle(arr):
-    expected = np.array(oracles.element_positions_loops(
-        arr.n_h, arr.n_v, arr.spacing_m))
-    np.testing.assert_allclose(element_positions(arr), expected, atol=1e-15)
-
-
-def test_writing_element_positions_leaves_equal_arrays_unchanged():
-    """A write into element_positions' result leaves equal arrays built later unchanged.
-
-    It used to hand out its cached table, so a write moved their steering
-    vectors and elevation gradients, and with them the bound.
-    """
-    params = (5, 3, 0.0041, 0.0157)  # a lattice no other test builds
-    d = Direction(0.6, 0.9)
-    element_positions(PlanarArray(*params))[:] += 1.0
-    arr = PlanarArray(*params)
-    np.testing.assert_allclose(steering_vector(arr, d), oracles.steering_vector_loops(
-        *params, d.elevation_rad, d.azimuth_rad), atol=1e-12)
-    grad = steering_elevation_gradient(arr, d)
-    h = 1e-7
-    fd = (steering_vector(arr, Direction(d.elevation_rad + h, d.azimuth_rad))
-          - steering_vector(arr, Direction(d.elevation_rad - h, d.azimuth_rad))) / (2.0 * h)
-    np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-8)
-    element_positions(arr)[:] = 0.0
-    fresh = PlanarArray(*params)
-    assert np.array_equal(steering_vector(fresh, d), steering_vector(arr, d))
-    assert np.array_equal(steering_elevation_gradient(fresh, d), grad)
-
-
-def test_positions_are_centred(arr):
-    pos = element_positions(arr)
-    np.testing.assert_allclose(pos.mean(axis=0), 0.0, atol=1e-15)
-
-
 def test_broadside_steering_is_all_ones(arr):
     a = steering_vector(arr, Direction(0.0, 0.0))
     np.testing.assert_allclose(a, np.ones(arr.n_elements), atol=1e-12)
@@ -126,7 +92,8 @@ def test_steering_grid_at_azimuth_zero_is_exponential_of_summed_phase(side):
     se = np.sin(el)
     u = np.stack([se * np.cos(0.0), se * np.sin(0.0), np.cos(el)], axis=-1)
     k = arr.wavenumber
-    expected = np.exp(1j * np.matmul(k * element_positions(arr), u[:, :, None])[..., 0])
+    positions = np.array(oracles.element_positions_loops(side, side, arr.spacing_m))
+    expected = np.exp(1j * np.matmul(k * positions, u[:, :, None])[..., 0])
     assert np.array_equal(steering_grid(arr, el), expected.T)
 
 

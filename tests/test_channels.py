@@ -1,6 +1,7 @@
 """Channel draws, pathloss, cascades, and the binary matrix dump format."""
 
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -47,14 +48,15 @@ def test_pathloss_rejects_nonpositive_distance():
 
 
 def test_draw_channels_shapes_and_determinism():
-    geom = LinkGeometry()
-    ch1 = draw_channels(geom, 8, 3, 4, substream(7, "unit_test", 0, 0))
-    ch2 = draw_channels(geom, 8, 3, 4, substream(7, "unit_test", 0, 0))
+    def draw(trial):
+        return draw_channels(LinkGeometry(), 8, 3, 4, substream(7, "unit_test", trial, 0),
+                             pathloss_model="free_space")
+
+    ch1, ch2, ch3 = draw(0), draw(0), draw(1)
     assert ch1.H.shape == (8, 3)
     assert ch1.G.shape == (4, 8)
     np.testing.assert_array_equal(ch1.H, ch2.H)
     np.testing.assert_array_equal(ch1.G, ch2.G)
-    ch3 = draw_channels(geom, 8, 3, 4, substream(7, "unit_test", 1, 0))
     assert not np.allclose(ch1.H, ch3.H)
 
 
@@ -65,7 +67,8 @@ def test_free_space_columns_carry_distance_attenuation():
     n_draws = 300
     powers = []
     for t in range(n_draws):
-        ch = draw_channels(geom, 16, 4, 2, substream(99, "unit_test", t, 0))
+        ch = draw_channels(geom, 16, 4, 2, substream(99, "unit_test", t, 0),
+                           pathloss_model="free_space")
         powers.extend(np.mean(np.abs(ch.H) ** 2, axis=0))
     lam = geom.wavelength_m
     lo = pathloss(2.0 * geom.cell_radius_m, lam)
@@ -88,6 +91,35 @@ def test_unknown_pathloss_model_rejected():
     with pytest.raises(ValueError):
         draw_channels(LinkGeometry(), 4, 2, 2, substream(1, "unit_test", 0, 0),
                       pathloss_model="urban")
+
+
+def _unit_channels():
+    return draw_channels(LinkGeometry(), 8, 2, 4, substream(1, "unit_test", 0, 0),
+                         pathloss_model="none")
+
+
+@pytest.mark.parametrize("field, value", [
+    *((f, v) for f in ("noise_var_hris", "noise_var_bs") for v in (-1.0, math.nan, math.inf)),
+    *(("tx_power", v) for v in (0.0, -1.0, math.nan, math.inf))])
+def test_channel_set_rejects_bad_power_and_noise(field, value):
+    """Each value used to pass, then fail late or not at all.
+
+    A negative variance read as noise-free and gave an NMSE of exactly 0, a
+    zero power gave an infinite baseline NMSE, a negative one a math domain
+    error, and a NaN power a rank diagnosis of the G stage.
+    """
+    message = "transmit power" if field == "tx_power" else "noise variances"
+    with pytest.raises(ValueError, match=message):
+        replace(_unit_channels(), **{field: value})
+    with pytest.raises(ValueError, match=message):
+        ChannelSet(H=np.ones((8, 2)), G=np.ones((4, 8)), **{field: value})
+
+
+def test_channel_set_is_frozen_and_keeps_noise_free_variances():
+    ch = replace(_unit_channels(), noise_var_hris=0.0, noise_var_bs=0.0)
+    with pytest.raises(FrozenInstanceError):
+        ch.tx_power = 2.0
+    assert (ch.noise_var_hris, ch.noise_var_bs, ch.tx_power) == (0.0, 0.0, 1.0)
 
 
 def test_cascade_matches_loop_oracle():

@@ -42,10 +42,10 @@ def _assert_near_lstsq(estimate, reference):
     assert np.linalg.norm(estimate - reference) <= LSTSQ_RTOL * np.linalg.norm(reference)
 
 
-def _channels(n_atoms, n_users, n_bs, seed=0, **kw):
-    kw.setdefault("pathloss_model", "none")
-    return draw_channels(LinkGeometry(), n_atoms, n_users, n_bs,
-                         np.random.default_rng(seed), **kw)
+def _channels(n_atoms, n_users, n_bs, seed=0, **fields):
+    """A unit-variance draw, with ``fields`` replacing its unit power and noise."""
+    return replace(draw_channels(LinkGeometry(), n_atoms, n_users, n_bs,
+                                 np.random.default_rng(seed), pathloss_model="none"), **fields)
 
 
 def test_nmse_basics():
@@ -197,6 +197,45 @@ def test_stages_bit_exact_to_per_slot_oracle_fig5_shape():
         assert sched.n_slots == 9 and sched.rho[0, 0] == rho
         ch = _channels(64, 8, 16, seed=draw, tx_power=1000.0)
         _assert_stages_match_per_slot_oracle(sched, ch, draw)
+
+
+def test_badly_conditioned_g_systems_match_lstsq(capsys):
+    """T * K = N with phases drawn per slot and per atom: full rank, badly conditioned.
+
+    Per-atom base phases alone would not do: they are a diagonal unitary
+    similarity of the DFT schedule's Gram and leave its conditioning as it
+    is.  The normal equations' relative error grows as eps / ratio, with
+    ratio = lambda_min / lambda_max of the Gram, and lstsq's more slowly, so
+    the estimates may differ by rtol = eps / ratio; the bound was fixed
+    before the first run.  40 draws.
+    """
+    base = build_pilot_schedule(64, 8, 8, 64, 0.5)
+    assert base.n_slots * base.n_users == 64
+    eps = np.finfo(float).eps
+    worst_ratio, worst_scaled = 1.0, 0.0
+    for draw in range(40):
+        def rng(tag):
+            return substream(31, "unit_test", draw, tag)
+
+        sched = replace(base, reflect_phase=rng(TAG_PHASES).uniform(0.0, 2.0 * np.pi,
+                                                                    base.rho.shape))
+        ch = replace(draw_channels(LinkGeometry(), 64, 8, 16, rng(TAG_CHANNEL),
+                                   pathloss_model="none"), tx_power=100.0)
+        h_hat = hris_estimate_H(sched, ch, rng(TAG_NOISE_HRIS))
+        w = h_hat @ (math.sqrt(ch.tx_power) * sched.pilots)
+        z = np.hstack([(np.sqrt(rho) * np.exp(1j * phase))[:, None] * w
+                       for rho, phase in zip(sched.rho, sched.reflect_phase)])
+        eig = np.linalg.eigvalsh(z @ np.conj(z.T))
+        ratio = eig[0] / eig[-1]
+        g_hat = bs_estimate_G(sched, ch, h_hat, rng(TAG_NOISE_BS))
+        reference = oracles.estimate_g_per_slot(sched, ch, h_hat, rng(TAG_NOISE_BS))
+        distance = np.linalg.norm(g_hat - reference) / np.linalg.norm(reference)
+        assert distance <= eps / ratio, (draw, ratio, distance)
+        worst_ratio = min(worst_ratio, ratio)
+        worst_scaled = max(worst_scaled, distance * ratio / eps)
+    with capsys.disabled():
+        print(f"\nbadly conditioned G: worst eigenvalue ratio {worst_ratio:.2e}, "
+              f"largest distance {worst_scaled:.3f} eps / ratio")
 
 
 def test_stages_and_baseline_bit_exact_to_per_slot_oracle_fig6_shape():
@@ -615,9 +654,9 @@ def _tradeoff_trial_by_oracle(seed, trial, rhos, n_draws, n_rf_chains, pilot_cou
                               solvers):
     """One fig5-shaped trial from the per-slot oracles, each rho solved from scratch."""
     estimate_h, estimate_gs = solvers
-    ch = draw_channels(dims.geom, dims.n_atoms, dims.n_users, dims.n_bs_antennas,
-                       substream(seed, "chest_tradeoff", trial, TAG_CHANNEL),
-                       tx_power=1000.0, pathloss_model=dims.pathloss_model)
+    ch = replace(draw_channels(dims.geom, dims.n_atoms, dims.n_users, dims.n_bs_antennas,
+                               substream(seed, "chest_tradeoff", trial, TAG_CHANNEL),
+                               pathloss_model=dims.pathloss_model), tx_power=1000.0)
     bases = [substream(seed, "chest_tradeoff", j, TAG_PHASES).uniform(
         0.0, 2.0 * np.pi, size=dims.n_atoms) for j in range(n_draws)]
     nmse_h = np.empty((len(rhos), n_draws))
