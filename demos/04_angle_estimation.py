@@ -5,6 +5,7 @@ Run:  python3 demos/04_angle_estimation.py
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -21,8 +22,8 @@ truth_deg = 23.7
 sc = snapshot_scenario(arr, sensed_fraction=0.4, n_snapshots=64, snr_db=10.0,
                        true_direction=Direction(math.radians(truth_deg), 0.0))
 
-sc.snr_db = math.inf
-exact = ml_estimate(simulate_snapshots(sc), sc)
+noiseless = replace(sc, snr_db=math.inf)
+exact = ml_estimate(simulate_snapshots(noiseless), noiseless)
 print(f"noiseless run: truth {truth_deg:.4f} deg, estimate "
       f"{math.degrees(exact):.4f} deg (off-grid truth recovered by refinement)")
 
@@ -31,25 +32,22 @@ print(f"noiseless run: truth {truth_deg:.4f} deg, estimate "
 # ---------------------------------------------------------------------------
 print("\n snr   sqrt(bound)   typical |error|  (50 noisy draws each)")
 for snr_db in (0.0, 10.0, 20.0):
-    sc.snr_db = snr_db
-    bound_deg = math.degrees(math.sqrt(crlb_elevation(sc)))
+    noisy = replace(sc, snr_db=snr_db)
+    bound_deg = math.degrees(math.sqrt(crlb_elevation(noisy)))
     errors = []
     for i in range(50):
         rng = substream(1, "unit_test", i, 1)
-        est = ml_estimate(simulate_snapshots(sc, rng), sc)
+        est = ml_estimate(simulate_snapshots(noisy, rng), noisy)
         errors.append(abs(math.degrees(est) - truth_deg))
     print(f"  {snr_db:4.0f} dB   {bound_deg:8.4f} deg   {np.median(errors):8.4f} deg")
 
 # ---------------------------------------------------------------------------
 # Sensing more power tightens the bound in exact proportion
 # ---------------------------------------------------------------------------
-sc.snr_db = 10.0
 b_04 = crlb_elevation(sc)
-sc.sensed_fraction = 0.8
-b_08 = crlb_elevation(sc)
+b_08 = crlb_elevation(replace(sc, sensed_fraction=0.8))
 print(f"\nbound ratio when doubling the sensed fraction: {b_04 / b_08:.3f} "
       f"(power in the sensing path doubles)")
-sc.sensed_fraction = 0.4
 
 # ---------------------------------------------------------------------------
 # The Monte Carlo sweep the experiments are built on (kept tiny here)

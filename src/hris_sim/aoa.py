@@ -35,7 +35,7 @@ _TRUTH_LO_FRAC = 0.05
 _TRUTH_HI_FRAC = 0.60
 
 
-@dataclass
+@dataclass(frozen=True)
 class AoaScenario:
     """Snapshot model parameters for one estimation run.
 
@@ -54,7 +54,7 @@ class AoaScenario:
     combiner: np.ndarray
 
     def __post_init__(self):
-        self.combiner = np.asarray(self.combiner, dtype=complex)
+        object.__setattr__(self, "combiner", np.asarray(self.combiner, dtype=complex))
         n = self.array.n_elements
         if not 0.0 < self.sensed_fraction <= 1.0:
             raise ValueError("sensed_fraction must lie in (0, 1]")

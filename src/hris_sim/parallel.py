@@ -1,15 +1,15 @@
 """Monte Carlo plumbing: trial scheduling, trial means and sweep rows.
 
-Trials are independent by construction (each derives its own random stream
-from its index), so results are collected in trial order and the output of a
-run does not depend on how many workers executed it.
+Each trial derives its own random stream from its index, so results merged in
+trial order do not depend on the worker count w.  The caller runs trials 0, w,
+2w, ...; child k < w runs k, k + w, ... and pipes back its results or error once.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
-from concurrent.futures import ProcessPoolExecutor
+import multiprocessing
 from functools import lru_cache
 
 import numpy as np
@@ -25,7 +25,7 @@ def _keep_heap_mapped() -> dict | None:
 
     Under the dynamic defaults a chain-sweep trial hands about 1 MB of heap back
     to the kernel and faults it in again on the next, some 260 minor faults.
-    Pool workers set them before their first trial.  None where libc has no ``mallopt``.
+    Child processes set them before their first trial.  None where libc has no ``mallopt``.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -37,30 +37,45 @@ def _keep_heap_mapped() -> dict | None:
     return done or None
 
 
-_worker_trial = None
-
-
-def _start_worker(fn) -> None:
-    """Pool initializer: each worker gets ``fn``, set-up bound in, once, and fixes its heap."""
-    global _worker_trial
-    _worker_trial = fn
+def _run_share(fn, trials: range, conn) -> None:
+    """Child process: run ``trials``, then send ("ok", results) or ("error", exc) once."""
     _keep_heap_mapped()
-
-
-def _run_trial(trial: int):
-    return _worker_trial(trial)
+    try:
+        conn.send(("ok", [fn(t) for t in trials]))
+    except Exception as exc:  # a send pickles in full before it writes a byte
+        conn.send(("error", exc))
 
 
 def map_trials(fn, n_trials: int, workers: int = 1) -> list:
-    """Evaluate fn(0..n_trials-1), in order, optionally on a process pool (see _start_worker)."""
-    # At most one worker per trial: a fork pool starts all its workers on the first submit.
+    """Evaluate fn(0..n_trials-1), in order; the caller runs every workers-th trial."""
     workers = min(workers or 1, n_trials)
     if workers <= 1:
         return [fn(t) for t in range(n_trials)]
-    with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
-                             initargs=(fn,)) as pool:
-        chunk = max(1, n_trials // (workers * 4))
-        return list(pool.map(_run_trial, range(n_trials), chunksize=chunk))
+    ctx = multiprocessing.get_context()
+    children = []
+    try:
+        for k in range(1, workers):
+            recv, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_run_share, args=(fn, range(k, n_trials, workers), send))
+            child.start()
+            send.close()  # the child's copy is then the only one: its death is EOFError
+            children.append((child, recv))
+        shares = [[fn(t) for t in range(0, n_trials, workers)]]
+        for k, (child, recv) in enumerate(children, 1):
+            try:
+                status, value = recv.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"trial child {k} exited with code {child.exitcode}") from None
+            if status == "error":
+                raise value
+            shares.append(value)
+        return [shares[t % workers][t // workers] for t in range(n_trials)]
+    finally:
+        for child, _ in children:
+            if child.is_alive():
+                child.terminate()
+            child.join()
 
 
 def trial_means(results: list) -> list[np.ndarray]:

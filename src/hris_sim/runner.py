@@ -7,8 +7,8 @@ quantities, wall-clock duration and environment.  CSV contents depend only on
 are printed through one fixed format so repeated runs are byte-identical.
 The metadata's ``results_sha256`` covers the unrounded cells, last bits too.
 
-Before its first trial a run fixes glibc's malloc thresholds, as each pool
-worker does itself (``parallel._keep_heap_mapped``), so the heap one trial
+Before its first trial a run fixes glibc's malloc thresholds, as each child
+process does itself (``parallel._keep_heap_mapped``), so the heap one trial
 frees stays mapped for the next; ``environment.malloc`` records them.
 ``environment.scipy_blas_threads`` is the thread count of every G-stage solve:
 1, set in each process as it loads the LAPACK wrapper (``chest._lapack``;

@@ -2,7 +2,7 @@
 
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -41,6 +41,17 @@ def test_scenario_validation():
                         true_direction=Direction(0.4, 0.0), combiner=combiner)
 
 
+def test_scenario_is_frozen():
+    """An assigned field used to skip the checks: sensed_fraction = -1 gave a negative bound."""
+    sc = _scenario(0.4)
+    for field, value in (("sensed_fraction", -1.0), ("snr_db", math.inf),
+                         ("combiner", 2.0 * sc.combiner)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(sc, field, value)
+    with pytest.raises(ValueError, match="sensed_fraction"):
+        replace(sc, sensed_fraction=-1.0)
+
+
 def test_scenario_rejects_non_finite_combiner():
     """A NaN entry used to pass the unit-magnitude check, then surface in ml_estimate
     as a response that is zero everywhere on the grid."""
@@ -71,8 +82,7 @@ def test_snapshot_combiner_follows_schedule_seed():
 def test_noise_variance_convention():
     sc = _scenario(0.4, snr_db=10.0)
     assert sc.noise_var == pytest.approx(0.1)
-    sc.snr_db = math.inf
-    assert sc.noise_var == 0.0
+    assert replace(sc, snr_db=math.inf).noise_var == 0.0
 
 
 @pytest.mark.parametrize("snr_db", [-math.inf, math.nan])
@@ -112,8 +122,7 @@ def test_noiseless_on_grid_truth_recovered_exactly():
     # sqrt(machine eps) of its curvature scale, i.e. a few nanoradians.
     grid = AoaGrid()
     theta = float(grid.points[123])
-    sc = _scenario(theta)
-    sc.snr_db = math.inf
+    sc = replace(_scenario(theta), snr_db=math.inf)
     est = ml_estimate(noiseless_snapshots(sc), sc, grid)
     assert abs(est - theta) < 1e-7
 

@@ -1,13 +1,17 @@
 """Result files: CSV formatting, beampattern emitter, end-to-end run()."""
 
+import contextlib
 import copy
+import functools
 import json
 import math
 import multiprocessing
 import os
 import platform
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +22,7 @@ from hris_sim.arrays import PlanarArray, emit_beampattern
 from hris_sim.channels import draw_channels, load_matrix
 from hris_sim import chest
 from hris_sim.config import PRESETS, parse_config_tree
-from hris_sim.errors import ConfigError
+from hris_sim.errors import ConfigError, HrisSimError
 from hris_sim import parallel
 from hris_sim.parallel import sweep_rows
 from hris_sim.rng import TAG_CHANNEL, substream
@@ -179,7 +183,7 @@ if __name__ == "__main__":
     multiprocessing.set_start_method(method)
     digests = {}
     for tree in trees:
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             paths = runner.run(config.parse_config_tree(tree), workers=workers,
                                out_dir=f"{out}/{tree['experiment']}_w{workers}")
             meta = json.load(open(paths["metadata"]))
@@ -191,11 +195,13 @@ if __name__ == "__main__":
 
 @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
 def test_results_digest_does_not_depend_on_the_start_method(tmp_path, method):
-    """Tiny fig4, fig5 and fig6 trees give one digest at workers 1 and 2 under every start method.
+    """Tiny fig4, fig5 and fig6 trees give one digest at workers 1, 2 and 3 under every start method.
 
-    Pool workers get the trial callable, set-up bound in, from the pool's
-    initializer, which also fixes their heap thresholds before their first
-    trial: a spawn or forkserver worker inherits neither from the parent.
+    Each child gets the trial callable, set-up bound in, as an argument of
+    its process and fixes its heap thresholds before its first trial: a spawn
+    or forkserver child inherits neither from the parent.  At workers 3 two
+    children run beside the caller; the heap probe's trial 0 runs in the
+    caller and trial 1 in a child.
     """
     if method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"no {method} start method on this platform")
@@ -209,8 +215,8 @@ def test_results_digest_does_not_depend_on_the_start_method(tmp_path, method):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert set(result["digests"]) == {"aoa_rmse", "chest_tradeoff", "rf_chain_sweep"}
-    for w1, w2 in result["digests"].values():
-        assert len(w1) == 64 and w1 == w2
+    for w1, w2, w3 in result["digests"].values():
+        assert len(w1) == 64 and w1 == w2 == w3
     assert result["heap"] == [[1, result["malloc"]]] * 2
 
 
@@ -378,33 +384,92 @@ def test_run_checks_row_count(tmp_path, monkeypatch):
 
 
 def test_map_trials_pool_never_outnumbers_the_trials(monkeypatch):
-    """A fork pool starts all its workers on the first submit, so it gets one per trial at most."""
-    pools = []
+    """The caller runs a share itself, so a call starts min(workers, n_trials) - 1 children."""
+    started = []
+    get_context = multiprocessing.get_context
 
-    class RecordingPool:
-        """Records the pool size asked for, starts its one "worker" in-process and maps there."""
+    class RecordingContext:
+        """The default context, counting the processes each map_trials call starts."""
 
-        def __init__(self, max_workers, initializer, initargs):
-            pools.append(max_workers)
-            initializer(*initargs)
+        def __init__(self):
+            self.context = get_context()
+            started.append(0)
 
-        def __enter__(self):
-            return self
+        def __getattr__(self, name):
+            return getattr(self.context, name)
 
-        def __exit__(self, *exc):
-            return False
+        def Process(self, *args, **kwargs):
+            started[-1] += 1
+            return self.context.Process(*args, **kwargs)
 
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(parallel, "_worker_trial", None)
+    monkeypatch.setattr(multiprocessing, "get_context", RecordingContext)
     assert parallel.map_trials(str, 3, workers=100_000) == ["0", "1", "2"]
     assert parallel.map_trials(str, 40, workers=4) == [str(t) for t in range(40)]
     assert parallel.map_trials(str, 1, workers=64) == ["0"]
     assert parallel.map_trials(str, 0, workers=64) == []
     assert parallel.map_trials(str, 5, workers=None) == [str(t) for t in range(5)]
-    assert pools == [3, 4]
+    assert started == [2, 3]
+    assert multiprocessing.active_children() == []
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the caller if the block runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _refuse_trial_1(trial):
+    if trial == 1:
+        raise ConfigError(f"trial {trial} refused")
+    return trial
+
+
+def _fail_trial_0_sleep_otherwise(trial):
+    if trial == 0:
+        time.sleep(0.5)  # the child is asleep in its own share by now
+        raise ValueError("the caller's share failed")
+    time.sleep(120)
+
+
+def _exit_7_at_trial_1(trial):
+    if trial == 1:
+        os._exit(7)
+    return trial
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+def test_map_trials_raises_a_childs_error_as_its_own_type(monkeypatch, method):
+    """Trial 1 runs in the one child at workers=2; its typed error reaches the caller intact."""
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        functools.partial(multiprocessing.get_context, method))
+    with _deadline(120), pytest.raises(HrisSimError) as info:
+        parallel.map_trials(_refuse_trial_1, 4, workers=2)
+    assert info.type is ConfigError and str(info.value) == "trial 1 refused"
+    assert multiprocessing.active_children() == []
+
+
+def test_map_trials_error_in_the_callers_share_stops_the_children():
+    """The caller raises its own share's error at once; the sleeping child does not outlive it."""
+    with _deadline(30), pytest.raises(ValueError, match="the caller's share failed"):
+        parallel.map_trials(_fail_trial_0_sleep_otherwise, 3, workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_map_trials_names_the_exit_code_of_a_child_that_dies():
+    """A child that exits without sending its results is an error, not a hang."""
+    with _deadline(60), pytest.raises(RuntimeError, match="exited with code 7"):
+        parallel.map_trials(_exit_7_at_trial_1, 4, workers=2)
+    assert multiprocessing.active_children() == []
 
 
 _GRID = {"a": [1, 2], "b": [0.5, 1.5, 2.5]}
