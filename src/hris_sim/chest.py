@@ -80,7 +80,7 @@ class PilotSchedule:
     ``sense_phase[t]`` and combines onto ``n_rf_chains`` chains with the cycled
     DFT rows the H stage solves (see the module docstring).  Every trial of a
     sweep shares its schedules, so they are frozen and ``build_pilot_schedule``
-    hands out read-only arrays; derive a variant with ``dataclasses.replace``.
+    hands out read-only arrays; a ``dataclasses.replace`` variant is checked too.
     """
 
     pilots: np.ndarray
@@ -88,6 +88,19 @@ class PilotSchedule:
     rho: np.ndarray
     reflect_phase: np.ndarray
     sense_phase: np.ndarray
+
+    def __post_init__(self):
+        shape = self.rho.shape
+        if not (len(shape) == 2 and shape[0] >= 1
+                and self.reflect_phase.shape == self.sense_phase.shape == shape):
+            raise ValueError("rho, reflect_phase and sense_phase must share one "
+                             "(n_slots >= 1, n_atoms) shape")
+        if self.pilots.ndim != 2 or self.pilots.shape[0] != self.pilots.shape[1]:
+            raise ValueError("pilots must be a square (n_users, n_users) block")
+        if not np.all((self.rho >= 0.0) & (self.rho <= 1.0)):  # NaN fails both
+            raise ValueError("power split rho must be finite and lie in [0, 1]")
+        if not 1 <= self.n_rf_chains <= shape[1]:
+            raise ValueError("n_rf_chains must lie in [1, n_atoms]")
 
     @property
     def n_slots(self) -> int:
@@ -168,10 +181,6 @@ def build_pilot_schedule(n_atoms: int, n_users: int, n_rf_chains: int,
     """
     if pilot_count < 1:
         raise ValueError("pilot_count must be positive")
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("power split rho must lie in [0, 1]")
-    if not 1 <= n_rf_chains <= n_atoms:
-        raise ValueError("n_rf_chains must lie in [1, n_atoms]")
     n_slots = math.ceil(pilot_count / n_users)
     dft_phase = -2.0 * np.pi * np.arange(n_atoms) / n_atoms
     arrays = dict(

@@ -17,6 +17,7 @@ nothing else in the package branches on an experiment's name.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import sys
 from copy import deepcopy
@@ -32,9 +33,9 @@ from .errors import ConfigError
 CONFIG_VERSION = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully validated run description.
+    """Fully validated run description, frozen so that no field skips its checks.
 
     ``params`` holds the experiment driver's keyword arguments other than the
     trial count, seed and worker count; ``raw`` the tree it was read from.
@@ -337,9 +338,14 @@ EXPERIMENTS = {
 # --- top level --------------------------------------------------------------
 
 
+def _integer(raw):
+    """An integer of any type (a numpy one too) but bool as an int; anything else as given."""
+    return int(raw) if isinstance(raw, numbers.Integral) and not isinstance(raw, bool) else raw
+
+
 def parse_seed(raw, name: str = "seed") -> int:
     """A seed: an integer in [0, 2**64), the range of the substream key and the dump header."""
-    seed = _convert(int, raw, name)
+    seed = _convert(int, _integer(raw), name)
     if not 0 <= seed < 2 ** 64:
         raise ConfigError(f"'{name}' must lie in [0, 2**64), got {seed}")
     return seed
@@ -358,6 +364,7 @@ def usable_cpus() -> int:
 
 def parse_workers(raw, name: str = "workers") -> int:
     """A worker count: a positive integer, or 'auto' for ``usable_cpus()``."""
+    raw = _integer(raw)
     if raw == "auto":
         return usable_cpus()
     if isinstance(raw, int) and not isinstance(raw, bool) and raw >= 1:

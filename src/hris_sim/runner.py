@@ -72,8 +72,7 @@ def run(cfg: ExperimentConfig, out_dir=None, seed: int | None = None,
     only; ``cfg`` is left as it was given.  Overrides are checked like the
     configured values, before any trial runs.
     """
-    seed = cfg.seed if seed is None else parse_seed(
-        int(seed) if isinstance(seed, np.integer) else seed)
+    seed = cfg.seed if seed is None else parse_seed(seed)
     workers = cfg.workers if workers is None else parse_workers(workers, "workers")
     spec = EXPERIMENTS[cfg.experiment]
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)

@@ -76,6 +76,29 @@ def test_schedule_bookkeeping():
             build_pilot_schedule(64, 8, n_rf, pilot_count, rho)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"rho": np.full((4, 8), 1.5)}, "rho must be finite and lie in"),
+    ({"rho": np.full((4, 8), -0.1)}, "rho must be finite and lie in"),
+    ({"rho": np.full((4, 8), np.nan)}, "rho must be finite and lie in"),
+    ({"n_rf_chains": 9}, r"n_rf_chains must lie in \[1, n_atoms\]"),
+    ({"n_rf_chains": 0}, r"n_rf_chains must lie in \[1, n_atoms\]"),
+    ({"sense_phase": np.zeros((4, 7))}, "must share one"),
+    ({"rho": np.full((0, 8), 0.5), "reflect_phase": np.zeros((0, 8)),
+      "sense_phase": np.zeros((0, 8))}, "must share one"),
+    ({"rho": np.full(8, 0.5)}, "must share one"),
+    ({"pilots": np.ones((2, 3))}, "pilots must be a square"),
+], ids=["rho_above_1", "rho_below_0", "rho_nan", "chains_above_atoms", "no_chains",
+        "phase_shape", "no_slots", "rho_vector", "pilots_not_square"])
+def test_schedule_variant_checked_like_a_built_one(fields, message):
+    """dataclasses.replace used to skip build_pilot_schedule's checks.
+
+    rho = 1.5 gave a finite G estimate on a reflection gain of sqrt(1.5), and
+    rho = nan failed in the H stage as "changes from slot to slot".
+    """
+    with pytest.raises(ValueError, match=message):
+        replace(build_pilot_schedule(8, 2, 4, 8, 0.5), **fields)  # 4 slots over 8 atoms
+
+
 def test_sensed_stage_matches_pinv_oracle():
     """Package DFT-form H stage vs an explicit pseudoinverse on hand-built data."""
     rho, sense_phase = 0.3, 0.7

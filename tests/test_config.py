@@ -3,7 +3,7 @@
 import math
 import re
 from copy import deepcopy
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -96,6 +96,13 @@ def test_workers_accepts_auto_and_positive_ints():
     for bad in (0, -2, True, "many"):
         with pytest.raises(ConfigError, match="'workers' must be"):
             parse_config_tree(_aoa_tree(workers=bad))
+
+
+@pytest.mark.parametrize("key, value", [("n_trials", 0), ("workers", "many"), ("seed", -1)])
+def test_parsed_config_is_frozen(key, value):
+    """A field assigned after parsing used to skip its check and fail inside the run."""
+    with pytest.raises(FrozenInstanceError):
+        setattr(parse_config_tree(_aoa_tree()), key, value)
 
 
 def test_aoa_section_validation():

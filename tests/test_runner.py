@@ -131,10 +131,11 @@ def test_run_seed_override_changes_results(tmp_path):
     cfg2 = parse_config_tree(_tiny_aoa_tree())
     run(cfg1, out_dir=tmp_path / "a", seed=1)
     run(cfg2, out_dir=tmp_path / "b", seed=2)
-    run(cfg2, out_dir=tmp_path / "c", seed=np.uint64(1))
+    run(cfg2, out_dir=tmp_path / "c", seed=np.uint64(1), workers=np.int64(2))
     assert cfg1 == parse_config_tree(_tiny_aoa_tree())  # the run leaves cfg as given
     assert json.loads((tmp_path / "a/metadata.json").read_text())["seed"] == 1
     assert json.loads((tmp_path / "c/metadata.json").read_text())["seed"] == 1
+    assert json.loads((tmp_path / "c/metadata.json").read_text())["workers"] == 2
     assert ((tmp_path / "a/aoa_rmse.csv").read_bytes()
             != (tmp_path / "b/aoa_rmse.csv").read_bytes())
     assert ((tmp_path / "a/aoa_rmse.csv").read_bytes()
@@ -154,18 +155,31 @@ def _tiny_tradeoff_tree():
                          "n_rf_chains": 2, "pilot_count": 8}}
 
 
+def _nine_size_aoa_tree():
+    return {"version": 1, "experiment": "aoa_rmse", "n_trials": 3,
+            "aoa": {"n_list": [n * n for n in range(2, 11)], "sensed_fractions": [0.5],
+                    "n_snapshots": 8, "snr_db_grid": [10.0]}}
+
+
 def _digest_and_csv(out_dir, tree=_tiny_sweep_tree, **kwargs):
     paths = run(parse_config_tree(tree()), out_dir=out_dir, **kwargs)
     meta = json.loads(Path(paths["metadata"]).read_text())
     return meta["results_sha256"], Path(paths["csv"]).read_bytes()
 
 
-@pytest.mark.parametrize("tree", [_tiny_sweep_tree, _tiny_tradeoff_tree],
-                         ids=["rf_chain_sweep", "chest_tradeoff"])
+@pytest.mark.parametrize("tree", [_tiny_sweep_tree, _tiny_tradeoff_tree, _nine_size_aoa_tree],
+                         ids=["rf_chain_sweep", "chest_tradeoff", "aoa_rmse_nine_sizes"])
 def test_results_digest_is_worker_invariant(tmp_path, tree):
+    """Tiny fig5 and fig6 sweeps; a fig4 sweep whose nine scan tables, one a size, reach the child."""
     digest, csv_bytes = _digest_and_csv(tmp_path / "w1", tree, workers=1)
     assert len(digest) == 64
     assert _digest_and_csv(tmp_path / "w2", tree, workers=2) == (digest, csv_bytes)
+
+
+def _child_env(**variables):
+    """This environment plus ``variables``, with the package source first on PYTHONPATH."""
+    return dict(os.environ, **variables, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(workloads.SRC), os.environ.get("PYTHONPATH")])))
 
 
 _START_METHOD_SCRIPT = """
@@ -206,12 +220,10 @@ def test_results_digest_does_not_depend_on_the_start_method(tmp_path, method):
     if method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"no {method} start method on this platform")
     trees = [_tiny_aoa_tree(), _tiny_tradeoff_tree(), _tiny_sweep_tree()]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(workloads.SRC), os.environ.get("PYTHONPATH")])))
     script = tmp_path / "start_method.py"
     script.write_text(_START_METHOD_SCRIPT)
     proc = subprocess.run([sys.executable, str(script), str(tmp_path), method, json.dumps(trees)],
-                          env=env, capture_output=True, text=True, timeout=300)
+                          env=_child_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert set(result["digests"]) == {"aoa_rmse", "chest_tradeoff", "rf_chain_sweep"}
@@ -242,7 +254,7 @@ _BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def test_results_do_not_depend_on_the_blas_thread_count(tmp_path):
-    """Without OPENBLAS_NUM_THREADS, fig5 and a 72-slot fig6 give their one-thread digests.
+    """At two BLAS threads, or the host default, fig5 and a 72-slot fig6 give one-thread digests.
 
     Both run zposv G-stage solves, and a threaded zposv sums in another order.
     Every process that loads the LAPACK wrapper sets scipy's OpenBLAS to one
@@ -254,9 +266,7 @@ def test_results_do_not_depend_on_the_blas_thread_count(tmp_path):
     trees = [workloads.config_tree(PRESETS, "split_tradeoff", workloads.DEFAULT_SEED), fig6_72]
     script = tmp_path / "blas_threads.py"
     script.write_text(_BLAS_THREADS_SCRIPT)
-    base = {k: v for k, v in os.environ.items() if k not in _BLAS_VARIABLES}
-    base["PYTHONPATH"] = os.pathsep.join(filter(None, [str(workloads.SRC),
-                                                       os.environ.get("PYTHONPATH")]))
+    base = {k: v for k, v in _child_env().items() if k not in _BLAS_VARIABLES}
 
     def digests(method, env):
         proc = subprocess.run([sys.executable, str(script), str(tmp_path), method,
@@ -270,6 +280,7 @@ def test_results_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert one_thread["digests"][2] == one_thread["digests"][3]
     bundled = any((Path(scipy.__file__).parents[1] / "scipy.libs").glob("libscipy_openblas*.so"))
     assert one_thread["pinned"] == [1 if bundled else None] * 4
+    assert digests("fork", dict(base, **dict.fromkeys(_BLAS_VARIABLES, "2"))) == one_thread
     for method in ("fork", "forkserver", "spawn"):
         if method in multiprocessing.get_all_start_methods():
             assert digests(method, base) == one_thread, method
@@ -359,6 +370,30 @@ def test_run_workers_auto_follows_cpu_affinity(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     paths = run(parse_config_tree(_tiny_aoa_tree()), out_dir=tmp_path, workers="auto")
     assert json.loads(Path(paths["metadata"]).read_text())["workers"] == 1
+
+
+_PINNED_SCRIPT = """
+import os, sys
+from hris_sim.cli import main
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs a CPU affinity mask over two or more CPUs")
+def test_run_workers_auto_in_a_process_pinned_to_one_cpu(tmp_path):
+    """--workers auto in a child that pins itself to one CPU runs and records one worker."""
+    cfg = tmp_path / "rf.yaml"
+    cfg.write_text("version: 1\nexperiment: rf_chain_sweep\nn_trials: 2\n"
+                   "channel: {n_atoms: 8, n_users: 2, n_bs_antennas: 4}\n"
+                   "rf_sweep: {n_rf_grid: [1, 2], snr_db_list: [0.0]}\n", encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-c", _PINNED_SCRIPT, "run", str(cfg), "--workers",
+                           "auto", "--out", str(tmp_path / "o")], env=_child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    meta = json.loads((tmp_path / "o/metadata.json").read_text())
+    assert (meta["workers"], meta["environment"]["cpu_count"]) == (1, 1)
 
 
 def test_run_records_the_cpus_it_could_use(tmp_path, monkeypatch):
@@ -530,6 +565,7 @@ def mapped():
 def run(name, preset, tree):
     tree = dict(copy.deepcopy(config.PRESETS.get(preset, {})), **tree)
     paths = runner.run(config.parse_config_tree(tree), out_dir=f"{out}/{name}")
+    assert "yaml" not in sys.modules, f"the {name} run loaded PyYAML"
     return json.loads(open(paths["metadata"]).read())["results_sha256"]
 
 if not preload:
@@ -549,7 +585,7 @@ print(digest)
 
 
 def test_runs_never_load_scipy_linalg(tmp_path):
-    """fig4, whole-cycle fig6, a pattern cut, fig5 and a 72-slot fig6 never load scipy.linalg.
+    """fig4, whole-cycle fig6, a pattern cut, fig5 and a 72-slot fig6 load no scipy.linalg or yaml.
 
     The G stage's zposv comes from scipy's compiled LAPACK wrapper alone, and
     changes no bit: fig5's digest equals a run that loaded scipy.linalg
@@ -557,9 +593,7 @@ def test_runs_never_load_scipy_linalg(tmp_path):
     /proc/self/maps names it after fig5 and not after the runs before it.
     Each run needs a fresh interpreter.
     """
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [str(workloads.SRC),
-                                                        os.environ.get("PYTHONPATH")])))
+    env = _child_env(**dict.fromkeys(_BLAS_VARIABLES, "1"))
     # numpy.libs holds numpy's own libscipy_openblas64_, mapped by every run.
     bundled = sorted((Path(scipy.__file__).parents[1] / "scipy.libs").glob(
         "libscipy_openblas*.so"))
@@ -625,9 +659,7 @@ def test_tree_run_leaves_pyyaml_unloaded(tmp_path):
               "        'rf_sweep': {'n_rf_grid': [1, 2], 'snr_db_list': [0.0]}}\n"
               "runner.run(config.parse_config_tree(tree), out_dir=sys.argv[1])\n"
               "print('yaml' in sys.modules)\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(workloads.SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=_child_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
@@ -644,3 +676,28 @@ def test_beampattern_run_row_count(tmp_path):
     assert len(lines) == 102
     meta = json.loads((tmp_path / "metadata.json").read_text())
     assert meta["derived"] == {"n_elements": 64, "steer_deg": 10.0}
+
+
+# Runs the module entry point in a child and prints that child's peak RSS in MB.
+_PEAK_RSS_SCRIPT = """
+import resource, subprocess, sys
+subprocess.run([sys.executable, "-m", "hris_sim.cli", *sys.argv[1:]], check=True)
+peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss  # bytes on macOS, else KiB
+print(peak / (2 ** 20 if sys.platform == "darwin" else 2 ** 10))
+"""
+
+
+def test_module_entry_point_cuts_64_by_64_under_80_mb(tmp_path):
+    """``python -m hris_sim.cli`` writes the default 1441-point cut of 4096 elements in 80 MB.
+
+    The whole 4096 x 1441 steering matrix is 94 MB on its own, and building it
+    peaked at 131 MB; arrays.grid_response's blocks of 64 elevations peak near
+    41 MB.  A fresh wrapper process reads the peak: in pytest, RUSAGE_CHILDREN
+    is the peak of every child the session has reaped.
+    """
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_SCRIPT, "beampattern", "--n-h", "64",
+                           "--n-v", "64", "--out", str(tmp_path)], env=_child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert len((tmp_path / "beampattern.csv").read_text().splitlines()) == 1442
+    assert float(proc.stdout.split()[-1]) < 80.0, proc.stdout
